@@ -13,17 +13,26 @@
 // plus the speedup ratios scalar/word and scalar/sharded.  The word kernels
 // are bit-identical to the scalar references (tests/compress_kernels_test),
 // so this file measures pure throughput, not accuracy trade-offs.
+//
+// Two fixed-shape sections ride along, independent of --sizes: the forward
+// GEMM (matmul_a_bt at the Linear shapes of the benchmark MLPs, batch 16;
+// seconds and GFLOP/s) and CRC32 at the two frame sizes of a ring-large
+// round (one-bit segment and float flush frame; GB/s).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compress/kernels.hpp"
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
 #include "core/one_bit.hpp"
+#include "net/crc32.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -263,14 +272,95 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
   return results;
 }
 
-void write_json(const Options& opt, const std::vector<KernelResult>& results,
-                std::size_t threads) {
+struct GemmResult {
+  std::size_t m = 0;
+  std::size_t k = 0;
+  std::size_t n = 0;
+  double seconds = 0.0;
+
+  double gflops() const {
+    return 2.0 * static_cast<double>(m * k * n) / seconds / 1e9;
+  }
+};
+
+/// y(16×n) = x(16×k)·Wᵀ, W stored n×k: Linear::forward at batch 16 for the
+/// 196→2048 input layer and the 2048→2048 hidden layer of ring-large's MLP,
+/// and the 1024→1024 hidden layer of sim-fold's.
+std::vector<GemmResult> run_gemm(std::size_t reps) {
+  constexpr std::size_t kBatch = 16;
+  const std::size_t shapes[][2] = {{196, 2048}, {2048, 2048}, {1024, 1024}};
+  std::vector<GemmResult> results;
+  Rng rng(43);
+  for (const auto& [k, n] : shapes) {
+    std::vector<float> x(kBatch * k), w(n * k), y(kBatch * n);
+    fill_normal({x.data(), x.size()}, rng, 0.0f, 1.0f);
+    fill_normal({w.data(), w.size()}, rng, 0.0f, 1.0f);
+    GemmResult r{kBatch, k, n, 0.0};
+    r.seconds = time_best(reps, [&] {
+      matmul_a_bt({x.data(), x.size()}, {w.data(), w.size()},
+                  {y.data(), y.size()}, kBatch, k, n);
+    });
+    results.push_back(r);
+  }
+  return results;
+}
+
+struct CrcResult {
+  std::size_t bytes = 0;
+  double seconds = 0.0;
+
+  double gb_per_s() const { return static_cast<double>(bytes) / seconds / 1e9; }
+};
+
+/// crc32 over ring-large's two frame payloads: a one-bit ring segment
+/// (⌈D/64⌉/4 = 18,064 words) and a float flush frame (D = 4,624,394).
+std::vector<CrcResult> run_crc(std::size_t reps) {
+  const std::size_t sizes[] = {18064 * sizeof(std::uint64_t),
+                               4624394 * sizeof(float)};
+  std::vector<CrcResult> results;
+  Rng rng(44);
+  for (const std::size_t bytes : sizes) {
+    std::vector<std::uint8_t> payload(bytes);
+    for (std::uint8_t& b : payload) {
+      b = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    volatile std::uint32_t sink = 0;
+    CrcResult r{bytes, 0.0};
+    r.seconds = time_best(reps, [&] { sink = crc32(payload.data(), bytes); });
+    (void)sink;
+    results.push_back(r);
+  }
+  return results;
+}
+
+/// "model name" from /proc/cpuinfo, so a committed file names its machine.
+std::string cpu_model() {
+  std::ifstream info("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(info, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+void write_json(const Options& opt, const std::string& command,
+                const std::vector<KernelResult>& results,
+                const std::vector<GemmResult>& gemm,
+                const std::vector<CrcResult>& crc, std::size_t threads) {
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_kernels\",\n");
+  std::fprintf(f, "  \"command\": \"%s\",\n", command.c_str());
+  std::fprintf(f, "  \"cpu\": \"%s\",\n", cpu_model().c_str());
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"pool_threads\": %zu,\n", threads);
   std::fprintf(f, "  \"chunk_elements\": %zu,\n",
                static_cast<std::size_t>(kChunk));
@@ -288,6 +378,24 @@ void write_json(const Options& opt, const std::vector<KernelResult>& results,
                  r.scalar_seconds / r.sharded_seconds,
                  i + 1 < results.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"gemm\": [\n");
+  for (std::size_t i = 0; i < gemm.size(); ++i) {
+    const GemmResult& r = gemm[i];
+    std::fprintf(f,
+                 "    {\"kernel\": \"matmul_a_bt\", \"m\": %zu, \"k\": %zu, "
+                 "\"n\": %zu, \"seconds\": %.9f, \"gflops\": %.2f}%s\n",
+                 r.m, r.k, r.n, r.seconds, r.gflops(),
+                 i + 1 < gemm.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"crc32\": [\n");
+  for (std::size_t i = 0; i < crc.size(); ++i) {
+    const CrcResult& r = crc[i];
+    std::fprintf(f,
+                 "    {\"kernel\": \"crc32\", \"bytes\": %zu, "
+                 "\"seconds\": %.9f, \"gb_per_s\": %.3f}%s\n",
+                 r.bytes, r.seconds, r.gb_per_s(),
+                 i + 1 < crc.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
@@ -298,6 +406,10 @@ void write_json(const Options& opt, const std::vector<KernelResult>& results,
 int main(int argc, char** argv) {
   using namespace marsit;
   const Options opt = parse_options(argc, argv);
+  std::string command = "micro_kernels";
+  for (int i = 1; i < argc; ++i) {
+    command += std::string(" ") + argv[i];
+  }
   ThreadPool pool(opt.threads);
   std::vector<KernelResult> all;
   for (const std::size_t d : opt.sizes) {
@@ -312,7 +424,18 @@ int main(int argc, char** argv) {
       all.push_back(r);
     }
   }
-  write_json(opt, all, pool.num_threads());
+  std::fprintf(stderr, "timing forward GEMM and CRC32...\n");
+  const std::vector<GemmResult> gemm = run_gemm(opt.reps);
+  for (const GemmResult& r : gemm) {
+    std::fprintf(stderr, "  matmul_a_bt %zux%zux%zu  %.6fs  %.1f GFLOP/s\n",
+                 r.m, r.k, r.n, r.seconds, r.gflops());
+  }
+  const std::vector<CrcResult> crc = run_crc(opt.reps);
+  for (const CrcResult& r : crc) {
+    std::fprintf(stderr, "  crc32 %zu bytes  %.6fs  %.2f GB/s\n", r.bytes,
+                 r.seconds, r.gb_per_s());
+  }
+  write_json(opt, command, all, gemm, crc, pool.num_threads());
   std::fprintf(stderr, "wrote %s\n", opt.out.c_str());
   return 0;
 }

@@ -31,11 +31,19 @@ DistributedTrainer::DistributedTrainer(
   replicas_.reserve(m);
   for (std::size_t w = 0; w < m; ++w) {
     replicas_.push_back(model_factory());
-    Rng init_rng(derive_seed(config_.seed, kModelInitSeedSalt));
-    replicas_.back().init(init_rng);  // same seed => identical replicas
   }
+  Rng init_rng(derive_seed(config_.seed, kModelInitSeedSalt));
+  replicas_.front().init(init_rng);
   param_count_ = replicas_.front().param_count();
   MARSIT_CHECK(param_count_ > 0) << "model has no parameters";
+  // Every replica would draw the same values from the same seed; copying
+  // replica 0 gives the identical state without M−1 more draws.  Fresh
+  // layers already hold zero gradients, which is all init adds.
+  Tensor init_params(param_count_);
+  replicas_.front().copy_params_into(init_params.span());
+  for (std::size_t w = 1; w < m; ++w) {
+    replicas_[w].load_params(init_params.span());
+  }
   MARSIT_CHECK(replicas_.front().in_size() == dataset_.sample_size())
       << "model input " << replicas_.front().in_size()
       << " vs dataset sample " << dataset_.sample_size();
@@ -117,10 +125,13 @@ void DistributedTrainer::worker_round(std::size_t worker, std::size_t round,
   }
 }
 
-void DistributedTrainer::copy_params_into(std::span<float> out) const {
+void DistributedTrainer::copy_params_into(std::span<float> out,
+                                          std::size_t worker) const {
   MARSIT_CHECK(out.size() == param_count_)
       << "param copy extent " << out.size() << " vs " << param_count_;
-  replicas_.front().copy_params_into(out);
+  MARSIT_CHECK(worker < replicas_.size())
+      << "replica " << worker << " of " << replicas_.size();
+  replicas_[worker].copy_params_into(out);
 }
 
 EvalPoint DistributedTrainer::evaluate(std::size_t samples) {

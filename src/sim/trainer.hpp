@@ -3,8 +3,9 @@
 // Simulates M workers doing data-parallel training with a pluggable
 // synchronization strategy (Marsit or any baseline):
 //
-//   * every worker owns a full model replica, initialized from the same seed
-//     (bit-identical start) and updated with the identical global update
+//   * every worker owns a full model replica, bit-identical at the start
+//     (replica 0 is initialized from the seed and copied to the rest) and
+//     updated with the identical global update
 //     every round, so replicas stay consistent — exactly the MAR invariant;
 //   * per round, workers draw i.i.d. minibatches (the paper's shuffled-cloud
 //     data assumption), compute real gradients (forward/backward on the
@@ -150,8 +151,9 @@ struct TrainResult {
 
 class DistributedTrainer {
  public:
-  /// `model_factory` must build identical architectures; each replica is
-  /// initialized from config.seed so all workers start at the same point.
+  /// `model_factory` must build identical architectures; replica 0 is
+  /// initialized from config.seed and its parameters copied to the others,
+  /// so all workers start at the same point.
   DistributedTrainer(const Dataset& dataset,
                      std::function<Sequential()> model_factory,
                      SyncStrategy& strategy, TrainerConfig config);
@@ -167,9 +169,9 @@ class DistributedTrainer {
   /// Evaluates replica 0 on `samples` held-out examples.
   EvalPoint evaluate(std::size_t samples);
 
-  /// Copies replica 0's current parameters into `out` (extent must equal
-  /// param_count()); the golden determinism test hashes these.
-  void copy_params_into(std::span<float> out) const;
+  /// Copies replica `worker`'s current parameters into `out` (extent must
+  /// equal param_count()); the golden determinism test hashes replica 0's.
+  void copy_params_into(std::span<float> out, std::size_t worker = 0) const;
 
  private:
   /// Accumulators that live across rounds and must survive a

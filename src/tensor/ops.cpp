@@ -16,6 +16,52 @@ void check_same_size(std::span<const float> a, std::span<const float> b,
       << what << ": extents " << a.size() << " vs " << b.size();
 }
 
+// Register block of matmul_a_bt: one vector of kLanes floats holds an output
+// column's running sums for kLanes consecutive rows of `a`, and kColumns such
+// vectors are live at once — independent chains that hide the add latency.
+#if defined(__AVX512F__)
+constexpr std::size_t kLanes = 16;
+#elif defined(__AVX__)
+constexpr std::size_t kLanes = 8;
+#else
+constexpr std::size_t kLanes = 4;
+#endif
+constexpr std::size_t kColumns = 8;
+
+using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+/// c[l][j0 + q] += Σ_p a[l][p]·b[j0 + q][p] for l < rows, q < Cols, with
+/// `panel[p]` holding a[0..kLanes)[p] (zero past `rows`) and c, b row-major
+/// with row strides n and k.  Each sum walks p upward and skips the terms
+/// where a[l][p] == 0 — the order, skips and rounding of the axpy loop
+/// c[l][·] += a[l][p]·bᵀ[p][·], so results are bit-identical to it.
+template <std::size_t Cols>
+void a_bt_block(const Lanes* panel, const float* b, float* c, std::size_t k,
+                std::size_t n, std::size_t rows, std::size_t j0) {
+  Lanes acc[Cols] = {};
+  for (std::size_t q = 0; q < Cols; ++q) {
+    for (std::size_t l = 0; l < rows; ++l) {
+      acc[q][l] = c[l * n + j0 + q];
+    }
+  }
+  const float* w = b + j0 * k;
+  const Lanes zeros = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    const Lanes x = panel[p];
+    // Select rather than add a zero term: −0.0 + 0 would turn a −0.0 sum
+    // into +0.0, and 0·inf would make a NaN.
+    const auto live = x != zeros;
+    for (std::size_t q = 0; q < Cols; ++q) {
+      acc[q] = live ? acc[q] + x * w[q * k + p] : acc[q];
+    }
+  }
+  for (std::size_t q = 0; q < Cols; ++q) {
+    for (std::size_t l = 0; l < rows; ++l) {
+      c[l * n + j0 + q] = acc[q][l];
+    }
+  }
+}
+
 }  // namespace
 
 void copy_into(std::span<const float> src, std::span<float> dst) {
@@ -224,32 +270,27 @@ void matmul_a_bt(std::span<const float> a, std::span<const float> b,
   } else if (beta != 1.0f) {
     scale(c, beta);
   }
-  // c(m×n) = a·bᵀ with b stored (n×k).  Materializing bᵀ (k×n) and running
-  // the axpy-form kernel beats the dot-product form ~5x: the inner loop
-  // becomes a contiguous fused multiply-add stream.  The transpose is
-  // O(k·n) against the O(m·k·n) product, negligible for every caller
-  // (m = batch·pixels ≫ 1).
-  thread_local std::vector<float> transposed;
-  transposed.resize(k * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const float* b_row = b.data() + j * k;
+  // c(m×n) = a·bᵀ with b stored (n×k).  Each block of kLanes rows of `a`
+  // is packed k×kLanes, so one vector load serves every row at step p; each
+  // row of b (one output column) then streams through once per block.
+  thread_local std::vector<Lanes> panel;
+  panel.resize(k);
+  for (std::size_t i0 = 0; i0 < m; i0 += kLanes) {
+    const std::size_t rows = std::min(kLanes, m - i0);
     for (std::size_t p = 0; p < k; ++p) {
-      transposed[p * n + j] = b_row[p];
+      Lanes lanes = {};
+      for (std::size_t l = 0; l < rows; ++l) {
+        lanes[l] = a[(i0 + l) * k + p];
+      }
+      panel[p] = lanes;
     }
-  }
-  // Inline the matmul kernel against `transposed` (beta already applied).
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* a_row = a.data() + i * k;
-    float* c_row = c.data() + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float a_ip = a_row[p];
-      if (a_ip == 0.0f) {
-        continue;
-      }
-      const float* t_row = transposed.data() + p * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        c_row[j] += a_ip * t_row[j];
-      }
+    float* c_rows = c.data() + i0 * n;
+    std::size_t j0 = 0;
+    for (; j0 + kColumns <= n; j0 += kColumns) {
+      a_bt_block<kColumns>(panel.data(), b.data(), c_rows, k, n, rows, j0);
+    }
+    for (; j0 < n; ++j0) {
+      a_bt_block<1>(panel.data(), b.data(), c_rows, k, n, rows, j0);
     }
   }
 }

@@ -1,5 +1,5 @@
-// Numeric kernels over flat float spans: BLAS-1 style vector ops plus a
-// blocked GEMM.  These are the only places in the project that touch raw
+// Numeric kernels over flat float spans: BLAS-1 style vector ops plus three
+// GEMM forms.  These are the only places in the project that touch raw
 // float loops; everything above (optimizers, compressors, layers) composes
 // them.
 //
@@ -65,7 +65,7 @@ bool all_finite(std::span<const float> x);
 
 // ---- GEMM -----------------------------------------------------------------
 
-/// c = a(m×k) · b(k×n) + beta·c, all row-major.  Blocked i-k-j loop order so
+/// c = a(m×k) · b(k×n) + beta·c, all row-major.  Plain i-k-j loop order so
 /// the inner loop is a contiguous axpy; good enough to train the mini models
 /// at interactive speed without an external BLAS.
 void matmul(std::span<const float> a, std::span<const float> b,
@@ -77,7 +77,12 @@ void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, float beta = 0.0f);
 
-/// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c — the backward-inputs product.
+/// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c — Linear's forward product and
+/// Conv2d's weight gradient.  Register-blocked: each row of b is read once
+/// per block of 16, 8 or 4 rows of a (AVX-512, AVX, baseline).  Each c[i][j]
+/// adds a[i][p]·b[j][p] for p ascending and skips the terms with
+/// a[i][p] == 0, so it is bit-identical to the axpy loop over an explicit bᵀ
+/// (DESIGN.md §7).
 void matmul_a_bt(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, float beta = 0.0f);

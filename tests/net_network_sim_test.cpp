@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace marsit {
 namespace {
@@ -252,6 +255,40 @@ TEST(Crc32Test, MatchesReferenceCheckValue) {
   EXPECT_EQ(crc32(digits, 9), 0xCBF43926u);
   EXPECT_TRUE(crc32_matches(digits, 9, 0xCBF43926u));
   EXPECT_FALSE(crc32_matches(digits, 9, 0xCBF43927u));
+}
+
+// Bit-at-a-time CRC-32/IEEE straight from the polynomial: the oracle the
+// sliced implementation must match on every length and alignment.
+std::uint32_t bitwise_crc32(const std::uint8_t* bytes, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::vector<std::uint8_t> bytes(3 * 1024 * 1024 + 37);
+  Rng rng(2024);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t size = 0; size <= 256; ++size) {
+      ASSERT_EQ(crc32(bytes.data() + offset, size),
+                bitwise_crc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+            bitwise_crc32(bytes.data(), bytes.size()));
+  EXPECT_EQ(crc32(bytes.data() + 5, bytes.size() - 5),
+            bitwise_crc32(bytes.data() + 5, bytes.size() - 5));
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>(bytes)),
+            bitwise_crc32(bytes.data(), bytes.size()));
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic_digits.hpp"
 #include "nn/models.hpp"
 #include "util/check.hpp"
@@ -62,6 +66,41 @@ TEST_F(TrainerTest, DeterministicAcrossRuns) {
     return trainer.train().final_test_accuracy;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+TEST_F(TrainerTest, ReplicasAreBitEqualAfterConstruction) {
+  // Replica 0 is initialized and copied to the others; every replica must
+  // hold exactly what its own init from the shared seed would have drawn.
+  // The residual model covers conv, composite and linear leaves.
+  const auto factory = [this] {
+    return make_resnet_mini(digits_.image_dims(), digits_.num_classes(),
+                            /*blocks_per_stage=*/1, /*base_channels=*/4);
+  };
+  const std::size_t workers = 4;
+  PsgdSync strategy(ring_config(workers));
+  TrainerConfig config;
+  config.seed = 19;
+  DistributedTrainer trainer(digits_, factory, strategy, config);
+
+  Sequential fresh = factory();
+  Rng init_rng(derive_seed(config.seed, kModelInitSeedSalt));
+  fresh.init(init_rng);
+  std::vector<float> expected(fresh.param_count());
+  fresh.copy_params_into({expected.data(), expected.size()});
+  ASSERT_EQ(expected.size(), trainer.param_count());
+
+  std::vector<float> params(expected.size());
+  for (std::size_t w = 0; w < workers; ++w) {
+    std::fill(params.begin(), params.end(), -1.0f);
+    trainer.copy_params_into({params.data(), params.size()}, w);
+    EXPECT_EQ(std::memcmp(params.data(), expected.data(),
+                          params.size() * sizeof(float)),
+              0)
+        << "replica " << w;
+  }
+  EXPECT_THROW(trainer.copy_params_into({params.data(), params.size()},
+                                        workers),
+               CheckError);
 }
 
 TEST_F(TrainerTest, ParallelAndSerialWorkersAgree) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -216,6 +220,103 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
                       std::make_tuple(1, 32, 8), std::make_tuple(33, 17, 9)));
+
+// matmul_a_bt as it was before the register-blocked kernel: transpose b,
+// then run the axpy-form product against the transpose.  The kernel must
+// reproduce it bit for bit — same terms, same order, same rounding.
+void transpose_axpy_a_bt(const std::vector<float>& a,
+                         const std::vector<float>& b, std::vector<float>& c,
+                         std::size_t m, std::size_t k, std::size_t n,
+                         float beta) {
+  if (beta == 0.0f) {
+    std::fill(c.begin(), c.end(), 0.0f);
+  } else if (beta != 1.0f) {
+    scale({c.data(), c.size()}, beta);
+  }
+  std::vector<float> transposed(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) {
+      transposed[p * n + j] = b[j * k + p];
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a.data() + i * k;
+    float* c_row = c.data() + i * n;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float a_ip = a_row[p];
+      if (a_ip == 0.0f) {
+        continue;
+      }
+      const float* t_row = transposed.data() + p * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        c_row[j] += a_ip * t_row[j];
+      }
+    }
+  }
+}
+
+TEST(OpsTest, MatmulABtBitIdenticalToTransposeAxpyLoop) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(11);
+  std::size_t cases = 0;
+  for (const std::size_t m : {1, 3, 15, 16, 17, 33}) {
+    for (const std::size_t k : {1, 7, 196}) {
+      for (const std::size_t n : {1, 7, 8, 9, 64}) {
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          // a is as sparse as a ReLU output: about 45 % +0.0, 10 % −0.0.
+          std::vector<float> a(m * k);
+          for (float& v : a) {
+            const double u = rng.uniform(0.0, 1.0);
+            v = u < 0.45   ? 0.0f
+                : u < 0.55 ? -0.0f
+                           : static_cast<float>(rng.normal());
+          }
+          std::vector<float> b(n * k);
+          for (float& v : b) {
+            v = static_cast<float>(rng.normal());
+          }
+          std::vector<float> c(m * n);
+          for (float& v : c) {
+            v = rng.uniform(0.0, 1.0) < 0.2 ? -0.0f
+                                            : static_cast<float>(rng.normal());
+          }
+          // Row 0 is a single term that underflows: (−1e−30)·(1e−30) rounds
+          // to −0.0f, so from a +0.0f or −0.0f start the sum is a signed
+          // zero whose sign depends on the rounding being reproduced.
+          std::fill(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(k),
+                    0.0f);
+          a[0] = -1e-30f;
+          for (std::size_t j = 0; j < n; ++j) {
+            b[j * k] = 1e-30f;
+          }
+          // An infinite weight meets only zero inputs (the skip must hold:
+          // 0·inf would be NaN).
+          if (k > 1) {
+            b[(n - 1) * k + (k - 1)] = kInf;
+            for (std::size_t i = 0; i < m; ++i) {
+              a[i * k + (k - 1)] = i % 2 == 0 ? 0.0f : -0.0f;
+            }
+          }
+
+          std::vector<float> expected = c;
+          transpose_axpy_a_bt(a, b, expected, m, k, n, beta);
+          matmul_a_bt({a.data(), a.size()}, {b.data(), b.size()},
+                      {c.data(), c.size()}, m, k, n, beta);
+          ASSERT_EQ(std::memcmp(c.data(), expected.data(),
+                                c.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+          ASSERT_TRUE(all_finite({c.data(), c.size()}));
+          if (beta == 0.0f) {
+            EXPECT_EQ(c[0], 0.0f);  // the underflowed row-0 sum is a zero
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6u * 3u * 5u * 3u);
+}
 
 TEST(OpsTest, MatmulBetaAccumulates) {
   std::vector<float> a{1, 0, 0, 1};  // identity 2x2

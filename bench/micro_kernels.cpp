@@ -14,6 +14,11 @@
 // are bit-identical to the scalar references (tests/compress_kernels_test),
 // so this file measures pure throughput, not accuracy trade-offs.
 //
+// Marsit's ⊙ reduction gets its own rows per size: the ring's
+// marsit_fold_signs_segmented at M ∈ {4, 32} workers, "word" on a 1-thread
+// pool and "sharded" with its segment chains on the bench pool.  The two
+// aggregates are memcmp-compared, and a mismatch exits non-zero.
+//
 // Two fixed-shape sections ride along, independent of --sizes: the forward
 // GEMM (matmul_a_bt at the Linear shapes of the benchmark MLPs, batch 16;
 // seconds and GFLOP/s) and CRC32 at the two frame sizes of a ring-large
@@ -32,6 +37,7 @@
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
 #include "core/one_bit.hpp"
+#include "core/segmented_fold.hpp"
 #include "net/crc32.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
@@ -272,6 +278,61 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
   return results;
 }
 
+struct FoldResult {
+  std::size_t elements = 0;
+  std::size_t workers = 0;
+  double word_seconds = 0.0;
+  double sharded_seconds = 0.0;
+};
+
+/// Best-of-reps seconds of the ring's segmented fold of `workers` random
+/// sign vectors of d elements, once on a 1-thread pool and once on `pool`.
+/// Each call folds a fresh copy of the same inputs (the copy is untimed).
+FoldResult run_fold(std::size_t d, std::size_t workers, std::size_t reps,
+                    ThreadPool& pool) {
+  constexpr std::uint64_t kRoundSeed = 46;
+  Rng rng(45);
+  std::vector<BitVector> pristine(workers, BitVector(d));
+  for (BitVector& signs : pristine) {
+    for (std::uint64_t& word : signs.words()) {
+      word = rng.next_u64();
+    }
+    // Tail bits past d stay zero, as the fold's operands require.
+    if (d % 64 != 0) {
+      signs.words().back() &= (std::uint64_t{1} << (d % 64)) - 1;
+    }
+  }
+  const std::size_t num_words = kernels::words_for(d);
+  std::vector<BitVector> signs;
+  const auto time_fold = [&](ThreadPool& fold_pool) {
+    double best = 1e300;
+    for (std::size_t r = 0; r <= reps; ++r) {  // r == 0: untimed warmup
+      signs = pristine;
+      const double t0 = now_seconds();
+      marsit_fold_signs_segmented(MarParadigm::kRing, 0, 0, signs, workers,
+                                  num_words, kRoundSeed, &fold_pool);
+      if (r > 0) {
+        best = std::min(best, now_seconds() - t0);
+      }
+    }
+    return best;
+  };
+  ThreadPool serial(1);
+  FoldResult result{d, workers, 0.0, 0.0};
+  result.word_seconds = time_fold(serial);
+  const BitVector expected = signs.front();
+  result.sharded_seconds = time_fold(pool);
+  if (std::memcmp(signs.front().words().data(), expected.words().data(),
+                  num_words * sizeof(std::uint64_t)) != 0) {
+    std::fprintf(stderr,
+                 "segmented_fold: %zu-thread aggregate differs from the "
+                 "1-thread one at %zu elements, %zu workers\n",
+                 pool.num_threads(), d, workers);
+    std::exit(1);
+  }
+  return result;
+}
+
 struct GemmResult {
   std::size_t m = 0;
   std::size_t k = 0;
@@ -350,6 +411,7 @@ std::string cpu_model() {
 
 void write_json(const Options& opt, const std::string& command,
                 const std::vector<KernelResult>& results,
+                const std::vector<FoldResult>& folds,
                 const std::vector<GemmResult>& gemm,
                 const std::vector<CrcResult>& crc, std::size_t threads) {
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
@@ -377,6 +439,17 @@ void write_json(const Options& opt, const std::string& command,
                  r.scalar_seconds / r.word_seconds,
                  r.scalar_seconds / r.sharded_seconds,
                  i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"segmented_fold\": [\n");
+  for (std::size_t i = 0; i < folds.size(); ++i) {
+    const FoldResult& r = folds[i];
+    std::fprintf(f,
+                 "    {\"kernel\": \"segmented_fold\", \"elements\": %zu, "
+                 "\"workers\": %zu, \"word_seconds\": %.9f, "
+                 "\"sharded_seconds\": %.9f, \"sharded_speedup\": %.3f}%s\n",
+                 r.elements, r.workers, r.word_seconds, r.sharded_seconds,
+                 r.word_seconds / r.sharded_seconds,
+                 i + 1 < folds.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"gemm\": [\n");
   for (std::size_t i = 0; i < gemm.size(); ++i) {
@@ -424,6 +497,18 @@ int main(int argc, char** argv) {
       all.push_back(r);
     }
   }
+  std::vector<FoldResult> folds;
+  for (const std::size_t d : opt.sizes) {
+    for (const std::size_t workers : {std::size_t{4}, std::size_t{32}}) {
+      std::fprintf(stderr, "timing segmented fold, %zu elements x %zu...\n",
+                   d, workers);
+      folds.push_back(run_fold(d, workers, opt.reps, pool));
+      const FoldResult& r = folds.back();
+      std::fprintf(stderr, "  segmented_fold     word %.4fs  sharded %.4fs "
+                   "(%.1fx)\n", r.word_seconds, r.sharded_seconds,
+                   r.word_seconds / r.sharded_seconds);
+    }
+  }
   std::fprintf(stderr, "timing forward GEMM and CRC32...\n");
   const std::vector<GemmResult> gemm = run_gemm(opt.reps);
   for (const GemmResult& r : gemm) {
@@ -435,7 +520,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  crc32 %zu bytes  %.6fs  %.2f GB/s\n", r.bytes,
                  r.seconds, r.gb_per_s());
   }
-  write_json(opt, command, all, gemm, crc, pool.num_threads());
+  write_json(opt, command, all, folds, gemm, crc, pool.num_threads());
   std::fprintf(stderr, "wrote %s\n", opt.out.c_str());
   return 0;
 }

@@ -1,8 +1,7 @@
 // Socket-backend drill: the cross-backend determinism contract, end to end
 // over real OS processes (DESIGN.md §14).
 //
-// For each scenario — the legacy all-gather plane on ring and 2×2 torus,
-// then the reduce-scatter plane on ring, torus, parameter server and
+// For each scenario — Marsit on ring, 2×2 torus, parameter server and
 // binomial tree — the launcher
 //
 //   1. binds one loopback listener per worker (before any threads exist —
@@ -13,9 +12,8 @@
 //   3. runs the identical seeds through the simulator
 //      (DistributedTrainer + MarsitSync) in the parent,
 //   4. asserts every socket rank's digest equals the simulator's, that
-//      reduce-scatter one-bit rounds move exactly 2(M−1)·D sign bits
-//      (legacy ones M(M−1)·D), and prints measured wall-clock next to the
-//      α–β prediction per round.
+//      one-bit rounds move exactly 2(M−1)·D sign bits, and prints measured
+//      wall-clock next to the α–β prediction per round.
 //
 // A watchdog bounds every scenario: result pipes are read with a poll()
 // deadline and children that outlive it are SIGKILLed and reaped, so a
@@ -65,7 +63,7 @@ double now_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-dist::WorkerConfig worker_config(MarParadigm paradigm, SyncMode mode) {
+dist::WorkerConfig worker_config(MarParadigm paradigm) {
   dist::WorkerConfig config;
   config.batch_size_per_worker = 16;
   config.optimizer = OptimizerKind::kSgd;
@@ -74,14 +72,12 @@ dist::WorkerConfig worker_config(MarParadigm paradigm, SyncMode mode) {
   config.trainer_seed = kTrainerSeed;
   config.sync_seed = kSyncSeed;
   config.paradigm = paradigm;
-  config.sync_mode = mode;
   if (paradigm == MarParadigm::kTorus2d) {
     config.torus_rows = 2;
     config.torus_cols = 2;
   }
   config.options.eta_s = 2e-3f;
   config.options.full_precision_period = 5;
-  config.shard_chunk_elements = 256;
   return config;
 }
 
@@ -189,9 +185,7 @@ std::uint64_t simulator_digest(const dist::WorkerConfig& config) {
   sync_config.paradigm = config.paradigm;
   sync_config.torus_rows = config.torus_rows;
   sync_config.torus_cols = config.torus_cols;
-  sync_config.sync_mode = config.sync_mode;
   sync_config.seed = config.sync_seed;
-  sync_config.shard_chunk_elements = config.shard_chunk_elements;
   MarsitSync strategy(sync_config, config.options);
 
   TrainerConfig trainer_config;
@@ -254,12 +248,12 @@ double sign_plane_bits() {
 }
 
 /// One scenario's drill; returns true when all 4 socket digests match the
-/// simulator and every one-bit round moved exactly the mode's wire volume.
-bool run_scenario(const char* name, MarParadigm paradigm, SyncMode mode) {
-  const dist::WorkerConfig config = worker_config(paradigm, mode);
+/// simulator and every one-bit round moved exactly 2(M−1)·D sign bits.
+bool run_scenario(const char* name, MarParadigm paradigm) {
+  const dist::WorkerConfig config = worker_config(paradigm);
   const double deadline = now_seconds() + kScenarioTimeoutSeconds;
-  std::printf("=== %s [%s]: %zu workers, %zu rounds ===\n", name,
-              sync_mode_name(mode), kWorkers, kRounds);
+  std::printf("=== %s: %zu workers, %zu rounds ===\n", name, kWorkers,
+              kRounds);
 
   // Listeners and pipes exist before any fork; each child inherits the lot
   // and closes what is not its own.
@@ -343,13 +337,10 @@ bool run_scenario(const char* name, MarParadigm paradigm, SyncMode mode) {
   }
 
   // The paper's wire volume, pinned on every rank's every one-bit round:
-  // 2(M−1)·D sign bits under reduce-scatter, M(M−1)·D under the legacy
-  // all-gather (D = the word-padded dimension; framing rides on top).
-  const double d_bits = sign_plane_bits();
+  // 2(M−1)·D sign bits (D = the word-padded dimension; framing rides on
+  // top).
   const double expected_one_bit =
-      mode == SyncMode::kReduceScatter
-          ? 2.0 * static_cast<double>(kWorkers - 1) * d_bits
-          : static_cast<double>(kWorkers * (kWorkers - 1)) * d_bits;
+      2.0 * static_cast<double>(kWorkers - 1) * sign_plane_bits();
   for (std::size_t w = 0; w < kWorkers; ++w) {
     for (const RoundWire& wire : reports[w]) {
       if (wire.full_precision == 0 && wire.total_wire_bits !=
@@ -382,24 +373,12 @@ bool run_scenario(const char* name, MarParadigm paradigm, SyncMode mode) {
 int main() {
   using namespace marsit;
   set_log_level(LogLevel::kWarning);
-  bool ok = run_scenario("Marsit ring (RAR)", MarParadigm::kRing,
-                         SyncMode::kLegacyAllGather);
-  ok = run_scenario("Marsit 2x2 torus (TAR)", MarParadigm::kTorus2d,
-                    SyncMode::kLegacyAllGather) &&
-       ok;
-  ok = run_scenario("Marsit ring (RAR)", MarParadigm::kRing,
-                    SyncMode::kReduceScatter) &&
-       ok;
-  ok = run_scenario("Marsit 2x2 torus (TAR)", MarParadigm::kTorus2d,
-                    SyncMode::kReduceScatter) &&
-       ok;
+  bool ok = run_scenario("Marsit ring (RAR)", MarParadigm::kRing);
+  ok = run_scenario("Marsit 2x2 torus (TAR)", MarParadigm::kTorus2d) && ok;
   ok = run_scenario("Marsit parameter server (PS)",
-                    MarParadigm::kParameterServer,
-                    SyncMode::kReduceScatter) &&
+                    MarParadigm::kParameterServer) &&
        ok;
-  ok = run_scenario("Marsit binomial tree (TREE)", MarParadigm::kTree,
-                    SyncMode::kReduceScatter) &&
-       ok;
+  ok = run_scenario("Marsit binomial tree (TREE)", MarParadigm::kTree) && ok;
   if (!ok) {
     std::fprintf(stderr,
                  "FAIL: socket backend diverged from the simulator\n");

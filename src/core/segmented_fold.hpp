@@ -1,14 +1,14 @@
-// Segment-seeded ⊙ folds — the reduce-scatter form of Marsit's reduction.
+// Segment-seeded ⊙ folds — Marsit's reduction, in reduce-scatter form.
 //
-// The legacy fold (marsit_fold_signs_words) consumes ONE sequential rng
-// stream, which forces whoever folds to see every hop's draws in order.  On
-// a real wire that means all-gather-and-fold-locally: M(M−1)·D bits instead
-// of the paper's 2(M−1)·D.  The folds in this header remove the sequential
-// dependency by giving every (segment, fold-op) pair its own derived
-// generator (core/one_bit.hpp: segment_fold_seed / segment_op_rng), so a
-// rank can fold exactly the segments it owns in a reduce-scatter schedule
-// while all other ranks — and the single-process trainer emulating them —
-// reproduce the identical aggregate bit-for-bit.
+// `bernoulli_word` consumes a variable number of raw generator words, so a
+// fold that drew from one sequential stream would force whoever folds to
+// see every hop's draws in order: on a real wire, all-gather-and-fold-
+// locally at M(M−1)·D bits instead of the paper's 2(M−1)·D.  The folds in
+// this header give every (segment, fold-op) pair its own derived generator
+// (core/one_bit.hpp: segment_fold_seed / segment_op_rng), so a rank can
+// fold exactly the segments it owns in a reduce-scatter schedule while all
+// other ranks — and the single-process trainer emulating them — reproduce
+// the identical aggregate bit-for-bit.
 //
 // Each fold here is the trainer-side (single-process) replay of a concrete
 // wire schedule run by src/dist/worker.cpp over a Transport:
@@ -24,13 +24,17 @@
 //                         cols) in the column phase.
 //   segmented_chain_fold  parameter server: the server folds workers in rank
 //                         order over one whole-payload segment.
-//   segmented_tree_fold   binomial tree: the legacy merge enumeration with a
+//   segmented_tree_fold   binomial tree: stride-doubling merges with a
 //                         per-merge op ordinal (tree_merge_schedule).
 //
 // All folds leave the final aggregate in signs.front() (the local image of
-// the all-gather phase), matching marsit_fold_signs_words' convention, and
-// all are order-independent across segments: chains write disjoint
-// (vector, word-range) pairs and never read a range another chain writes.
+// the all-gather phase).  Chains write disjoint (vector, word-range) pairs
+// and never read a range another chain writes, so the ring's chains and
+// each torus phase's chains run as tasks on a thread pool with output
+// identical to any serial order.  The PS and tree folds are one
+// whole-payload chain each (one generator per op, consuming words in
+// order) and stay serial — as on the wire, where one server or one root
+// folds everything.
 //
 // The statistical contract — both Eq. 2 branches unbiased for every segment
 // split — is proven in tests/core_one_bit_stat_test.cpp.
@@ -44,6 +48,8 @@
 #include "core/sync_strategy.hpp"
 
 namespace marsit {
+
+class ThreadPool;
 
 /// One word-aligned segment of a reduce-scatter partition.
 struct WordSegment {
@@ -69,23 +75,27 @@ struct TreeMerge {
   std::size_t op = 0;
 };
 
-/// The canonical merge order of the binomial tree over `count` ranks —
-/// exactly the legacy kTree enumeration (stride doubling, ascending dst)
-/// with a running op ordinal.  Both the trainer fold and the distributed
-/// worker replay this schedule so their rng draws line up.
+/// The canonical merge order of the binomial tree over `count` ranks
+/// (stride doubling, ascending dst) with a running op ordinal.  Both the
+/// trainer fold and the distributed worker replay this schedule so their
+/// rng draws line up.
 std::vector<TreeMerge> tree_merge_schedule(std::size_t count);
 
 /// Ring reduce-scatter fold of the first `count` sign vectors' leading
-/// `num_words` words.  Aggregate lands in signs.front().
+/// `num_words` words, one pool task per segment chain.  Aggregate lands in
+/// signs.front().
 void segmented_ring_fold(std::vector<BitVector>& signs, std::size_t count,
-                         std::size_t num_words, std::uint64_t round_seed);
+                         std::size_t num_words, std::uint64_t round_seed,
+                         ThreadPool& pool);
 
-/// Torus reduce-scatter fold (requires rows*cols == count).  Segment seeds:
-/// the row phase uses id r·cols + j for (row r, segment j); the column phase
-/// uses id count + c·rows + i for (column c, sub-segment i).
+/// Torus reduce-scatter fold (requires rows*cols == count), one pool task
+/// per chain within each phase.  Segment seeds: the row phase uses id
+/// r·cols + j for (row r, segment j); the column phase uses id
+/// count + c·rows + i for (column c, sub-segment i).
 void segmented_torus_fold(std::vector<BitVector>& signs, std::size_t count,
                           std::size_t rows, std::size_t cols,
-                          std::size_t num_words, std::uint64_t round_seed);
+                          std::size_t num_words, std::uint64_t round_seed,
+                          ThreadPool& pool);
 
 /// Parameter-server fold: chain in rank order over one whole-payload
 /// segment (segment id 0), one derived generator per hop.
@@ -96,14 +106,19 @@ void segmented_chain_fold(std::vector<BitVector>& signs, std::size_t count,
 void segmented_tree_fold(std::vector<BitVector>& signs, std::size_t count,
                          std::size_t num_words, std::uint64_t round_seed);
 
-/// Paradigm dispatcher for SyncMode::kReduceScatter rounds — the
-/// segment-seeded counterpart of marsit_fold_signs_words.  A torus whose
-/// membership no longer tiles rows×cols falls back to the segmented ring
-/// over the survivors (the same degradation rule the wire schedule uses).
+/// Marsit's ⊙ reduction of a one-bit round: folds the first `count` sign
+/// vectors with `paradigm`'s segmented fold and leaves the aggregate in
+/// signs.front().  A torus re-forms over `count` members by
+/// torus_rows_for — the rule the timing model prices — so a degraded torus
+/// folds as a smaller torus or a ring; `count` may not exceed the
+/// configured torus_rows × torus_cols.  `pool`
+/// carries the ring and torus chains; nullptr uses global_thread_pool(), as
+/// SyncConfig::pool does.
 void marsit_fold_signs_segmented(MarParadigm paradigm, std::size_t torus_rows,
                                  std::size_t torus_cols,
                                  std::vector<BitVector>& signs,
                                  std::size_t count, std::size_t num_words,
-                                 std::uint64_t round_seed);
+                                 std::uint64_t round_seed,
+                                 ThreadPool* pool = nullptr);
 
 }  // namespace marsit

@@ -33,14 +33,12 @@ const char* mar_paradigm_name(MarParadigm paradigm) {
   return "?";
 }
 
-const char* sync_mode_name(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kLegacyAllGather:
-      return "all-gather";
-    case SyncMode::kReduceScatter:
-      return "reduce-scatter";
+std::size_t torus_rows_for(std::size_t torus_cols, std::size_t members) {
+  if (torus_cols == 0 || members % torus_cols != 0 ||
+      members / torus_cols < 2) {
+    return 0;
   }
-  return "?";
+  return members / torus_cols;
 }
 
 namespace {
@@ -286,24 +284,18 @@ CollectiveTiming SyncStrategy::base_collective_timing(std::size_t d,
   switch (config_.paradigm) {
     case MarParadigm::kRing:
       return ring_allreduce_timing(m, d, wire, net, start_time);
-    case MarParadigm::kTorus2d:
+    case MarParadigm::kTorus2d: {
       // A degraded torus re-forms as a smaller torus while the survivors
       // still fill whole rows, else the round runs as a ring of survivors.
-      if (m == config_.num_workers) {
-        MARSIT_VALIDATE_CALL(validate::torus_shape(config_.torus_rows,
-                                                   config_.torus_cols, m));
-        return torus_allreduce_timing(config_.torus_rows, config_.torus_cols,
-                                      d, wire, net, start_time);
+      const std::size_t rows = torus_rows_for(config_.torus_cols, m);
+      if (rows == 0) {
+        return ring_allreduce_timing(m, d, wire, net, start_time);
       }
-      if (m % config_.torus_cols == 0 && m / config_.torus_cols >= 2) {
-        MARSIT_VALIDATE_CALL(
-            validate::torus_shape(m / config_.torus_cols, config_.torus_cols,
-                                  m));
-        return torus_allreduce_timing(m / config_.torus_cols,
-                                      config_.torus_cols, d, wire, net,
-                                      start_time);
-      }
-      return ring_allreduce_timing(m, d, wire, net, start_time);
+      MARSIT_VALIDATE_CALL(
+          validate::torus_shape(rows, config_.torus_cols, m));
+      return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net,
+                                    start_time);
+    }
     case MarParadigm::kParameterServer:
       return ps_allreduce_timing(m, d, wire, net, start_time);
     case MarParadigm::kTree:
@@ -372,12 +364,15 @@ SyncStepResult PsgdSync::do_synchronize(const WorkerSpans& inputs,
 
 // --- shared sign-sum plumbing ----------------------------------------------
 
+namespace {
+
+/// Per-chunk rng stream of a sharded majority round (SSDM's stochastic
+/// signs).  Chunk 0 continues the round stream itself and later chunks
+/// split off independent derived streams.
 Rng marsit_chunk_rng(std::uint64_t round_seed, std::size_t chunk_index) {
   return Rng(chunk_index == 0 ? round_seed
                               : derive_seed(round_seed, chunk_index));
 }
-
-namespace {
 
 bool elias_refresh_due(const SyncConfig& config, std::size_t round,
                        const std::vector<double>& elias_cache) {
@@ -897,66 +892,6 @@ void MarsitSync::mean_compensation_into(std::span<float> out) const {
   scale(out, 1.0f / static_cast<float>(compensation_.size()));
 }
 
-void marsit_fold_signs_words(MarParadigm paradigm, std::size_t torus_cols,
-                             std::vector<BitVector>& signs, std::size_t count,
-                             std::size_t word_begin, std::size_t num_words,
-                             Rng& rng) {
-  const auto words_of = [&](std::size_t i) {
-    return signs[i].words().subspan(word_begin, num_words);
-  };
-  if (paradigm == MarParadigm::kTree) {
-    // Binomial-tree reduction: level-l merges combine aggregates of equal
-    // weight 2^l (plus a possibly lighter tail aggregate).  The structure
-    // is defined for any count, so a degraded tree just shrinks.
-    std::vector<std::size_t> weights(count, 1);
-    for (std::size_t stride = 1; stride < count; stride *= 2) {
-      for (std::size_t i = 0; i + stride < count; i += 2 * stride) {
-        one_bit_combine_words(words_of(i), weights[i], words_of(i + stride),
-                              weights[i + stride], rng);
-        weights[i] += weights[i + stride];
-      }
-    }
-    return;
-  }
-  if (paradigm == MarParadigm::kTorus2d) {
-    // Row folds (weights 1..len within each row), then weighted column
-    // merges of whole-row aggregates — the torus reduction structure.  The
-    // row aggregate accumulates in the row's first vector; rows merge into
-    // signs[0] carrying their true accumulated weights, so a degraded round
-    // (count < rows·cols) re-forms as ragged rows of torus_cols survivors
-    // with the last row possibly short — the weighted ⊙ stays unbiased for
-    // any merge shape.  With full membership this is exactly the original
-    // rows×cols schedule.
-    const std::size_t cols = torus_cols;
-    std::size_t merged_weight = 0;
-    for (std::size_t base = 0; base < count; base += cols) {
-      const std::size_t len = std::min(cols, count - base);
-      for (std::size_t c = 1; c < len; ++c) {
-        one_bit_combine_words(words_of(base), c, words_of(base + c), 1, rng);
-      }
-      if (base == 0) {
-        merged_weight = len;
-      } else {
-        one_bit_combine_words(words_of(0), merged_weight, words_of(base), len,
-                              rng);
-        merged_weight += len;
-      }
-    }
-    return;
-  }
-  // Ring: sequential chain fold into signs[0].
-  for (std::size_t m = 1; m < count; ++m) {
-    one_bit_combine_words(words_of(0), m, words_of(m), 1, rng);
-  }
-}
-
-void MarsitSync::fold_signs_words(std::vector<BitVector>& signs,
-                                  std::size_t count, std::size_t word_begin,
-                                  std::size_t num_words, Rng& rng) const {
-  marsit_fold_signs_words(config_.paradigm, config_.torus_cols, signs, count,
-                          word_begin, num_words, rng);
-}
-
 SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
                                           std::span<float> out) {
   const std::size_t d = out.size();
@@ -1006,28 +941,24 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     return result;
   }
 
-  // One-bit round, sharded over word-aligned chunks: each chunk runs the
-  // whole of Algorithm 1's lines 1 and 4–10 — compensation fold-in, sign
-  // packing, the ⊙ reduction, unpacking, and the compensation update —
-  // chunk-locally, with an rng stream derived from (seed, round, chunk) so
-  // the result is bit-identical for any pool size.  Survivors pack into
-  // signs_[0..s): the fold re-forms over them with the same rng stream a
-  // native s-worker run would consume, so a degraded M-worker ring matches
-  // an s-worker ring bit-for-bit.
+  // One-bit round.  Packing and unpacking walk word-aligned shard chunks
+  // (they consume no rng); the ⊙ reduction in between folds the
+  // segment-seeded chains of the paradigm's reduce-scatter schedule
+  // (core/segmented_fold.hpp) on the pool, whose draws depend only on (seed,
+  // round, segment, op).  The result is therefore bit-identical for any pool
+  // size and any shard_chunk_elements.  Survivors pack into signs_[0..s) and
+  // the fold re-forms over them exactly as a native s-worker run would, so a
+  // degraded M-worker ring matches an s-worker ring bit-for-bit.
   if (signs_.empty() || signs_.front().size() != d) {
     signs_.assign(m, BitVector(d));
   }
-  const std::uint64_t round_seed = derive_seed(config_.seed, round_);
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
-  // Three-lane pipeline mirroring the wire's pack → transfer → fold shape:
-  // chunk c+1 packs while chunk c runs its ⊙ reduction and chunk c−1
-  // unpacks/compensates.  Sign packing consumes no rng, so creating the
-  // chunk's stream at the head of the fold stage draws exactly the values
-  // the old single-loop body drew — outputs stay bit-identical.
+  ThreadPool& pool = strategy_pool(config_);
   // Line 1 of Algorithm 1: fold the compensation into the update and
   // pack the signs, per survivor.
-  const PipelineStage pack_stage{[&](std::size_t c, ScratchArena& /*arena*/) {
+  const PipelineStage pack_stage[] = {{[&](std::size_t c,
+                                           ScratchArena& /*arena*/) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
     const std::size_t w0 = shard.word_begin();
@@ -1040,17 +971,16 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       kernels::pack_signs_words(adjusted_chunk,
                                 signs_[i].words().subspan(w0, nw));
     }
-  }};
-  // Lines 4–8 (legacy mode): the ⊙ reduction, in place over this chunk's
-  // words, with the chunk's own rng stream.
-  const PipelineStage fold_stage{[&](std::size_t c, ScratchArena& /*arena*/) {
-    const Shard shard = plan.chunk(c);
-    Rng rng = marsit_chunk_rng(round_seed, c);
-    fold_signs_words(signs_, s, shard.word_begin(), shard.num_words(), rng);
-  }};
+  }}};
+  run_chunk_pipeline(pool, plan.num_chunks(), pack_stage);
+  // Lines 4–8: the ⊙ reduction, leaving the aggregate in signs_[0].
+  marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
+                              config_.torus_cols, signs_, s,
+                              signs_.front().words().size(),
+                              derive_seed(config_.seed, round_), &pool);
   // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
-  const PipelineStage unpack_stage{[&](std::size_t c,
-                                       ScratchArena& /*arena*/) {
+  const PipelineStage unpack_stage[] = {{[&](std::size_t c,
+                                             ScratchArena& /*arena*/) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
     const auto out_chunk = out.subspan(shard.begin, n);
@@ -1064,24 +994,8 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
             compensation_[w].span().subspan(shard.begin, n));
       }
     }
-  }};
-  if (config_.sync_mode == SyncMode::kReduceScatter) {
-    // Reduce-scatter rounds keep the pack and unpack stages chunk-parallel
-    // (they consume no rng), but fold once over the full word range: the
-    // segment-seeded chains partition the words by fabric segment — the
-    // reduce-scatter ownership grid — not by shard chunk.
-    const PipelineStage pack_only[] = {pack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), pack_only);
-    marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
-                                config_.torus_cols, signs_, s,
-                                signs_.front().words().size(), round_seed);
-    const PipelineStage unpack_only[] = {unpack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(),
-                       unpack_only);
-  } else {
-    const PipelineStage stages[] = {pack_stage, fold_stage, unpack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), stages);
-  }
+  }}};
+  run_chunk_pipeline(pool, plan.num_chunks(), unpack_stage);
 
   result.timing = mar_timing(d, marsit_wire(config_.cost_model),
                              &result.chunk_stages);

@@ -41,26 +41,18 @@ enum class MarParadigm { kRing, kTorus2d, kParameterServer, kTree };
 
 const char* mar_paradigm_name(MarParadigm paradigm);
 
-/// How a one-bit Marsit round traverses the fabric.
-///
-///   kLegacyAllGather  every rank gathers all M sign vectors and folds
-///                     locally along ONE sequential rng stream
-///                     (marsit_chunk_rng) — M(M−1)·D bits on a real wire.
-///                     This is the historical mode and reproduces the
-///                     committed goldens byte-for-byte.
-///   kReduceScatter    the paper's schedule: per-segment independently
-///                     seeded fold chains (core/segmented_fold.hpp) let each
-///                     rank fold only the segments it owns, so the wire
-///                     carries 2(M−1)·D bits.  Digests differ from legacy
-///                     mode (different rng discipline) but are identical
-///                     across trainer / simulator / socket backends.
-///
-/// Full-precision flush rounds use the all-gather data plane in BOTH modes:
-/// float summation is order-sensitive, so the flush keeps the single
-/// local-mean ordering everywhere.
-enum class SyncMode { kLegacyAllGather, kReduceScatter };
+/// Rows of the torus a `members`-rank round runs on, for a torus configured
+/// with `torus_cols` columns: members / torus_cols when the members fill at
+/// least two whole rows (at full membership, the configured shape), else 0
+/// — the round re-forms as a ring.  The one degraded-torus rule: the timing
+/// model and the ⊙ fold both follow it, so the priced schedule is the one
+/// that ran.
+std::size_t torus_rows_for(std::size_t torus_cols, std::size_t members);
 
-const char* sync_mode_name(SyncMode mode);
+/// Single-valued and unread: Marsit has one one-bit plane, the
+/// reduce-scatter schedule of core/segmented_fold.hpp.  The enum goes once
+/// no caller assigns it any more.
+enum class SyncMode { kReduceScatter };
 
 struct SyncConfig {
   std::size_t num_workers = 0;
@@ -68,10 +60,8 @@ struct SyncConfig {
   /// Required when paradigm == kTorus2d; rows*cols must equal num_workers.
   std::size_t torus_rows = 0;
   std::size_t torus_cols = 0;
-  /// One-bit round data plane + rng discipline (see SyncMode).  Part of the
-  /// deterministic geometry: changing it changes the fold's rng streams, so
-  /// digests are only comparable between runs with equal modes.
-  SyncMode sync_mode = SyncMode::kLegacyAllGather;
+  /// Nothing reads this field.
+  SyncMode sync_mode = SyncMode::kReduceScatter;
   CostModel cost_model;
   std::uint64_t seed = 1;
   /// Sign-sum baselines: Elias-γ recode the growing messages (the paper
@@ -80,14 +70,18 @@ struct SyncConfig {
   /// How often (rounds) the Elias wire image is re-measured from real data;
   /// between refreshes the cached per-contribution sizes are reused.
   std::size_t elias_refresh_interval = 50;
-  /// Pool carrying the sharded pack → ⊙/sign-sum → unpack pipeline;
-  /// nullptr uses global_thread_pool().  Results are bit-identical for any
-  /// pool size: the chunk grid and per-chunk RNG streams depend only on the
-  /// payload size and shard_chunk_elements (see parallel/shard.hpp).
+  /// Pool carrying the sharded pack → ⊙/sign-sum → unpack pipeline and
+  /// Marsit's segment fold chains; nullptr uses global_thread_pool().
+  /// Results are bit-identical for any pool size: the chunk grid and
+  /// per-chunk RNG streams depend only on the payload size and
+  /// shard_chunk_elements (see parallel/shard.hpp), and Marsit's ⊙ draws
+  /// only on (segment, op).
   ThreadPool* pool = nullptr;
   /// Elements per sharded chunk (rounded up to whole 64-bit sign words).
-  /// Part of the deterministic geometry: changing it changes the per-chunk
-  /// RNG streams, so treat it as a tuning constant, not a runtime knob.
+  /// Part of SSDM's deterministic geometry — its per-chunk RNG streams
+  /// change with it, so treat it as a tuning constant there.  Marsit's
+  /// outputs do not depend on it: its rng grid is the fabric's segment
+  /// partition, so for Marsit it is a pure performance knob.
   std::size_t shard_chunk_elements = std::size_t{1} << 16;
   /// Price each round as a chunked compute/comm overlap pipeline: chunk i+1
   /// packs while chunk i is in flight and chunk i−1 folds, composing as
@@ -352,27 +346,6 @@ class CascadingSync final : public SyncStrategy {
                                 std::span<float> out) override;
 };
 
-/// Per-chunk rng stream of a sharded Marsit round.  Chunk 0 continues the
-/// round stream itself — a payload that fits in one chunk therefore consumes
-/// rng exactly like the original serial implementation (bit-identical
-/// outputs) — and later chunks split off independent derived streams.
-/// Shared by MarsitSync and the distributed worker (src/dist), which must
-/// replay the identical stream to stay digest-equal with the simulator.
-Rng marsit_chunk_rng(std::uint64_t round_seed, std::size_t chunk_index);
-
-/// Folds the word range [word_begin, word_begin + num_words) of the first
-/// `count` sign vectors with the weighted ⊙ operator, following `paradigm`'s
-/// reduction structure (sequential chain on the ring; row folds then
-/// weighted column merges on the torus, shaped by `torus_cols`; binomial
-/// level merges on the tree).  Mutates `signs` in place — they are per-round
-/// scratch — and leaves the aggregate in signs.front().  This is the exact
-/// reduction MarsitSync runs; the distributed worker calls it with the same
-/// rng stream so both backends produce bit-identical aggregates.
-void marsit_fold_signs_words(MarParadigm paradigm, std::size_t torus_cols,
-                             std::vector<BitVector>& signs, std::size_t count,
-                             std::size_t word_begin, std::size_t num_words,
-                             Rng& rng);
-
 /// Marsit (paper Algorithm 1): one-bit ⊙ aggregation with global
 /// compensation, full-precision synchronization every K rounds.
 struct MarsitOptions {
@@ -420,17 +393,6 @@ class MarsitSync final : public SyncStrategy {
   SyncStepResult do_synchronize(const WorkerSpans& inputs,
                                 std::span<float> out) override;
   void on_flush_rejoin(std::size_t worker) override;
-
-  /// Delegates to marsit_fold_signs_words with this strategy's configured
-  /// paradigm and torus shape.  On degraded rounds `count` is the survivor
-  /// count and the fold re-forms over them — the torus becomes ragged rows
-  /// of torus_cols survivors whose row aggregates merge with their true
-  /// accumulated weights, which the weighted ⊙ operator keeps unbiased for
-  /// any shape.  The sharded pipeline calls this once per chunk with that
-  /// chunk's own rng stream.
-  void fold_signs_words(std::vector<BitVector>& signs, std::size_t count,
-                        std::size_t word_begin, std::size_t num_words,
-                        Rng& rng) const;
 
   MarsitOptions options_;
   std::vector<Tensor> compensation_;  // per-worker c_t, lazily sized

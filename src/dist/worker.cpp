@@ -13,7 +13,6 @@
 #include "core/segmented_fold.hpp"
 #include "net/network_sim.hpp"
 #include "nn/loss.hpp"
-#include "parallel/shard.hpp"
 #include "sim/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -102,10 +101,10 @@ std::vector<std::size_t> col_members(std::size_t col, std::size_t rows,
 }
 
 /// All-gathers this rank's `own` blob so `out[g]` holds rank g's blob for
-/// every g.  The torus gathers within the row then bundles along the
-/// column; every other paradigm routes over the full ring — the gather
-/// route does not affect what each rank ends up holding, and the PS/tree
-/// distinction lives entirely in the fold structure.
+/// every g — the full-precision flush's data plane.  The torus gathers
+/// within the row then bundles along the column; every other paradigm
+/// routes over the full ring, since the gather route does not affect what
+/// each rank ends up holding.
 void all_gather_blobs(Transport& transport, const WorkerConfig& config,
                       std::uint32_t tag, std::vector<std::uint8_t> own,
                       std::size_t blob_bytes,
@@ -151,7 +150,7 @@ void all_gather_blobs(Transport& transport, const WorkerConfig& config,
   }
 }
 
-// --- reduce-scatter data planes (SyncMode::kReduceScatter, one-bit rounds) --
+// --- reduce-scatter data planes (one-bit rounds) -----------------------------
 //
 // Every schedule below carries exactly 2(M−1)·W words of payload per round
 // (W = sign words) and folds with the segment-seeded rng discipline of
@@ -471,14 +470,10 @@ RoundPrediction predict_round(const WorkerConfig& config, std::size_t m,
                               bool full_precision) {
   NetworkSim net(m, config.cost_model);
   std::vector<double> ready(m, 0.0);
-  const bool all_gather_plane =
-      full_precision || config.sync_mode == SyncMode::kLegacyAllGather;
   const double word_bytes =
       static_cast<double>(num_words * sizeof(std::uint64_t));
-  if (all_gather_plane) {
-    const double blob = full_precision
-                            ? static_cast<double>(d * sizeof(float))
-                            : word_bytes;
+  if (full_precision) {
+    const double blob = static_cast<double>(d * sizeof(float));
     if (config.paradigm == MarParadigm::kTorus2d) {
       const std::size_t rows = config.torus_rows;
       const std::size_t cols = config.torus_cols;
@@ -630,15 +625,15 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     report.round = t;
     report.full_precision = full_precision;
     // Four tag streams per round: the reduce-scatter planes use +0..+3
-    // (ring RS/AG, the torus' four phases, PS/tree up/down); the legacy
-    // all-gather plane uses +0 and +1 (torus row/column rings).
+    // (ring RS/AG, the torus' four phases, PS/tree up/down); the flush's
+    // all-gather uses +0 and +1 (torus row/column rings).
     const std::uint32_t tag = static_cast<std::uint32_t>(t << 2);
     double sent_bytes = 0.0;
     const WallClock::time_point comm_start = WallClock::now();
 
     add(update.span(), compensation.span(), adjusted.span());
-    std::vector<std::vector<std::uint8_t>> gathered;
     if (full_precision) {
+      std::vector<std::vector<std::uint8_t>> gathered;
       all_gather_blobs(transport, config, tag,
                        bytes_of(adjusted.span().data(), d * sizeof(float)),
                        d * sizeof(float), gathered, sent_bytes);
@@ -663,50 +658,28 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       BitVector own(d);
       kernels::pack_signs_words(adjusted.span(), own.words());
       const std::uint64_t round_seed = derive_seed(config.sync_seed, t);
-      if (config.sync_mode == SyncMode::kReduceScatter) {
-        BitVector folded(d);
-        switch (config.paradigm) {
-          case MarParadigm::kTorus2d:
-            torus_rs_ag(transport, config, tag, own.words(), folded.words(),
-                        round_seed, sent_bytes);
-            break;
-          case MarParadigm::kParameterServer:
-            ps_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
+      BitVector folded(d);
+      switch (config.paradigm) {
+        case MarParadigm::kTorus2d:
+          torus_rs_ag(transport, config, tag, own.words(), folded.words(),
+                      round_seed, sent_bytes);
+          break;
+        case MarParadigm::kParameterServer:
+          ps_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
+                   sent_bytes);
+          break;
+        case MarParadigm::kTree:
+          tree_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
                      sent_bytes);
-            break;
-          case MarParadigm::kTree:
-            tree_rs_ag(transport, tag, own.words(), folded.words(),
-                       round_seed, sent_bytes);
-            break;
-          case MarParadigm::kRing:
-          default:
-            ring_rs_ag(transport, tag, own.words(), folded.words(),
-                       round_seed, sent_bytes);
-            break;
-        }
-        kernels::unpack_signs_words(folded.words(), config.options.eta_s,
-                                    global.span());
-      } else {
-        all_gather_blobs(
-            transport, config, tag,
-            bytes_of(own.words().data(), num_words * sizeof(std::uint64_t)),
-            num_words * sizeof(std::uint64_t), gathered, sent_bytes);
-        std::vector<BitVector> signs(m, BitVector(d));
-        for (std::size_t g = 0; g < m; ++g) {
-          std::memcpy(signs[g].words().data(), gathered[g].data(),
-                      num_words * sizeof(std::uint64_t));
-        }
-        const ShardPlan plan(d, config.shard_chunk_elements);
-        for (std::size_t c = 0; c < plan.num_chunks(); ++c) {
-          const Shard shard = plan.chunk(c);
-          Rng rng = marsit_chunk_rng(round_seed, c);
-          marsit_fold_signs_words(config.paradigm, config.torus_cols, signs,
-                                  m, shard.word_begin(), shard.num_words(),
-                                  rng);
-        }
-        kernels::unpack_signs_words(signs.front().words(),
-                                    config.options.eta_s, global.span());
+          break;
+        case MarParadigm::kRing:
+        default:
+          ring_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
+                     sent_bytes);
+          break;
       }
+      kernels::unpack_signs_words(folded.words(), config.options.eta_s,
+                                  global.span());
       if (config.options.use_compensation) {
         sub(adjusted.span(), global.span(), compensation.span());
       }

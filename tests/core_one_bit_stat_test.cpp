@@ -7,9 +7,9 @@
 //   * a chi-square goodness-of-fit over *every* hop position m ∈ {2..16},
 //     for both disagreement branches (the incoming aggregate survives w.p.
 //     (m−1)/m; the local worker wins w.p. 1/m);
-//   * end-to-end unbiasedness of the full ring chain fold and the
-//     ragged-torus fold (the degraded-membership shape from
-//     MarsitSync::fold_signs_words) against the exact mean sign;
+//   * end-to-end unbiasedness of the full ring chain fold and a
+//     ragged-torus fold (rows of unequal length merging with their true
+//     weights) against the exact mean sign;
 //   * the same two families with the fold split across independently
 //     seeded segments (core/one_bit.hpp's segment_fold_seed /
 //     segment_op_rng — the reduce-scatter rng discipline), at segment
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/segmented_fold.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -223,8 +224,7 @@ void check_fold_unbiased_by_trial(
   }
 }
 
-/// Single-stream adapter: one Rng drives every trial, as the legacy
-/// all-gather fold does.
+/// Single-stream adapter: one Rng drives every trial in sequence.
 void check_fold_unbiased(std::size_t m, std::size_t reps, int trials,
                          const std::function<BitVector(Rng&)>& fold,
                          std::uint64_t salt, const char* what) {
@@ -244,10 +244,10 @@ TEST(OneBitStatTest, FullRingFoldIsUnbiasedForMeanSign) {
 }
 
 TEST(OneBitStatTest, RaggedTorusFoldIsUnbiasedForMeanSign) {
-  // The degraded-torus shape from MarsitSync::fold_signs_words: 7 survivors
-  // re-form as rows of 3 (last row short), rows fold internally with weights
-  // 1..len, then whole-row aggregates merge into row 0 carrying their true
-  // accumulated weights.  Unbiasedness must hold for the ragged shape too.
+  // 7 vectors in rows of 3 (last row short): rows fold internally with
+  // weights 1..len, then whole-row aggregates merge into row 0 carrying
+  // their true accumulated weights.  The weighted ⊙ must stay unbiased for
+  // merges of unequal weight, not only for the torus' whole-row multiples.
   const std::size_t m = 7;
   const std::size_t cols = 3;
   const std::size_t reps = 64;
@@ -376,7 +376,7 @@ TEST(OneBitStatTest, ProductionSegmentedRingFoldIsUnbiasedForMeanSign) {
       [&signs, base](std::size_t trial) {
         std::vector<BitVector> work = signs;
         segmented_ring_fold(work, work.size(), work[0].words().size(),
-                            derive_seed(base, trial));
+                            derive_seed(base, trial), global_thread_pool());
         return work[0];
       },
       "production segmented ring fold");
@@ -396,7 +396,8 @@ TEST(OneBitStatTest, ProductionSegmentedTorusFoldIsUnbiasedForMeanSign) {
       [&signs, rows, cols, base](std::size_t trial) {
         std::vector<BitVector> work = signs;
         segmented_torus_fold(work, work.size(), rows, cols,
-                             work[0].words().size(), derive_seed(base, trial));
+                             work[0].words().size(), derive_seed(base, trial),
+                             global_thread_pool());
         return work[0];
       },
       "production segmented torus fold");

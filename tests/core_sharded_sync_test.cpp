@@ -1,8 +1,9 @@
 // Determinism tests for the sharded synchronization pipeline: the chunk grid
 // and per-chunk rng streams depend only on (seed, round, payload geometry),
 // so every strategy must produce bit-identical outputs for any thread-pool
-// size.  Also pins signSGD-MV's sharded output to the serial scalar
-// reference (pack → sign-sum → majority → unpack).
+// size — and Marsit, whose ⊙ draws are keyed by fabric segment rather than
+// chunk, for any chunk size too.  Also pins signSGD-MV's sharded output to
+// the serial scalar reference (pack → sign-sum → majority → unpack).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +11,6 @@
 
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
-#include "core/one_bit.hpp"
 #include "core/sync_strategy.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -35,7 +35,8 @@ std::vector<std::vector<float>> make_inputs(std::size_t round) {
   return inputs;
 }
 
-SyncConfig base_config(MarParadigm paradigm, ThreadPool* pool) {
+SyncConfig base_config(MarParadigm paradigm, ThreadPool* pool,
+                       std::size_t chunk = kChunk) {
   SyncConfig config;
   config.num_workers = kWorkers;
   config.paradigm = paradigm;
@@ -45,14 +46,15 @@ SyncConfig base_config(MarParadigm paradigm, ThreadPool* pool) {
   }
   config.seed = 77;
   config.pool = pool;
-  config.shard_chunk_elements = kChunk;
+  config.shard_chunk_elements = chunk;
   return config;
 }
 
 /// Runs kRounds synchronize() calls and returns the concatenated outputs.
 std::vector<float> run_rounds(SyncMethod method, MarParadigm paradigm,
-                              ThreadPool* pool, bool use_elias = false) {
-  SyncConfig config = base_config(paradigm, pool);
+                              ThreadPool* pool, bool use_elias = false,
+                              std::size_t chunk = kChunk) {
+  SyncConfig config = base_config(paradigm, pool, chunk);
   config.use_elias = use_elias;
   config.elias_refresh_interval = 2;  // hit both refresh and cached rounds
   auto strategy = make_sync_strategy(method, config);
@@ -155,38 +157,29 @@ TEST(ShardedSyncTest, SignSgdMatchesScalarReference) {
       << "sharded signSGD-MV diverges from the scalar reference";
 }
 
-TEST(ShardedSyncTest, SingleChunkMatchesSerialRoundStream) {
-  // Chunk 0 continues the round stream, so a payload that fits in one chunk
-  // reproduces the original serial implementation's rng consumption —
-  // checked here by comparing a huge-chunk run against a Marsit fold done
-  // by hand with Rng(derive_seed(seed, round)).
-  ThreadPool pool(2);
-  SyncConfig config = base_config(MarParadigm::kRing, &pool);
-  config.shard_chunk_elements = 1 << 20;  // whole payload in chunk 0
-  auto strategy = make_sync_strategy(SyncMethod::kMarsit, config);
-
-  const auto inputs = make_inputs(0);
-  WorkerSpans spans;
-  for (const auto& in : inputs) {
-    spans.emplace_back(in.data(), in.size());
+TEST(ShardedSyncTest, MarsitShardChunkIsAPurePerformanceKnob) {
+  // Marsit's ⊙ draws are keyed by (segment, op) of the paradigm's
+  // reduce-scatter schedule, never by shard chunk, so every chunk size and
+  // pool size must produce the same bytes.
+  ThreadPool pool1(1), pool4(4);
+  for (const MarParadigm paradigm :
+       {MarParadigm::kRing, MarParadigm::kTorus2d,
+        MarParadigm::kParameterServer, MarParadigm::kTree}) {
+    const std::vector<float> ref =
+        run_rounds(SyncMethod::kMarsit, paradigm, &pool1, false, kChunk);
+    for (const std::size_t chunk :
+         {std::size_t{64}, std::size_t{256}, std::size_t{4096},
+          std::size_t{1} << 20}) {
+      for (ThreadPool* pool : {&pool1, &pool4}) {
+        SCOPED_TRACE(testing::Message() << "chunk " << chunk << ", "
+                                        << pool->num_threads()
+                                        << "-thread pool");
+        expect_bit_identical(
+            run_rounds(SyncMethod::kMarsit, paradigm, pool, false, chunk),
+            ref, mar_paradigm_name(paradigm));
+      }
+    }
   }
-  std::vector<float> out(kDim);
-  strategy->synchronize(spans, {out.data(), out.size()});
-
-  // Serial reference: round 0 compensation is zero, so the fold runs on the
-  // raw inputs with the round stream.
-  std::vector<BitVector> signs;
-  for (const auto& in : inputs) {
-    signs.push_back(pack_signs({in.data(), in.size()}));
-  }
-  Rng rng(derive_seed(config.seed, 0));
-  BitVector folded = one_bit_fold(signs, rng);
-  std::vector<float> expected(kDim);
-  unpack_signs(folded, MarsitOptions{}.eta_s,
-               {expected.data(), expected.size()});
-  EXPECT_EQ(
-      std::memcmp(out.data(), expected.data(), kDim * sizeof(float)), 0)
-      << "single-chunk Marsit diverges from the serial round stream";
 }
 
 }  // namespace

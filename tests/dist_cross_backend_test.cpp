@@ -1,11 +1,12 @@
 // The cross-backend determinism contract (DESIGN.md §14) as a conformance
 // matrix: {ring, 2×2 / 2×4 torus, parameter server, binomial tree} ×
-// {legacy all-gather, reduce-scatter} × {4, 8 ranks}.  For every cell, one
-// seed drives three executions — the simulator (DistributedTrainer +
-// MarsitSync), the distributed worker over SimTransport, and the
-// distributed worker over real loopback sockets — and every rank of every
-// backend must finish with bit-identical parameters, witnessed by FNV-1a
-// digests.  The α–β predictions and wire accounting must also agree
+// {4, 8 ranks}.  For every cell, one seed drives three executions — the
+// simulator (DistributedTrainer + MarsitSync), the distributed worker over
+// SimTransport, and the distributed worker over real loopback sockets — and
+// every rank of every backend must finish with bit-identical parameters,
+// witnessed by FNV-1a digests.  The simulator side runs a 128-element shard
+// chunk grid the worker does not have, so the matrix also shows that
+// digests do not depend on the chunk size.  The α–β predictions and wire accounting must also agree
 // bit-for-bit across the two transport backends, and the per-rank payload
 // bits must sum to the round's total on every backend.
 #include <cstdint>
@@ -31,8 +32,7 @@ namespace {
 
 constexpr std::size_t kRounds = 6;
 
-dist::WorkerConfig worker_config(MarParadigm paradigm, SyncMode mode,
-                                 std::size_t world) {
+dist::WorkerConfig worker_config(MarParadigm paradigm, std::size_t world) {
   dist::WorkerConfig config;
   config.batch_size_per_worker = 8;
   config.optimizer = OptimizerKind::kSgd;
@@ -41,14 +41,12 @@ dist::WorkerConfig worker_config(MarParadigm paradigm, SyncMode mode,
   config.trainer_seed = 11;
   config.sync_seed = 2022;
   config.paradigm = paradigm;
-  config.sync_mode = mode;
   if (paradigm == MarParadigm::kTorus2d) {
     config.torus_rows = 2;
     config.torus_cols = world / 2;
   }
   config.options.eta_s = 2e-3f;
   config.options.full_precision_period = 3;
-  config.shard_chunk_elements = 128;
   return config;
 }
 
@@ -66,9 +64,8 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
   sync_config.paradigm = config.paradigm;
   sync_config.torus_rows = config.torus_rows;
   sync_config.torus_cols = config.torus_cols;
-  sync_config.sync_mode = config.sync_mode;
   sync_config.seed = config.sync_seed;
-  sync_config.shard_chunk_elements = config.shard_chunk_elements;
+  sync_config.shard_chunk_elements = 128;
   MarsitSync strategy(sync_config, config.options);
 
   TrainerConfig trainer_config;
@@ -170,11 +167,10 @@ void check_reports(const std::vector<dist::WorkerResult>& results,
   }
 }
 
-void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world) {
+void run_cell(MarParadigm paradigm, std::size_t world) {
   SCOPED_TRACE(testing::Message()
-               << mar_paradigm_name(paradigm) << " / " << sync_mode_name(mode)
-               << " / " << world << " ranks");
-  const dist::WorkerConfig config = worker_config(paradigm, mode, world);
+               << mar_paradigm_name(paradigm) << " / " << world << " ranks");
+  const dist::WorkerConfig config = worker_config(paradigm, world);
   const std::uint64_t oracle = trainer_digest(config, world);
 
   const std::vector<dist::WorkerResult> sim =
@@ -204,43 +200,27 @@ void run_cell(MarParadigm paradigm, SyncMode mode, std::size_t world) {
   }
 }
 
-void run_matrix(MarParadigm paradigm, SyncMode mode) {
+void run_matrix(MarParadigm paradigm) {
   set_log_level(LogLevel::kWarning);
   for (const std::size_t world : {std::size_t{4}, std::size_t{8}}) {
-    run_cell(paradigm, mode, world);
+    run_cell(paradigm, world);
   }
 }
 
-TEST(DistCrossBackendTest, RingLegacyAllGather) {
-  run_matrix(MarParadigm::kRing, SyncMode::kLegacyAllGather);
-}
-
 TEST(DistCrossBackendTest, RingReduceScatter) {
-  run_matrix(MarParadigm::kRing, SyncMode::kReduceScatter);
-}
-
-TEST(DistCrossBackendTest, TorusLegacyAllGather) {
-  run_matrix(MarParadigm::kTorus2d, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kRing);
 }
 
 TEST(DistCrossBackendTest, TorusReduceScatter) {
-  run_matrix(MarParadigm::kTorus2d, SyncMode::kReduceScatter);
-}
-
-TEST(DistCrossBackendTest, ParameterServerLegacyAllGather) {
-  run_matrix(MarParadigm::kParameterServer, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kTorus2d);
 }
 
 TEST(DistCrossBackendTest, ParameterServerReduceScatter) {
-  run_matrix(MarParadigm::kParameterServer, SyncMode::kReduceScatter);
-}
-
-TEST(DistCrossBackendTest, TreeLegacyAllGather) {
-  run_matrix(MarParadigm::kTree, SyncMode::kLegacyAllGather);
+  run_matrix(MarParadigm::kParameterServer);
 }
 
 TEST(DistCrossBackendTest, TreeReduceScatter) {
-  run_matrix(MarParadigm::kTree, SyncMode::kReduceScatter);
+  run_matrix(MarParadigm::kTree);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // qualitative effects.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/sync_strategy.hpp"
 #include "data/synthetic_digits.hpp"
 #include "data/synthetic_sentiment.hpp"
@@ -154,7 +156,6 @@ TEST_F(IntegrationTest, AdamTextClassificationWithMarsit) {
   MarsitOptions options;
   options.eta_s = 1e-3f;
   options.full_precision_period = 30;
-  MarsitSync strategy(ring_config(4), options);
 
   TrainerConfig config;
   config.batch_size_per_worker = 32;
@@ -163,11 +164,23 @@ TEST_F(IntegrationTest, AdamTextClassificationWithMarsit) {
   config.rounds = 90;
   config.eval_interval = 90;
   config.eval_samples = 512;
-  DistributedTrainer trainer(sentiment, factory, strategy, config);
-  const TrainResult result = trainer.train();
 
-  ASSERT_FALSE(result.diverged);
-  EXPECT_GT(result.final_test_accuracy, 0.7);  // chance = 0.5
+  // The 0.7 bar sits at this config's median single-run accuracy, so one
+  // run passes or fails on its rng stream alone.  The bar applies to the
+  // mean over twenty sync seeds fixed in advance (70..89).
+  constexpr std::uint64_t kFirstSeed = 70;
+  constexpr std::size_t kSeeds = 20;
+  double accuracy_sum = 0.0;
+  for (std::size_t i = 0; i < kSeeds; ++i) {
+    SyncConfig sync_config = ring_config(4);
+    sync_config.seed = kFirstSeed + i;
+    MarsitSync strategy(sync_config, options);
+    DistributedTrainer trainer(sentiment, factory, strategy, config);
+    const TrainResult result = trainer.train();
+    ASSERT_FALSE(result.diverged) << "sync seed " << sync_config.seed;
+    accuracy_sum += result.final_test_accuracy;
+  }
+  EXPECT_GT(accuracy_sum / static_cast<double>(kSeeds), 0.7);  // chance = 0.5
 }
 
 TEST_F(IntegrationTest, MomentumImageClassificationWithEfSignSgd) {

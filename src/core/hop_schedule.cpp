@@ -1,0 +1,357 @@
+#include "core/hop_schedule.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <utility>
+
+#include "core/one_bit.hpp"
+#include "net/network_sim.hpp"
+#include "util/check.hpp"
+
+namespace marsit {
+
+WordSegment word_segment(std::size_t num_words, std::size_t parts,
+                         std::size_t index) {
+  MARSIT_CHECK(parts > 0) << "word_segment over zero parts";
+  MARSIT_CHECK(index < parts)
+      << "word_segment index " << index << " of " << parts;
+  const std::size_t base = num_words / parts;
+  const std::size_t rem = num_words % parts;
+  WordSegment seg;
+  seg.begin = index * base + std::min(index, rem);
+  seg.count = base + (index < rem ? 1 : 0);
+  return seg;
+}
+
+namespace {
+
+/// Members in ring order.
+using Ring = std::vector<std::size_t>;
+
+/// The ring first, first + stride, …: the whole membership, a torus row
+/// (stride 1) or a torus column (stride cols).
+Ring ring_of(std::size_t first, std::size_t stride, std::size_t count) {
+  Ring ring(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ring[i] = first + i * stride;
+  }
+  return ring;
+}
+
+/// Appends one chain per position s of `ring`: ranges[s] travels L−1 hops
+/// around the ring, starting at position s + shift.  In a fold phase it is
+/// folded into every member it reaches (seed id seed_base + s, op k at its
+/// k-th hop), every member standing for `weight` contributions.
+void add_ring_chains(HopPhase& phase, const Ring& ring,
+                     const std::vector<WordSegment>& ranges,
+                     std::size_t shift, std::size_t seed_base = 0,
+                     std::size_t weight = 1) {
+  const std::size_t L = ring.size();
+  for (std::size_t s = 0; s < L; ++s) {
+    std::vector<Hop> chain(L - 1);
+    for (std::size_t k = 0; k + 1 < L; ++k) {
+      Hop& hop = chain[k];
+      hop.src = ring[(s + shift + k) % L];
+      hop.dst = ring[(s + shift + k + 1) % L];
+      hop.begin = ranges[s].begin;
+      hop.count = ranges[s].count;
+      if (phase.kind == HopKind::kFold) {
+        hop.seed_id = seed_base + s;
+        hop.op = k;
+        hop.arriving_weight = (k + 1) * weight;
+        hop.resident_weight = weight;
+        hop.arriving_first = true;
+      }
+    }
+    phase.chains.push_back(std::move(chain));
+  }
+}
+
+/// word_segment(units, parts, ·) as a list of ranges offset by `base`.
+std::vector<WordSegment> partition(std::size_t base, std::size_t units,
+                                   std::size_t parts) {
+  std::vector<WordSegment> ranges(parts);
+  for (std::size_t i = 0; i < parts; ++i) {
+    ranges[i] = word_segment(units, parts, i);
+    ranges[i].begin += base;
+  }
+  return ranges;
+}
+
+/// `count` consecutive blocks of `size` units starting at block `first`.
+std::vector<WordSegment> blocks(std::size_t first, std::size_t count,
+                                std::size_t size) {
+  std::vector<WordSegment> ranges(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ranges[i] = {(first + i) * size, size};
+  }
+  return ranges;
+}
+
+std::uint32_t frame_tag(std::size_t round, std::uint32_t stream) {
+  MARSIT_CHECK(stream < 4) << "tag stream " << stream;
+  return static_cast<std::uint32_t>(round << 2) | stream;
+}
+
+std::size_t phase_steps(const HopPhase& phase) {
+  std::size_t steps = 0;
+  for (const std::vector<Hop>& chain : phase.chains) {
+    steps = std::max(steps, chain.size());
+  }
+  return steps;
+}
+
+/// Calls fn(hop) for hop t of every chain long enough, in chain order.
+template <typename Fn>
+void for_step(const HopPhase& phase, std::size_t t, Fn&& fn) {
+  for (const std::vector<Hop>& chain : phase.chains) {
+    if (t < chain.size()) {
+      fn(chain[t]);
+    }
+  }
+}
+
+/// One member's side of `schedule` over its buffer `units`: copy hops land
+/// in place, fold hops go to fold(hop, payload).
+template <typename Unit, typename Fold>
+double run_member(Transport& transport, const HopSchedule& schedule,
+                  std::size_t round, std::span<Unit> units, Fold&& fold) {
+  MARSIT_CHECK(transport.world_size() == schedule.members)
+      << "schedule over " << schedule.members << " members on a world of "
+      << transport.world_size();
+  const std::size_t self = transport.rank();
+  double sent_bytes = 0.0;
+  for (const HopPhase& phase : schedule.phases) {
+    const std::uint32_t tag = frame_tag(round, phase.stream);
+    for (std::size_t t = 0, steps = phase_steps(phase); t < steps; ++t) {
+      for_step(phase, t, [&](const Hop& hop) {
+        if (hop.src != self || hop.count == 0) {
+          return;
+        }
+        const auto payload = std::as_bytes(units.subspan(hop.begin, hop.count));
+        transport.send(hop.dst, tag,
+                       {reinterpret_cast<const std::uint8_t*>(payload.data()),
+                        payload.size()});
+        sent_bytes += static_cast<double>(payload.size());
+      });
+      for_step(phase, t, [&](const Hop& hop) {
+        if (hop.dst != self || hop.count == 0) {
+          return;
+        }
+        const std::vector<std::uint8_t> payload = transport.recv(hop.src, tag);
+        MARSIT_CHECK(payload.size() == hop.count * sizeof(Unit))
+            << "hop payload " << payload.size() << " bytes, expected "
+            << hop.count * sizeof(Unit);
+        if (phase.kind == HopKind::kFold) {
+          fold(hop, payload);
+        } else {
+          std::memcpy(units.subspan(hop.begin, hop.count).data(),
+                      payload.data(), payload.size());
+        }
+      });
+    }
+  }
+  return sent_bytes;
+}
+
+}  // namespace
+
+HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
+                         std::size_t torus_cols, std::size_t members,
+                         std::size_t units) {
+  MARSIT_CHECK(members > 0) << "hop schedule over zero members";
+  HopSchedule schedule;
+  schedule.members = members;
+  if (members == 1) {
+    return schedule;
+  }
+  // The returned reference lives until the next add_phase call.
+  const auto add_phase = [&schedule](HopKind phase_kind, std::uint32_t stream,
+                                     bool server_nic = false) -> HopPhase& {
+    HopPhase& phase = schedule.phases.emplace_back();
+    phase.kind = phase_kind;
+    phase.stream = stream;
+    phase.server_nic = server_nic;
+    return phase;
+  };
+  const std::size_t cols = torus_cols;
+  const std::size_t rows = paradigm == MarParadigm::kTorus2d
+                               ? torus_rows_for(cols, members)
+                               : 0;
+  const Ring ring = ring_of(0, 1, members);
+
+  if (kind == RoundKind::kFlush) {
+    if (rows == 0) {
+      add_ring_chains(add_phase(HopKind::kCopy, 0), ring,
+                      blocks(0, members, units), 0);
+      return schedule;
+    }
+    // Rows gather their members' rows, then columns gather whole-row
+    // bundles.
+    HopPhase& row_phase = add_phase(HopKind::kCopy, 0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      add_ring_chains(row_phase, ring_of(r * cols, 1, cols),
+                      blocks(r * cols, cols, units), 0);
+    }
+    HopPhase& col_phase = add_phase(HopKind::kCopy, 1);
+    for (std::size_t c = 0; c < cols; ++c) {
+      add_ring_chains(col_phase, ring_of(c, cols, rows),
+                      blocks(0, rows, cols * units), 0);
+    }
+    return schedule;
+  }
+
+  // The parameter server and the tree fold and send the whole plane as one
+  // chain per phase.
+  std::vector<Hop> up;
+  std::vector<Hop> down;
+  switch (paradigm) {
+    case MarParadigm::kParameterServer:
+      for (std::size_t k = 0; k + 1 < members; ++k) {
+        up.push_back({.src = k + 1,
+                      .dst = 0,
+                      .count = units,
+                      .op = k,
+                      .arriving_weight = 1,
+                      .resident_weight = k + 1});
+        down.push_back({.src = 0, .dst = k + 1, .count = units});
+      }
+      add_phase(HopKind::kFold, 0, true).chains.push_back(std::move(up));
+      add_phase(HopKind::kCopy, 1, true).chains.push_back(std::move(down));
+      return schedule;
+    case MarParadigm::kTree: {
+      std::vector<std::size_t> weights(members, 1);
+      for (std::size_t stride = 1; stride < members; stride *= 2) {
+        for (std::size_t i = 0; i + stride < members; i += 2 * stride) {
+          up.push_back({.src = i + stride,
+                        .dst = i,
+                        .count = units,
+                        .op = up.size(),
+                        .arriving_weight = weights[i + stride],
+                        .resident_weight = weights[i]});
+          weights[i] += weights[i + stride];
+        }
+      }
+      for (std::size_t stride = std::bit_floor(members - 1); stride >= 1;
+           stride >>= 1) {
+        for (std::size_t i = 0; i + stride < members; i += 2 * stride) {
+          down.push_back({.src = i, .dst = i + stride, .count = units});
+        }
+      }
+      add_phase(HopKind::kFold, 0).chains.push_back(std::move(up));
+      add_phase(HopKind::kCopy, 1).chains.push_back(std::move(down));
+      return schedule;
+    }
+    case MarParadigm::kRing:
+    case MarParadigm::kTorus2d:
+      break;
+  }
+  if (rows == 0) {
+    const std::vector<WordSegment> segments = partition(0, units, members);
+    add_ring_chains(add_phase(HopKind::kFold, 0), ring, segments, 0);
+    add_ring_chains(add_phase(HopKind::kCopy, 1), ring, segments, members - 1);
+    return schedule;
+  }
+  // Row reduce-scatter over `cols` segments; column c then owns segment
+  // (c+1) mod cols of every row and reduce-scatters its `rows`
+  // sub-segments, whose contributions each stand for a whole row.
+  const std::vector<WordSegment> row_segments = partition(0, units, cols);
+  std::vector<std::vector<WordSegment>> col_segments(cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const WordSegment owned = row_segments[(c + 1) % cols];
+    col_segments[c] = partition(owned.begin, owned.count, rows);
+  }
+  HopPhase& row_rs = add_phase(HopKind::kFold, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    add_ring_chains(row_rs, ring_of(r * cols, 1, cols), row_segments, 0,
+                    r * cols);
+  }
+  HopPhase& col_rs = add_phase(HopKind::kFold, 1);
+  for (std::size_t c = 0; c < cols; ++c) {
+    add_ring_chains(col_rs, ring_of(c, cols, rows), col_segments[c], 0,
+                    members + c * rows, cols);
+  }
+  HopPhase& col_ag = add_phase(HopKind::kCopy, 2);
+  for (std::size_t c = 0; c < cols; ++c) {
+    add_ring_chains(col_ag, ring_of(c, cols, rows), col_segments[c],
+                    rows - 1);
+  }
+  HopPhase& row_ag = add_phase(HopKind::kCopy, 3);
+  for (std::size_t r = 0; r < rows; ++r) {
+    add_ring_chains(row_ag, ring_of(r * cols, 1, cols), row_segments,
+                    cols - 1);
+  }
+  return schedule;
+}
+
+void fold_hop(const Hop& hop, std::uint64_t round_seed,
+              std::span<const std::uint64_t> arriving,
+              std::span<const std::uint64_t> resident,
+              std::span<std::uint64_t> out) {
+  Rng rng = segment_op_rng(segment_fold_seed(round_seed, hop.seed_id), hop.op);
+  if (hop.arriving_first) {
+    one_bit_combine_words(out, arriving, hop.arriving_weight, resident,
+                          hop.resident_weight, rng);
+  } else {
+    one_bit_combine_words(out, resident, hop.resident_weight, arriving,
+                          hop.arriving_weight, rng);
+  }
+}
+
+double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
+                            std::size_t round, std::uint64_t round_seed,
+                            std::span<std::uint64_t> words) {
+  std::vector<std::uint64_t> arriving;
+  return run_member(
+      transport, schedule, round, words,
+      [&](const Hop& hop, const std::vector<std::uint8_t>& payload) {
+        arriving.resize(hop.count);
+        std::memcpy(arriving.data(), payload.data(), payload.size());
+        const auto resident = words.subspan(hop.begin, hop.count);
+        fold_hop(hop, round_seed, arriving, resident, resident);
+      });
+}
+
+double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
+                            std::size_t round, std::span<float> rows) {
+  return run_member(transport, schedule, round, rows,
+                    [](const Hop&, const std::vector<std::uint8_t>&) {
+                      MARSIT_CHECK(false) << "float rows cannot be ⊙-folded";
+                    });
+}
+
+SchedulePrice price_hop_schedule(const HopSchedule& schedule,
+                                 const CostModel& cost_model,
+                                 std::size_t unit_bytes) {
+  NetworkSim net(schedule.members, cost_model);
+  std::vector<double> ready(schedule.members, 0.0);
+  std::vector<double> done;
+  for (const HopPhase& phase : schedule.phases) {
+    for (std::size_t t = 0, steps = phase_steps(phase); t < steps; ++t) {
+      // Each hop of a step leaves once its sender is ready; a member moves
+      // on once its own send has retired and its arrival has landed.
+      done.clear();
+      for_step(phase, t, [&](const Hop& hop) {
+        done.push_back(
+            hop.count == 0
+                ? ready[hop.src]
+                : net.transfer(hop.src, hop.dst,
+                               static_cast<double>(hop.count * unit_bytes),
+                               ready[hop.src], phase.server_nic));
+      });
+      std::size_t i = 0;
+      for_step(phase, t, [&](const Hop& hop) {
+        ready[hop.src] = std::max(ready[hop.src], done[i]);
+        ready[hop.dst] = std::max(ready[hop.dst], done[i]);
+        ++i;
+      });
+    }
+  }
+  SchedulePrice price;
+  price.seconds = *std::max_element(ready.begin(), ready.end());
+  price.total_bits = net.total_bytes() * 8.0;
+  return price;
+}
+
+}  // namespace marsit

@@ -1,0 +1,160 @@
+// The hop schedule — one description of a Marsit round's collective, read
+// by three interpreters.
+//
+// A schedule is an ordered list of phases.  A phase is a set of chains on
+// one tag stream; a chain is an ordered list of hops, and a hop moves the
+// units [begin, begin + count) of one member's buffer to another member.
+// Hop t of every chain in a phase forms the phase's step t.  A phase is
+// one of two kinds:
+//
+//   fold  the receiver merges the arriving units into its own copy with
+//         Marsit's weighted ⊙ (core/one_bit.hpp).  The hop names the
+//         segment seed id and op index of its generator
+//         (segment_op_rng(segment_fold_seed(round_seed, seed_id), op)), the
+//         weight each operand stands for, and which operand comes first —
+//         ⊙ draws its Bernoulli mask for the first operand, so the order is
+//         part of the result.  Ring and torus chains fold the arriving
+//         partial first; the parameter server and the tree fold the
+//         receiver's aggregate first.
+//   copy  the receiver overwrites its copy of the units (all-gathers and
+//         broadcasts).
+//
+// hop_schedule() is the only generator.  For a one-bit round it emits the
+// paradigm's reduce-scatter and all-gather over the W-word sign plane:
+//
+//   ring   fold: segment s of word_segment(W, M, ·) starts at member s and
+//          folds around the ring (seed id s, op k at member s+k+1);
+//          copy: each finished segment circles the ring once.
+//   torus  fold: row rings over word_segment(W, cols, ·) (seed id
+//          row·cols + j), then column rings over the owned segment's
+//          word_segment(·, rows, ·) sub-segments with whole-row weights
+//          (seed id M + col·rows + i); copy: column rings, then row rings.
+//          Members re-form by torus_rows_for, so a degraded torus is a
+//          smaller torus or a ring.
+//   PS     fold: members 1..M−1 push the whole plane to member 0, which
+//          folds them in rank order (seed id 0, op k for member k+1);
+//          copy: member 0 sends the aggregate to every member.  Priced on
+//          the server NIC.
+//   tree   fold: binomial stride-doubling merges into the lower member
+//          (seed id 0, one op per merge); copy: the mirrored broadcast.
+//
+// Every one-bit schedule moves exactly 2(M−1)·W words.  For a flush round
+// it emits the float all-gather of the members' D-unit rows into one M×D
+// buffer: one ring for ring, PS and tree; row rings, then column rings of
+// whole-row bundles for the torus.
+//
+// The interpreters:
+//
+//   marsit_fold_signs_segmented (core/segmented_fold.hpp)  folds in memory,
+//       one pool task per chain of each fold phase.
+//   execute_hop_schedule  runs one member's side over a Transport.  In each
+//       step it sends before it receives; round t's frames carry the tag
+//       t << 2 | stream (stream < 4), so a reader can recover the round
+//       from any frame.
+//   price_hop_schedule  replays the hops on a fresh NetworkSim for the α–β
+//       prediction and the round's total wire bits.
+//
+// Empty hops (count == 0, when W < M) send no frame and draw no rng; the
+// pricer still lets the receiver wait for the sender, as a zero-byte hop.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/sync_strategy.hpp"
+#include "net/cost_model.hpp"
+#include "net/transport.hpp"
+
+namespace marsit {
+
+/// One word-aligned segment of a reduce-scatter partition.
+struct WordSegment {
+  std::size_t begin = 0;
+  std::size_t count = 0;
+};
+
+/// Deterministic partition of `num_words` words into `parts` segments: the
+/// first (num_words mod parts) segments get one extra word.  Segments may be
+/// empty when num_words < parts; empty segments cost no wire bytes and no
+/// rng.  Every backend derives ownership from this single function.
+WordSegment word_segment(std::size_t num_words, std::size_t parts,
+                         std::size_t index);
+
+/// One transfer of a schedule.  The fold fields are unused on copy hops.
+struct Hop {
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  std::size_t begin = 0;
+  std::size_t count = 0;
+  std::size_t seed_id = 0;
+  std::size_t op = 0;
+  /// Contributions the arriving units and dst's own units stand for.
+  std::size_t arriving_weight = 0;
+  std::size_t resident_weight = 0;
+  /// The arriving units are ⊙'s first operand (else dst's units are).
+  bool arriving_first = false;
+};
+
+enum class HopKind { kFold, kCopy };
+
+struct HopPhase {
+  HopKind kind = HopKind::kCopy;
+  /// Tag stream in [0, 4).
+  std::uint32_t stream = 0;
+  /// Hops touch the parameter server, priced at CostModel::server_bandwidth.
+  bool server_nic = false;
+  std::vector<std::vector<Hop>> chains;
+};
+
+struct HopSchedule {
+  std::size_t members = 0;
+  std::vector<HopPhase> phases;
+};
+
+enum class RoundKind { kOneBit, kFlush };
+
+/// The schedule of a `kind` round over `members` members, each
+/// contributing `units` units: W sign words of a one-bit round, or D floats
+/// of a flush row (the flush's buffer holds members × units).
+HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
+                         std::size_t torus_cols, std::size_t members,
+                         std::size_t units);
+
+/// Applies fold hop `hop` of the round seeded `round_seed`: `out` becomes
+/// the ⊙ of `arriving` and `resident` in the hop's operand order.  `out`
+/// may alias either operand.
+void fold_hop(const Hop& hop, std::uint64_t round_seed,
+              std::span<const std::uint64_t> arriving,
+              std::span<const std::uint64_t> resident,
+              std::span<std::uint64_t> out);
+
+/// Runs member transport.rank()'s side of one-bit `schedule` for round
+/// `round`.  `words` holds this member's sign plane on entry and the
+/// aggregate on exit.  Returns the payload bytes this member sent.
+double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
+                            std::size_t round, std::uint64_t round_seed,
+                            std::span<std::uint64_t> words);
+
+/// Runs member transport.rank()'s side of flush `schedule` for round
+/// `round`.  `rows` is the members × D buffer: on entry this member's row
+/// holds its contribution, on exit every row holds its member's.  Returns
+/// the payload bytes this member sent.
+double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
+                            std::size_t round, std::span<float> rows);
+
+struct SchedulePrice {
+  /// Latest member-ready time.
+  double seconds = 0.0;
+  /// Payload bits all members put on the wire.
+  double total_bits = 0.0;
+};
+
+/// Replays `schedule` on a fresh NetworkSim over `cost_model`, sizing each
+/// hop at count × unit_bytes.
+SchedulePrice price_hop_schedule(const HopSchedule& schedule,
+                                 const CostModel& cost_model,
+                                 std::size_t unit_bytes);
+
+}  // namespace marsit

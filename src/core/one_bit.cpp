@@ -8,8 +8,17 @@ namespace marsit {
 void one_bit_combine_words(std::span<std::uint64_t> a, std::size_t weight_a,
                            std::span<const std::uint64_t> b,
                            std::size_t weight_b, Rng& rng) {
-  MARSIT_CHECK(a.size() == b.size())
-      << "one_bit_combine word spans " << a.size() << " vs " << b.size();
+  one_bit_combine_words(a, a, weight_a, b, weight_b, rng);
+}
+
+void one_bit_combine_words(std::span<std::uint64_t> out,
+                           std::span<const std::uint64_t> a,
+                           std::size_t weight_a,
+                           std::span<const std::uint64_t> b,
+                           std::size_t weight_b, Rng& rng) {
+  MARSIT_CHECK(a.size() == b.size() && out.size() == a.size())
+      << "one_bit_combine word spans " << a.size() << " vs " << b.size()
+      << " into " << out.size();
   MARSIT_CHECK(weight_a > 0 && weight_b > 0)
       << "aggregate weights must be positive";
   MARSIT_VALIDATE_CALL(validate::hop_weights(weight_a, weight_b));
@@ -26,7 +35,7 @@ void one_bit_combine_words(std::span<std::uint64_t> a, std::size_t weight_a,
     const std::uint64_t wb = b[w];
     const std::uint64_t v = rng.bernoulli_word(p_take_a);
     const std::uint64_t chosen = (wa & v) | (wb & ~v);
-    a[w] = (wa & wb) | ((wa ^ wb) & chosen);
+    out[w] = (wa & wb) | ((wa ^ wb) & chosen);
   }
 }
 

@@ -22,10 +22,10 @@
 // (#workers whose sign is +1)/M, so mapping bits to ±1 gives an unbiased
 // one-bit estimate of the mean sign — with zero bit-width growth.
 //
-// The `*_words` / `*_into` variants combine **in place** (a ⊙= b): the
-// segmented reduction chains in core/segmented_fold.cpp and the socket
-// worker fold M workers without allocating a fresh BitVector per hop, and
-// the word-span form lets each chain fold only its segment's words.  All
+// The `*_words` / `*_into` variants combine **in place** (a ⊙= b, or into
+// an aliasing `out`): the hop schedule's fold hops (core/hop_schedule.hpp)
+// fold M workers without allocating a fresh BitVector per hop, and the
+// word-span form lets each chain fold only its segment's words.  All
 // variants consume rng identically (one exact Bernoulli word per 64
 // elements), so in-place and allocating folds are bit-identical at equal
 // seeds.
@@ -44,6 +44,15 @@ namespace marsit {
 /// In-place word-span ⊙: a ⊙= b over matching word spans.  Tail bits stay
 /// zero when both operands keep them zero ((0&0)|((0^0)&x) == 0).
 void one_bit_combine_words(std::span<std::uint64_t> a, std::size_t weight_a,
+                           std::span<const std::uint64_t> b,
+                           std::size_t weight_b, Rng& rng);
+
+/// Word-span ⊙ into `out`: out = a ⊙ b, drawing the mask for `a`.  `out`
+/// may alias `a` or `b` (each word is read before it is written), so a hop
+/// can fold an arriving partial first into the receiver's own words.
+void one_bit_combine_words(std::span<std::uint64_t> out,
+                           std::span<const std::uint64_t> a,
+                           std::size_t weight_a,
                            std::span<const std::uint64_t> b,
                            std::size_t weight_b, Rng& rng);
 

@@ -815,6 +815,15 @@ SyncStepResult CascadingSync::do_synchronize(const WorkerSpans& inputs,
 
 // --- Marsit -------------------------------------------------------------------------
 
+void clip_flush_mean(const MarsitOptions& options, std::span<float> mean) {
+  if (options.full_precision_max_norm > 0.0f) {
+    const float norm = l2_norm(mean);
+    if (norm > options.full_precision_max_norm) {
+      scale(mean, options.full_precision_max_norm / norm);
+    }
+  }
+}
+
 MarsitSync::MarsitSync(SyncConfig config, MarsitOptions options)
     : SyncStrategy(config), options_(options) {
   // All four paradigms are supported: ring and torus are the paper's
@@ -925,12 +934,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       adjusted_spans.push_back(adjusted_[w].span());
     }
     aggregate_mean(adjusted_spans, out);
-    if (options_.full_precision_max_norm > 0.0f) {
-      const float norm = l2_norm(out);
-      if (norm > options_.full_precision_max_norm) {
-        scale(out, options_.full_precision_max_norm / norm);
-      }
-    }
+    clip_flush_mean(options_, out);
     for (const std::size_t w : active) {
       compensation_[w].zero();
     }
@@ -941,14 +945,15 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     return result;
   }
 
-  // One-bit round.  Packing and unpacking walk word-aligned shard chunks
-  // (they consume no rng); the ⊙ reduction in between folds the
-  // segment-seeded chains of the paradigm's reduce-scatter schedule
-  // (core/segmented_fold.hpp) on the pool, whose draws depend only on (seed,
-  // round, segment, op).  The result is therefore bit-identical for any pool
-  // size and any shard_chunk_elements.  Survivors pack into signs_[0..s) and
-  // the fold re-forms over them exactly as a native s-worker run would, so a
-  // degraded M-worker ring matches an s-worker ring bit-for-bit.
+  // One-bit round.  Packing and unpacking walk word-aligned shard chunks on
+  // the pool (chunks own disjoint words and consume no rng); the ⊙
+  // reduction in between folds the segment-seeded chains of the paradigm's
+  // hop schedule (core/hop_schedule.hpp) on the pool, whose draws depend
+  // only on (seed, round, segment, op).  The result is therefore
+  // bit-identical for any pool size and any shard_chunk_elements.
+  // Survivors pack into signs_[0..s) and the fold re-forms over them
+  // exactly as a native s-worker run would, so a degraded M-worker ring
+  // matches an s-worker ring bit-for-bit.
   if (signs_.empty() || signs_.front().size() != d) {
     signs_.assign(m, BitVector(d));
   }
@@ -957,8 +962,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   ThreadPool& pool = strategy_pool(config_);
   // Line 1 of Algorithm 1: fold the compensation into the update and
   // pack the signs, per survivor.
-  const PipelineStage pack_stage[] = {{[&](std::size_t c,
-                                           ScratchArena& /*arena*/) {
+  parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
     const std::size_t w0 = shard.word_begin();
@@ -971,16 +975,14 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       kernels::pack_signs_words(adjusted_chunk,
                                 signs_[i].words().subspan(w0, nw));
     }
-  }}};
-  run_chunk_pipeline(pool, plan.num_chunks(), pack_stage);
+  });
   // Lines 4–8: the ⊙ reduction, leaving the aggregate in signs_[0].
   marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
                               config_.torus_cols, signs_, s,
                               signs_.front().words().size(),
                               derive_seed(config_.seed, round_), &pool);
   // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
-  const PipelineStage unpack_stage[] = {{[&](std::size_t c,
-                                             ScratchArena& /*arena*/) {
+  parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
     const auto out_chunk = out.subspan(shard.begin, n);
@@ -994,8 +996,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
             compensation_[w].span().subspan(shard.begin, n));
       }
     }
-  }}};
-  run_chunk_pipeline(pool, plan.num_chunks(), unpack_stage);
+  });
 
   result.timing = mar_timing(d, marsit_wire(config_.cost_model),
                              &result.chunk_stages);

@@ -366,6 +366,11 @@ struct MarsitOptions {
   float full_precision_max_norm = 0.0f;
 };
 
+/// The flush's trust region: rescales the flushed `mean` in place to
+/// options.full_precision_max_norm when its ℓ2 norm is larger.  MarsitSync
+/// and the distributed worker both call it.
+void clip_flush_mean(const MarsitOptions& options, std::span<float> mean);
+
 class MarsitSync final : public SyncStrategy {
  public:
   MarsitSync(SyncConfig config, MarsitOptions options);

@@ -9,24 +9,26 @@
 // determinism contract tests/dist_cross_backend_test pins via FNV-1a param
 // digests.
 //
-// One-bit rounds run the paper's schedule at the paper's wire volume:
-// per-segment independently seeded fold chains (core/segmented_fold.hpp)
-// let each rank fold only the segments it owns, so a ring round moves
-// exactly 2(M−1)·D sign bits — reduce-scatter then all-gather.  The torus
-// runs the same two phases per dimension (row RS, column RS, column AG, row
-// AG); the parameter server folds at a colocated rank-0 server and
-// broadcasts; the binomial tree reduces up and broadcasts down.  All four
-// total 2(M−1)·D payload bits per one-bit round.
+// Every round runs a hop schedule (core/hop_schedule.hpp) through
+// execute_hop_schedule, the schedule's Transport interpreter; the trainer's
+// in-memory fold interprets the same schedule, so both fold each (segment,
+// op) pair with the same operands.  One-bit rounds run the paradigm's
+// reduce-scatter and all-gather at the paper's wire volume: 2(M−1)·D sign
+// bits on ring, torus, parameter server (colocated at rank 0) and binomial
+// tree alike.  Round t's frames are tagged t << 2 | stream.
 //
 // Full-precision flush rounds all-gather the float vectors instead (float
 // summation is order-sensitive, so the flush keeps the single local-mean
-// ordering everywhere); for the PS and tree paradigms the all-gather routes
-// over the ring — the gather route does not change what each rank holds.
+// ordering everywhere): every row lands in one M×D buffer that
+// aggregate_mean reads in rank order.  The torus gathers rows, then
+// column bundles; every other paradigm gathers over the ring — the gather
+// route does not change what each rank holds.
 //
-// The α–β prediction reported per round replays the exact hop schedule this
-// backend ran on a fresh NetworkSim, so RoundReport::total_wire_bits equals
-// the sum of every rank's measured payload bits bit-for-bit — the invariant
-// tests/dist_wire_volume_test pins.
+// The α–β prediction reported per round comes from price_hop_schedule, the
+// schedule's NetworkSim replay, run once per round kind; so
+// RoundReport::total_wire_bits equals the sum of every rank's measured
+// payload bits bit-for-bit — the invariant tests/dist_wire_volume_test
+// pins.
 #pragma once
 
 #include <cstddef>

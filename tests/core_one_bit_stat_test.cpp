@@ -13,7 +13,8 @@
 //   * the same two families with the fold split across independently
 //     seeded segments (core/one_bit.hpp's segment_fold_seed /
 //     segment_op_rng — the reduce-scatter rng discipline), at segment
-//     counts {1, 2, 7, 64}, including the production segmented_ring_fold.
+//     counts {1, 2, 7, 64}, and the production fold
+//     (marsit_fold_signs_segmented) on ring, torus, PS and tree.
 //
 // Every check is seeded and thresholded so loosely (|z| < 5.5, p > 1e−7)
 // that a correct implementation fails with probability < 1e−6 per run —
@@ -363,44 +364,54 @@ TEST(OneBitStatTest, SegmentSeededChainFoldIsUnbiasedForMeanSign) {
   }
 }
 
-TEST(OneBitStatTest, ProductionSegmentedRingFoldIsUnbiasedForMeanSign) {
-  // The exact production path reduce-scatter rounds run in the simulator
-  // (core/segmented_fold.hpp): m rank-owned segments, each chain starting
-  // at its owner rank, result gathered into signs[0].
-  const std::size_t m = 8;
-  const std::size_t reps = 512;
-  const std::vector<BitVector> signs = ladder_signs(m, reps);
-  const std::uint64_t base = derive_seed(stat_seed(), 0xb201);
-  check_fold_unbiased_by_trial(
-      m, reps, /*trials=*/64,
-      [&signs, base](std::size_t trial) {
-        std::vector<BitVector> work = signs;
-        segmented_ring_fold(work, work.size(), work[0].words().size(),
-                            derive_seed(base, trial), global_thread_pool());
-        return work[0];
-      },
-      "production segmented ring fold");
-}
-
-TEST(OneBitStatTest, ProductionSegmentedTorusFoldIsUnbiasedForMeanSign) {
-  // The four-phase torus reduce-scatter (2×4 shape), again via the exact
-  // production entry point.
-  const std::size_t rows = 2;
-  const std::size_t cols = 4;
+/// The exact production path one-bit rounds run in the simulator
+/// (marsit_fold_signs_segmented, core/segmented_fold.hpp) on `paradigm`
+/// over rows × cols workers (rows = 1 off the torus), checked unbiased at
+/// segment seeds derived from `salt`.
+void check_production_fold_unbiased(MarParadigm paradigm, std::size_t rows,
+                                    std::size_t cols, std::uint64_t salt,
+                                    const char* label) {
   const std::size_t m = rows * cols;
   const std::size_t reps = 512;
   const std::vector<BitVector> signs = ladder_signs(m, reps);
-  const std::uint64_t base = derive_seed(stat_seed(), 0xb202);
+  const std::uint64_t base = derive_seed(stat_seed(), salt);
   check_fold_unbiased_by_trial(
       m, reps, /*trials=*/64,
-      [&signs, rows, cols, base](std::size_t trial) {
+      [&](std::size_t trial) {
         std::vector<BitVector> work = signs;
-        segmented_torus_fold(work, work.size(), rows, cols,
-                             work[0].words().size(), derive_seed(base, trial),
-                             global_thread_pool());
+        marsit_fold_signs_segmented(paradigm, rows, cols, work, work.size(),
+                                    work[0].words().size(),
+                                    derive_seed(base, trial),
+                                    &global_thread_pool());
         return work[0];
       },
-      "production segmented torus fold");
+      label);
+}
+
+TEST(OneBitStatTest, ProductionSegmentedRingFoldIsUnbiasedForMeanSign) {
+  // m rank-owned segments, each chain starting at its owner rank, result
+  // gathered into signs[0].
+  check_production_fold_unbiased(MarParadigm::kRing, 1, 8, 0xb201,
+                                 "production segmented ring fold");
+}
+
+TEST(OneBitStatTest, ProductionSegmentedTorusFoldIsUnbiasedForMeanSign) {
+  // The four-phase torus reduce-scatter (2×4 shape).
+  check_production_fold_unbiased(MarParadigm::kTorus2d, 2, 4, 0xb202,
+                                 "production segmented torus fold");
+}
+
+TEST(OneBitStatTest, ProductionParameterServerFoldIsUnbiasedForMeanSign) {
+  // One whole-plane chain folded at the server, receiver's aggregate first.
+  check_production_fold_unbiased(MarParadigm::kParameterServer, 1, 8, 0xb203,
+                                 "production parameter-server fold");
+}
+
+TEST(OneBitStatTest, ProductionTreeFoldIsUnbiasedForMeanSign) {
+  // Binomial merges of unequal-weight aggregates, receiver's aggregate
+  // first.
+  check_production_fold_unbiased(MarParadigm::kTree, 1, 8, 0xb204,
+                                 "production tree fold");
 }
 
 }  // namespace

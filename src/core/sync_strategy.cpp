@@ -59,6 +59,26 @@ ThreadPool& strategy_pool(const SyncConfig& config) {
   return config.pool != nullptr ? *config.pool : global_thread_pool();
 }
 
+/// Reads the per-worker vectors a strategy's save_state wrote: none, or one
+/// per worker, all of one length: a round slices every worker's vector on
+/// one chunk grid.
+std::vector<Tensor> load_worker_vectors(ckpt::SnapshotReader& reader,
+                                        std::size_t num_workers,
+                                        const char* what) {
+  const std::uint64_t count = reader.u64();
+  MARSIT_CHECK(count == 0 || count == num_workers)
+      << what << " for " << count << " workers, expected " << num_workers;
+  std::vector<Tensor> vectors;
+  vectors.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    vectors.push_back(Tensor::from_vector(reader.f32_vec()));
+    MARSIT_CHECK(vectors.back().size() == vectors.front().size())
+        << what << " of worker " << i << " has " << vectors.back().size()
+        << " elements, worker 0's has " << vectors.front().size();
+  }
+  return vectors;
+}
+
 /// Records an Elias refresh round: a counter tick and a trace instant
 /// (refreshes are O(M·D) re-encodes, worth spotting on a timeline).
 void note_elias_refresh(std::size_t round) {
@@ -573,15 +593,7 @@ void EfSignSgdSync::save_state(ckpt::SnapshotWriter& writer) const {
 
 void EfSignSgdSync::load_state(ckpt::SnapshotReader& reader) {
   SyncStrategy::load_state(reader);
-  const std::uint64_t count = reader.u64();
-  MARSIT_CHECK(count == 0 || count == config_.num_workers)
-      << "EF state for " << count << " workers, expected "
-      << config_.num_workers;
-  error_.clear();
-  error_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    error_.push_back(Tensor::from_vector(reader.f32_vec()));
-  }
+  error_ = load_worker_vectors(reader, config_.num_workers, "EF state");
   cached_elias_bpe_ = reader.f64_vec();
 }
 
@@ -599,9 +611,6 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   if (sum_.size() != d) {
     sum_ = SignSum(d);
   }
-  if (adjusted_.empty() || adjusted_.front().size() != d) {
-    adjusted_.assign(config_.num_workers, Tensor(d));
-  }
   // Reallocate on either geometry change (see sharded_majority_sync).
   if (signs_.size() != s || signs_.front().size() != d) {
     signs_.assign(s, BitVector(d));
@@ -610,12 +619,13 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
 
   // Whole-vector pre-pass: the compressor scale is the *global* ‖p‖₁/d, so
   // it cannot be computed chunk-locally.  Float order matches the previous
-  // serial loop (add, then the scale reduction, per worker in turn).
+  // serial loop (add, then the scale reduction, per worker in turn).  The
+  // add runs in place: from here to the finalize stage e_m holds p.
   double scale_sum = 0.0;
   for (std::size_t i = 0; i < s; ++i) {
     const std::size_t w = active[i];
-    add(inputs[w], error_[w].span(), adjusted_[w].span());
-    scales_[i] = scaled_sign_scale(adjusted_[w].span());
+    add(inputs[w], error_[w].span(), error_[w].span());
+    scales_[i] = scaled_sign_scale(error_[w].span());
     scale_sum += scales_[i];
   }
   const float mean_scale =
@@ -624,7 +634,8 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   // Sharded two-lane pipeline (same wavefront as sharded_majority_sync):
   // pack accumulates the sign-sum, finalize decodes the mean and runs the
   // per-worker error-feedback update — all chunk-local, no rng anywhere, so
-  // the outputs are bit-identical to the old whole-vector loop.
+  // the outputs are bit-identical to the old whole-vector loop.  Finalize
+  // writes chunk c of e_m while pack reads chunk c + 1: disjoint memory.
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   const float inv_s = 1.0f / static_cast<float>(s);
@@ -642,7 +653,7 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
           const std::span<std::uint64_t> words =
               signs_[i].words().subspan(w0, nw);
           kernels::pack_signs_words(
-              adjusted_[w].span().subspan(shard.begin, n), words);
+              error_[w].span().subspan(shard.begin, n), words);
           kernels::accumulate_counts_words(words, values);
         }
       }},
@@ -662,11 +673,10 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
         // e_m ← p − decode(scale_m, signs_m), chunk-locally per survivor.
         const std::span<float> delta = arena.floats(n);
         for (std::size_t i = 0; i < s; ++i) {
-          const std::size_t w = active[i];
+          const auto error = error_[active[i]].span().subspan(shard.begin, n);
           kernels::unpack_signs_words(signs_[i].words().subspan(w0, nw),
                                       scales_[i], delta);
-          sub(adjusted_[w].span().subspan(shard.begin, n), delta,
-              error_[w].span().subspan(shard.begin, n));
+          sub(error, delta, error);
         }
       }},
   };
@@ -824,6 +834,23 @@ void clip_flush_mean(const MarsitOptions& options, std::span<float> mean) {
   }
 }
 
+void marsit_begin_round(std::span<const float> update,
+                        std::span<float> compensation,
+                        std::span<std::uint64_t> signs) {
+  add(update, compensation, compensation);
+  kernels::pack_signs_words(compensation, signs);
+}
+
+void marsit_end_round(const MarsitOptions& options,
+                      std::span<const float> global,
+                      std::span<float> compensation) {
+  if (options.use_compensation) {
+    sub(compensation, global, compensation);
+  } else {
+    zero(compensation);
+  }
+}
+
 MarsitSync::MarsitSync(SyncConfig config, MarsitOptions options)
     : SyncStrategy(config), options_(options) {
   // All four paradigms are supported: ring and torus are the paper's
@@ -856,15 +883,8 @@ void MarsitSync::save_state(ckpt::SnapshotWriter& writer) const {
 
 void MarsitSync::load_state(ckpt::SnapshotReader& reader) {
   SyncStrategy::load_state(reader);
-  const std::uint64_t count = reader.u64();
-  MARSIT_CHECK(count == 0 || count == config_.num_workers)
-      << "compensation for " << count << " workers, expected "
-      << config_.num_workers;
-  compensation_.clear();
-  compensation_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    compensation_.push_back(Tensor::from_vector(reader.f32_vec()));
-  }
+  compensation_ =
+      load_worker_vectors(reader, config_.num_workers, "compensation");
 }
 
 void MarsitSync::on_flush_rejoin(std::size_t worker) {
@@ -908,10 +928,9 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   if (compensation_.empty()) {
     compensation_.assign(m, Tensor(d));
   }
-  MARSIT_CHECK(compensation_.front().size() == d)
-      << "gradient dimension changed between rounds";
-  if (adjusted_.empty() || adjusted_.front().size() != d) {
-    adjusted_.assign(m, Tensor(d));
+  for (const Tensor& c : compensation_) {
+    MARSIT_CHECK(c.size() == d)
+        << "compensation has " << c.size() << " elements, the update " << d;
   }
 
   SyncStepResult result;
@@ -926,14 +945,16 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   const std::size_t s = active.size();
 
   if (full_precision) {
-    // Lines 12–13: exact mean of u_m + c_m, compensation reset.
-    WorkerSpans adjusted_spans;
-    adjusted_spans.reserve(s);
+    // Lines 12–13: exact mean of u_m + c_m, compensation reset.  Each row
+    // is built in place in c_m, which is zeroed once the mean is taken.
+    WorkerSpans rows;
+    rows.reserve(s);
     for (const std::size_t w : active) {
-      add(inputs[w], compensation_[w].span(), adjusted_[w].span());
-      adjusted_spans.push_back(adjusted_[w].span());
+      const std::span<float> row = compensation_[w].span();
+      add(inputs[w], row, row);
+      rows.push_back(row);
     }
-    aggregate_mean(adjusted_spans, out);
+    aggregate_mean(rows, out);
     clip_flush_mean(options_, out);
     for (const std::size_t w : active) {
       compensation_[w].zero();
@@ -960,20 +981,17 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   ThreadPool& pool = strategy_pool(config_);
-  // Line 1 of Algorithm 1: fold the compensation into the update and
-  // pack the signs, per survivor.
+  // Line 1 of Algorithm 1: fold the update into the compensation and pack
+  // the signs, per survivor.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
-    const std::size_t w0 = shard.word_begin();
-    const std::size_t nw = shard.num_words();
     for (std::size_t i = 0; i < s; ++i) {
       const std::size_t w = active[i];
-      const auto adjusted_chunk = adjusted_[w].span().subspan(shard.begin, n);
-      add(inputs[w].subspan(shard.begin, n),
-          compensation_[w].span().subspan(shard.begin, n), adjusted_chunk);
-      kernels::pack_signs_words(adjusted_chunk,
-                                signs_[i].words().subspan(w0, nw));
+      marsit_begin_round(
+          inputs[w].subspan(shard.begin, n),
+          compensation_[w].span().subspan(shard.begin, n),
+          signs_[i].words().subspan(shard.word_begin(), shard.num_words()));
     }
   });
   // Lines 4–8: the ⊙ reduction, leaving the aggregate in signs_[0].
@@ -990,11 +1008,9 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
         signs_.front().words().subspan(shard.word_begin(),
                                        shard.num_words()),
         options_.eta_s, out_chunk);
-    if (options_.use_compensation) {
-      for (const std::size_t w : active) {
-        sub(adjusted_[w].span().subspan(shard.begin, n), out_chunk,
-            compensation_[w].span().subspan(shard.begin, n));
-      }
+    for (const std::size_t w : active) {
+      marsit_end_round(options_, out_chunk,
+                       compensation_[w].span().subspan(shard.begin, n));
     }
   });
 

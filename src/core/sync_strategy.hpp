@@ -286,12 +286,11 @@ class EfSignSgdSync final : public SyncStrategy {
   SyncStepResult do_synchronize(const WorkerSpans& inputs,
                                 std::span<float> out) override;
 
-  std::vector<Tensor> error_;  // per-worker EF memory, lazily sized
+  // Per-worker EF memory e_m, lazily sized.  Within a round a survivor's
+  // holds p = u_m + e_m, updated in place chunk by chunk.
+  std::vector<Tensor> error_;
   std::vector<double> cached_elias_bpe_;
-  // Round scratch (never serialized): the sharded pipeline materializes
-  // every survivor's adjusted vector u_m + e_m and packed signs so the
-  // per-chunk finalize stage can run the error-feedback update chunk-locally.
-  std::vector<Tensor> adjusted_;   // u_m + e_m, indexed by worker id
+  // Round scratch (never serialized).
   std::vector<float> scales_;      // per-survivor ‖p‖₁/d compressor scales
   SignSum sum_;                    // round-to-round sign-sum scratch
   std::vector<BitVector> signs_;   // per-survivor packed signs
@@ -371,6 +370,20 @@ struct MarsitOptions {
 /// and the distributed worker both call it.
 void clip_flush_mean(const MarsitOptions& options, std::span<float> mean);
 
+/// Algorithm 1, line 1, over one rank's slice of u, c and its packed signs
+/// (MarsitSync calls it per shard chunk, the distributed worker once per
+/// round): c ← u + c in place, then packs sign(c) into `signs`.  c holds
+/// u + c until marsit_end_round.
+void marsit_begin_round(std::span<const float> update,
+                        std::span<float> compensation,
+                        std::span<std::uint64_t> signs);
+
+/// Lines 9–10 over the same slice: c ← c − g for the decoded global update
+/// g, so c becomes (u + c) − g; or c ← 0 when use_compensation is off.
+void marsit_end_round(const MarsitOptions& options,
+                      std::span<const float> global,
+                      std::span<float> compensation);
+
 class MarsitSync final : public SyncStrategy {
  public:
   MarsitSync(SyncConfig config, MarsitOptions options);
@@ -400,8 +413,9 @@ class MarsitSync final : public SyncStrategy {
   void on_flush_rejoin(std::size_t worker) override;
 
   MarsitOptions options_;
-  std::vector<Tensor> compensation_;  // per-worker c_t, lazily sized
-  std::vector<Tensor> adjusted_;      // u_m + c_m scratch, lazily sized
+  // Per-worker c_t, lazily sized.  Within a round a survivor's holds
+  // u_m + c_m: the packed vector of a one-bit round, a flush's mean row.
+  std::vector<Tensor> compensation_;
   std::vector<BitVector> signs_;      // per-worker packed signs scratch
 };
 

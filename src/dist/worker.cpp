@@ -6,7 +6,6 @@
 #include "compress/bit_vector.hpp"
 #include "compress/kernels.hpp"
 #include "core/hop_schedule.hpp"
-#include "nn/loss.hpp"
 #include "sim/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -40,28 +39,16 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   MARSIT_CHECK(config.options.eta_s > 0.0f) << "Marsit needs a positive eta_s";
   MARSIT_CHECK(model_factory != nullptr) << "null model factory";
 
-  // Exactly the simulator's streams: same sampler seed salt, same model
-  // init salt, so rank r's gradients equal simulated worker r's.
-  const ShardedSampler sampler(
-      dataset, m, config.batch_size_per_worker, kTrainSampleRange,
-      kTestSampleRange, derive_seed(config.trainer_seed, kSamplerSeedSalt));
-  Sequential model = model_factory();
-  Rng init_rng(derive_seed(config.trainer_seed, kModelInitSeedSalt));
-  model.init(init_rng);
-  const std::size_t d = model.param_count();
-  MARSIT_CHECK(d > 0) << "model has no parameters";
-  MARSIT_CHECK(model.in_size() == dataset.sample_size() &&
-               model.out_size() == dataset.num_classes())
-      << "model shape does not match the dataset";
+  // The simulator's sampler, init and local step, so rank r's update
+  // equals simulated worker r's.
+  const ShardedSampler sampler = make_train_sampler(
+      dataset, m, config.batch_size_per_worker, config.trainer_seed);
+  LocalWorker local(model_factory(), config.optimizer);
+  init_replica(local.model(), dataset, config.trainer_seed);
+  const std::size_t d = local.model().param_count();
 
-  auto optimizer = make_optimizer(config.optimizer);
-  Tensor grad(d);
-  Tensor update(d);
-  Tensor adjusted(d);
   Tensor compensation(d);
   Tensor global(d);
-  Tensor dlogits;
-  Batch batch;
   const std::size_t k = config.options.full_precision_period;
   // One schedule per round kind, priced once: the NetworkSim replay is a
   // pure function of the schedule and the cost model.
@@ -88,25 +75,8 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   WorkerResult result;
   result.rounds.reserve(config.rounds);
   for (std::size_t t = 0; t < config.rounds; ++t) {
-    // --- local step (DistributedTrainer::worker_round, local_steps == 1) --
-    sampler.worker_batch(rank, t, batch);
-    model.zero_grads();
-    const auto logits = model.forward(batch.inputs.span(), batch.size());
-    if (dlogits.size() != logits.size()) {
-      dlogits = Tensor(logits.size());
-    }
-    softmax_cross_entropy(logits, {batch.labels.data(), batch.labels.size()},
-                          dataset.num_classes(), dlogits.span());
-    model.backward(dlogits.span(), batch.size());
-    model.copy_grads_into(grad.span());
-    if (config.clip_grad_norm > 0.0f) {
-      const float norm = l2_norm(grad.span());
-      if (norm > config.clip_grad_norm) {
-        scale(grad.span(), config.clip_grad_norm / norm);
-      }
-    }
-    optimizer->transform(grad.span(), update.span());
-    scale(update.span(), config.eta_l);
+    local.step(sampler, rank, t, config.eta_l, config.clip_grad_norm,
+               /*local_steps=*/1);
 
     // --- synchronize (MarsitSync::do_synchronize, full membership) --------
     const bool full_precision = k > 0 && t % k == 0;
@@ -116,22 +86,20 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     const WallClock::time_point comm_start = WallClock::now();
     double sent_bytes = 0.0;
     if (full_precision) {
-      add(update.span(), compensation.span(), rows.span().subspan(rank * d, d));
+      add(local.update(), compensation.span(),
+          rows.span().subspan(rank * d, d));
       sent_bytes = execute_hop_schedule(transport, flush, t, rows.span());
       aggregate_mean(row_spans, global.span());
       clip_flush_mean(config.options, global.span());
       compensation.zero();
     } else {
-      add(update.span(), compensation.span(), adjusted.span());
-      kernels::pack_signs_words(adjusted.span(), signs.words());
+      marsit_begin_round(local.update(), compensation.span(), signs.words());
       sent_bytes = execute_hop_schedule(transport, one_bit, t,
                                         derive_seed(config.sync_seed, t),
                                         signs.words());
       kernels::unpack_signs_words(signs.words(), config.options.eta_s,
                                   global.span());
-      if (config.options.use_compensation) {
-        sub(adjusted.span(), global.span(), compensation.span());
-      }
+      marsit_end_round(config.options, global.span(), compensation.span());
     }
     report.measured_comm_seconds = seconds_since(comm_start);
     report.wire_bits = sent_bytes * 8.0;
@@ -139,12 +107,12 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     report.predicted_comm_seconds = price.seconds;
     report.total_wire_bits = price.total_bits;
 
-    model.apply_update(global.span());
+    local.model().apply_update(global.span());
     result.rounds.push_back(report);
   }
 
   Tensor params(d);
-  model.copy_params_into(params.span());
+  local.model().copy_params_into(params.span());
   result.param_digest =
       ckpt::fnv1a(params.span().data(), d * sizeof(float));
   return result;

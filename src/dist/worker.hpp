@@ -1,13 +1,14 @@
 // Distributed Marsit worker — one rank of a real multi-process (or
 // multi-thread) training run over a Transport (DESIGN.md §14).
 //
-// Each rank owns a full model replica and runs the exact per-round math of
-// DistributedTrainer + MarsitSync: same sampler streams (sim/trainer.hpp's
-// public seed salts), same local-optimizer transform, same ⊙ reduction.  A
-// run over SimTransport or SocketTransport therefore finishes with
-// parameters bit-identical to the simulator's — the cross-backend
-// determinism contract tests/dist_cross_backend_test pins via FNV-1a param
-// digests.
+// Each rank calls the simulator's per-rank code, not a copy of it: one
+// LocalWorker (sim/trainer.hpp) built by make_train_sampler and
+// init_replica runs the trainer's local step, and Algorithm 1's lines 1 and
+// 9–10 are the marsit_begin_round / marsit_end_round stages MarsitSync runs
+// per shard chunk (core/sync_strategy.hpp).  A run over SimTransport or
+// SocketTransport therefore finishes with parameters bit-identical to the
+// simulator's — the cross-backend determinism contract
+// tests/dist_cross_backend_test pins via FNV-1a param digests.
 //
 // Every round runs a hop schedule (core/hop_schedule.hpp) through
 // execute_hop_schedule, the schedule's Transport interpreter; the trainer's

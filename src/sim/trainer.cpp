@@ -1,6 +1,7 @@
 #include "sim/trainer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/snapshot.hpp"
@@ -15,102 +16,69 @@
 
 namespace marsit {
 
-DistributedTrainer::DistributedTrainer(
-    const Dataset& dataset, std::function<Sequential()> model_factory,
-    SyncStrategy& strategy, TrainerConfig config)
-    : dataset_(dataset),
-      strategy_(strategy),
-      config_(config),
-      sampler_(dataset, strategy.config().num_workers,
-               config.batch_size_per_worker, kTrainSampleRange,
-               kTestSampleRange, derive_seed(config.seed, kSamplerSeedSalt)) {
-  const std::size_t m = strategy_.config().num_workers;
-  MARSIT_CHECK(m >= 2) << "trainer needs at least two workers";
-  MARSIT_CHECK(model_factory != nullptr) << "null model factory";
-
-  replicas_.reserve(m);
-  for (std::size_t w = 0; w < m; ++w) {
-    replicas_.push_back(model_factory());
-  }
-  Rng init_rng(derive_seed(config_.seed, kModelInitSeedSalt));
-  replicas_.front().init(init_rng);
-  param_count_ = replicas_.front().param_count();
-  MARSIT_CHECK(param_count_ > 0) << "model has no parameters";
-  // Every replica would draw the same values from the same seed; copying
-  // replica 0 gives the identical state without M−1 more draws.  Fresh
-  // layers already hold zero gradients, which is all init adds.
-  Tensor init_params(param_count_);
-  replicas_.front().copy_params_into(init_params.span());
-  for (std::size_t w = 1; w < m; ++w) {
-    replicas_[w].load_params(init_params.span());
-  }
-  MARSIT_CHECK(replicas_.front().in_size() == dataset_.sample_size())
-      << "model input " << replicas_.front().in_size()
-      << " vs dataset sample " << dataset_.sample_size();
-  MARSIT_CHECK(replicas_.front().out_size() == dataset_.num_classes())
-      << "model output " << replicas_.front().out_size()
-      << " vs dataset classes " << dataset_.num_classes();
-
-  optimizers_.reserve(m);
-  for (std::size_t w = 0; w < m; ++w) {
-    optimizers_.push_back(make_optimizer(config_.optimizer));
-  }
-  updates_.assign(m, Tensor(param_count_));
-  grad_scratch_.assign(m, Tensor(param_count_));
-  dlogits_.resize(m);
-  snapshots_.resize(m);
-  batches_.resize(m);
-  global_update_ = Tensor(param_count_);
+ShardedSampler make_train_sampler(const Dataset& dataset,
+                                  std::size_t num_workers,
+                                  std::size_t batch_size,
+                                  std::uint64_t seed) {
+  return ShardedSampler(dataset, num_workers, batch_size, kTrainSampleRange,
+                        kTestSampleRange, derive_seed(seed, kSamplerSeedSalt));
 }
 
-double DistributedTrainer::compute_seconds_per_round() const {
-  const double flops =
-      replicas_.front().flops_per_sample() *
-      static_cast<double>(config_.batch_size_per_worker) *
-      static_cast<double>(std::max<std::size_t>(1, config_.local_steps));
-  return strategy_.config().cost_model.compute_seconds(flops);
+void init_replica(Sequential& model, const Dataset& dataset,
+                  std::uint64_t seed) {
+  Rng init_rng(derive_seed(seed, kModelInitSeedSalt));
+  model.init(init_rng);
+  MARSIT_CHECK(model.param_count() > 0) << "model has no parameters";
+  MARSIT_CHECK(model.in_size() == dataset.sample_size())
+      << "model input " << model.in_size() << " vs dataset sample "
+      << dataset.sample_size();
+  MARSIT_CHECK(model.out_size() == dataset.num_classes())
+      << "model output " << model.out_size() << " vs dataset classes "
+      << dataset.num_classes();
 }
 
-void DistributedTrainer::worker_round(std::size_t worker, std::size_t round,
-                                      float eta_l) {
-  Sequential& model = replicas_[worker];
-  Batch& batch = batches_[worker];
-  const std::size_t local_steps = std::max<std::size_t>(1, config_.local_steps);
+LocalWorker::LocalWorker(Sequential model, OptimizerKind optimizer)
+    : model_(std::move(model)),
+      optimizer_(make_optimizer(optimizer)),
+      update_(model_.param_count()),
+      grad_(model_.param_count()) {}
 
-  if (local_steps > 1 && snapshots_[worker].size() != param_count_) {
-    snapshots_[worker] = Tensor(param_count_);
-  }
+void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
+                       std::size_t round, float eta_l, float clip_grad_norm,
+                       std::size_t local_steps) {
+  local_steps = std::max<std::size_t>(1, local_steps);
   if (local_steps > 1) {
-    model.copy_params_into(snapshots_[worker].span());
+    if (snapshot_.size() != update_.size()) {
+      snapshot_ = Tensor(update_.size());
+    }
+    model_.copy_params_into(snapshot_.span());
   }
 
   for (std::size_t h = 0; h < local_steps; ++h) {
-    sampler_.worker_batch(worker, round * local_steps + h, batch);
+    sampler.worker_batch(worker, round * local_steps + h, batch_);
 
-    model.zero_grads();
-    const auto logits = model.forward(batch.inputs.span(), batch.size());
-    Tensor& dlogits = dlogits_[worker];
-    if (dlogits.size() != logits.size()) {
-      dlogits = Tensor(logits.size());  // sized once; reused every step
+    model_.zero_grads();
+    const auto logits = model_.forward(batch_.inputs.span(), batch_.size());
+    if (dlogits_.size() != logits.size()) {
+      dlogits_ = Tensor(logits.size());  // sized once; reused every step
     }
-    softmax_cross_entropy(logits, {batch.labels.data(), batch.labels.size()},
-                          dataset_.num_classes(), dlogits.span());
-    model.backward(dlogits.span(), batch.size());
+    softmax_cross_entropy(logits, {batch_.labels.data(), batch_.labels.size()},
+                          model_.out_size(), dlogits_.span());
+    model_.backward(dlogits_.span(), batch_.size());
 
-    model.copy_grads_into(grad_scratch_[worker].span());
-    if (config_.clip_grad_norm > 0.0f) {
-      const float norm = l2_norm(grad_scratch_[worker].span());
-      if (norm > config_.clip_grad_norm) {
-        scale(grad_scratch_[worker].span(), config_.clip_grad_norm / norm);
+    model_.copy_grads_into(grad_.span());
+    if (clip_grad_norm > 0.0f) {
+      const float norm = l2_norm(grad_.span());
+      if (norm > clip_grad_norm) {
+        scale(grad_.span(), clip_grad_norm / norm);
       }
     }
-    optimizers_[worker]->transform(grad_scratch_[worker].span(),
-                                   updates_[worker].span());
-    scale(updates_[worker].span(), eta_l);
+    optimizer_->transform(grad_.span(), update_.span());
+    scale(update_.span(), eta_l);
     if (local_steps > 1) {
       // Walk the replica locally; the synchronized vector is the total
       // movement, computed below.
-      model.apply_update(updates_[worker].span());
+      model_.apply_update(update_.span());
     }
   }
 
@@ -118,20 +86,57 @@ void DistributedTrainer::worker_round(std::size_t worker, std::size_t round,
     // u_m = x_before − x_after (so x ← x − u replays the local walk), then
     // rewind: the *global* update must be the only state change so replicas
     // stay consistent.
-    model.copy_params_into(grad_scratch_[worker].span());
-    sub(snapshots_[worker].span(), grad_scratch_[worker].span(),
-        updates_[worker].span());
-    model.load_params(snapshots_[worker].span());
+    model_.copy_params_into(grad_.span());
+    sub(snapshot_.span(), grad_.span(), update_.span());
+    model_.load_params(snapshot_.span());
   }
+}
+
+DistributedTrainer::DistributedTrainer(
+    const Dataset& dataset, std::function<Sequential()> model_factory,
+    SyncStrategy& strategy, TrainerConfig config)
+    : dataset_(dataset),
+      strategy_(strategy),
+      config_(config),
+      sampler_(make_train_sampler(dataset, strategy.config().num_workers,
+                                  config.batch_size_per_worker, config.seed)) {
+  const std::size_t m = strategy_.config().num_workers;
+  MARSIT_CHECK(m >= 2) << "trainer needs at least two workers";
+  MARSIT_CHECK(model_factory != nullptr) << "null model factory";
+
+  workers_.reserve(m);
+  for (std::size_t w = 0; w < m; ++w) {
+    workers_.emplace_back(model_factory(), config_.optimizer);
+  }
+  Sequential& first = workers_.front().model();
+  init_replica(first, dataset_, config_.seed);
+  param_count_ = first.param_count();
+  // Every replica would draw the same values from the same seed; copying
+  // replica 0 gives the identical state without M−1 more draws.  Fresh
+  // layers already hold zero gradients, which is all init adds.
+  Tensor init_params(param_count_);
+  first.copy_params_into(init_params.span());
+  for (std::size_t w = 1; w < m; ++w) {
+    workers_[w].model().load_params(init_params.span());
+  }
+  global_update_ = Tensor(param_count_);
+}
+
+double DistributedTrainer::compute_seconds_per_round() const {
+  const double flops =
+      workers_.front().model().flops_per_sample() *
+      static_cast<double>(config_.batch_size_per_worker) *
+      static_cast<double>(std::max<std::size_t>(1, config_.local_steps));
+  return strategy_.config().cost_model.compute_seconds(flops);
 }
 
 void DistributedTrainer::copy_params_into(std::span<float> out,
                                           std::size_t worker) const {
   MARSIT_CHECK(out.size() == param_count_)
       << "param copy extent " << out.size() << " vs " << param_count_;
-  MARSIT_CHECK(worker < replicas_.size())
-      << "replica " << worker << " of " << replicas_.size();
-  replicas_[worker].copy_params_into(out);
+  MARSIT_CHECK(worker < workers_.size())
+      << "replica " << worker << " of " << workers_.size();
+  workers_[worker].model().copy_params_into(out);
 }
 
 EvalPoint DistributedTrainer::evaluate(std::size_t samples) {
@@ -139,7 +144,7 @@ EvalPoint DistributedTrainer::evaluate(std::size_t samples) {
   point.sim_seconds = cumulative_seconds_;
   point.wire_gigabits = cumulative_bits_ / 1e9;
 
-  Sequential& model = replicas_.front();
+  Sequential& model = workers_.front().model();
   Batch batch;
   std::size_t done = 0;
   std::size_t correct = 0;
@@ -192,20 +197,22 @@ TrainResult DistributedTrainer::train() {
     }
     const float eta_l = totals.eta_l;
 
+    const auto local_step = [&](std::size_t w) {
+      workers_[w].step(sampler_, w, t, eta_l, config_.clip_grad_norm,
+                       config_.local_steps);
+    };
     if (config_.parallel_workers) {
-      parallel_for(global_thread_pool(), m, [&](std::size_t w) {
-        worker_round(w, t, eta_l);
-      });
+      parallel_for(global_thread_pool(), m, local_step);
     } else {
       for (std::size_t w = 0; w < m; ++w) {
-        worker_round(w, t, eta_l);
+        local_step(w);
       }
     }
 
     WorkerSpans spans;
     spans.reserve(m);
-    for (std::size_t w = 0; w < m; ++w) {
-      spans.push_back(updates_[w].span());
+    for (const LocalWorker& worker : workers_) {
+      spans.push_back(worker.update());
     }
     // Round timeline: [round_start, sync_start] is compute, the collective
     // runs from sync_start with a local clock.  Publishing sync_start as the
@@ -236,8 +243,8 @@ TrainResult DistributedTrainer::train() {
       totals.matching_total += round_matching_rate;
     }
 
-    for (auto& replica : replicas_) {
-      replica.apply_update(global_update_.span());
+    for (LocalWorker& worker : workers_) {
+      worker.model().apply_update(global_update_.span());
     }
 
     cumulative_seconds_ += compute_seconds + step.timing.completion_seconds;
@@ -326,7 +333,7 @@ TrainResult DistributedTrainer::train() {
     }
 
     if (!all_finite(global_update_.span()) ||
-        !all_finite(updates_.front().span())) {
+        !all_finite(workers_.front().update())) {
       result.diverged = true;
       MARSIT_LOG(kWarning) << "training diverged at round " << t;
       break;
@@ -410,14 +417,14 @@ void DistributedTrainer::write_checkpoint(std::size_t rounds_done,
   // All replicas are bit-identical at a round boundary (the MAR invariant),
   // so one copy of replica 0's parameters restores every worker.
   checkpoint.params.resize(param_count_);
-  replicas_.front().copy_params_into(
+  workers_.front().model().copy_params_into(
       {checkpoint.params.data(), checkpoint.params.size()});
 
   ckpt::SnapshotWriter optimizer_state;
   optimizer_state.u8(static_cast<std::uint8_t>(config_.optimizer));
-  optimizer_state.u64(static_cast<std::uint64_t>(optimizers_.size()));
-  for (const auto& optimizer : optimizers_) {
-    optimizer->save_state(optimizer_state);
+  optimizer_state.u64(static_cast<std::uint64_t>(workers_.size()));
+  for (const LocalWorker& worker : workers_) {
+    worker.optimizer().save_state(optimizer_state);
   }
   checkpoint.optimizer_state = optimizer_state.bytes();
 
@@ -504,8 +511,9 @@ void DistributedTrainer::restore_checkpoint(TrainResult& result,
       << "checkpoint at round " << meta.round << " is past the configured "
       << config_.rounds;
 
-  for (auto& replica : replicas_) {
-    replica.load_params({checkpoint.params.data(), checkpoint.params.size()});
+  for (LocalWorker& worker : workers_) {
+    worker.model().load_params(
+        {checkpoint.params.data(), checkpoint.params.size()});
   }
 
   ckpt::SnapshotReader optimizer_state({checkpoint.optimizer_state.data(),
@@ -514,11 +522,11 @@ void DistributedTrainer::restore_checkpoint(TrainResult& result,
   MARSIT_CHECK(kind == config_.optimizer)
       << "checkpoint optimizer kind differs from the configured one";
   const std::uint64_t optimizer_count = optimizer_state.u64();
-  MARSIT_CHECK(optimizer_count == optimizers_.size())
+  MARSIT_CHECK(optimizer_count == workers_.size())
       << "checkpoint has " << optimizer_count << " optimizer states for "
-      << optimizers_.size() << " workers";
-  for (auto& optimizer : optimizers_) {
-    optimizer->load_state(optimizer_state);
+      << workers_.size() << " workers";
+  for (LocalWorker& worker : workers_) {
+    worker.optimizer().load_state(optimizer_state);
   }
   MARSIT_CHECK(optimizer_state.done())
       << "optimizer section has trailing bytes";

@@ -3,14 +3,14 @@
 // Simulates M workers doing data-parallel training with a pluggable
 // synchronization strategy (Marsit or any baseline):
 //
-//   * every worker owns a full model replica, bit-identical at the start
-//     (replica 0 is initialized from the seed and copied to the rest) and
-//     updated with the identical global update
+//   * every worker is a LocalWorker owning a full model replica,
+//     bit-identical at the start (replica 0 is initialized from the seed and
+//     copied to the rest) and updated with the identical global update
 //     every round, so replicas stay consistent — exactly the MAR invariant;
-//   * per round, workers draw i.i.d. minibatches (the paper's shuffled-cloud
-//     data assumption), compute real gradients (forward/backward on the
-//     synthetic datasets), run their local optimizer (Momentum/Adam/SGD) and
-//     scale by the local stepsize;
+//   * per round, LocalWorker::step draws i.i.d. minibatches (the paper's
+//     shuffled-cloud data assumption), computes real gradients on the
+//     synthetic datasets, runs the local optimizer (Momentum/Adam/SGD) and
+//     scales by the local stepsize — the step src/dist runs on each rank;
 //   * the SyncStrategy aggregates and returns both the global update and the
 //     round's simulated timing (communication + compression), to which the
 //     trainer adds the simulated compute time from the cost model;
@@ -40,12 +40,59 @@ namespace marsit {
 
 /// Disjoint train/test index ranges carved out of the unbounded procedural
 /// datasets, and the seed salts deriving the sampler and model-init streams
-/// from TrainerConfig::seed.  Public so an out-of-process worker
-/// (src/dist) can reproduce the trainer's exact data and init streams.
+/// from TrainerConfig::seed.  make_train_sampler and init_replica apply
+/// them; they stay public for benchmarks that rebuild those streams.
 inline constexpr std::uint64_t kTrainSampleRange = 1u << 22;
 inline constexpr std::uint64_t kTestSampleRange = 1u << 16;
 inline constexpr std::uint64_t kSamplerSeedSalt = 0xda7a;
 inline constexpr std::uint64_t kModelInitSeedSalt = 0x1417;
+
+/// The sampler every worker draws its minibatches from, on the sampler
+/// stream of the trainer seed `seed`.
+ShardedSampler make_train_sampler(const Dataset& dataset,
+                                  std::size_t num_workers,
+                                  std::size_t batch_size, std::uint64_t seed);
+
+/// Initializes `model` from the model-init stream of the trainer seed
+/// `seed`, then checks that it has parameters and that its input and output
+/// sizes match `dataset`.
+void init_replica(Sequential& model, const Dataset& dataset,
+                  std::uint64_t seed);
+
+/// One worker's side of a round (Algorithm 2's local step): a model
+/// replica, its local optimizer and the step's scratch.  DistributedTrainer
+/// holds one per simulated worker, the distributed worker one per rank, so
+/// both compute u_m with the same code.
+class LocalWorker {
+ public:
+  LocalWorker(Sequential model, OptimizerKind optimizer);
+
+  /// Computes worker `worker`'s u_m for round `round` into update().  Each
+  /// of H = max(1, local_steps) local steps samples a minibatch, runs
+  /// forward, loss and backward, clips the gradient to `clip_grad_norm`
+  /// (0 disables), applies the local optimizer and scales by `eta_l`.  With
+  /// H > 1 the replica walks H steps, u_m is the total movement, and the
+  /// replica is rewound so that the global update is its only change.
+  void step(const ShardedSampler& sampler, std::size_t worker,
+            std::size_t round, float eta_l, float clip_grad_norm,
+            std::size_t local_steps);
+
+  /// u_m from the last step().
+  std::span<const float> update() const { return update_.span(); }
+  Sequential& model() { return model_; }
+  const Sequential& model() const { return model_; }
+  LocalOptimizer& optimizer() { return *optimizer_; }
+  const LocalOptimizer& optimizer() const { return *optimizer_; }
+
+ private:
+  Sequential model_;
+  std::unique_ptr<LocalOptimizer> optimizer_;
+  Tensor update_;    // u_m = η_l · direction
+  Tensor grad_;
+  Tensor dlogits_;   // ∂L/∂logits, sized on the first step
+  Tensor snapshot_;  // pre-round params (local_steps > 1)
+  Batch batch_;
+};
 
 struct TrainerConfig {
   std::size_t batch_size_per_worker = 32;
@@ -187,7 +234,6 @@ class DistributedTrainer {
     std::size_t start_round = 0;
   };
 
-  void worker_round(std::size_t worker, std::size_t round, float eta_l);
   /// Serializes the complete run state after `rounds_done` rounds to
   /// config_.checkpoint_path (with "{round}" expanded).
   void write_checkpoint(std::size_t rounds_done, const TrainResult& result,
@@ -200,13 +246,7 @@ class DistributedTrainer {
   SyncStrategy& strategy_;
   TrainerConfig config_;
   ShardedSampler sampler_;
-  std::vector<Sequential> replicas_;
-  std::vector<std::unique_ptr<LocalOptimizer>> optimizers_;
-  std::vector<Tensor> updates_;     // per-worker u_m = η_l · direction
-  std::vector<Batch> batches_;      // per-worker scratch
-  std::vector<Tensor> grad_scratch_;
-  std::vector<Tensor> dlogits_;     // per-worker ∂L/∂logits scratch
-  std::vector<Tensor> snapshots_;   // pre-round params (local_steps > 1)
+  std::vector<LocalWorker> workers_;
   Tensor global_update_;
   std::size_t param_count_ = 0;
 

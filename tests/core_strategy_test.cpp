@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
 #include "compress/sign_codec.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -38,6 +39,21 @@ WorkerSpans spans_of(const std::vector<Tensor>& inputs) {
     spans.push_back(t.span());
   }
   return spans;
+}
+
+/// A strategy-state blob as save_state lays it out: the round counter, then
+/// one zero vector per entry of `lengths` (Marsit's compensation, EF's
+/// memory), then an empty Elias size cache that only EF reads.
+std::vector<std::uint8_t> worker_vectors_blob(
+    const std::vector<std::size_t>& lengths) {
+  ckpt::SnapshotWriter writer;
+  writer.u64(0);
+  writer.u64(lengths.size());
+  for (const std::size_t length : lengths) {
+    writer.f32_span(Tensor(length).span());
+  }
+  writer.f64_vec({});
+  return writer.bytes();
 }
 
 TEST(SyncStrategyTest, ValidatesInputs) {
@@ -149,6 +165,13 @@ TEST(EfSignSgdSyncTest, ErrorAccumulatesAcrossRounds) {
   sync.synchronize(spans_of(zeros), out.span());
   EXPECT_GT(l2_norm(out.span()), 0.0f);
   (void)first;
+}
+
+TEST(EfSignSgdSyncTest, LoadStateRejectsUnequalErrorLengths) {
+  const std::vector<std::uint8_t> blob = worker_vectors_blob({4096, 8});
+  ckpt::SnapshotReader reader({blob.data(), blob.size()});
+  EfSignSgdSync sync(ring_config(2));
+  EXPECT_THROW(sync.load_state(reader), CheckError);
 }
 
 TEST(SsdmMarSyncTest, OutputIsSignDescentStep) {
@@ -265,6 +288,50 @@ TEST(MarsitSyncTest, CompensationIdentityHolds) {
   sync.synchronize(spans_of(zeros), out.span());
   EXPECT_FLOAT_EQ(out[0], 0.5f);
   EXPECT_FLOAT_EQ(out[1], -0.5f);
+}
+
+TEST(MarsitSyncTest, CompensationOffKeepsCompensationZero) {
+  // The same unanimous workers with compensation off.  A one-bit round
+  // leaves u + c in c until its end stage, which must then reset c to zero.
+  MarsitOptions options;
+  options.eta_s = 0.5f;
+  options.use_compensation = false;
+  MarsitSync sync(ring_config(2), options);
+  std::vector<Tensor> inputs;
+  inputs.push_back(Tensor{2.0f, -2.0f});
+  inputs.push_back(Tensor{2.0f, -2.0f});
+  Tensor out(2);
+  sync.synchronize(spans_of(inputs), out.span());
+  EXPECT_FLOAT_EQ(out[0], 0.5f);
+  EXPECT_FLOAT_EQ(out[1], -0.5f);
+  EXPECT_DOUBLE_EQ(sync.mean_compensation_norm(), 0.0);
+
+  // Round 2 with zero inputs packs zeros, and zero packs as +.  A c still
+  // holding (2, −2) would give (+0.5, −0.5) instead.
+  std::vector<Tensor> zeros(2, Tensor(2));
+  sync.synchronize(spans_of(zeros), out.span());
+  EXPECT_FLOAT_EQ(out[0], 0.5f);
+  EXPECT_FLOAT_EQ(out[1], 0.5f);
+  EXPECT_DOUBLE_EQ(sync.mean_compensation_norm(), 0.0);
+}
+
+TEST(MarsitSyncTest, LoadStateRejectsUnequalCompensationLengths) {
+  // A round slices every worker's compensation on one chunk grid, so a
+  // checkpoint with lengths {4096, 8} must fail to load, not overrun the
+  // short vector in the next one-bit round.
+  const std::vector<std::uint8_t> blob = worker_vectors_blob({4096, 8});
+  ckpt::SnapshotReader reader({blob.data(), blob.size()});
+  MarsitSync sync(ring_config(2), MarsitOptions{});
+  EXPECT_THROW(sync.load_state(reader), CheckError);
+
+  // Equal lengths load; the round then rejects them against its dimension.
+  const std::vector<std::uint8_t> short_blob = worker_vectors_blob({8, 8});
+  ckpt::SnapshotReader short_reader({short_blob.data(), short_blob.size()});
+  MarsitSync resumed(ring_config(2), MarsitOptions{});
+  resumed.load_state(short_reader);
+  auto inputs = random_inputs(2, 4096, 12);
+  Tensor out(4096);
+  EXPECT_THROW(resumed.synchronize(spans_of(inputs), out.span()), CheckError);
 }
 
 TEST(MarsitSyncTest, FullPrecisionRoundResetsCompensation) {

@@ -1,6 +1,9 @@
 // The cross-backend determinism contract (DESIGN.md §14) as a conformance
 // matrix: {ring, 2×2 / 2×4 torus, parameter server, binomial tree} ×
-// {4, 8 ranks}.  For every cell, one seed drives three executions — the
+// {4, 8 ranks} with SGD, no clipping, compensation on and no flush trust
+// region, plus two settings variants on the 4-rank ring and the 2×2 torus:
+// momentum with gradient clipping and a flush trust region, and Adam with
+// compensation off.  For every cell, one seed drives three executions — the
 // simulator (DistributedTrainer + MarsitSync), the distributed worker over
 // SimTransport, and the distributed worker over real loopback sockets — and
 // every rank of every backend must finish with bit-identical parameters,
@@ -10,6 +13,7 @@
 // bit-for-bit across the two transport backends, and the per-rank payload
 // bits must sum to the round's total on every backend.
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -50,6 +54,22 @@ dist::WorkerConfig worker_config(MarParadigm paradigm, std::size_t world) {
   return config;
 }
 
+/// One setting a variant changes from worker_config's defaults.
+using Setting = std::function<void(dist::WorkerConfig&)>;
+
+/// worker_config with every setting applied except the one at `skip`.
+dist::WorkerConfig variant_config(MarParadigm paradigm, std::size_t world,
+                                  const std::vector<Setting>& settings,
+                                  std::size_t skip = SIZE_MAX) {
+  dist::WorkerConfig config = worker_config(paradigm, world);
+  for (std::size_t i = 0; i < settings.size(); ++i) {
+    if (i != skip) {
+      settings[i](config);
+    }
+  }
+  return config;
+}
+
 Sequential make_model(const SyntheticDigits& digits) {
   return make_mlp(digits.sample_size(), {8}, digits.num_classes());
 }
@@ -72,6 +92,7 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
   trainer_config.batch_size_per_worker = config.batch_size_per_worker;
   trainer_config.optimizer = config.optimizer;
   trainer_config.eta_l = config.eta_l;
+  trainer_config.clip_grad_norm = config.clip_grad_norm;
   trainer_config.rounds = config.rounds;
   trainer_config.eval_interval = config.rounds + 1;  // digests only
   trainer_config.seed = config.trainer_seed;
@@ -167,11 +188,20 @@ void check_reports(const std::vector<dist::WorkerResult>& results,
   }
 }
 
-void run_cell(MarParadigm paradigm, std::size_t world) {
+void run_cell(MarParadigm paradigm, std::size_t world,
+              const std::vector<Setting>& settings = {}) {
   SCOPED_TRACE(testing::Message()
                << mar_paradigm_name(paradigm) << " / " << world << " ranks");
-  const dist::WorkerConfig config = worker_config(paradigm, world);
+  const dist::WorkerConfig config = variant_config(paradigm, world, settings);
   const std::uint64_t oracle = trainer_digest(config, world);
+  // Every setting must reach the oracle: with any one of them reset to its
+  // default the digest changes, so no cell can match with a setting ignored.
+  for (std::size_t i = 0; i < settings.size(); ++i) {
+    EXPECT_NE(trainer_digest(variant_config(paradigm, world, settings, i),
+                             world),
+              oracle)
+        << "setting " << i << " does not change the oracle";
+  }
 
   const std::vector<dist::WorkerResult> sim =
       run_over_sim_fabric(config, world);
@@ -207,6 +237,15 @@ void run_matrix(MarParadigm paradigm) {
   }
 }
 
+/// A settings variant on the 4-rank ring and the 2×2 torus, K = 3.
+void run_variant(const std::vector<Setting>& settings) {
+  set_log_level(LogLevel::kWarning);
+  for (const MarParadigm paradigm : {MarParadigm::kRing,
+                                     MarParadigm::kTorus2d}) {
+    run_cell(paradigm, 4, settings);
+  }
+}
+
 TEST(DistCrossBackendTest, RingReduceScatter) {
   run_matrix(MarParadigm::kRing);
 }
@@ -221,6 +260,21 @@ TEST(DistCrossBackendTest, ParameterServerReduceScatter) {
 
 TEST(DistCrossBackendTest, TreeReduceScatter) {
   run_matrix(MarParadigm::kTree);
+}
+
+TEST(DistCrossBackendTest, MomentumWithClippingAndFlushTrustRegion) {
+  run_variant({
+      [](dist::WorkerConfig& c) { c.optimizer = OptimizerKind::kMomentum; },
+      [](dist::WorkerConfig& c) { c.clip_grad_norm = 0.5f; },
+      [](dist::WorkerConfig& c) { c.options.full_precision_max_norm = 0.02f; },
+  });
+}
+
+TEST(DistCrossBackendTest, AdamWithoutCompensation) {
+  run_variant({
+      [](dist::WorkerConfig& c) { c.optimizer = OptimizerKind::kAdam; },
+      [](dist::WorkerConfig& c) { c.options.use_compensation = false; },
+  });
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "collectives/aggregators.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "compress/elias.hpp"
@@ -23,11 +24,29 @@ void check_inputs(const WorkerSpans& inputs, std::size_t out_size) {
 
 void aggregate_mean(const WorkerSpans& inputs, std::span<float> out) {
   check_inputs(inputs, out.size());
-  zero(out);
-  for (const auto& in : inputs) {
-    axpy(1.0f, in, out);
+  // One pass over `out` in L1-sized blocks.  Each element sees the same
+  // float operations in the same order as zero, one axpy(1, row) per row
+  // in rank order, then a scale by 1/M, so the mean is bit-identical to
+  // that sequence; only the memory traffic shrinks, from 2M + 3 passes
+  // over D to M + 1.
+  constexpr std::size_t kBlock = 2048;
+  const float inv = 1.0f / static_cast<float>(inputs.size());
+  for (std::size_t begin = 0; begin < out.size(); begin += kBlock) {
+    const std::size_t n = std::min(kBlock, out.size() - begin);
+    float* acc = out.data() + begin;
+    for (std::size_t i = 0; i < n; ++i) {
+      acc[i] = 0.0f;
+    }
+    for (const auto& in : inputs) {
+      const float* row = in.data() + begin;
+      for (std::size_t i = 0; i < n; ++i) {
+        acc[i] += 1.0f * row[i];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      acc[i] *= inv;
+    }
   }
-  scale(out, 1.0f / static_cast<float>(inputs.size()));
 }
 
 SignSumAggregate aggregate_sign_sum(const std::vector<BitVector>& signs,

@@ -947,18 +947,28 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   if (full_precision) {
     // Lines 12–13: exact mean of u_m + c_m, compensation reset.  Each row
     // is built in place in c_m, which is zeroed once the mean is taken.
-    WorkerSpans rows;
-    rows.reserve(s);
-    for (const std::size_t w : active) {
-      const std::span<float> row = compensation_[w].span();
-      add(inputs[w], row, row);
-      rows.push_back(row);
-    }
-    aggregate_mean(rows, out);
+    // The mean is element-wise, so shard chunks run on the pool and the
+    // result is the same for any pool size and chunk size; the trust
+    // region then scales the whole mean.
+    const ShardPlan plan(d, config_.shard_chunk_elements);
+    parallel_for(strategy_pool(config_), plan.num_chunks(),
+                 [&](std::size_t c) {
+      const Shard shard = plan.chunk(c);
+      const std::size_t n = shard.size();
+      WorkerSpans rows;
+      rows.reserve(s);
+      for (const std::size_t w : active) {
+        const std::span<float> row =
+            compensation_[w].span().subspan(shard.begin, n);
+        add(inputs[w].subspan(shard.begin, n), row, row);
+        rows.push_back(row);
+      }
+      aggregate_mean(rows, out.subspan(shard.begin, n));
+      for (const std::size_t w : active) {
+        zero(compensation_[w].span().subspan(shard.begin, n));
+      }
+    });
     clip_flush_mean(options_, out);
-    for (const std::size_t w : active) {
-      compensation_[w].zero();
-    }
     result.timing =
         mar_timing(d, full_precision_wire(), &result.chunk_stages);
     result.full_precision = true;

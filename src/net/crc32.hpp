@@ -8,8 +8,14 @@
 // the sign-bit payloads need, since a flipped sign bit would otherwise fold
 // silently into the ⊙ chain.  The simulator models the detect-and-retry
 // protocol (detection always succeeds for the injected single-payload
-// corruption class); this module provides the real checksum so tests and
-// tools can exercise detection on actual payload buffers.
+// corruption class); SocketTransport computes this checksum for real on
+// every frame it writes and verifies it on every frame it reads
+// (net/frame.hpp).
+//
+// Two kernels compute the same function, chosen at compile time.  Builds
+// with PCLMULQDQ and SSE4.1 (__PCLMUL__ and __SSE4_1__) fold 64-byte blocks
+// with carry-less multiplies (Gopal et al., Intel 2009); every other build,
+// and every tail shorter than 16 bytes, runs slicing-by-16 tables.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +34,12 @@ std::uint32_t crc32(const void* data, std::size_t size);
 
 /// Span convenience overload.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+
+/// Streaming form: `state` is the CRC32 of the bytes seen so far (0 for
+/// none), and the result is the CRC32 of those bytes followed by these.
+/// So crc32_update(crc32(a), b) == crc32(a | b) for any split.
+std::uint32_t crc32_update(std::uint32_t state, const void* data,
+                           std::size_t size);
 
 /// True when `footer` matches the payload's recomputed checksum — the
 /// receiver-side acceptance test of the corruption-detection protocol.

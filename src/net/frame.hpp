@@ -12,6 +12,13 @@
 //                 payload) — the magic is the resynchronization sentinel
 //                 and stays outside the checksum.
 //
+// This header is the only definition of that layout.  The header codec
+// (encode_frame_header / decode_frame_header) owns the byte order, the
+// magic check and the length ceiling; FrameCrc owns the checksum's span and
+// the footer.  SocketTransport streams frames through these pieces without
+// building a whole-frame buffer on either side; encode_frame and
+// try_decode_frame assemble the same bytes in memory, for tests and tools.
+//
 // Decoding is hostile-reader safe (the ckpt_snapshot_test discipline): a
 // short buffer is "wait for more bytes", but a bad magic, an oversized
 // declared length, or a checksum mismatch throws CheckError — a framing
@@ -19,6 +26,7 @@
 // something to guess past.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -37,6 +45,45 @@ inline constexpr std::uint32_t kMaxFramePayloadBytes = 1u << 30;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// The CRC32 footer.
 inline constexpr std::size_t kFrameFooterBytes = 4;
+
+using FrameHeaderBytes = std::array<std::uint8_t, kFrameHeaderBytes>;
+using FrameFooterBytes = std::array<std::uint8_t, kFrameFooterBytes>;
+
+/// The decoded fixed-size header of one frame.
+struct FrameHeader {
+  std::uint32_t magic = 0;
+  std::uint32_t tag = 0;
+  std::uint32_t length = 0;
+};
+
+/// Serializes a header for a `length`-byte payload.  Throws CheckError on
+/// an unknown magic or a length above kMaxFramePayloadBytes.
+FrameHeaderBytes encode_frame_header(std::uint32_t magic, std::uint32_t tag,
+                                     std::size_t length);
+
+/// Parses a received header.  Throws CheckError on an unknown magic or a
+/// declared length above kMaxFramePayloadBytes.
+FrameHeader decode_frame_header(
+    std::span<const std::uint8_t, kFrameHeaderBytes> bytes);
+
+/// The running CRC32 of one frame: it starts over the header's tag and
+/// length and takes the payload in any number of pieces.
+class FrameCrc {
+ public:
+  explicit FrameCrc(std::span<const std::uint8_t, kFrameHeaderBytes> header);
+
+  void update(std::span<const std::uint8_t> piece);
+
+  /// The footer for the bytes seen so far.
+  FrameFooterBytes footer() const;
+
+  /// Throws CheckError unless `footer` matches the bytes seen so far.
+  void check(std::span<const std::uint8_t, kFrameFooterBytes> footer,
+             std::uint32_t tag) const;
+
+ private:
+  std::uint32_t state_ = 0;
+};
 
 struct Frame {
   std::uint32_t magic = 0;

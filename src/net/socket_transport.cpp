@@ -4,10 +4,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "net/frame.hpp"
 #include "util/check.hpp"
@@ -68,6 +72,97 @@ bool read_all(int fd, std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// writev(2) until every byte of parts[0, count) is out, retrying EINTR and
+/// resuming after short writes.  False on any other error (peer gone).
+bool writev_all(int fd, iovec* parts, std::size_t count) {
+  while (count > 0) {
+    const ssize_t n = ::writev(fd, parts, static_cast<int>(count));
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    auto done = static_cast<std::size_t>(n);
+    while (count > 0 && done >= parts->iov_len) {
+      done -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count > 0) {
+      parts->iov_base = static_cast<std::uint8_t*>(parts->iov_base) + done;
+      parts->iov_len -= done;
+    }
+  }
+  return true;
+}
+
+/// Writes one frame straight from `payload`, one writev(2) per piece: the
+/// header rides with the first piece and the footer with the last, and
+/// each piece is CRC'd just before it is written.  The caller holds the
+/// connection's write_mutex.  False once the peer is gone.
+bool write_frame(int fd, std::uint32_t magic, std::uint32_t tag,
+                 std::span<const std::uint8_t> payload) {
+  const FrameHeaderBytes header =
+      encode_frame_header(magic, tag, payload.size());
+  FrameCrc crc(header);
+  std::size_t offset = 0;
+  do {
+    const std::span<const std::uint8_t> piece = payload.subspan(
+        offset,
+        std::min(SocketTransport::kPieceBytes, payload.size() - offset));
+    crc.update(piece);
+    FrameFooterBytes footer{};
+    // writev(2) only reads through iov_base; the casts drop const for the
+    // iovec type, not for the write.
+    std::array<iovec, 3> parts{};
+    std::size_t count = 0;
+    if (offset == 0) {
+      parts[count++] = {const_cast<std::uint8_t*>(header.data()),
+                        header.size()};
+    }
+    if (!piece.empty()) {
+      parts[count++] = {const_cast<std::uint8_t*>(piece.data()), piece.size()};
+    }
+    offset += piece.size();
+    if (offset == payload.size()) {
+      footer = crc.footer();
+      parts[count++] = {footer.data(), footer.size()};
+    }
+    if (!writev_all(fd, parts.data(), count)) {
+      return false;
+    }
+  } while (offset < payload.size());
+  return true;
+}
+
+/// Reads the body of a frame whose header is `header_bytes`: the payload
+/// in kPieceBytes pieces through `piece`, each CRC'd while it is hot and
+/// appended to `payload` (reserved, never zero-filled), and the footer in
+/// the same read as the last piece.  False if the stream ends first;
+/// CheckError on a CRC mismatch.
+bool read_frame_body(int fd, const FrameHeaderBytes& header_bytes,
+                     const FrameHeader& header, std::span<std::uint8_t> piece,
+                     std::vector<std::uint8_t>& payload) {
+  payload.reserve(header.length);
+  FrameCrc crc(header_bytes);
+  std::size_t left = header.length;
+  while (true) {
+    const std::size_t n = std::min(SocketTransport::kPieceBytes, left);
+    left -= n;
+    if (!read_all(fd, piece.data(), n + (left == 0 ? kFrameFooterBytes : 0))) {
+      return false;
+    }
+    const std::span<const std::uint8_t> bytes = piece.first(n);
+    crc.update(bytes);
+    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    if (left == 0) {
+      crc.check(piece.subspan(n).first<kFrameFooterBytes>(), header.tag);
+      return true;
+    }
+  }
+}
+
 }  // namespace
 
 SocketTransport::SocketTransport(std::size_t rank, std::vector<int> peer_fds)
@@ -125,43 +220,31 @@ SocketTransport::Connection& SocketTransport::connection(std::size_t peer) {
 
 void SocketTransport::reader_loop(Connection& conn) {
   std::string error;
+  // One piece plus the footer that arrives with a frame's last piece.  Not
+  // zero-filled: a connection that carries only small frames touches one
+  // page of it.
+  constexpr std::size_t kBufferBytes = kPieceBytes + kFrameFooterBytes;
+  const auto buffer =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kBufferBytes);
+  const std::span<std::uint8_t> piece(buffer.get(), kBufferBytes);
   while (true) {
-    // Frames are read header-first: the fixed 12 bytes name the payload
-    // size, then the remainder arrives in one exact read.  try_decode_frame
-    // re-validates the whole thing (magic, length ceiling, CRC).
-    std::vector<std::uint8_t> bytes(kFrameHeaderBytes);
-    if (!read_all(conn.fd, bytes.data(), bytes.size())) {
+    FrameHeaderBytes header_bytes{};
+    if (!read_all(conn.fd, header_bytes.data(), header_bytes.size())) {
       break;  // EOF / peer shutdown: a clean close, not an error
     }
-    Frame frame;
+    FrameHeader header;
+    std::vector<std::uint8_t> payload;
     try {
-      std::size_t consumed = try_decode_frame(
-          {bytes.data(), bytes.size()}, frame);
-      if (consumed == 0) {
-        const std::uint32_t length = static_cast<std::uint32_t>(bytes[8]) |
-            (static_cast<std::uint32_t>(bytes[9]) << 8) |
-            (static_cast<std::uint32_t>(bytes[10]) << 16) |
-            (static_cast<std::uint32_t>(bytes[11]) << 24);
-        // Length was not yet ceiling-checked if the header alone decoded to
-        // "need more": fetch body + footer, then decode for real.
-        MARSIT_CHECK(length <= kMaxFramePayloadBytes)
-            << "frame declares a " << length << "-byte payload";
-        const std::size_t rest =
-            static_cast<std::size_t>(length) + kFrameFooterBytes;
-        bytes.resize(kFrameHeaderBytes + rest);
-        if (!read_all(conn.fd, bytes.data() + kFrameHeaderBytes, rest)) {
-          error = "connection dropped mid-frame";
-          break;
-        }
-        consumed = try_decode_frame({bytes.data(), bytes.size()}, frame);
-        MARSIT_CHECK(consumed == bytes.size())
-            << "frame decode consumed " << consumed << " of " << bytes.size();
+      header = decode_frame_header(header_bytes);
+      if (!read_frame_body(conn.fd, header_bytes, header, piece, payload)) {
+        error = "connection dropped mid-frame";
+        break;
       }
     } catch (const CheckError& failure) {
       error = failure.what();
       break;
     }
-    if (frame.is_ack()) {
+    if (header.magic == kAckMagic) {
       {
         const MutexLock lock(conn.mutex);
         ++conn.acks;
@@ -174,16 +257,14 @@ void SocketTransport::reader_loop(Connection& conn) {
     // independent, which is what makes symmetric exchanges deadlock-free.
     {
       const MutexLock lock(conn.mutex);
-      conn.mailbox[frame.tag].push_back(std::move(frame.payload));
+      conn.mailbox[header.tag].push_back(std::move(payload));
       ++conn.acks_pending;
     }
     conn.cv.notify_all();
     bool acked = false;
     {
       const MutexLock lock(conn.write_mutex);
-      const std::vector<std::uint8_t> ack =
-          encode_frame(kAckMagic, frame.tag, {});
-      acked = write_all(conn.fd, ack.data(), ack.size());
+      acked = write_frame(conn.fd, kAckMagic, header.tag, {});
     }
     {
       const MutexLock lock(conn.mutex);
@@ -206,12 +287,10 @@ void SocketTransport::reader_loop(Connection& conn) {
 void SocketTransport::send(std::size_t peer, std::uint32_t tag,
                            std::span<const std::uint8_t> payload) {
   Connection& conn = connection(peer);
-  const std::vector<std::uint8_t> frame =
-      encode_frame(kDataMagic, tag, payload);
   std::size_t seq = 0;
   {
     const MutexLock lock(conn.write_mutex);
-    MARSIT_CHECK(write_all(conn.fd, frame.data(), frame.size()))
+    MARSIT_CHECK(write_frame(conn.fd, kDataMagic, tag, payload))
         << "rank " << rank_ << " failed to write to peer " << peer;
     const MutexLock state(conn.mutex);
     seq = ++conn.sent;

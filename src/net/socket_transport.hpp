@@ -7,11 +7,21 @@
 // the simulator's "send completes when the payload is accepted" semantics
 // hold on real sockets too.
 //
+// Payload bytes cross user space once per side.  send() writes straight
+// from the caller's span in kPieceBytes pieces, computing each piece's
+// CRC32 just before writing it; the header goes out with the first piece
+// and the footer with the last, so a frame of at most one piece is one
+// writev(2).  The reader reads each piece into a buffer of its own (the
+// footer together with the last piece), CRCs it while it is hot and
+// appends it to the payload, which was reserved to the declared length
+// without zero-filling.
+//
 // Each connection owns a reader thread that decodes incoming frames
-// autonomously: data frames land in per-tag FIFO mailboxes (and are acked
-// immediately), ack frames release blocked senders.  Because acking never
-// waits on the application, two peers may both send() before either
-// recv()s — the deadlock that kills naive blocking-socket rings.
+// autonomously: a data frame lands in its tag's FIFO mailbox, and is acked,
+// only after its magic, length ceiling and CRC have all checked out; ack
+// frames release blocked senders.  Because acking never waits on the
+// application, two peers may both send() before either recv()s — the
+// deadlock that kills naive blocking-socket rings.
 //
 // Determinism note: the transport carries bytes and never consumes rng or
 // clocks; all nondeterminism (thread scheduling, TCP timing) is confined to
@@ -37,6 +47,10 @@ namespace marsit {
 
 class SocketTransport final : public Transport {
  public:
+  /// Payload bytes per write on send and per read on receive: small enough
+  /// for a piece to stay in L2 between its CRC and its copy.
+  static constexpr std::size_t kPieceBytes = std::size_t{256} << 10;
+
   /// Takes ownership of `peer_fds`: one connected stream socket per peer,
   /// indexed by peer rank, -1 at `rank` (self).  Spawns one reader thread
   /// per connection.
@@ -73,8 +87,8 @@ class SocketTransport final : public Transport {
     int fd = -1;
     std::thread reader;
     /// Serializes frame writes (data vs acks).  Guards the write side of fd,
-    /// which the analysis cannot see through the write(2) syscall; the
-    /// discipline is "hold write_mutex across every encode+write pair".
+    /// which the analysis cannot see through the writev(2) syscall; the
+    /// discipline is "hold write_mutex across every piece of a frame".
     Mutex write_mutex;
     Mutex mutex;  // guards everything below
     CondVar cv;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -289,6 +291,44 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
             bitwise_crc32(bytes.data() + 5, bytes.size() - 5));
   EXPECT_EQ(crc32(std::span<const std::uint8_t>(bytes)),
             bitwise_crc32(bytes.data(), bytes.size()));
+}
+
+TEST(Crc32Test, UpdateChainsAtEverySplitPoint) {
+  // crc32_update(crc32(a), b) == crc32(a | b) wherever the buffer is cut —
+  // the property SocketTransport relies on when it CRCs a frame piecewise.
+  std::vector<std::uint8_t> bytes(300);
+  Rng rng(77);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::uint32_t head = crc32_update(0, bytes.data(), cut);
+    ASSERT_EQ(crc32_update(head, bytes.data() + cut, bytes.size() - cut),
+              whole)
+        << "split at " << cut;
+  }
+}
+
+TEST(Crc32Test, UpdateChainsOverUnevenPieces) {
+  std::vector<std::uint8_t> bytes(3 * 1024 * 1024 + 37);
+  Rng rng(2024);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  // Piece lengths straddle the 16-byte step and the 64-byte block of the
+  // folding kernel, and a piece longer than the socket's.
+  const std::size_t pieces[] = {1,  15, 16,   17,     63,   64,
+                                65, 0,  4093, 262144, 100003};
+  std::uint32_t state = 0;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; offset < bytes.size(); ++i) {
+    const std::size_t n = std::min(pieces[i % std::size(pieces)],
+                                   bytes.size() - offset);
+    state = crc32_update(state, bytes.data() + offset, n);
+    offset += n;
+  }
+  EXPECT_EQ(state, crc32(bytes.data(), bytes.size()));
 }
 
 TEST(Crc32Test, DetectsSingleBitFlip) {

@@ -6,7 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -203,6 +206,151 @@ TEST(SocketTransportTest, PeerShutdownUnblocksWithError) {
   EXPECT_THROW(transport.recv(1, 0), CheckError);
 }
 
+/// Payload sizes around the transport's piece boundary: empty, one byte,
+/// one piece ± 1, exactly one piece, and several pieces plus a ragged tail.
+std::vector<std::size_t> piece_edge_sizes() {
+  constexpr std::size_t kPiece = SocketTransport::kPieceBytes;
+  return {0, 1, kPiece - 1, kPiece, kPiece + 1, 3 * kPiece + 17};
+}
+
+std::vector<std::uint8_t> patterned_payload(std::size_t size) {
+  std::vector<std::uint8_t> payload(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    payload[i] = static_cast<std::uint8_t>((i * 131 + size) & 0xff);
+  }
+  return payload;
+}
+
+/// Reads exactly `size` bytes from a raw socket; false on EOF or error.
+bool read_exact(int fd, std::uint8_t* data, std::size_t size) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::read(fd, data + done, size - done);
+    if (n <= 0) {
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Writes every byte to a raw socket, one write(2) per `chunk` bytes.
+bool write_exact(int fd, std::span<const std::uint8_t> bytes,
+                 std::size_t chunk) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done,
+                              std::min(chunk, bytes.size() - done));
+    if (n <= 0) {
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+TEST(SocketTransportTest, SendWritesExactlyTheEncodedFrameBytes) {
+  // The streaming sender (header with the first piece, footer with the
+  // last) must put encode_frame's bytes on the wire, byte for byte.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketTransport transport(0, std::vector<int>{-1, fds[0]});
+  std::uint32_t tag = 100;
+  for (const std::size_t size : piece_edge_sizes()) {
+    const std::vector<std::uint8_t> payload = patterned_payload(size);
+    const std::vector<std::uint8_t> expected =
+        encode_frame(kDataMagic, tag, payload);
+    std::thread sender([&] { transport.send(1, tag, payload); });
+    std::vector<std::uint8_t> wire(expected.size());
+    const bool read_ok = read_exact(fds[1], wire.data(), wire.size());
+    // Ack it the way a peer endpoint would, so send() returns.
+    const std::vector<std::uint8_t> ack = encode_frame(kAckMagic, tag, {});
+    const bool ack_ok = write_exact(fds[1], ack, ack.size());
+    sender.join();
+    ASSERT_TRUE(read_ok && ack_ok) << "payload of " << size << " bytes";
+    EXPECT_TRUE(wire == expected) << "payload of " << size << " bytes";
+    ++tag;
+  }
+  EXPECT_EQ(transport.data_frames_sent(), piece_edge_sizes().size());
+  ::close(fds[1]);
+}
+
+TEST(SocketTransportTest, ReaderReassemblesFramesWrittenOneByteAtATime) {
+  // Every read boundary the kernel can produce: the peer writes each
+  // encoded frame one byte per write(2), and the reader must still deliver
+  // each payload intact and ack it.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketTransport transport(0, std::vector<int>{-1, fds[0]});
+  std::uint32_t tag = 200;
+  for (const std::size_t size : piece_edge_sizes()) {
+    const std::vector<std::uint8_t> payload = patterned_payload(size);
+    const std::vector<std::uint8_t> wire =
+        encode_frame(kDataMagic, tag, payload);
+    bool written = false;
+    std::thread peer([&] { written = write_exact(fds[1], wire, 1); });
+    const std::vector<std::uint8_t> got = transport.recv(1, tag);
+    peer.join();
+    ASSERT_TRUE(written) << "payload of " << size << " bytes";
+    ASSERT_EQ(got.size(), size);
+    // memcmp may not see the null data() of an empty vector.
+    EXPECT_TRUE(size == 0 ||
+                std::memcmp(got.data(), payload.data(), size) == 0)
+        << "payload of " << size << " bytes";
+    // The reader acks every accepted frame with its tag.
+    std::vector<std::uint8_t> ack(kFrameHeaderBytes + kFrameFooterBytes);
+    ASSERT_TRUE(read_exact(fds[1], ack.data(), ack.size()));
+    Frame frame;
+    ASSERT_EQ(try_decode_frame(ack, frame), ack.size());
+    EXPECT_TRUE(frame.is_ack());
+    EXPECT_EQ(frame.tag, tag);
+    ++tag;
+  }
+  ::close(fds[1]);
+}
+
+TEST(SocketTransportTest, CorruptLastPieceOrFooterPoisonsTheConnection) {
+  // A three-piece frame with one bit flipped in the last piece, or in the
+  // footer: the check runs only once every piece has arrived, and the
+  // frame must never be mailboxed.
+  constexpr std::size_t kSize = 2 * SocketTransport::kPieceBytes + 100;
+  const std::vector<std::uint8_t> payload = patterned_payload(kSize);
+  const std::vector<std::uint8_t> clean = encode_frame(kDataMagic, 9, payload);
+  for (const std::size_t at :
+       {kFrameHeaderBytes + kSize - 50, clean.size() - 2}) {
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    SocketTransport transport(0, std::vector<int>{-1, fds[0]});
+    std::vector<std::uint8_t> wire = clean;
+    wire[at] ^= 0x08;
+    bool written = false;
+    std::thread peer([&] { written = write_exact(fds[1], wire, wire.size()); });
+    EXPECT_THROW(transport.recv(1, 9), CheckError) << "bit flip at " << at;
+    peer.join();
+    EXPECT_TRUE(written);
+    ::close(fds[1]);
+  }
+}
+
+TEST(SocketTransportTest, PeerClosingMidPayloadUnblocksWithError) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketTransport transport(0, std::vector<int>{-1, fds[0]});
+  constexpr std::size_t kSize = 3 * SocketTransport::kPieceBytes;
+  const std::vector<std::uint8_t> wire =
+      encode_frame(kDataMagic, 4, patterned_payload(kSize));
+  // The header and half the payload arrive, then the peer vanishes.
+  const std::size_t cut = kFrameHeaderBytes + kSize / 2;
+  bool written = false;
+  std::thread peer([&] {
+    written = write_exact(fds[1], {wire.data(), cut}, cut);
+    ::close(fds[1]);
+  });
+  EXPECT_THROW(transport.recv(1, 4), CheckError);
+  peer.join();
+  EXPECT_TRUE(written);
+}
+
 TEST(SocketTransportTest, LoopbackMeshExchangesAllPairs) {
   // Three ranks over real loopback TCP via the example's mesh helpers:
   // every ordered pair exchanges one message tagged by the sender.
@@ -213,7 +361,9 @@ TEST(SocketTransportTest, LoopbackMeshExchangesAllPairs) {
     listeners[r] = bind_loopback_listener(&ports[r]);
   }
   std::vector<std::thread> ranks;
-  std::vector<bool> ok(kWorld, false);
+  // One byte per rank: vector<bool> packs the flags into one shared word,
+  // which the rank threads would race on.
+  std::vector<char> ok(kWorld, 0);
   for (std::size_t r = 0; r < kWorld; ++r) {
     ranks.emplace_back([&, r] {
       std::vector<int> fds = connect_socket_mesh(

@@ -40,7 +40,7 @@ SignSumAggregate aggregate_sign_sum(const std::vector<BitVector>& signs,
 /// Measures the Elias-γ bits/element of the growing sign-sum at every
 /// contribution count 1..M without handing back an aggregate — the
 /// size-measurement half of aggregate_sign_sum, for callers whose sum was
-/// already computed elsewhere (the sharded majority pipeline).  When
+/// already computed elsewhere (the sharded majority round).  When
 /// `final_sum` is non-null it must be the full M-contribution sum of
 /// `signs`; the last entry is then measured from it directly and the final
 /// accumulate is skipped (the sum is reused, not re-folded).  Entries are

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "compress/sign_sum.hpp"
 #include "net/crc32.hpp"
 #include "obs/trace.hpp"
-#include "parallel/shard.hpp"
 #include "util/check.hpp"
 
 namespace marsit {
@@ -171,7 +167,7 @@ WireFormat cascading_wire(const CostModel& model) {
 
 CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
                                        const WireFormat& wire,
-                                       NetworkSim& net, double start_time) {
+                                       NetworkSim& net) {
   const std::size_t m = num_workers;
   MARSIT_CHECK(m >= 2) << "ring all-reduce needs >= 2 workers";
   MARSIT_CHECK(net.num_nodes() >= m) << "network smaller than worker count";
@@ -187,7 +183,7 @@ CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
   // once per hop until it completes at worker s with M contributions.
   std::vector<double> ready(m);
   for (std::size_t s = 0; s < m; ++s) {
-    ready[s] = start_time + wire.initial_pack_seconds_per_element * seg;
+    ready[s] = wire.initial_pack_seconds_per_element * seg;
   }
   for (std::size_t step = 0; step + 1 < m; ++step) {
     for (std::size_t s = 0; s < m; ++s) {
@@ -199,8 +195,8 @@ CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
       timing.total_wire_bits += bits;
     }
   }
-  const double reduce_done = max_ready(ready, start_time);
-  trace_phase("reduce-scatter", start_time, reduce_done);
+  const double reduce_done = max_ready(ready, 0.0);
+  trace_phase("reduce-scatter", 0.0, reduce_done);
 
   // All-gather.  Finalized segment s leaves worker s and circulates M−1 hops.
   for (std::size_t step = 0; step + 1 < m; ++step) {
@@ -214,11 +210,11 @@ CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
     }
   }
 
-  const double last_arrival = max_ready(ready, start_time);
+  const double last_arrival = max_ready(ready, 0.0);
   trace_phase("all-gather", reduce_done, last_arrival);
   const double dd = static_cast<double>(d);
   timing.completion_seconds =
-      last_arrival + wire.final_unpack_seconds_per_element * dd - start_time;
+      last_arrival + wire.final_unpack_seconds_per_element * dd;
   timing.bits_per_worker = timing.total_wire_bits / static_cast<double>(m);
   // Critical path carries the first segment's pack, every hop's serial
   // processing, and the final unpack; packing the remaining segments and the
@@ -236,7 +232,7 @@ CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
 
 CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
                                         std::size_t d, const WireFormat& wire,
-                                        NetworkSim& net, double start_time) {
+                                        NetworkSim& net) {
   MARSIT_CHECK(rows >= 2 && cols >= 2) << "torus needs rows, cols >= 2";
   MARSIT_CHECK(net.num_nodes() >= rows * cols)
       << "network smaller than torus";
@@ -257,9 +253,7 @@ CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
       rows, std::vector<double>(cols, 0.0));
   for (std::size_t r = 0; r < rows; ++r) {
     std::vector<double> ready(cols,
-                              start_time +
-                                  wire.initial_pack_seconds_per_element *
-                                      seg_a);
+                              wire.initial_pack_seconds_per_element * seg_a);
     for (std::size_t step = 0; step + 1 < cols; ++step) {
       for (std::size_t s = 0; s < cols; ++s) {
         const std::size_t holder = topo.torus_node(r, (s + 1 + step) % cols);
@@ -274,11 +268,11 @@ CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
       ready_a[r][c] = ready[c];
     }
   }
-  double phase_a_done = start_time;
+  double phase_a_done = 0.0;
   for (const auto& row : ready_a) {
     phase_a_done = max_ready(row, phase_a_done);
   }
-  trace_phase("row reduce-scatter", start_time, phase_a_done);
+  trace_phase("row reduce-scatter", 0.0, phase_a_done);
 
   // Phase B: all-reduce along each column ring over the len_a chunk
   // (reduce-scatter into rows sub-chunks of len_b, then all-gather).  A
@@ -323,14 +317,14 @@ CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
       ready_b[r][c] = done;
     }
   }
-  double phase_b_done = start_time;
+  double phase_b_done = 0.0;
   for (const auto& row : ready_b) {
     phase_b_done = max_ready(row, phase_b_done);
   }
   trace_phase("column all-reduce", phase_a_done, phase_b_done);
 
   // Phase C: all-gather along each row ring (cols chunks of len_a).
-  double last_arrival = start_time;
+  double last_arrival = 0.0;
   for (std::size_t r = 0; r < rows; ++r) {
     std::vector<double> ready(cols);
     for (std::size_t s = 0; s < cols; ++s) {
@@ -355,7 +349,7 @@ CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
   const double dd = static_cast<double>(d);
   const std::size_t m = rows * cols;
   timing.completion_seconds =
-      last_arrival + wire.final_unpack_seconds_per_element * dd - start_time;
+      last_arrival + wire.final_unpack_seconds_per_element * dd;
   timing.bits_per_worker = timing.total_wire_bits / static_cast<double>(m);
   const double hop_elems = static_cast<double>(cols - 1) * seg_a +
                            static_cast<double>(rows - 1) * seg_b;
@@ -371,8 +365,7 @@ CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
 }
 
 CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                     const WireFormat& wire, NetworkSim& net,
-                                     double start_time) {
+                                     const WireFormat& wire, NetworkSim& net) {
   const std::size_t m = num_workers;
   MARSIT_CHECK(m >= 1) << "PS needs at least one worker";
   MARSIT_CHECK(net.num_nodes() >= m + 1)
@@ -387,10 +380,9 @@ CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
 
   // Push: every worker sends its whole (single-contribution) payload; the
   // server ingress NIC serializes them.
-  double all_pushed = start_time;
+  double all_pushed = 0.0;
   for (std::size_t w = 0; w < m; ++w) {
-    const double ready =
-        start_time + wire.initial_pack_seconds_per_element * dd;
+    const double ready = wire.initial_pack_seconds_per_element * dd;
     const double bits = wire.reduce_bits(d, 1);
     const double arrival =
         net.transfer_bits(w, server, bits, ready, /*server_endpoint=*/true);
@@ -398,7 +390,7 @@ CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
     timing.total_wire_bits += bits;
   }
 
-  trace_phase("push", start_time, all_pushed);
+  trace_phase("push", 0.0, all_pushed);
 
   // Server-side aggregation of M payloads.
   const double aggregated =
@@ -418,7 +410,7 @@ CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
   trace_phase("broadcast", aggregated, last_arrival);
 
   timing.completion_seconds =
-      last_arrival + wire.final_unpack_seconds_per_element * dd - start_time;
+      last_arrival + wire.final_unpack_seconds_per_element * dd;
   timing.bits_per_worker = timing.total_wire_bits / static_cast<double>(m);
   // PS workers pack the whole payload before pushing (no segment
   // pipelining) and unpack the broadcast at the end: all serial.
@@ -431,7 +423,7 @@ CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
 
 CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
                                        const WireFormat& wire,
-                                       NetworkSim& net, double start_time) {
+                                       NetworkSim& net) {
   const std::size_t m = num_workers;
   MARSIT_CHECK(m >= 2) << "tree all-reduce needs >= 2 workers";
   MARSIT_CHECK(net.num_nodes() >= m) << "network smaller than worker count";
@@ -443,9 +435,7 @@ CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
 
   // ready[w]: when worker w's current aggregate is available;
   // weight[w]: how many workers that aggregate stands for.
-  std::vector<double> ready(m,
-                            start_time +
-                                wire.initial_pack_seconds_per_element * dd);
+  std::vector<double> ready(m, wire.initial_pack_seconds_per_element * dd);
   std::vector<std::size_t> weight(m, 1);
   std::size_t levels = 0;
 
@@ -463,8 +453,8 @@ CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
       timing.total_wire_bits += bits;
     }
   }
-  const double reduce_done = max_ready(ready, start_time);
-  trace_phase("tree reduce", start_time, reduce_done);
+  const double reduce_done = max_ready(ready, 0.0);
+  trace_phase("tree reduce", 0.0, reduce_done);
 
   // Broadcast the finalized aggregate back down the same tree (largest
   // reduce stride first).
@@ -481,12 +471,12 @@ CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
     }
   }
 
-  double last_arrival = start_time;
+  double last_arrival = 0.0;
   for (std::size_t w = 0; w < m; ++w) {
     last_arrival = std::max(last_arrival, ready[w]);
   }
   timing.completion_seconds =
-      last_arrival + wire.final_unpack_seconds_per_element * dd - start_time;
+      last_arrival + wire.final_unpack_seconds_per_element * dd;
   timing.bits_per_worker = timing.total_wire_bits / static_cast<double>(m);
   // Interior nodes fold up to ⌈log2 M⌉ aggregates; charge the root's share
   // as the representative worker.
@@ -498,158 +488,6 @@ CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
       static_cast<double>(levels) * dd * wire.overlapped_seconds_per_element;
   retrans.record_into(timing, net);
   return timing;
-}
-
-namespace {
-
-/// Temporarily uninstalls the trace session.  The pipelined composition's
-/// serial-reference measurement replays every chunk on a scratch simulator;
-/// without this guard those phantom schedules would emit phase/hop spans.
-class TraceSuppressScope {
- public:
-  TraceSuppressScope() : saved_(obs::TraceSession::current()) {
-    obs::TraceSession::install(nullptr);
-  }
-  ~TraceSuppressScope() { obs::TraceSession::install(saved_); }
-  TraceSuppressScope(const TraceSuppressScope&) = delete;
-  TraceSuppressScope& operator=(const TraceSuppressScope&) = delete;
-
- private:
-  obs::TraceSession* saved_;
-};
-
-/// Emits one pipeline-lane span ("stage" category).  Lane tracks sit above
-/// the fabric-node tracks: 1 + num_nodes + lane.
-void trace_stage(const char* name, std::size_t chunk, double local_start,
-                 double local_end, std::size_t num_nodes, std::size_t lane) {
-  if (obs::TraceSession* trace = obs::TraceSession::current()) {
-    const double offset = trace->time_offset();
-    trace->add_span(std::string(name) + " chunk " + std::to_string(chunk),
-                    "stage", offset + local_start, offset + local_end,
-                    static_cast<std::uint32_t>(1 + num_nodes + lane));
-  }
-}
-
-}  // namespace
-
-CollectiveTiming pipelined_collective_timing(
-    std::size_t d, std::size_t chunk_elements, const WireFormat& wire,
-    NetworkSim& net, const ChunkCollectiveFn& collective,
-    std::span<const double> chunk_ready,
-    std::vector<ChunkStageTiming>* stages_out) {
-  const ShardPlan plan(d, chunk_elements);
-  const std::size_t num_chunks = plan.num_chunks();
-  MARSIT_CHECK(num_chunks >= 1) << "pipelined timing over an empty payload";
-  MARSIT_CHECK(chunk_ready.empty() || chunk_ready.size() == num_chunks)
-      << "chunk_ready carries " << chunk_ready.size() << " entries for "
-      << num_chunks << " chunks";
-
-  // Pack and fold live in their own lanes; the sub-collectives must not
-  // charge them again.
-  WireFormat wire_chunk = wire;
-  wire_chunk.initial_pack_seconds_per_element = 0.0;
-  wire_chunk.final_unpack_seconds_per_element = 0.0;
-
-  // Serial reference: the same chunk on a fresh, fault-free fabric.  Cached
-  // per chunk *geometry*, not per element count alone — a ChunkCollectiveFn
-  // may dispatch different topologies/schedules by chunk index, and two
-  // same-size chunks on different schedules must not share a serial time.
-  // The key is the geometry fingerprint observed on the live run: element
-  // count, hop (message) count, and wire bits, which together pin topology,
-  // schedule shape, and payload width without callers having to declare
-  // them.  For uniform plans this still collapses to at most two entries
-  // (body and tail).
-  NetworkSim scratch(net.num_nodes(), net.cost_model());
-  using SerialKey = std::tuple<std::size_t, std::size_t, double>;
-  std::map<SerialKey, double> serial_cache;
-  const auto serial_transfer_seconds = [&](std::size_t chunk_index,
-                                           std::size_t elements,
-                                           std::size_t live_messages,
-                                           double live_wire_bits) {
-    const SerialKey key{elements, live_messages, live_wire_bits};
-    const auto found = serial_cache.find(key);
-    if (found != serial_cache.end()) {
-      return found->second;
-    }
-    const TraceSuppressScope quiet;
-    scratch.reset();
-    const double seconds =
-        collective(chunk_index, elements, wire_chunk, scratch, 0.0)
-            .completion_seconds;
-    serial_cache.emplace(key, seconds);
-    return seconds;
-  };
-
-  const double pack_spe = wire.initial_pack_seconds_per_element;
-  const double unpack_spe = wire.final_unpack_seconds_per_element;
-
-  CollectiveTiming total;
-  if (stages_out != nullptr) {
-    stages_out->clear();
-    stages_out->reserve(num_chunks);
-  }
-  double pack_cursor = 0.0;
-  double fold_cursor = 0.0;
-  double serial_total = 0.0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const Shard shard = plan.chunk(c);
-    const double n = static_cast<double>(shard.size());
-
-    ChunkStageTiming stage;
-    stage.chunk = c;
-    stage.elements = shard.size();
-    const double ready = chunk_ready.empty() ? 0.0 : chunk_ready[c];
-    stage.pack_start = std::max(pack_cursor, ready);
-    stage.pack_end = stage.pack_start + pack_spe * n;
-    pack_cursor = stage.pack_end;
-
-    // The shared simulator serializes this chunk behind whatever NIC time
-    // earlier chunks still hold, and applies the attached fault plan per
-    // chunk-message — a lost chunk-message's retry stalls only this slot.
-    const std::size_t messages_before = net.total_messages();
-    const CollectiveTiming t =
-        collective(c, shard.size(), wire_chunk, net, stage.pack_end);
-    const std::size_t chunk_messages = net.total_messages() - messages_before;
-    stage.transfer_start = stage.pack_end;
-    stage.transfer_end = stage.pack_end + t.completion_seconds;
-
-    stage.fold_start = std::max(stage.transfer_end, fold_cursor);
-    stage.fold_end = stage.fold_start + unpack_spe * n;
-    fold_cursor = stage.fold_end;
-
-    serial_total += pack_spe * n +
-                    serial_transfer_seconds(c, shard.size(), chunk_messages,
-                                            t.total_wire_bits) +
-                    unpack_spe * n;
-
-    total.total_wire_bits += t.total_wire_bits;
-    total.bits_per_worker += t.bits_per_worker;
-    total.retransmitted_wire_bits += t.retransmitted_wire_bits;
-    total.retransmissions += t.retransmissions;
-    // With pack/unpack zeroed in wire_chunk the sub-collective's serial
-    // share is the per-hop processing only; the pack and fold lanes are
-    // this worker's remaining critical-path compression work.
-    total.serial_compression_seconds_per_worker +=
-        pack_spe * n + t.serial_compression_seconds_per_worker +
-        unpack_spe * n;
-    total.overlapped_compression_seconds_per_worker +=
-        t.overlapped_compression_seconds_per_worker;
-
-    trace_stage("pack", c, stage.pack_start, stage.pack_end, net.num_nodes(),
-                0);
-    trace_stage("transfer", c, stage.transfer_start, stage.transfer_end,
-                net.num_nodes(), 1);
-    trace_stage("fold", c, stage.fold_start, stage.fold_end, net.num_nodes(),
-                2);
-    if (stages_out != nullptr) {
-      stages_out->push_back(stage);
-    }
-  }
-
-  total.completion_seconds = fold_cursor;
-  total.serial_completion_seconds = serial_total;
-  total.pipeline_chunks = num_chunks;
-  return total;
 }
 
 }  // namespace marsit

@@ -18,8 +18,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "net/cost_model.hpp"
 #include "net/network_sim.hpp"
@@ -105,79 +103,37 @@ struct CollectiveTiming {
   double retransmitted_wire_bits = 0.0;
   /// Lost-and-retried transmission attempts this collective.
   std::size_t retransmissions = 0;
-  /// Sum-of-stages serial reference of a pipelined collective: what the
-  /// same chunks would cost run strictly pack → transfer → fold, one chunk
-  /// after another (measured fault-free on a scratch simulator).  0 when
-  /// the collective was not pipelined; then completion_seconds IS the
-  /// serial figure.  completion_seconds <= serial_completion_seconds on
-  /// every fault-free pipelined round (DESIGN.md §12).
-  double serial_completion_seconds = 0.0;
-  /// Chunks the pipelined composition priced (0 = unpipelined).
-  std::size_t pipeline_chunks = 0;
 
   /// Total per-worker compression seconds — the red bars of Figures 1a/5.
   double compression_seconds_per_worker() const {
     return serial_compression_seconds_per_worker +
            overlapped_compression_seconds_per_worker;
   }
-  /// The serial round figure: the sum-of-stages reference when pipelined,
-  /// completion itself otherwise.
-  double serial_or_completion_seconds() const {
-    return serial_completion_seconds > 0.0 ? serial_completion_seconds
-                                           : completion_seconds;
-  }
-  /// Pure transfer share of the serial decomposition (what the blue bars
-  /// show).  Uses the serial reference so the phase bars of a pipelined
-  /// run still sum to the serial total, with the overlap reported
-  /// separately (PhaseTimes::overlapped).
+  /// Pure transfer share of the round (what the blue bars show).
   double communication_seconds() const {
     const double value =
-        serial_or_completion_seconds() - serial_compression_seconds_per_worker;
+        completion_seconds - serial_compression_seconds_per_worker;
     return value > 0.0 ? value : 0.0;
   }
 };
 
-/// Per-chunk lane times of one pipelined collective, all collective-local
-/// seconds (the installed trace session's time_offset places them
-/// globally).  pack is the sender-side sign/stochastic packing, transfer
-/// the chunk's whole sub-collective on the shared fabric, fold the
-/// receiver-side unpack/apply.  Surfaced on SyncStepResult so fig5-style
-/// plots can draw serial vs overlapped bars from one run.
-struct ChunkStageTiming {
-  std::size_t chunk = 0;
-  std::size_t elements = 0;
-  double pack_start = 0.0;
-  double pack_end = 0.0;
-  /// When the chunk's payload was handed to the fabric (the transfer lane
-  /// may additionally wait for NICs still busy with earlier chunks; that
-  /// wait is part of [transfer_start, transfer_end]).
-  double transfer_start = 0.0;
-  double transfer_end = 0.0;
-  double fold_start = 0.0;
-  double fold_end = 0.0;
-};
-
 /// Ring all-reduce: reduce-scatter (M−1 steps) + all-gather (M−1 steps) over
-/// M segments of ⌈D/M⌉ elements.  `start_time` is when every worker's
-/// payload is ready (gradient computed).
+/// M segments of ⌈D/M⌉ elements, every worker's payload ready at time 0.
 CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
                                        const WireFormat& wire,
-                                       NetworkSim& net,
-                                       double start_time = 0.0);
+                                       NetworkSim& net);
 
 /// 2-D torus all-reduce: row reduce-scatter, column all-reduce, row
 /// all-gather (Mikami et al.).  Workers = rows×cols.
 CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
                                         std::size_t d, const WireFormat& wire,
-                                        NetworkSim& net,
-                                        double start_time = 0.0);
+                                        NetworkSim& net);
 
 /// Parameter server: M pushes serialized through the server ingress NIC,
 /// aggregation, M broadcasts serialized through its egress NIC.  The network
 /// must have been built with num_workers+1 nodes (last = server).
 CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                     const WireFormat& wire, NetworkSim& net,
-                                     double start_time = 0.0);
+                                     const WireFormat& wire, NetworkSim& net);
 
 /// Binomial-tree all-reduce (the paper's "can be easily extended to ...
 /// tree all-reduce"): ⌈log2 M⌉ reduce levels (node i+2^l sends its
@@ -187,54 +143,6 @@ CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
 /// aggregates, so sign-sum payloads grow just like on the ring.
 CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
                                        const WireFormat& wire,
-                                       NetworkSim& net,
-                                       double start_time = 0.0);
-
-// Pipelined composition ------------------------------------------------------
-
-/// One chunk's sub-collective: schedule a full collective for `elements`
-/// elements on `net`, with every worker's (already packed) payload ready at
-/// `start_time`.  The pipelined composition invokes it with a wire format
-/// whose initial-pack and final-unpack rates are zeroed — those phases live
-/// in the pack and fold lanes.  `chunk_index` is the chunk's position in the
-/// ShardPlan grid so mixed-geometry chunk plans (e.g. a different topology
-/// or schedule per chunk) are expressible; uniform callers ignore it.
-using ChunkCollectiveFn = std::function<CollectiveTiming(
-    std::size_t chunk_index, std::size_t elements, const WireFormat& wire,
-    NetworkSim& net, double start_time)>;
-
-/// Prices a d-element collective as a chunked three-lane pipeline
-/// (DESIGN.md §12).  The chunk grid is ShardPlan(d, chunk_elements) — the
-/// same grid the execution pipeline shards over.  Lanes:
-///
-///   pack:     one worker packs chunks in order;
-///             pack_end(c) = max(pack_end(c−1), chunk_ready[c]) + pack·n_c
-///   transfer: chunk c's whole sub-collective issued on the *shared* `net`
-///             at pack_end(c) — NICs still draining chunk c−1 delay it
-///             naturally, and the attached fault plan applies per
-///             chunk-message (a retry stalls only that chunk's slot)
-///   fold:     unpacks finished chunks in order;
-///             fold_end(c) = max(transfer_end(c), fold_end(c−1)) + unpack·n_c
-///
-/// completion_seconds is fold_end(last) — the max-of-stages round time.
-/// serial_completion_seconds is Σ_c (pack·n_c + T_serial(c) + unpack·n_c)
-/// with T_serial measured fault-free on a scratch simulator: the strictly
-/// sequential sum-of-stages reference over the same chunks (readiness gaps
-/// from `chunk_ready` are excluded — callers modelling compute add it to
-/// the serial figure themselves).  The serial reference is cached per chunk
-/// *geometry* — element count plus the live run's observed hop count and
-/// wire bits — so two same-size chunks scheduled over different topologies
-/// each get their own measurement.
-///
-/// `chunk_ready` (optional, else all 0) gives per-chunk payload readiness —
-/// e.g. per-bucket gradient availability — letting pack overlap compute.
-/// Emits per-chunk "stage" trace spans on three lanes above the fabric-node
-/// tracks when a trace session is installed.  Outputs of the round are
-/// unaffected: this function only prices time.
-CollectiveTiming pipelined_collective_timing(
-    std::size_t d, std::size_t chunk_elements, const WireFormat& wire,
-    NetworkSim& net, const ChunkCollectiveFn& collective,
-    std::span<const double> chunk_ready = {},
-    std::vector<ChunkStageTiming>* stages_out = nullptr);
+                                       NetworkSim& net);
 
 }  // namespace marsit

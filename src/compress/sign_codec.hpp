@@ -67,7 +67,7 @@ BitVector ssdm_pack(std::span<const float> g, Rng& rng,
 BitVector ssdm_pack_scalar(std::span<const float> g, Rng& rng,
                            std::size_t block = 0);
 
-/// Word-span form of ssdm_pack for the sharded pipeline: packs `g` (which
+/// Word-span form of ssdm_pack for the sharded rounds: packs `g` (which
 /// must start on a block boundary of the *caller's* blocking scheme) into
 /// `words`, words.size() == ⌈g.size()/64⌉.  block = 0 treats g as one block.
 void ssdm_pack_words(std::span<const float> g, Rng& rng, std::size_t block,

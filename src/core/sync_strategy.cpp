@@ -10,7 +10,7 @@
 #include "net/crc32.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/pipeline.hpp"
+#include "parallel/scratch_arena.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -296,52 +296,30 @@ const WorkerSpans& SyncStrategy::active_inputs(const WorkerSpans& inputs) {
   return active_scratch_;
 }
 
-CollectiveTiming SyncStrategy::base_collective_timing(std::size_t d,
-                                                      const WireFormat& wire,
-                                                      NetworkSim& net,
-                                                      double start_time) {
+CollectiveTiming SyncStrategy::mar_timing(std::size_t d,
+                                          const WireFormat& wire) {
   const std::size_t m = active_.size();
   switch (config_.paradigm) {
     case MarParadigm::kRing:
-      return ring_allreduce_timing(m, d, wire, net, start_time);
+      return ring_allreduce_timing(m, d, wire, net_);
     case MarParadigm::kTorus2d: {
       // A degraded torus re-forms as a smaller torus while the survivors
       // still fill whole rows, else the round runs as a ring of survivors.
       const std::size_t rows = torus_rows_for(config_.torus_cols, m);
       if (rows == 0) {
-        return ring_allreduce_timing(m, d, wire, net, start_time);
+        return ring_allreduce_timing(m, d, wire, net_);
       }
       MARSIT_VALIDATE_CALL(
           validate::torus_shape(rows, config_.torus_cols, m));
-      return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net,
-                                    start_time);
+      return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net_);
     }
     case MarParadigm::kParameterServer:
-      return ps_allreduce_timing(m, d, wire, net, start_time);
+      return ps_allreduce_timing(m, d, wire, net_);
     case MarParadigm::kTree:
-      return tree_allreduce_timing(m, d, wire, net, start_time);
+      return tree_allreduce_timing(m, d, wire, net_);
   }
   MARSIT_CHECK(false) << "unreachable paradigm";
   return {};
-}
-
-CollectiveTiming SyncStrategy::mar_timing(
-    std::size_t d, const WireFormat& wire,
-    std::vector<ChunkStageTiming>* chunk_stages) {
-  if (chunk_stages != nullptr) {
-    chunk_stages->clear();
-  }
-  if (!config_.pipeline_overlap) {
-    return base_collective_timing(d, wire, net_, 0.0);
-  }
-  return pipelined_collective_timing(
-      d, config_.shard_chunk_elements, wire, net_,
-      [this](std::size_t /*chunk_index*/, std::size_t elements,
-             const WireFormat& chunk_wire, NetworkSim& net,
-             double start_time) {
-        return base_collective_timing(elements, chunk_wire, net, start_time);
-      },
-      /*chunk_ready=*/{}, chunk_stages);
 }
 
 Rng SyncStrategy::round_rng() const {
@@ -375,8 +353,7 @@ SyncStepResult PsgdSync::do_synchronize(const WorkerSpans& inputs,
   // denominator automatically.
   aggregate_mean(active_inputs(inputs), out);
   SyncStepResult result;
-  result.timing =
-      mar_timing(out.size(), full_precision_wire(), &result.chunk_stages);
+  result.timing = mar_timing(out.size(), full_precision_wire());
   result.full_precision = true;
   result.bits_per_element = 32.0;
   return result;
@@ -434,7 +411,7 @@ SignSumWireInfo sign_sum_wire_info(const SyncConfig& config,
 /// Geometry + knobs of one sharded majority round (signSGD-MV, SSDM-MAR,
 /// SSDM-PS): every chunk packs all workers, accumulates the sign-sum,
 /// majority-votes and unpacks — chunk-locally, with its own rng stream.
-struct MajorityPipeline {
+struct MajorityRound {
   float eta_s = 0.0f;
   /// false → deterministic signs (rng untouched); true → SSDM stochastic
   /// signs with block-local norms.
@@ -453,8 +430,7 @@ struct MajorityPipeline {
 /// depend on whether a refresh happened.
 void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
                            std::vector<BitVector>* signs_out,
-                           std::span<float> out,
-                           const MajorityPipeline& cfg) {
+                           std::span<float> out, const MajorityRound& cfg) {
   const std::size_t d = out.size();
   const std::size_t m = inputs.size();
   const ShardPlan plan(d, cfg.chunk_elements);
@@ -472,53 +448,41 @@ void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
     signs_out->assign(m, BitVector(d));
   }
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
-  // Two-lane pipeline over the chunk grid: while chunk c's votes are being
-  // tallied, chunk c+1 is already packing — the same wavefront the timing
-  // model prices (DESIGN.md §12).  Stage scratch comes from the per-thread
+  // One task per chunk (DESIGN.md §12).  Scratch comes from the thread's
   // arena, so the steady-state hot loop performs zero heap allocations
   // (ScratchArena::total_grows() is the counting hook the tests pin).
-  const PipelineStage stages[] = {
-      // pack: compress every worker's chunk and accumulate the sign-sum.
-      // All rng consumption lives here, in worker order, exactly as the
-      // serial loop consumed it.
-      {[&](std::size_t c, ScratchArena& arena) {
-        const Shard shard = plan.chunk(c);
-        const std::size_t n = shard.size();
-        const std::size_t w0 = shard.word_begin();
-        const std::size_t nw = shard.num_words();
-        auto values = sum.values_mut().subspan(shard.begin, n);
-        std::fill(values.begin(), values.end(), 0);
-        Rng rng = marsit_chunk_rng(cfg.round_seed, c);
-        const std::span<std::uint64_t> scratch_span =
-            signs_out == nullptr ? arena.words(nw)
-                                 : std::span<std::uint64_t>{};
-        for (std::size_t w = 0; w < m; ++w) {
-          const std::span<std::uint64_t> words =
-              signs_out != nullptr ? (*signs_out)[w].words().subspan(w0, nw)
-                                   : scratch_span;
-          if (cfg.stochastic) {
-            ssdm_pack_words(inputs[w].subspan(shard.begin, n), rng,
-                            cfg.ssdm_block, words);
-          } else {
-            kernels::pack_signs_words(inputs[w].subspan(shard.begin, n),
-                                      words);
-          }
-          kernels::accumulate_counts_words(words, values);
-        }
-      }},
-      // vote: majority over the tallied counts, decoded into the output.
-      {[&](std::size_t c, ScratchArena& arena) {
-        const Shard shard = plan.chunk(c);
-        const std::size_t n = shard.size();
-        const std::span<std::uint64_t> verdict =
-            arena.words(shard.num_words());
-        kernels::majority_words(sum.values_mut().subspan(shard.begin, n),
-                                verdict);
-        kernels::unpack_signs_words(verdict, cfg.eta_s,
-                                    out.subspan(shard.begin, n));
-      }},
-  };
-  run_chunk_pipeline(*cfg.pool, plan.num_chunks(), stages);
+  parallel_for(*cfg.pool, plan.num_chunks(), [&](std::size_t c) {
+    ScratchArena& arena = this_thread_arena();
+    arena.reset();
+    const Shard shard = plan.chunk(c);
+    const std::size_t n = shard.size();
+    const std::size_t w0 = shard.word_begin();
+    const std::size_t nw = shard.num_words();
+    // Pack every worker's chunk and tally the sign-sum.  All rng
+    // consumption lives here, in worker order, on the chunk's own stream.
+    auto values = sum.values_mut().subspan(shard.begin, n);
+    std::fill(values.begin(), values.end(), 0);
+    Rng rng = marsit_chunk_rng(cfg.round_seed, c);
+    const std::span<std::uint64_t> scratch =
+        signs_out == nullptr ? arena.words(nw) : std::span<std::uint64_t>{};
+    for (std::size_t w = 0; w < m; ++w) {
+      const std::span<std::uint64_t> words =
+          signs_out != nullptr ? (*signs_out)[w].words().subspan(w0, nw)
+                               : scratch;
+      if (cfg.stochastic) {
+        ssdm_pack_words(inputs[w].subspan(shard.begin, n), rng,
+                        cfg.ssdm_block, words);
+      } else {
+        kernels::pack_signs_words(inputs[w].subspan(shard.begin, n), words);
+      }
+      kernels::accumulate_counts_words(words, values);
+    }
+    // Vote: majority over the tallied counts, decoded into the output.
+    const std::span<std::uint64_t> verdict = arena.words(nw);
+    kernels::majority_words(values, verdict);
+    kernels::unpack_signs_words(verdict, cfg.eta_s,
+                                out.subspan(shard.begin, n));
+  });
   sum.set_contributions(m);
 }
 
@@ -552,16 +516,16 @@ SyncStepResult SignSgdMvSync::do_synchronize(const WorkerSpans& inputs,
     sum_ = SignSum(d);
   }
   const bool refresh = elias_refresh_due(config_, round_, cached_elias_bpe_);
-  MajorityPipeline pipeline;
-  pipeline.eta_s = eta_s_;
-  pipeline.pool = &strategy_pool(config_);
-  pipeline.chunk_elements = config_.shard_chunk_elements;
+  MajorityRound majority;
+  majority.eta_s = eta_s_;
+  majority.pool = &strategy_pool(config_);
+  majority.chunk_elements = config_.shard_chunk_elements;
   // Majority-vote over the survivors; absent workers simply cast no vote.
   sharded_majority_sync(active_inputs(inputs), sum_,
-                        refresh ? &signs_ : nullptr, out, pipeline);
+                        refresh ? &signs_ : nullptr, out, majority);
   if (refresh) {
     // Size measurement only — the sign-sum itself was already computed by
-    // the sharded pipeline and is reused, not re-folded.
+    // the sharded round and is reused, not re-folded.
     cached_elias_bpe_ = measure_elias_bits_per_element(signs_, &sum_);
     note_elias_refresh(round_);
   }
@@ -569,7 +533,7 @@ SyncStepResult SignSgdMvSync::do_synchronize(const WorkerSpans& inputs,
       sign_sum_wire_info(config_, cached_elias_bpe_, 0, active_workers().size());
 
   SyncStepResult result;
-  result.timing = mar_timing(d, info.wire, &result.chunk_stages);
+  result.timing = mar_timing(d, info.wire);
   result.bits_per_element = info.bits_per_element;
   return result;
 }
@@ -620,7 +584,7 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   // Whole-vector pre-pass: the compressor scale is the *global* ‖p‖₁/d, so
   // it cannot be computed chunk-locally.  Float order matches the previous
   // serial loop (add, then the scale reduction, per worker in turn).  The
-  // add runs in place: from here to the finalize stage e_m holds p.
+  // add runs in place: from here to the error-feedback update e_m holds p.
   double scale_sum = 0.0;
   for (std::size_t i = 0; i < s; ++i) {
     const std::size_t w = active[i];
@@ -631,60 +595,49 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   const float mean_scale =
       static_cast<float>(scale_sum / static_cast<double>(s));
 
-  // Sharded two-lane pipeline (same wavefront as sharded_majority_sync):
-  // pack accumulates the sign-sum, finalize decodes the mean and runs the
-  // per-worker error-feedback update — all chunk-local, no rng anywhere, so
-  // the outputs are bit-identical to the old whole-vector loop.  Finalize
-  // writes chunk c of e_m while pack reads chunk c + 1: disjoint memory.
+  // One task per chunk (DESIGN.md §12): pack and tally the sign-sum, then
+  // decode the mean and run the per-worker error-feedback update — all
+  // chunk-local and rng-free, so the outputs are the same for any pool size
+  // and chunk size.
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   const float inv_s = 1.0f / static_cast<float>(s);
-  ThreadPool& pool = strategy_pool(config_);
-  const PipelineStage stages[] = {
-      {[&](std::size_t c, ScratchArena& /*arena*/) {
-        const Shard shard = plan.chunk(c);
-        const std::size_t n = shard.size();
-        const std::size_t w0 = shard.word_begin();
-        const std::size_t nw = shard.num_words();
-        auto values = sum_.values_mut().subspan(shard.begin, n);
-        std::fill(values.begin(), values.end(), 0);
-        for (std::size_t i = 0; i < s; ++i) {
-          const std::size_t w = active[i];
-          const std::span<std::uint64_t> words =
-              signs_[i].words().subspan(w0, nw);
-          kernels::pack_signs_words(
-              error_[w].span().subspan(shard.begin, n), words);
-          kernels::accumulate_counts_words(words, values);
-        }
-      }},
-      {[&](std::size_t c, ScratchArena& arena) {
-        const Shard shard = plan.chunk(c);
-        const std::size_t n = shard.size();
-        const std::size_t w0 = shard.word_begin();
-        const std::size_t nw = shard.num_words();
-        // Decode the mean exactly as SignSum::mean_into + scale() did:
-        // int sum → ·(1/s) first, the mean scale as a separate multiply.
-        const auto values = sum_.values_mut().subspan(shard.begin, n);
-        const auto out_chunk = out.subspan(shard.begin, n);
-        for (std::size_t el = 0; el < n; ++el) {
-          out_chunk[el] = static_cast<float>(values[el]) * inv_s;
-        }
-        scale(out_chunk, mean_scale);
-        // e_m ← p − decode(scale_m, signs_m), chunk-locally per survivor.
-        const std::span<float> delta = arena.floats(n);
-        for (std::size_t i = 0; i < s; ++i) {
-          const auto error = error_[active[i]].span().subspan(shard.begin, n);
-          kernels::unpack_signs_words(signs_[i].words().subspan(w0, nw),
-                                      scales_[i], delta);
-          sub(error, delta, error);
-        }
-      }},
-  };
-  run_chunk_pipeline(pool, plan.num_chunks(), stages);
+  parallel_for(strategy_pool(config_), plan.num_chunks(), [&](std::size_t c) {
+    ScratchArena& arena = this_thread_arena();
+    arena.reset();
+    const Shard shard = plan.chunk(c);
+    const std::size_t n = shard.size();
+    const std::size_t w0 = shard.word_begin();
+    const std::size_t nw = shard.num_words();
+    auto values = sum_.values_mut().subspan(shard.begin, n);
+    std::fill(values.begin(), values.end(), 0);
+    for (std::size_t i = 0; i < s; ++i) {
+      const std::span<std::uint64_t> words =
+          signs_[i].words().subspan(w0, nw);
+      kernels::pack_signs_words(
+          error_[active[i]].span().subspan(shard.begin, n), words);
+      kernels::accumulate_counts_words(words, values);
+    }
+    // Decode the mean exactly as SignSum::mean_into + scale() did: int sum
+    // → ·(1/s) first, the mean scale as a separate multiply.
+    const auto out_chunk = out.subspan(shard.begin, n);
+    for (std::size_t el = 0; el < n; ++el) {
+      out_chunk[el] = static_cast<float>(values[el]) * inv_s;
+    }
+    scale(out_chunk, mean_scale);
+    // e_m ← p − decode(scale_m, signs_m), chunk-locally per survivor.
+    const std::span<float> delta = arena.floats(n);
+    for (std::size_t i = 0; i < s; ++i) {
+      const auto error = error_[active[i]].span().subspan(shard.begin, n);
+      kernels::unpack_signs_words(signs_[i].words().subspan(w0, nw),
+                                  scales_[i], delta);
+      sub(error, delta, error);
+    }
+  });
   sum_.set_contributions(s);
 
   if (elias_refresh_due(config_, round_, cached_elias_bpe_)) {
-    // Size measurement only — bit-identical to the aggregate the pipeline
+    // Size measurement only — bit-identical to the aggregate the round
     // already produced, so the round's output does not depend on whether a
     // refresh happened.
     cached_elias_bpe_ = measure_elias_bits_per_element(signs_, &sum_);
@@ -696,7 +649,7 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
       sign_sum_wire_info(config_, cached_elias_bpe_, 1, s);
 
   SyncStepResult result;
-  result.timing = mar_timing(d, info.wire, &result.chunk_stages);
+  result.timing = mar_timing(d, info.wire);
   result.bits_per_element = info.bits_per_element;
   return result;
 }
@@ -729,17 +682,17 @@ SyncStepResult SsdmMarSync::do_synchronize(const WorkerSpans& inputs,
     sum_ = SignSum(d);
   }
   const bool refresh = elias_refresh_due(config_, round_, cached_elias_bpe_);
-  MajorityPipeline pipeline;
-  pipeline.eta_s = eta_s_;
-  pipeline.stochastic = true;
-  pipeline.ssdm_block = kSsdmBlock;
-  pipeline.round_seed = derive_seed(config_.seed, round_);
-  pipeline.pool = &strategy_pool(config_);
-  pipeline.chunk_elements = config_.shard_chunk_elements;
+  MajorityRound majority;
+  majority.eta_s = eta_s_;
+  majority.stochastic = true;
+  majority.ssdm_block = kSsdmBlock;
+  majority.round_seed = derive_seed(config_.seed, round_);
+  majority.pool = &strategy_pool(config_);
+  majority.chunk_elements = config_.shard_chunk_elements;
   sharded_majority_sync(active_inputs(inputs), sum_,
-                        refresh ? &signs_ : nullptr, out, pipeline);
+                        refresh ? &signs_ : nullptr, out, majority);
   if (refresh) {
-    // Size measurement only — the sharded pipeline's sum is reused.
+    // Size measurement only — the sharded round's sum is reused.
     cached_elias_bpe_ = measure_elias_bits_per_element(signs_, &sum_);
     note_elias_refresh(round_);
   }
@@ -747,7 +700,7 @@ SyncStepResult SsdmMarSync::do_synchronize(const WorkerSpans& inputs,
       sign_sum_wire_info(config_, cached_elias_bpe_, 0, active_workers().size());
 
   SyncStepResult result;
-  result.timing = mar_timing(d, info.wire, &result.chunk_stages);
+  result.timing = mar_timing(d, info.wire);
   result.bits_per_element = info.bits_per_element;
   return result;
 }
@@ -771,14 +724,14 @@ SyncStepResult SsdmPsSync::do_synchronize(const WorkerSpans& inputs,
   if (sum_.size() != d) {
     sum_ = SignSum(d);
   }
-  MajorityPipeline pipeline;
-  pipeline.eta_s = eta_s_;
-  pipeline.stochastic = true;
-  pipeline.ssdm_block = kSsdmBlock;
-  pipeline.round_seed = derive_seed(config_.seed, round_);
-  pipeline.pool = &strategy_pool(config_);
-  pipeline.chunk_elements = config_.shard_chunk_elements;
-  sharded_majority_sync(active_inputs(inputs), sum_, nullptr, out, pipeline);
+  MajorityRound majority;
+  majority.eta_s = eta_s_;
+  majority.stochastic = true;
+  majority.ssdm_block = kSsdmBlock;
+  majority.round_seed = derive_seed(config_.seed, round_);
+  majority.pool = &strategy_pool(config_);
+  majority.chunk_elements = config_.shard_chunk_elements;
+  sharded_majority_sync(active_inputs(inputs), sum_, nullptr, out, majority);
 
   WireFormat wire;
   wire.reduce_bits = [](std::size_t elements, std::size_t) {
@@ -795,7 +748,7 @@ SyncStepResult SsdmPsSync::do_synchronize(const WorkerSpans& inputs,
       1.0 / config_.cost_model.sign_unpack_rate;
 
   SyncStepResult result;
-  result.timing = mar_timing(d, wire, &result.chunk_stages);
+  result.timing = mar_timing(d, wire);
   result.bits_per_element = 1.0;
   return result;
 }
@@ -817,8 +770,7 @@ SyncStepResult CascadingSync::do_synchronize(const WorkerSpans& inputs,
   cascading_aggregate(active_inputs(inputs), rng, out);
 
   SyncStepResult result;
-  result.timing = mar_timing(out.size(), cascading_wire(config_.cost_model),
-                             &result.chunk_stages);
+  result.timing = mar_timing(out.size(), cascading_wire(config_.cost_model));
   result.bits_per_element = 1.0;
   return result;
 }
@@ -969,8 +921,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       }
     });
     clip_flush_mean(options_, out);
-    result.timing =
-        mar_timing(d, full_precision_wire(), &result.chunk_stages);
+    result.timing = mar_timing(d, full_precision_wire());
     result.full_precision = true;
     result.bits_per_element = 32.0;
     return result;
@@ -1024,8 +975,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     }
   });
 
-  result.timing = mar_timing(d, marsit_wire(config_.cost_model),
-                             &result.chunk_stages);
+  result.timing = mar_timing(d, marsit_wire(config_.cost_model));
   result.bits_per_element = 1.0;
   // The residual-magnitude gauge costs an O(M·D) norm pass, so it is
   // computed only when someone is listening.

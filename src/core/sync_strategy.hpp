@@ -70,12 +70,12 @@ struct SyncConfig {
   /// How often (rounds) the Elias wire image is re-measured from real data;
   /// between refreshes the cached per-contribution sizes are reused.
   std::size_t elias_refresh_interval = 50;
-  /// Pool carrying the sharded pack → ⊙/sign-sum → unpack pipeline and
-  /// Marsit's segment fold chains; nullptr uses global_thread_pool().
-  /// Results are bit-identical for any pool size: the chunk grid and
-  /// per-chunk RNG streams depend only on the payload size and
-  /// shard_chunk_elements (see parallel/shard.hpp), and Marsit's ⊙ draws
-  /// only on (segment, op).
+  /// Pool running the sharded rounds — one parallel_for task per shard
+  /// chunk (DESIGN.md §12) — and Marsit's segment fold chains; nullptr uses
+  /// global_thread_pool().  Results are bit-identical for any pool size: the
+  /// chunk grid and per-chunk RNG streams depend only on the payload size
+  /// and shard_chunk_elements (see parallel/shard.hpp), and Marsit's ⊙
+  /// draws only on (segment, op).
   ThreadPool* pool = nullptr;
   /// Elements per sharded chunk (rounded up to whole 64-bit sign words).
   /// Part of SSDM's deterministic geometry — its per-chunk RNG streams
@@ -83,16 +83,6 @@ struct SyncConfig {
   /// outputs do not depend on it: its rng grid is the fabric's segment
   /// partition, so for Marsit it is a pure performance knob.
   std::size_t shard_chunk_elements = std::size_t{1} << 16;
-  /// Price each round as a chunked compute/comm overlap pipeline: chunk i+1
-  /// packs while chunk i is in flight and chunk i−1 folds, composing as
-  /// max-of-stages instead of sum-of-phases (DESIGN.md §12).  The timing
-  /// chunk grid is the execution grid above (shard_chunk_elements), so the
-  /// trace lanes line up with the sharded work.  Purely a timing/reporting
-  /// switch: round *outputs* are bit-identical with it on or off — the
-  /// serial phase decomposition is still reported, with the overlapped
-  /// round time alongside (CollectiveTiming::serial_completion_seconds,
-  /// PhaseTimes::overlapped).
-  bool pipeline_overlap = false;
   /// Fault injection (see net/fault_plan.hpp).  Link-level faults flow into
   /// NetworkSim (retries, jitter, outages, stragglers inflate the timing);
   /// membership faults mark workers absent for whole rounds, and every
@@ -127,11 +117,6 @@ struct SyncStepResult {
   /// Senders whose payload stayed corrupted past the retry budget and were
   /// excluded from the round through the survivor path.
   std::size_t demoted_workers = 0;
-  /// Per-chunk pack/transfer/fold lane times of a pipelined round (empty
-  /// when SyncConfig::pipeline_overlap is off or the round priced a single
-  /// chunk trivially).  One run yields both the serial bars and the
-  /// overlapped bars of a Figure-5-style plot.
-  std::vector<ChunkStageTiming> chunk_stages;
 };
 
 class SyncStrategy {
@@ -184,24 +169,10 @@ class SyncStrategy {
   /// torus that no longer tiles re-forms as a smaller torus when the
   /// survivor count still fills whole rows, else as a ring).  Survivors are
   /// renumbered densely onto nodes 0..S−1, so per-node fault attributes
-  /// follow re-formed fabric positions, not physical hosts.
-  ///
-  /// With SyncConfig::pipeline_overlap the round is priced through
-  /// pipelined_collective_timing over the shard_chunk_elements grid; the
-  /// per-chunk lane times land in `chunk_stages` when non-null (strategies
-  /// pass &result.chunk_stages).  Without the flag the collective is priced
-  /// in one piece, exactly as before.
-  CollectiveTiming mar_timing(
-      std::size_t d, const WireFormat& wire,
-      std::vector<ChunkStageTiming>* chunk_stages = nullptr);
-
-  /// One unpipelined collective of the configured paradigm (including the
-  /// degraded-membership re-forms) for a d-element payload ready at
-  /// `start_time`, priced on `net` — both mar_timing paths bottom out here,
-  /// the pipelined one once per chunk.
-  CollectiveTiming base_collective_timing(std::size_t d,
-                                          const WireFormat& wire,
-                                          NetworkSim& net, double start_time);
+  /// follow re-formed fabric positions, not physical hosts.  Every
+  /// strategy prices its round here, in one piece, on the strategy's own
+  /// NetworkSim.
+  CollectiveTiming mar_timing(std::size_t d, const WireFormat& wire);
 
   /// Original indices of the workers present this round, ascending.  Always
   /// the full fleet when the fault plan has no membership faults; never

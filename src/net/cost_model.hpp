@@ -69,32 +69,21 @@ struct CostModel {
 ///
 /// compute/compression/communication are the *serial* decomposition: what
 /// the round costs when the phases run back to back (their sum is total()).
-/// When the chunked overlap pipeline is on (SyncConfig::pipeline_overlap),
-/// `overlapped` additionally records the max-of-stages round time — the
-/// simulated wall clock when chunk i+1 packs while chunk i is in flight and
-/// chunk i−1 folds — so one run yields both the serial bars and the
-/// overlapped bar (DESIGN.md §12).
+/// `compression` also counts the work a wire format hides behind receives
+/// (Marsit's ⊙ combine: CollectiveTiming's
+/// overlapped_compression_seconds_per_worker), so total() can exceed the
+/// round's simulated completion.
 struct PhaseTimes {
   double compute = 0.0;
   double compression = 0.0;
   double communication = 0.0;
-  /// Pipelined round time (0 when the round was not pipelined; then the
-  /// serial total is also the wall clock).
-  double overlapped = 0.0;
 
   double total() const { return compute + compression + communication; }
-
-  /// Wall-clock round time: the pipelined figure when one was recorded,
-  /// else the serial sum.  overlapped_total() <= total() always.
-  double overlapped_total() const {
-    return overlapped > 0.0 ? overlapped : total();
-  }
 
   PhaseTimes& operator+=(const PhaseTimes& other) {
     compute += other.compute;
     compression += other.compression;
     communication += other.communication;
-    overlapped += other.overlapped;
     return *this;
   }
 };

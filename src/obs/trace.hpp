@@ -11,10 +11,6 @@
 //      │                             collective schedules)
 //      └─ hop a→b                    track 1+a (one track per fabric node,
 //                                    emitted by NetworkSim::transfer)
-//   pack/transfer/fold chunk c       tracks 1+num_nodes+{0,1,2} ("stage"
-//                                    lane spans from the chunked overlap
-//                                    pipeline, one lane per stage — see
-//                                    pipelined_collective_timing)
 //   elias-refresh                    instant events, track 0
 //
 // Installation follows the same global-pointer pattern as the metrics
@@ -43,8 +39,7 @@ namespace marsit::obs {
 
 struct TraceSpan {
   std::string name;
-  /// Category: "round" | "compute" | "sync" | "phase" | "hop" | "stage" |
-  /// "refresh".
+  /// Category: "round" | "compute" | "sync" | "phase" | "hop" | "refresh".
   std::string cat;
   double start_seconds = 0.0;
   /// == start_seconds for instant events.

@@ -264,13 +264,6 @@ TrainResult DistributedTrainer::train() {
     totals.phase_totals.compression +=
         step.timing.compression_seconds_per_worker();
     totals.phase_totals.communication += step.timing.communication_seconds();
-    if (step.timing.serial_completion_seconds > 0.0) {
-      // Pipelined round: completion_seconds is the max-of-stages wall clock
-      // (what cumulative_seconds_ advanced by); the serial bars above came
-      // from the sum-of-stages reference, so one run reports both.
-      totals.phase_totals.overlapped +=
-          compute_seconds + step.timing.completion_seconds;
-    }
     result.rounds_completed = t + 1;
 
     if (trace != nullptr) {
@@ -297,15 +290,6 @@ TrainResult DistributedTrainer::train() {
                  step.timing.communication_seconds());
       if (config_.track_matching_rate) {
         record.set("matching_rate", round_matching_rate);
-      }
-      if (step.timing.pipeline_chunks > 0) {
-        // Only pipelined rounds carry the overlap keys (sync_seconds above
-        // is then the overlapped figure), so the default trace shape stays
-        // byte-identical to unpipelined builds.
-        record.set("serial_sync_seconds",
-                   step.timing.serial_completion_seconds);
-        record.set("pipeline_chunks",
-                   static_cast<double>(step.timing.pipeline_chunks));
       }
       if (strategy_.config().fault_plan.has_faults()) {
         // Only fault-configured runs carry the recovery keys, so the
@@ -393,7 +377,6 @@ TrainResult DistributedTrainer::train() {
       totals.phase_totals.compression / rounds;
   result.mean_round_phases.communication =
       totals.phase_totals.communication / rounds;
-  result.mean_round_phases.overlapped = totals.phase_totals.overlapped / rounds;
   result.mean_bits_per_element = totals.bits_per_element_total / rounds;
   result.mean_matching_rate =
       config_.track_matching_rate ? totals.matching_total / rounds : 0.0;
@@ -439,10 +422,6 @@ void DistributedTrainer::write_checkpoint(std::size_t rounds_done,
   trainer_state.f32(totals.eta_l);
   trainer_state.f64(cumulative_seconds_);
   trainer_state.f64(cumulative_bits_);
-  // PhaseTimes::overlapped is deliberately NOT serialized (checkpoint format
-  // stability): it is a reporting-only figure, and a pipelined run that
-  // checkpoints mid-stream under-reports the overlapped mean after resume
-  // while every load-bearing total above stays exact.
   trainer_state.f64(totals.phase_totals.compute);
   trainer_state.f64(totals.phase_totals.compression);
   trainer_state.f64(totals.phase_totals.communication);

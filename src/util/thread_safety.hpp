@@ -12,8 +12,7 @@
 //   * the MARSIT_* attribute macros (no-ops on compilers without the
 //     attributes, so gcc builds are unaffected);
 //   * marsit::Mutex — std::mutex wrapped as a MARSIT_CAPABILITY;
-//   * marsit::MutexLock — the scoped holder (MARSIT_SCOPED_CAPABILITY) with
-//     annotated unlock()/lock() for wait-loop hand-off patterns;
+//   * marsit::MutexLock — the scoped holder (MARSIT_SCOPED_CAPABILITY);
 //   * marsit::CondVar — std::condition_variable_any over marsit::Mutex whose
 //     wait() requires the mutex and *requires a predicate* (the R6 lint rule
 //     bans predicate-less waits; this API cannot express one).
@@ -102,38 +101,21 @@ class MARSIT_CAPABILITY("mutex") Mutex {
   std::mutex raw_;
 };
 
-/// Scoped holder for Mutex — the project's lock_guard *and* unique_lock.
-/// Constructed holding; unlock()/lock() support the wait-loop hand-off
-/// pattern (release around a long computation, reacquire to publish), and
-/// the destructor releases only if still held.
+/// Scoped holder for Mutex — the project's lock_guard: acquires on
+/// construction, releases on scope exit.  CondVar::wait releases and
+/// reacquires the mutex underneath it.
 class MARSIT_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) MARSIT_ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
   }
-  ~MutexLock() MARSIT_RELEASE() {
-    if (held_) {
-      mutex_.unlock();
-    }
-  }
+  ~MutexLock() MARSIT_RELEASE() { mutex_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Releases the mutex before scope exit (reacquire with lock()).
-  void unlock() MARSIT_RELEASE() {
-    mutex_.unlock();
-    held_ = false;
-  }
-  /// Reacquires after an unlock().
-  void lock() MARSIT_ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
-  }
-
  private:
   Mutex& mutex_;
-  bool held_ = true;
 };
 
 /// Condition variable over marsit::Mutex.  wait() takes the mutex (which the

@@ -205,39 +205,6 @@ TEST(RingTimingTest, CorruptionChargesFooterOncePerDeliveredMessage) {
   EXPECT_DOUBLE_EQ(lossy.bits_per_worker, clean.bits_per_worker);
 }
 
-TEST(PipelinedTimingTest, SerialCacheKeysOnChunkGeometry) {
-  // ISSUE satellite regression: the serial reference used to be cached by
-  // element count alone, so a mixed-geometry plan (different schedule per
-  // chunk) reused chunk 0's measurement for every same-size chunk.  The
-  // cache now keys on the chunk's full geometry fingerprint.
-  const CostModel model = test_model();
-  const WireFormat wire = full_precision_wire();
-  NetworkSim ref(4, model);
-  const double t_ring =
-      ring_allreduce_timing(4, 64, wire, ref).completion_seconds;
-  ref.reset();
-  const double t_tree =
-      tree_allreduce_timing(4, 64, wire, ref).completion_seconds;
-  ASSERT_NE(t_ring, t_tree) << "geometries must differ for this regression";
-
-  NetworkSim net(4, model);
-  const auto timing = pipelined_collective_timing(
-      128, 64, wire, net,
-      [](std::size_t chunk_index, std::size_t elements,
-         const WireFormat& chunk_wire, NetworkSim& chunk_net,
-         double start_time) {
-        return chunk_index == 0
-                   ? ring_allreduce_timing(4, elements, chunk_wire, chunk_net,
-                                           start_time)
-                   : tree_allreduce_timing(4, elements, chunk_wire, chunk_net,
-                                           start_time);
-      });
-  // Two 64-element chunks over distinct topologies: the serial reference
-  // must price each with its own schedule (the old cache returned
-  // 2 × t_ring here).
-  EXPECT_NEAR(timing.serial_completion_seconds, t_ring + t_tree, 1e-9);
-}
-
 TEST(WireFormatTest, MarsitCombineIsOverlapped) {
   CostModel model = test_model();
   model.one_bit_combine_rate = 100.0;

@@ -1,10 +1,11 @@
 // Fault injection at the strategy level: membership faults re-form the
 // reduction over the survivors, compensation state of absent workers is
-// carried forward untouched, and a plan with no effective faults leaves
-// outputs and timings bit-identical to no plan at all.  Also regression
-// coverage for the sync-path bug sweep that rode along with the fault layer
-// (Elias cache clamping, the sharded scratch reallocation guard, the
-// measurement-only Elias sizing helper).
+// carried forward untouched, a plan with no effective faults leaves
+// outputs and timings bit-identical to no plan at all, and link loss
+// stretches the priced rounds without changing an output bit.  Also
+// regression coverage for the sync-path bug sweep that rode along with the
+// fault layer (Elias cache clamping, the sharded scratch reallocation guard,
+// the measurement-only Elias sizing helper).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -53,6 +54,7 @@ struct RunTrace {
   std::vector<float> outputs;            // kRounds × kDim, concatenated
   std::vector<double> completion;        // per-round completion seconds
   std::vector<std::size_t> active;       // per-round surviving workers
+  std::size_t retransmissions = 0;       // summed over the rounds
 };
 
 /// Runs kRounds rounds; absent workers still hand in their (ignored) input,
@@ -68,6 +70,7 @@ RunTrace run_rounds(SyncMethod method, SyncConfig config) {
     trace.outputs.insert(trace.outputs.end(), out.begin(), out.end());
     trace.completion.push_back(step.timing.completion_seconds);
     trace.active.push_back(step.active_workers);
+    trace.retransmissions += step.timing.retransmissions;
   }
   return trace;
 }
@@ -97,6 +100,28 @@ TEST(FaultInjectionTest, IneffectivePlanIsBitIdentical) {
                          sync_method_name(method));
     EXPECT_EQ(armed.completion, clean.completion) << sync_method_name(method);
     EXPECT_EQ(armed.active, std::vector<std::size_t>(kRounds, 4));
+  }
+}
+
+TEST(FaultInjectionTest, PacketLossDelaysRoundsButNeverChangesOutputs) {
+  // Link loss retries messages on the simulated fabric: it stretches the
+  // priced rounds but is upstream of no arithmetic, so every value method's
+  // outputs stay bit-identical to the clean run's.
+  SyncConfig lossy = base_config(4);
+  lossy.fault_plan.packet_loss = 0.3;
+  lossy.fault_plan.seed = 9;
+  for (const SyncMethod method : kValueMethods) {
+    const RunTrace clean = run_rounds(method, base_config(4));
+    const RunTrace faulty = run_rounds(method, lossy);
+    expect_bit_identical(faulty.outputs, clean.outputs,
+                         sync_method_name(method));
+    for (std::size_t t = 0; t < kRounds; ++t) {
+      EXPECT_GE(faulty.completion[t], clean.completion[t])
+          << sync_method_name(method) << " round " << t;
+    }
+    EXPECT_GT(faulty.retransmissions, 0u)
+        << sync_method_name(method) << ": the plan injected no retries";
+    EXPECT_EQ(clean.retransmissions, 0u) << sync_method_name(method);
   }
 }
 

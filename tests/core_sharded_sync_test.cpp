@@ -1,17 +1,21 @@
-// Determinism tests for the sharded synchronization pipeline: the chunk grid
-// and per-chunk rng streams depend only on (seed, round, payload geometry),
-// so every strategy must produce bit-identical outputs for any thread-pool
-// size — and Marsit, whose ⊙ draws are keyed by fabric segment rather than
-// chunk, for any chunk size too.  Also pins signSGD-MV's sharded output to
-// the serial scalar reference (pack → sign-sum → majority → unpack).
+// Determinism tests for the sharded synchronization rounds (DESIGN.md §12):
+// the chunk grid and per-chunk rng streams depend only on (seed, round,
+// payload geometry), so every strategy must produce bit-identical outputs
+// for any thread-pool size at every chunk size — and Marsit, whose ⊙ draws
+// are keyed by fabric segment rather than chunk, across chunk sizes too.
+// Also pins signSGD-MV's sharded output to the serial scalar reference
+// (pack → sign-sum → majority → unpack), and the per-thread scratch arenas'
+// allocation discipline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
 #include "core/sync_strategy.hpp"
+#include "parallel/scratch_arena.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -82,9 +86,17 @@ void expect_bit_identical(const std::vector<float>& a,
 void check_pool_invariance(SyncMethod method, MarParadigm paradigm,
                            const char* label) {
   ThreadPool pool1(1), pool4(4), pool_hw(0);
-  const std::vector<float> ref = run_rounds(method, paradigm, &pool1);
-  expect_bit_identical(run_rounds(method, paradigm, &pool4), ref, label);
-  expect_bit_identical(run_rounds(method, paradigm, &pool_hw), ref, label);
+  // Chunk grids: many ragged chunks, a handful, and one covering the
+  // payload.
+  for (const std::size_t chunk : {kChunk, std::size_t{4096}, kDim}) {
+    SCOPED_TRACE(testing::Message() << "chunk " << chunk);
+    const std::vector<float> ref =
+        run_rounds(method, paradigm, &pool1, false, chunk);
+    expect_bit_identical(run_rounds(method, paradigm, &pool4, false, chunk),
+                         ref, label);
+    expect_bit_identical(run_rounds(method, paradigm, &pool_hw, false, chunk),
+                         ref, label);
+  }
 }
 
 TEST(ShardedSyncTest, MarsitRingPoolInvariant) {
@@ -116,6 +128,11 @@ TEST(ShardedSyncTest, SsdmPsPoolInvariant) {
                         "SSDM-PS");
 }
 
+TEST(ShardedSyncTest, EfSignSgdPoolInvariant) {
+  check_pool_invariance(SyncMethod::kEfSignSgd, MarParadigm::kRing,
+                        "EF-signSGD");
+}
+
 TEST(ShardedSyncTest, EliasRefreshDoesNotChangeOutputs) {
   // Elias refresh rounds materialize per-worker sign vectors instead of
   // packing into scratch; the packing consumes rng identically either way,
@@ -129,7 +146,7 @@ TEST(ShardedSyncTest, EliasRefreshDoesNotChangeOutputs) {
 }
 
 TEST(ShardedSyncTest, SignSgdMatchesScalarReference) {
-  // The whole sharded pipeline, pinned against the serial scalar path:
+  // The whole sharded round, pinned against the serial scalar path:
   // per-worker pack_signs_scalar → SignSum::accumulate_scalar →
   // majority_scalar → unpack_signs_scalar.
   ThreadPool pool(3);
@@ -180,6 +197,73 @@ TEST(ShardedSyncTest, MarsitShardChunkIsAPurePerformanceKnob) {
       }
     }
   }
+}
+
+/// The five strategies whose rounds run sharded on the pool, each on its
+/// home paradigm.
+struct StrategyCase {
+  SyncMethod method;
+  MarParadigm paradigm;
+  const char* label;
+};
+
+const StrategyCase kShardedCases[] = {
+    {SyncMethod::kMarsit, MarParadigm::kRing, "Marsit-RAR"},
+    {SyncMethod::kSignSgdMv, MarParadigm::kRing, "signSGD-MV"},
+    {SyncMethod::kEfSignSgd, MarParadigm::kRing, "EF-signSGD"},
+    {SyncMethod::kSsdm, MarParadigm::kRing, "SSDM-RAR"},
+    {SyncMethod::kSsdmPs, MarParadigm::kParameterServer, "SSDM-PS"},
+};
+
+TEST(ShardedSyncTest, HotLoopIsAllocationFreeAfterWarmup) {
+  // Single-thread pool: parallel_for runs every chunk inline on this
+  // thread's arena, so the steady state is deterministic — after one warm
+  // round the grow counter must stay exactly flat.
+  ThreadPool pool(1);
+  const auto inputs = make_inputs(0);
+  WorkerSpans spans;
+  for (const auto& in : inputs) {
+    spans.emplace_back(in.data(), in.size());
+  }
+  for (const StrategyCase& c : kShardedCases) {
+    auto strategy =
+        make_sync_strategy(c.method, base_config(c.paradigm, &pool));
+    std::vector<float> out(kDim);
+    strategy->synchronize(spans, {out.data(), out.size()});  // warmup
+    const std::uint64_t grows = ScratchArena::total_grows();
+    for (std::size_t t = 1; t < 4; ++t) {
+      strategy->synchronize(spans, {out.data(), out.size()});
+    }
+    EXPECT_EQ(ScratchArena::total_grows(), grows)
+        << c.label << ": sync hot loop allocated arena blocks per round";
+  }
+}
+
+TEST(ShardedSyncTest, MultiThreadArenaGrowthIsBoundedNotPerRound) {
+  // With a real pool the chunk→thread assignment is nondeterministic, so
+  // per-thread warm sets can still fill in lazily — but growth must be a
+  // small constant (bounded by threads × blocks per task), never
+  // proportional to rounds × chunks the way a per-chunk vector would be.
+  ThreadPool pool(4);
+  auto strategy = make_sync_strategy(SyncMethod::kSignSgdMv,
+                                     base_config(MarParadigm::kRing, &pool));
+  std::vector<float> out(kDim);
+  const auto inputs = make_inputs(0);
+  WorkerSpans spans;
+  for (const auto& in : inputs) {
+    spans.emplace_back(in.data(), in.size());
+  }
+  for (std::size_t t = 0; t < 3; ++t) {  // warmup
+    strategy->synchronize(spans, {out.data(), out.size()});
+  }
+  const std::uint64_t grows = ScratchArena::total_grows();
+  constexpr std::size_t kMoreRounds = 10;
+  for (std::size_t t = 0; t < kMoreRounds; ++t) {
+    strategy->synchronize(spans, {out.data(), out.size()});
+  }
+  // 10 rounds × 20 chunks would be ≥ 200 grows with per-chunk allocation.
+  EXPECT_LE(ScratchArena::total_grows() - grows, 8u)
+      << "arena growth scales with rounds — per-chunk allocation is back";
 }
 
 }  // namespace

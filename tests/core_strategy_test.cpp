@@ -244,6 +244,8 @@ TEST(MarsitSyncTest, AcceptsPsParadigm) {
   auto inputs = random_inputs(4, 128, 8);
   Tensor out(128);
   const auto step = sync.synchronize(spans_of(inputs), out.span());
+  EXPECT_FALSE(step.full_precision);
+  EXPECT_DOUBLE_EQ(step.bits_per_element, 1.0);
   EXPECT_TRUE(all_finite(out.span()));
   EXPECT_GT(l2_norm(out.span()), 0.0f);
 }

@@ -462,7 +462,7 @@ void check_obs_gating(const FileContext& file, const Rule& rule,
 // --- R6 concurrency-discipline -----------------------------------------------
 
 /// RAII guard types whose named instances may legitimately call
-/// .lock()/.unlock() (hand-over-hand around long stage bodies).
+/// .lock()/.unlock() (hand-over-hand release around a long computation).
 const std::set<std::string, std::less<>>& guard_types() {
   static const std::set<std::string, std::less<>> kSet = {
       "lock_guard", "unique_lock", "scoped_lock", "shared_lock", "MutexLock"};

@@ -97,6 +97,14 @@ inline std::size_t arg_override(int argc, char** argv, const std::string& key,
   return fallback;
 }
 
+/// Prints one of a figure's shape checks and returns whether it holds; a
+/// figure bench exits 1 when any of its checks fails.
+inline bool shape_check(const std::string& claim, bool holds) {
+  std::cout << "shape check: " << claim << (holds ? ": ok" : ": FAILED")
+            << "\n";
+  return holds;
+}
+
 inline void quiet_logs() { set_log_level(LogLevel::kWarning); }
 
 }  // namespace marsit::bench

@@ -6,10 +6,13 @@
 // faster under TAR; Marsit(-100) spends the least time communicating, with
 // only minor compression overhead.
 //
-// Cost-model experiment.  The sign-sum baselines' Elias-coded wire image is
-// measured from real data (32 random sign vectors folded through the actual
-// codec) rather than assumed.  Pass `--out PATH` to also write the breakdown
-// as machine-readable JSON.
+// Cost-model experiment: every cell prices its paradigm's hop schedule
+// (core/hop_schedule.hpp).  The sign-sum baselines' Elias-coded wire image
+// is measured from real data (32 random sign vectors folded through the
+// actual codec) rather than assumed.  Pass `--out PATH` to also write the
+// breakdown as machine-readable JSON.  The binary exits 1 unless every
+// method communicates faster under TAR than under RAR and the Marsit rows
+// communicate fastest in both paradigms.
 #include <fstream>
 #include <optional>
 
@@ -18,6 +21,7 @@
 #include "collectives/timing.hpp"
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
+#include "core/hop_schedule.hpp"
 #include "obs/json_writer.hpp"
 #include "tensor/ops.hpp"
 
@@ -48,7 +52,7 @@ std::vector<double> measured_elias_bits(std::size_t workers, Rng& rng) {
 int main(int argc, char** argv) {
   quiet_logs();
   const std::size_t workers = 32;
-  const std::size_t rows = 4, cols = 8;
+  const std::size_t cols = 8;  // a 4×8 torus
   const std::size_t d = arg_override(argc, argv, "--params", 23u * 1000 * 1000);
   const CostModel model;
 
@@ -108,30 +112,31 @@ int main(int argc, char** argv) {
     json->begin_array();
   }
 
+  const auto price = [&](MarParadigm paradigm, const WireFormat& wire) {
+    const HopSchedule schedule =
+        hop_schedule(RoundKind::kAllReduce, paradigm, cols, workers, d);
+    NetworkSim net(schedule.nodes, model);
+    return price_hop_schedule(schedule, wire, net);
+  };
+  const std::vector<MarParadigm> paradigms = {MarParadigm::kRing,
+                                              MarParadigm::kTorus2d};
+  // communication[p][i]: method i's communication bar under paradigms[p].
+  std::vector<std::vector<double>> communication(paradigms.size());
   TextTable table({"paradigm", "method", "compute", "compression",
                    "communication", "round total"});
-  for (const char* paradigm : {"RAR", "TAR"}) {
+  for (std::size_t p = 0; p < paradigms.size(); ++p) {
+    const char* paradigm = mar_paradigm_name(paradigms[p]);
     for (const MethodWire& method : methods) {
-      NetworkSim net(workers, model);
-      CollectiveTiming timing;
-      if (std::string(paradigm) == "RAR") {
-        timing = ring_allreduce_timing(workers, d, method.wire, net);
-      } else {
-        timing = torus_allreduce_timing(rows, cols, d, method.wire, net);
-      }
+      CollectiveTiming timing = price(paradigms[p], method.wire);
       // Marsit-100 amortizes one 32-bit round per 100: add 1 % of the
       // full-precision round's extra cost.
       if (method.label == "Marsit-100") {
-        NetworkSim fp_net(workers, model);
         const CollectiveTiming fp =
-            std::string(paradigm) == "RAR"
-                ? ring_allreduce_timing(workers, d, full_precision_wire(),
-                                        fp_net)
-                : torus_allreduce_timing(rows, cols, d,
-                                         full_precision_wire(), fp_net);
+            price(paradigms[p], full_precision_wire());
         timing.completion_seconds +=
             (fp.completion_seconds - timing.completion_seconds) / 100.0;
       }
+      communication[p].push_back(timing.communication_seconds());
       table.add_row({paradigm, method.label,
                      format_duration(compute_seconds),
                      format_duration(timing.compression_seconds_per_worker()),
@@ -160,8 +165,27 @@ int main(int argc, char** argv) {
     std::cout << "\nJSON breakdown written to " << out_path << "\n";
   }
   table.print(std::cout);
-  std::cout << "\nshape check: each method's communication bar shrinks from "
-               "RAR to TAR;\nMarsit rows have the shortest communication and "
-               "a small compression bar.\n";
-  return 0;
+
+  bool tar_faster = true;
+  bool marsit_fastest = true;
+  const auto is_marsit = [&methods](std::size_t i) {
+    return methods[i].label.starts_with("Marsit");
+  };
+  for (std::size_t i = 0; i < methods.size(); ++i) {
+    tar_faster = tar_faster && communication[1][i] < communication[0][i];
+    for (std::size_t j = 0; j < methods.size(); ++j) {
+      for (const std::vector<double>& row : communication) {
+        marsit_fastest = marsit_fastest &&
+                         (!is_marsit(i) || is_marsit(j) || row[i] < row[j]);
+      }
+    }
+  }
+  std::cout << "\n";
+  bool ok = shape_check("every method communicates faster under TAR than "
+                        "RAR",
+                        tar_faster);
+  ok = shape_check("the Marsit rows communicate fastest under RAR and TAR",
+                   marsit_fastest) &&
+       ok;
+  return ok ? 0 : 1;
 }

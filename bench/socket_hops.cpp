@@ -97,8 +97,9 @@ HopSchedule schedule_of(const Case& c) {
   return hop_schedule(c.kind, c.paradigm, c.torus_cols, kRanks, units);
 }
 
-std::size_t unit_bytes(const Case& c) {
-  return c.kind == RoundKind::kFlush ? sizeof(float) : sizeof(std::uint64_t);
+/// The wire alone, as the distributed worker prices its rounds.
+WireFormat wire_of(const Case& c) {
+  return c.kind == RoundKind::kFlush ? full_precision_wire() : one_bit_wire();
 }
 
 double median(std::vector<double> values) {
@@ -549,11 +550,12 @@ int main(int argc, char** argv) {
   for (std::size_t ci = 0; ci < std::size(kCases); ++ci) {
     const Case& c = kCases[ci];
     const HopSchedule schedule = schedule_of(c);
-    const SchedulePrice price =
-        price_hop_schedule(schedule, fit.cost, unit_bytes(c));
+    NetworkSim net(kRanks, fit.cost);
+    const CollectiveTiming price =
+        price_hop_schedule(schedule, wire_of(c), net);
     Row row;
     row.c = &c;
-    row.predicted_seconds = price.seconds;
+    row.predicted_seconds = price.completion_seconds;
     std::vector<double> slowest(reps, 0.0);
     for (std::size_t r = 0; r < kRanks; ++r) {
       const std::vector<double>& report = reports[r];
@@ -582,9 +584,9 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    if (row.payload_bytes * 8.0 != price.total_bits) {
+    if (row.payload_bytes * 8.0 != price.total_wire_bits) {
       std::fprintf(stderr, "%s: %.0f payload bytes, schedule prices %.0f\n",
-                   c.name, row.payload_bytes, price.total_bits / 8.0);
+                   c.name, row.payload_bytes, price.total_wire_bits / 8.0);
       ok = false;
     }
     row.slowest_p50 = median(slowest);

@@ -1,8 +1,8 @@
 // Example: using the lower-level building blocks directly — no trainer.
 //
 // Demonstrates (1) the ⊙ one-bit aggregation on raw sign vectors, (2) the
-// timing schedules for ring / torus / PS fabrics at a model size of your
-// choice, and (3) how to plug a custom wire format into the schedules —
+// hop schedules of ring / torus / PS fabrics priced at a model size of your
+// choice, and (3) how to plug a custom wire format into the pricer —
 // everything an integrator needs to evaluate Marsit for their own cluster
 // shape before touching training code.
 //
@@ -12,6 +12,7 @@
 
 #include "collectives/timing.hpp"
 #include "compress/sign_codec.hpp"
+#include "core/hop_schedule.hpp"
 #include "core/one_bit.hpp"
 #include "obs/exporter.hpp"
 #include "tensor/ops.hpp"
@@ -61,27 +62,28 @@ int main(int argc, char** argv) {
   const CostModel model;
   TextTable table({"fabric", "wire format", "completion", "bits/worker"});
 
-  auto add_row = [&](const std::string& fabric, const std::string& format,
-                     const CollectiveTiming& timing) {
-    table.add_row({fabric, format, format_duration(timing.completion_seconds),
-                   format_bytes(timing.bits_per_worker / 8.0)});
+  // A round's collective is its paradigm's hop schedule, priced on a
+  // network with a node for every rank the schedule touches (the PS gets
+  // its own).
+  const auto price = [&](MarParadigm paradigm, const WireFormat& wire) {
+    const HopSchedule schedule =
+        hop_schedule(RoundKind::kAllReduce, paradigm, /*torus_cols=*/8, 32, d,
+                     PsServer::kOwnNode);
+    NetworkSim net(schedule.nodes, model);
+    return price_hop_schedule(schedule, wire, net);
   };
-
   for (const auto& [name, wire] :
        std::vector<std::pair<std::string, WireFormat>>{
            {"float32", full_precision_wire()},
            {"Marsit 1-bit", marsit_wire(model)}}) {
-    {
-      NetworkSim net(32, model);
-      add_row("ring x32", name, ring_allreduce_timing(32, d, wire, net));
-    }
-    {
-      NetworkSim net(32, model);
-      add_row("torus 4x8", name, torus_allreduce_timing(4, 8, d, wire, net));
-    }
-    {
-      NetworkSim net(33, model);
-      add_row("PS x32", name, ps_allreduce_timing(32, d, wire, net));
+    for (const auto& [fabric, paradigm] :
+         std::vector<std::pair<std::string, MarParadigm>>{
+             {"ring x32", MarParadigm::kRing},
+             {"torus 4x8", MarParadigm::kTorus2d},
+             {"PS x32", MarParadigm::kParameterServer}}) {
+      const CollectiveTiming timing = price(paradigm, wire);
+      table.add_row({fabric, name, format_duration(timing.completion_seconds),
+                     format_bytes(timing.bits_per_worker / 8.0)});
     }
   }
   table.print(std::cout);
@@ -99,8 +101,7 @@ int main(int argc, char** argv) {
   int4.initial_pack_seconds_per_element = 1.0 / model.sign_pack_rate;
   int4.serial_seconds_per_element = 1.0 / model.sign_unpack_rate;
   int4.final_unpack_seconds_per_element = 1.0 / model.sign_unpack_rate;
-  NetworkSim net(32, model);
-  const CollectiveTiming timing = ring_allreduce_timing(32, d, int4, net);
+  const CollectiveTiming timing = price(MarParadigm::kRing, int4);
   std::cout << "   ring x32 completion: "
             << format_duration(timing.completion_seconds) << ", "
             << format_bytes(timing.bits_per_worker / 8.0) << " per worker\n";

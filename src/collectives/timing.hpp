@@ -1,18 +1,17 @@
-// Timing schedules for the three synchronization paradigms the paper
-// evaluates: ring all-reduce (RAR), 2-D torus all-reduce (TAR), and the
-// parameter server (PS).
+// Wire formats: what a synchronization method puts on the wire per hop and
+// what it costs to produce, and the CollectiveTiming a priced round reports.
 //
-// A schedule answers "how long does one synchronization of a D-element
-// gradient take, and how many bits cross the wire" for a given *wire
-// format*.  The wire format abstracts what a method transmits per hop:
-// full-precision floats (PSGD), growing sign-sums (signSGD/EF/SSDM under
-// MAR), constant one-bit vectors (Marsit), or compressed segments with a
-// serial decompress-recompress stage (cascading compression).
+// A wire format abstracts a method's payload: full-precision floats
+// (PSGD), growing sign-sums (signSGD/EF/SSDM under MAR), constant one-bit
+// vectors (Marsit), or compressed segments with a serial
+// decompress-recompress stage (cascading compression).  The one pricer,
+// price_hop_schedule (core/hop_schedule.hpp), replays a round's hop
+// schedule and asks the format for each hop's bits and processing time.
 //
-// The actual aggregation arithmetic runs separately on full vectors (see
+// The aggregation arithmetic runs separately on full vectors (see
 // aggregators.hpp and src/core): elementwise aggregation is invariant to how
 // a vector is chunked into segments, so values and timing can be computed
-// independently without loss of fidelity.  DESIGN.md §5 records this
+// independently without loss of fidelity.  DESIGN.md §6 records this
 // decoupling.
 #pragma once
 
@@ -20,8 +19,6 @@
 #include <functional>
 
 #include "net/cost_model.hpp"
-#include "net/network_sim.hpp"
-#include "net/topology.hpp"
 
 namespace marsit {
 
@@ -73,6 +70,10 @@ WireFormat sign_sum_elias_wire(
     const CostModel& model,
     std::function<double(std::size_t contributions)> elias_bits_per_element);
 
+/// Constant one-bit payloads with no compression cost: the wire alone, as
+/// the distributed worker prices the rounds it runs.
+WireFormat one_bit_wire();
+
 /// Marsit's constant one-bit payloads; combine overlaps with receive.
 WireFormat marsit_wire(const CostModel& model);
 
@@ -80,7 +81,7 @@ WireFormat marsit_wire(const CostModel& model);
 /// the full decompress-add-recompress on the critical path of every hop.
 WireFormat cascading_wire(const CostModel& model);
 
-// Schedules -------------------------------------------------------------------
+// Priced rounds ---------------------------------------------------------------
 
 struct CollectiveTiming {
   /// Wall-clock (simulated) seconds from start to every worker holding the
@@ -116,33 +117,5 @@ struct CollectiveTiming {
     return value > 0.0 ? value : 0.0;
   }
 };
-
-/// Ring all-reduce: reduce-scatter (M−1 steps) + all-gather (M−1 steps) over
-/// M segments of ⌈D/M⌉ elements, every worker's payload ready at time 0.
-CollectiveTiming ring_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                       const WireFormat& wire,
-                                       NetworkSim& net);
-
-/// 2-D torus all-reduce: row reduce-scatter, column all-reduce, row
-/// all-gather (Mikami et al.).  Workers = rows×cols.
-CollectiveTiming torus_allreduce_timing(std::size_t rows, std::size_t cols,
-                                        std::size_t d, const WireFormat& wire,
-                                        NetworkSim& net);
-
-/// Parameter server: M pushes serialized through the server ingress NIC,
-/// aggregation, M broadcasts serialized through its egress NIC.  The network
-/// must have been built with num_workers+1 nodes (last = server).
-CollectiveTiming ps_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                     const WireFormat& wire, NetworkSim& net);
-
-/// Binomial-tree all-reduce (the paper's "can be easily extended to ...
-/// tree all-reduce"): ⌈log2 M⌉ reduce levels (node i+2^l sends its
-/// aggregate to node i) followed by ⌈log2 M⌉ broadcast levels.  Whole-vector
-/// messages — fewer, larger transfers than the ring: wins when α dominates,
-/// loses bandwidth-bound.  Reduce-level messages carry 2^l-contribution
-/// aggregates, so sign-sum payloads grow just like on the ring.
-CollectiveTiming tree_allreduce_timing(std::size_t num_workers, std::size_t d,
-                                       const WireFormat& wire,
-                                       NetworkSim& net);
 
 }  // namespace marsit

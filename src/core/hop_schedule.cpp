@@ -5,11 +5,35 @@
 #include <cstring>
 #include <utility>
 
+#include "compress/kernels.hpp"
 #include "core/one_bit.hpp"
-#include "net/network_sim.hpp"
+#include "net/crc32.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace marsit {
+
+const char* mar_paradigm_name(MarParadigm paradigm) {
+  switch (paradigm) {
+    case MarParadigm::kRing:
+      return "RAR";
+    case MarParadigm::kTorus2d:
+      return "TAR";
+    case MarParadigm::kParameterServer:
+      return "PS";
+    case MarParadigm::kTree:
+      return "TREE";
+  }
+  return "?";
+}
+
+std::size_t torus_rows_for(std::size_t torus_cols, std::size_t members) {
+  if (torus_cols == 0 || members % torus_cols != 0 ||
+      members / torus_cols < 2) {
+    return 0;
+  }
+  return members / torus_cols;
+}
 
 WordSegment word_segment(std::size_t num_words, std::size_t parts,
                          std::size_t index) {
@@ -120,6 +144,8 @@ double run_member(Transport& transport, const HopSchedule& schedule,
   MARSIT_CHECK(transport.world_size() == schedule.members)
       << "schedule over " << schedule.members << " members on a world of "
       << transport.world_size();
+  MARSIT_CHECK(schedule.nodes == schedule.members)
+      << "a parameter server on its own node is priced, not run";
   const std::size_t self = transport.rank();
   double sent_bytes = 0.0;
   for (const HopPhase& phase : schedule.phases) {
@@ -159,17 +185,22 @@ double run_member(Transport& transport, const HopSchedule& schedule,
 
 HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
                          std::size_t torus_cols, std::size_t members,
-                         std::size_t units) {
+                         std::size_t units, PsServer server) {
   MARSIT_CHECK(members > 0) << "hop schedule over zero members";
   HopSchedule schedule;
   schedule.members = members;
+  schedule.nodes = members;
+  schedule.units = units;
+  schedule.unit_elements = kind == RoundKind::kOneBit ? kernels::kWordBits : 1;
   if (members == 1) {
     return schedule;
   }
   // The returned reference lives until the next add_phase call.
-  const auto add_phase = [&schedule](HopKind phase_kind, std::uint32_t stream,
+  const auto add_phase = [&schedule](const char* name, HopKind phase_kind,
+                                     std::uint32_t stream,
                                      bool server_nic = false) -> HopPhase& {
     HopPhase& phase = schedule.phases.emplace_back();
+    phase.name = name;
     phase.kind = phase_kind;
     phase.stream = stream;
     phase.server_nic = server_nic;
@@ -183,18 +214,18 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
 
   if (kind == RoundKind::kFlush) {
     if (rows == 0) {
-      add_ring_chains(add_phase(HopKind::kCopy, 0), ring,
+      add_ring_chains(add_phase("all-gather", HopKind::kCopy, 0), ring,
                       blocks(0, members, units), 0);
       return schedule;
     }
     // Rows gather their members' rows, then columns gather whole-row
     // bundles.
-    HopPhase& row_phase = add_phase(HopKind::kCopy, 0);
+    HopPhase& row_phase = add_phase("row all-gather", HopKind::kCopy, 0);
     for (std::size_t r = 0; r < rows; ++r) {
       add_ring_chains(row_phase, ring_of(r * cols, 1, cols),
                       blocks(r * cols, cols, units), 0);
     }
-    HopPhase& col_phase = add_phase(HopKind::kCopy, 1);
+    HopPhase& col_phase = add_phase("column all-gather", HopKind::kCopy, 1);
     for (std::size_t c = 0; c < cols; ++c) {
       add_ring_chains(col_phase, ring_of(c, cols, rows),
                       blocks(0, rows, cols * units), 0);
@@ -207,19 +238,25 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
   std::vector<Hop> up;
   std::vector<Hop> down;
   switch (paradigm) {
-    case MarParadigm::kParameterServer:
-      for (std::size_t k = 0; k + 1 < members; ++k) {
-        up.push_back({.src = k + 1,
-                      .dst = 0,
+    case MarParadigm::kParameterServer: {
+      // A colocated server is member 0, which pushes nothing.
+      const std::size_t hub = server == PsServer::kOwnNode ? members : 0;
+      schedule.nodes = hub == 0 ? members : members + 1;
+      for (std::size_t k = hub == 0 ? 1 : 0; k < members; ++k) {
+        up.push_back({.src = k,
+                      .dst = hub,
                       .count = units,
-                      .op = k,
+                      .op = up.size(),
                       .arriving_weight = 1,
-                      .resident_weight = k + 1});
-        down.push_back({.src = 0, .dst = k + 1, .count = units});
+                      .resident_weight = k});
+        down.push_back({.src = hub, .dst = k, .count = units});
       }
-      add_phase(HopKind::kFold, 0, true).chains.push_back(std::move(up));
-      add_phase(HopKind::kCopy, 1, true).chains.push_back(std::move(down));
+      add_phase("push", HopKind::kFold, 0, true).chains.push_back(
+          std::move(up));
+      add_phase("broadcast", HopKind::kCopy, 1, true)
+          .chains.push_back(std::move(down));
       return schedule;
+    }
     case MarParadigm::kTree: {
       std::vector<std::size_t> weights(members, 1);
       for (std::size_t stride = 1; stride < members; stride *= 2) {
@@ -239,8 +276,10 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
           down.push_back({.src = i, .dst = i + stride, .count = units});
         }
       }
-      add_phase(HopKind::kFold, 0).chains.push_back(std::move(up));
-      add_phase(HopKind::kCopy, 1).chains.push_back(std::move(down));
+      add_phase("tree reduce", HopKind::kFold, 0).chains.push_back(
+          std::move(up));
+      add_phase("tree broadcast", HopKind::kCopy, 1)
+          .chains.push_back(std::move(down));
       return schedule;
     }
     case MarParadigm::kRing:
@@ -249,8 +288,10 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
   }
   if (rows == 0) {
     const std::vector<WordSegment> segments = partition(0, units, members);
-    add_ring_chains(add_phase(HopKind::kFold, 0), ring, segments, 0);
-    add_ring_chains(add_phase(HopKind::kCopy, 1), ring, segments, members - 1);
+    add_ring_chains(add_phase("reduce-scatter", HopKind::kFold, 0), ring,
+                    segments, 0);
+    add_ring_chains(add_phase("all-gather", HopKind::kCopy, 1), ring,
+                    segments, members - 1);
     return schedule;
   }
   // Row reduce-scatter over `cols` segments; column c then owns segment
@@ -262,22 +303,22 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
     const WordSegment owned = row_segments[(c + 1) % cols];
     col_segments[c] = partition(owned.begin, owned.count, rows);
   }
-  HopPhase& row_rs = add_phase(HopKind::kFold, 0);
+  HopPhase& row_rs = add_phase("row reduce-scatter", HopKind::kFold, 0);
   for (std::size_t r = 0; r < rows; ++r) {
     add_ring_chains(row_rs, ring_of(r * cols, 1, cols), row_segments, 0,
                     r * cols);
   }
-  HopPhase& col_rs = add_phase(HopKind::kFold, 1);
+  HopPhase& col_rs = add_phase("column reduce-scatter", HopKind::kFold, 1);
   for (std::size_t c = 0; c < cols; ++c) {
     add_ring_chains(col_rs, ring_of(c, cols, rows), col_segments[c], 0,
                     members + c * rows, cols);
   }
-  HopPhase& col_ag = add_phase(HopKind::kCopy, 2);
+  HopPhase& col_ag = add_phase("column all-gather", HopKind::kCopy, 2);
   for (std::size_t c = 0; c < cols; ++c) {
     add_ring_chains(col_ag, ring_of(c, cols, rows), col_segments[c],
                     rows - 1);
   }
-  HopPhase& row_ag = add_phase(HopKind::kCopy, 3);
+  HopPhase& row_ag = add_phase("row all-gather", HopKind::kCopy, 3);
   for (std::size_t r = 0; r < rows; ++r) {
     add_ring_chains(row_ag, ring_of(r * cols, 1, cols), row_segments,
                     cols - 1);
@@ -321,37 +362,110 @@ double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
                     });
 }
 
-SchedulePrice price_hop_schedule(const HopSchedule& schedule,
-                                 const CostModel& cost_model,
-                                 std::size_t unit_bytes) {
-  NetworkSim net(schedule.members, cost_model);
-  std::vector<double> ready(schedule.members, 0.0);
+CollectiveTiming price_hop_schedule(const HopSchedule& schedule,
+                                    const WireFormat& wire, NetworkSim& net) {
+  MARSIT_CHECK(schedule.members >= 2)
+      << "pricing a schedule over " << schedule.members << " members";
+  MARSIT_CHECK(schedule.units >= 1) << "pricing an empty payload";
+  MARSIT_CHECK(net.num_nodes() >= schedule.nodes)
+      << "network of " << net.num_nodes() << " nodes under a schedule over "
+      << schedule.nodes;
+  const double payload =
+      static_cast<double>(schedule.units * schedule.unit_elements);
+  const auto elements = [&schedule](const Hop& hop) {
+    return hop.count * schedule.unit_elements;
+  };
+  const double retransmitted_bytes = net.retransmitted_bytes();
+  const std::size_t retransmissions = net.retransmissions();
+  const std::size_t messages = net.total_messages();
+
+  CollectiveTiming timing;
+  std::vector<double> ready(schedule.nodes, 0.0);
+  std::vector<bool> packed(schedule.nodes, false);
+  // Member 0's first send, and the fold work on the hops it receives.
+  double first_send = 0.0;
+  double serial_folds = 0.0;
+  double overlapped_folds = 0.0;
   std::vector<double> done;
+  double phase_start = 0.0;
   for (const HopPhase& phase : schedule.phases) {
+    const bool fold = phase.kind == HopKind::kFold;
     for (std::size_t t = 0, steps = phase_steps(phase); t < steps; ++t) {
-      // Each hop of a step leaves once its sender is ready; a member moves
-      // on once its own send has retired and its arrival has landed.
+      // Each hop of a step leaves once its sender is ready (the sender's
+      // NIC is the network's to track).
       done.clear();
       for_step(phase, t, [&](const Hop& hop) {
-        done.push_back(
-            hop.count == 0
-                ? ready[hop.src]
-                : net.transfer(hop.src, hop.dst,
-                               static_cast<double>(hop.count * unit_bytes),
-                               ready[hop.src], phase.server_nic));
+        const double n = static_cast<double>(elements(hop));
+        if (!packed[hop.src]) {
+          // Packing starts at time 0; the first send waits for it.
+          packed[hop.src] = true;
+          ready[hop.src] = std::max(
+              ready[hop.src], wire.initial_pack_seconds_per_element * n);
+          if (hop.src == 0) {
+            first_send = n;
+          }
+        }
+        if (hop.count == 0) {
+          done.push_back(ready[hop.src]);
+          return;
+        }
+        const double bits = fold
+                                ? wire.reduce_bits(elements(hop),
+                                                   hop.arriving_weight)
+                                : wire.gather_bits(elements(hop));
+        timing.total_wire_bits += bits;
+        done.push_back(net.transfer_bits(hop.src, hop.dst, bits,
+                                         ready[hop.src], phase.server_nic));
       });
+      // The receiver holds the units once they have landed; a fold then
+      // keeps it busy once its earlier work is done too.
       std::size_t i = 0;
       for_step(phase, t, [&](const Hop& hop) {
-        ready[hop.src] = std::max(ready[hop.src], done[i]);
-        ready[hop.dst] = std::max(ready[hop.dst], done[i]);
-        ++i;
+        ready[hop.dst] = std::max(ready[hop.dst], done[i++]);
+        if (fold) {
+          const double n = static_cast<double>(elements(hop));
+          ready[hop.dst] += wire.serial_seconds_per_element * n;
+          if (hop.dst == 0) {
+            serial_folds += wire.serial_seconds_per_element * n;
+            overlapped_folds += wire.overlapped_seconds_per_element * n;
+          }
+        }
       });
     }
+    const double phase_end = *std::max_element(ready.begin(), ready.end());
+    if (obs::TraceSession* trace = obs::TraceSession::current()) {
+      const double offset = trace->time_offset();
+      trace->add_span(phase.name, "phase", offset + phase_start,
+                      offset + phase_end, /*track=*/0);
+    }
+    phase_start = phase_end;
   }
-  SchedulePrice price;
-  price.seconds = *std::max_element(ready.begin(), ready.end());
-  price.total_bits = net.total_bytes() * 8.0;
-  return price;
+
+  const double unpack = wire.final_unpack_seconds_per_element * payload;
+  timing.completion_seconds =
+      *std::max_element(ready.begin(), ready.end()) + unpack;
+  timing.bits_per_worker =
+      timing.total_wire_bits / static_cast<double>(schedule.members);
+  timing.serial_compression_seconds_per_worker =
+      wire.initial_pack_seconds_per_element * first_send + serial_folds +
+      unpack;
+  timing.overlapped_compression_seconds_per_worker =
+      wire.initial_pack_seconds_per_element * (payload - first_send) +
+      overlapped_folds;
+  timing.retransmitted_wire_bits =
+      (net.retransmitted_bytes() - retransmitted_bytes) * 8.0;
+  timing.retransmissions = net.retransmissions() - retransmissions;
+  // Under corruption faults every delivered message carries a CRC32 footer
+  // (network_sim.cpp charges it per attempt).  The hops above sum payload
+  // bits only, so the footer of each delivery is charged here, once per
+  // message; retried attempts' footers already live in
+  // retransmitted_wire_bits.
+  const FaultPlan* plan = net.fault_plan();
+  if (plan != nullptr && plan->corruption_rate > 0.0) {
+    timing.total_wire_bits +=
+        kCrcFooterBits * static_cast<double>(net.total_messages() - messages);
+  }
+  return timing;
 }
 
 }  // namespace marsit

@@ -1,9 +1,9 @@
-// The hop schedule — one description of a Marsit round's collective, read
-// by three interpreters.
+// The hop schedule — one description of every round's collective, read by
+// three interpreters.
 //
 // A schedule is an ordered list of phases.  A phase is a set of chains on
 // one tag stream; a chain is an ordered list of hops, and a hop moves the
-// units [begin, begin + count) of one member's buffer to another member.
+// units [begin, begin + count) of one member's buffer to another node.
 // Hop t of every chain in a phase forms the phase's step t.  A phase is
 // one of two kinds:
 //
@@ -19,8 +19,10 @@
 //   copy  the receiver overwrites its copy of the units (all-gathers and
 //         broadcasts).
 //
-// hop_schedule() is the only generator.  For a one-bit round it emits the
-// paradigm's reduce-scatter and all-gather over the W-word sign plane:
+// hop_schedule() is the only generator.  A one-bit round's schedule is the
+// paradigm's reduce-scatter and all-gather over the W-word sign plane; an
+// all-reduce round's is the same hops over D elements, for pricing any
+// other method's payload (floats, sign-sums):
 //
 //   ring   fold: segment s of word_segment(W, M, ·) starts at member s and
 //          folds around the ring (seed id s, op k at member s+k+1);
@@ -31,10 +33,14 @@
 //          (seed id M + col·rows + i); copy: column rings, then row rings.
 //          Members re-form by torus_rows_for, so a degraded torus is a
 //          smaller torus or a ring.
-//   PS     fold: members 1..M−1 push the whole plane to member 0, which
-//          folds them in rank order (seed id 0, op k for member k+1);
-//          copy: member 0 sends the aggregate to every member.  Priced on
-//          the server NIC.
+//   PS     fold: every member pushes the whole plane to the server, which
+//          folds them in rank order (seed id 0, op k for the k-th push);
+//          copy: the server sends the aggregate to every member.  Priced on
+//          the server NIC.  The `server` argument places it: at member 0
+//          (PsServer::kMember0, which pushes nothing — what Marsit's fold
+//          and the socket worker run), or on its own node `members`
+//          (PsServer::kOwnNode — the paper's PS, which the baselines and
+//          the figure benches price; such a schedule is priced, never run).
 //   tree   fold: binomial stride-doubling merges into the lower member
 //          (seed id 0, one op per merge); copy: the mirrored broadcast.
 //
@@ -51,8 +57,8 @@
 //       step it sends before it receives; round t's frames carry the tag
 //       t << 2 | stream (stream < 4), so a reader can recover the round
 //       from any frame.
-//   price_hop_schedule  replays the hops on a fresh NetworkSim for the α–β
-//       prediction and the round's total wire bits.
+//   price_hop_schedule  replays the hops on a NetworkSim: the α–β model of
+//       every round, for every method, the trainer's and the worker's.
 //
 // Empty hops (count == 0, when W < M) send no frame and draw no rng; the
 // pricer still lets the receiver wait for the sender, as a zero-byte hop.
@@ -63,11 +69,26 @@
 #include <span>
 #include <vector>
 
-#include "core/sync_strategy.hpp"
-#include "net/cost_model.hpp"
+#include "collectives/timing.hpp"
+#include "net/network_sim.hpp"
 #include "net/transport.hpp"
 
 namespace marsit {
+
+/// Which synchronization fabric carries the update.  kTree is the paper's
+/// claimed extension target ("easily extended to ... tree all-reduce"): the
+/// weighted ⊙ operator folds binomial-tree merges exactly like torus ones.
+enum class MarParadigm { kRing, kTorus2d, kParameterServer, kTree };
+
+const char* mar_paradigm_name(MarParadigm paradigm);
+
+/// Rows of the torus a `members`-rank round runs on, for a torus configured
+/// with `torus_cols` columns: members / torus_cols when the members fill at
+/// least two whole rows (at full membership, the configured shape), else 0
+/// — the round re-forms as a ring.  The one degraded-torus rule:
+/// hop_schedule follows it, so the fold, the executor and the pricer all
+/// see the same shape.
+std::size_t torus_rows_for(std::size_t torus_cols, std::size_t members);
 
 /// One word-aligned segment of a reduce-scatter partition.
 struct WordSegment {
@@ -100,6 +121,8 @@ struct Hop {
 enum class HopKind { kFold, kCopy };
 
 struct HopPhase {
+  /// Trace span name ("reduce-scatter", "row all-gather", "push", …).
+  const char* name = "";
   HopKind kind = HopKind::kCopy;
   /// Tag stream in [0, 4).
   std::uint32_t stream = 0;
@@ -110,17 +133,32 @@ struct HopPhase {
 
 struct HopSchedule {
   std::size_t members = 0;
+  /// Nodes the hops touch: `members`, plus one for a PS on its own node.
+  std::size_t nodes = 0;
+  /// Units each member contributes, and the elements one unit carries.
+  std::size_t units = 0;
+  std::size_t unit_elements = 1;
   std::vector<HopPhase> phases;
 };
 
-enum class RoundKind { kOneBit, kFlush };
+/// kOneBit: Marsit's sign-word plane, 64 elements a unit.  kAllReduce: the
+/// same reduce-scatter and all-gather over single elements, priced for the
+/// other methods' payloads and Marsit's flush.  kFlush: the float row
+/// all-gather the socket worker's flush runs.
+enum class RoundKind { kOneBit, kFlush, kAllReduce };
+
+/// Where a parameter-server schedule puts its server.
+enum class PsServer { kMember0, kOwnNode };
 
 /// The schedule of a `kind` round over `members` members, each
-/// contributing `units` units: W sign words of a one-bit round, or D floats
-/// of a flush row (the flush's buffer holds members × units).
+/// contributing `units` units: W sign words of a one-bit round, D elements
+/// of an all-reduce, or D floats of a flush row (the flush's buffer holds
+/// members × units).  `server` matters only to a kOneBit or kAllReduce
+/// parameter server.
 HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
                          std::size_t torus_cols, std::size_t members,
-                         std::size_t units);
+                         std::size_t units,
+                         PsServer server = PsServer::kMember0);
 
 /// Applies fold hop `hop` of the round seeded `round_seed`: `out` becomes
 /// the ⊙ of `arriving` and `resident` in the hop's operand order.  `out`
@@ -144,17 +182,27 @@ double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
 double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
                             std::size_t round, std::span<float> rows);
 
-struct SchedulePrice {
-  /// Latest member-ready time.
-  double seconds = 0.0;
-  /// Payload bits all members put on the wire.
-  double total_bits = 0.0;
-};
-
-/// Replays `schedule` on a fresh NetworkSim over `cost_model`, sizing each
-/// hop at count × unit_bytes.
-SchedulePrice price_hop_schedule(const HopSchedule& schedule,
-                                 const CostModel& cost_model,
-                                 std::size_t unit_bytes);
+/// Prices `schedule` on `net` (its fault plan included) in `wire`'s format.
+///
+/// A fold hop carries wire.reduce_bits(elements, arriving_weight) and a copy
+/// hop wire.gather_bits(elements), where elements = count × unit_elements,
+/// so sign-sums grow hop by hop.  A member's first send leaves once it has
+/// packed that hop's elements, and every hop leaves once its sender holds
+/// its units.  A fold hop's receiver is then busy for
+/// wire.serial_seconds_per_element × elements (cascading's recompress, a
+/// sign-sum add, the PS server's tally of each push), starting once the
+/// arrival has landed and its earlier work is done.  The round completes
+/// when the last node is ready and has unpacked the whole payload.
+///
+/// Compression seconds are member 0's.  Serial: the pack of its first send,
+/// the serial work on the fold hops it receives, and the final unpack.
+/// Overlapped: the rest of its pack and the overlapped work on those fold
+/// hops.  With equal segments these are the closed forms of ring, torus, PS
+/// and tree all-reduce.  Retransmitted bits and retries are the network's
+/// delta over the call; under corruption every delivered message also
+/// carries a CRC footer in total_wire_bits.  Emits one "phase" trace span
+/// per HopPhase.
+CollectiveTiming price_hop_schedule(const HopSchedule& schedule,
+                                    const WireFormat& wire, NetworkSim& net);
 
 }  // namespace marsit

@@ -19,28 +19,6 @@
 
 namespace marsit {
 
-const char* mar_paradigm_name(MarParadigm paradigm) {
-  switch (paradigm) {
-    case MarParadigm::kRing:
-      return "RAR";
-    case MarParadigm::kTorus2d:
-      return "TAR";
-    case MarParadigm::kParameterServer:
-      return "PS";
-    case MarParadigm::kTree:
-      return "TREE";
-  }
-  return "?";
-}
-
-std::size_t torus_rows_for(std::size_t torus_cols, std::size_t members) {
-  if (torus_cols == 0 || members % torus_cols != 0 ||
-      members / torus_cols < 2) {
-    return 0;
-  }
-  return members / torus_cols;
-}
-
 namespace {
 
 /// Block length for the SSDM strategies' stochastic-sign norms (see
@@ -296,30 +274,23 @@ const WorkerSpans& SyncStrategy::active_inputs(const WorkerSpans& inputs) {
   return active_scratch_;
 }
 
-CollectiveTiming SyncStrategy::mar_timing(std::size_t d,
-                                          const WireFormat& wire) {
+CollectiveTiming SyncStrategy::mar_timing(std::size_t units,
+                                          const WireFormat& wire,
+                                          RoundKind kind) {
   const std::size_t m = active_.size();
-  switch (config_.paradigm) {
-    case MarParadigm::kRing:
-      return ring_allreduce_timing(m, d, wire, net_);
-    case MarParadigm::kTorus2d: {
-      // A degraded torus re-forms as a smaller torus while the survivors
-      // still fill whole rows, else the round runs as a ring of survivors.
-      const std::size_t rows = torus_rows_for(config_.torus_cols, m);
-      if (rows == 0) {
-        return ring_allreduce_timing(m, d, wire, net_);
-      }
+  if (config_.paradigm == MarParadigm::kTorus2d) {
+    if (const std::size_t rows = torus_rows_for(config_.torus_cols, m)) {
       MARSIT_VALIDATE_CALL(
           validate::torus_shape(rows, config_.torus_cols, m));
-      return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net_);
     }
-    case MarParadigm::kParameterServer:
-      return ps_allreduce_timing(m, d, wire, net_);
-    case MarParadigm::kTree:
-      return tree_allreduce_timing(m, d, wire, net_);
   }
-  MARSIT_CHECK(false) << "unreachable paradigm";
-  return {};
+  // Marsit's one-bit plane is priced as its fold runs it, the parameter
+  // server at member 0; every other round prices the paper's PS on its own
+  // node.
+  const HopSchedule schedule = hop_schedule(
+      kind, config_.paradigm, config_.torus_cols, m, units,
+      kind == RoundKind::kOneBit ? PsServer::kMember0 : PsServer::kOwnNode);
+  return price_hop_schedule(schedule, wire, net_);
 }
 
 Rng SyncStrategy::round_rng() const {
@@ -975,7 +946,9 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     }
   });
 
-  result.timing = mar_timing(d, marsit_wire(config_.cost_model));
+  result.timing = mar_timing(signs_.front().words().size(),
+                             marsit_wire(config_.cost_model),
+                             RoundKind::kOneBit);
   result.bits_per_element = 1.0;
   // The residual-magnitude gauge costs an O(M·D) norm pass, so it is
   // computed only when someone is listening.

@@ -9,8 +9,9 @@
 // methods share and the reason the trainer can keep a single model copy.
 //
 // synchronize() also returns the round's simulated timing and wire-bit
-// accounting, computed by the matching collective schedule on this
-// strategy's topology (ring / 2-D torus / parameter server).
+// accounting: the round's hop schedule (core/hop_schedule.hpp) on this
+// strategy's paradigm (ring / 2-D torus / parameter server / tree), priced
+// on the strategy's NetworkSim.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +25,7 @@
 #include "ckpt/snapshot.hpp"
 #include "collectives/aggregators.hpp"
 #include "collectives/timing.hpp"
+#include "core/hop_schedule.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_plan.hpp"
 #include "net/network_sim.hpp"
@@ -33,21 +35,6 @@
 namespace marsit {
 
 class ThreadPool;
-
-/// Which synchronization fabric carries the update.  kTree is the paper's
-/// claimed extension target ("easily extended to ... tree all-reduce"): the
-/// weighted ⊙ operator folds binomial-tree merges exactly like torus ones.
-enum class MarParadigm { kRing, kTorus2d, kParameterServer, kTree };
-
-const char* mar_paradigm_name(MarParadigm paradigm);
-
-/// Rows of the torus a `members`-rank round runs on, for a torus configured
-/// with `torus_cols` columns: members / torus_cols when the members fill at
-/// least two whole rows (at full membership, the configured shape), else 0
-/// — the round re-forms as a ring.  The one degraded-torus rule: the timing
-/// model and the ⊙ fold both follow it, so the priced schedule is the one
-/// that ran.
-std::size_t torus_rows_for(std::size_t torus_cols, std::size_t members);
 
 /// Single-valued and unread: Marsit has one one-bit plane, the
 /// reduce-scatter schedule of core/segmented_fold.hpp.  The enum goes once
@@ -163,16 +150,19 @@ class SyncStrategy {
   /// zeros the worker's compensation).  Default: nothing to discard.
   virtual void on_flush_rejoin(std::size_t worker);
 
-  /// Timing of one MAR collective for a d-element payload in the given wire
-  /// format, over this round's *surviving* membership: on degraded rounds
-  /// the schedule re-forms over active_workers().size() participants (a
-  /// torus that no longer tiles re-forms as a smaller torus when the
-  /// survivor count still fills whole rows, else as a ring).  Survivors are
-  /// renumbered densely onto nodes 0..S−1, so per-node fault attributes
-  /// follow re-formed fabric positions, not physical hosts.  Every
-  /// strategy prices its round here, in one piece, on the strategy's own
-  /// NetworkSim.
-  CollectiveTiming mar_timing(std::size_t d, const WireFormat& wire);
+  /// Timing of this round's collective in the given wire format: the
+  /// hop_schedule of a `kind` round over `units` units, priced by
+  /// price_hop_schedule on the strategy's own NetworkSim.  kAllReduce
+  /// prices d elements with the paper's PS on its own node; kOneBit prices
+  /// Marsit's W-word sign plane as its fold runs it, the PS at member 0.
+  /// The schedule re-forms over this round's *surviving* membership,
+  /// active_workers().size() participants (a torus that no longer tiles
+  /// re-forms as a smaller torus when the survivor count still fills whole
+  /// rows, else as a ring).  Survivors are renumbered densely onto nodes
+  /// 0..S−1, so per-node fault attributes follow re-formed fabric
+  /// positions, not physical hosts.
+  CollectiveTiming mar_timing(std::size_t units, const WireFormat& wire,
+                              RoundKind kind = RoundKind::kAllReduce);
 
   /// Original indices of the workers present this round, ascending.  Always
   /// the full fleet when the fault plan has no membership faults; never

@@ -6,6 +6,7 @@
 #include "compress/bit_vector.hpp"
 #include "compress/kernels.hpp"
 #include "core/hop_schedule.hpp"
+#include "net/network_sim.hpp"
 #include "sim/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -50,17 +51,20 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   Tensor compensation(d);
   Tensor global(d);
   const std::size_t k = config.options.full_precision_period;
-  // One schedule per round kind, priced once: the NetworkSim replay is a
-  // pure function of the schedule and the cost model.
+  // One schedule per round kind, priced once on the wire alone: the
+  // NetworkSim replay is a pure function of the schedule and the cost
+  // model.
   const HopSchedule one_bit =
       hop_schedule(RoundKind::kOneBit, config.paradigm, config.torus_cols, m,
                    kernels::words_for(d));
   const HopSchedule flush = hop_schedule(
       RoundKind::kFlush, config.paradigm, config.torus_cols, m, d);
-  const SchedulePrice one_bit_price =
-      price_hop_schedule(one_bit, config.cost_model, sizeof(std::uint64_t));
-  const SchedulePrice flush_price =
-      price_hop_schedule(flush, config.cost_model, sizeof(float));
+  NetworkSim net(m, config.cost_model);
+  const CollectiveTiming one_bit_price =
+      price_hop_schedule(one_bit, one_bit_wire(), net);
+  net.reset();
+  const CollectiveTiming flush_price =
+      price_hop_schedule(flush, full_precision_wire(), net);
   BitVector signs(d);
   // Flush rounds gather every rank's u + c into row g of `rows`.
   Tensor rows;
@@ -103,9 +107,10 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     }
     report.measured_comm_seconds = seconds_since(comm_start);
     report.wire_bits = sent_bytes * 8.0;
-    const SchedulePrice& price = full_precision ? flush_price : one_bit_price;
-    report.predicted_comm_seconds = price.seconds;
-    report.total_wire_bits = price.total_bits;
+    const CollectiveTiming& priced =
+        full_precision ? flush_price : one_bit_price;
+    report.predicted_comm_seconds = priced.completion_seconds;
+    report.total_wire_bits = priced.total_wire_bits;
 
     local.model().apply_update(global.span());
     result.rounds.push_back(report);

@@ -25,11 +25,13 @@
 // column bundles; every other paradigm gathers over the ring — the gather
 // route does not change what each rank holds.
 //
-// The α–β prediction reported per round comes from price_hop_schedule, the
-// schedule's NetworkSim replay, run once per round kind; so
-// RoundReport::total_wire_bits equals the sum of every rank's measured
-// payload bits bit-for-bit — the invariant tests/dist_wire_volume_test
-// pins.
+// The α–β prediction reported per round comes from price_hop_schedule —
+// the pricer of every round, the trainer's included — run once per round
+// kind with wire-only formats (one_bit_wire, full_precision_wire: bits, no
+// compression seconds); so RoundReport::total_wire_bits equals the sum of
+// every rank's measured payload bits bit-for-bit — the invariant
+// tests/dist_wire_volume_test pins — and, on one-bit rounds, MarsitSync's
+// priced total_wire_bits (tests/dist_cross_backend_test).
 #pragma once
 
 #include <cstddef>

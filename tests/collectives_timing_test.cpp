@@ -1,13 +1,23 @@
+// Wire formats priced through price_hop_schedule (core/hop_schedule.hpp):
+// the ring, torus and parameter-server closed forms, the fault accounting,
+// and the argument checks.
 #include "collectives/timing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "core/hop_schedule.hpp"
+#include "core/sync_strategy.hpp"
 #include "net/crc32.hpp"
 #include "net/fault_plan.hpp"
 #include "util/check.hpp"
 
 namespace marsit {
 namespace {
+
+using enum RoundKind;
+using enum MarParadigm;
 
 CostModel test_model() {
   CostModel model;
@@ -28,8 +38,8 @@ TEST(RingTimingTest, FullPrecisionMatchesClosedForm) {
   const CostModel model = test_model();
   NetworkSim net(4, model);
   const std::size_t m = 4, d = 400;  // seg = 100 elements = 400 bytes
-  const CollectiveTiming timing =
-      ring_allreduce_timing(m, d, full_precision_wire(), net);
+  const CollectiveTiming timing = price_hop_schedule(
+      hop_schedule(kAllReduce, kRing, 0, m, d), full_precision_wire(), net);
   // 2(M−1) synchronous steps of (α + 400/β) each.
   EXPECT_NEAR(timing.completion_seconds, 6.0 * (1.0 + 4.0), 1e-9);
   // Total bits: 2(M−1) steps × M segments × 32·seg bits.
@@ -37,12 +47,25 @@ TEST(RingTimingTest, FullPrecisionMatchesClosedForm) {
   EXPECT_NEAR(timing.bits_per_worker, timing.total_wire_bits / 4.0, 1e-9);
 }
 
-TEST(RingTimingTest, MarsitWireIs32xSmaller) {
+TEST(RingTimingTest, UnevenSegmentsCountExactBits) {
+  // 4978 = 4·1244 + 2: the hops carry the segments the schedule sends,
+  // 1245, 1245, 1244 and 1244 floats, not four padded ⌈D/M⌉ = 1245.
   const CostModel model = test_model();
   NetworkSim net(4, model);
-  const auto full = ring_allreduce_timing(4, 3200, full_precision_wire(), net);
+  const CollectiveTiming timing =
+      price_hop_schedule(hop_schedule(kAllReduce, kRing, 0, 4, 4978),
+                         full_precision_wire(), net);
+  EXPECT_EQ(timing.total_wire_bits, 2.0 * 3.0 * 4978.0 * 32.0);
+  EXPECT_EQ(timing.total_wire_bits, 955776.0);
+}
+
+TEST(RingTimingTest, MarsitWireIs32xSmaller) {
+  const CostModel model = test_model();
+  const HopSchedule schedule = hop_schedule(kAllReduce, kRing, 0, 4, 3200);
+  NetworkSim net(4, model);
+  const auto full = price_hop_schedule(schedule, full_precision_wire(), net);
   net.reset();
-  const auto one_bit = ring_allreduce_timing(4, 3200, marsit_wire(model), net);
+  const auto one_bit = price_hop_schedule(schedule, marsit_wire(model), net);
   EXPECT_NEAR(full.total_wire_bits / one_bit.total_wire_bits, 32.0, 1e-9);
   EXPECT_LT(one_bit.completion_seconds, full.completion_seconds);
 }
@@ -51,18 +74,20 @@ TEST(RingTimingTest, MarsitTotalBitsFormula) {
   // One-bit ring: 2(M−1)·D bits total when M | D.
   const CostModel model = test_model();
   NetworkSim net(8, model);
-  const auto timing = ring_allreduce_timing(8, 800, marsit_wire(model), net);
+  const auto timing = price_hop_schedule(
+      hop_schedule(kAllReduce, kRing, 0, 8, 800), marsit_wire(model), net);
   EXPECT_NEAR(timing.total_wire_bits, 2.0 * 7.0 * 800.0, 1e-9);
 }
 
 TEST(RingTimingTest, CascadingSlowerThanMarsitWithRealRates) {
   CostModel model = test_model();
   model.cascade_recompress_rate = 10.0;  // 10 elements/s: brutal hops
+  const HopSchedule schedule = hop_schedule(kAllReduce, kRing, 0, 4, 400);
   NetworkSim net(4, model);
   const auto cascade =
-      ring_allreduce_timing(4, 400, cascading_wire(model), net);
+      price_hop_schedule(schedule, cascading_wire(model), net);
   net.reset();
-  const auto one_bit = ring_allreduce_timing(4, 400, marsit_wire(model), net);
+  const auto one_bit = price_hop_schedule(schedule, marsit_wire(model), net);
   EXPECT_GT(cascade.completion_seconds, one_bit.completion_seconds);
   EXPECT_GT(cascade.compression_seconds_per_worker(),
             one_bit.compression_seconds_per_worker());
@@ -79,24 +104,31 @@ TEST(RingTimingTest, SignSumBitsGrowWithContributions) {
 
 TEST(RingTimingTest, SignSumWireCostsMoreThanMarsit) {
   const CostModel model = test_model();
+  const HopSchedule schedule = hop_schedule(kAllReduce, kRing, 0, 8, 6400);
   NetworkSim net(8, model);
   const auto sign_sum =
-      ring_allreduce_timing(8, 6400, sign_sum_wire(model), net);
+      price_hop_schedule(schedule, sign_sum_wire(model), net);
   net.reset();
-  const auto one_bit = ring_allreduce_timing(8, 6400, marsit_wire(model), net);
+  const auto one_bit = price_hop_schedule(schedule, marsit_wire(model), net);
   EXPECT_GT(sign_sum.total_wire_bits, one_bit.total_wire_bits);
   EXPECT_GT(sign_sum.completion_seconds, one_bit.completion_seconds);
 }
 
 TEST(RingTimingTest, RejectsDegenerateArguments) {
   const CostModel model = test_model();
+  const WireFormat wire = marsit_wire(model);
   NetworkSim net(4, model);
-  EXPECT_THROW(ring_allreduce_timing(1, 100, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(ring_allreduce_timing(4, 0, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(ring_allreduce_timing(8, 100, marsit_wire(model), net),
-               CheckError);  // network smaller than worker count
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kRing, 0, 1, 100), wire,
+                         net),
+      CheckError);
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kRing, 0, 4, 0), wire, net),
+      CheckError);
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kRing, 0, 8, 100), wire,
+                         net),
+      CheckError);  // network smaller than worker count
 }
 
 TEST(PsTimingTest, ServerCongestionScalesWithWorkers) {
@@ -104,10 +136,32 @@ TEST(PsTimingTest, ServerCongestionScalesWithWorkers) {
   // Same per-worker payload; PS completion grows ~linearly with M while
   // ring grows only in step count with shrinking segments.
   NetworkSim net4(5, model);
-  const auto ps4 = ps_allreduce_timing(4, 400, full_precision_wire(), net4);
+  const auto ps4 = price_hop_schedule(
+      hop_schedule(kAllReduce, kParameterServer, 0, 4, 400,
+                   PsServer::kOwnNode),
+      full_precision_wire(), net4);
   NetworkSim net8(9, model);
-  const auto ps8 = ps_allreduce_timing(8, 400, full_precision_wire(), net8);
+  const auto ps8 = price_hop_schedule(
+      hop_schedule(kAllReduce, kParameterServer, 0, 8, 400,
+                   PsServer::kOwnNode),
+      full_precision_wire(), net8);
   EXPECT_GT(ps8.completion_seconds, 1.7 * ps4.completion_seconds);
+}
+
+TEST(PsTimingTest, ServerNodeSerializesEveryMessage) {
+  // M pushes through the server's ingress, then M sends through its
+  // egress, each α + 4D/β_server: 2M messages back to back.
+  const CostModel model = test_model();
+  const std::size_t m = 4, d = 100;
+  NetworkSim net(m + 1, model);
+  const CollectiveTiming timing = price_hop_schedule(
+      hop_schedule(kAllReduce, kParameterServer, 0, m, d,
+                   PsServer::kOwnNode),
+      full_precision_wire(), net);
+  EXPECT_EQ(net.total_messages(), 2 * m);
+  EXPECT_DOUBLE_EQ(timing.completion_seconds,
+                   2.0 * m *
+                       (model.link_alpha + 4.0 * d / model.server_bandwidth));
 }
 
 TEST(PsTimingTest, PsSlowerThanRingForFullPrecision) {
@@ -115,25 +169,32 @@ TEST(PsTimingTest, PsSlowerThanRingForFullPrecision) {
   const CostModel model = test_model();
   const std::size_t m = 8, d = 8000;
   NetworkSim ps_net(m + 1, model);
-  const auto ps = ps_allreduce_timing(m, d, full_precision_wire(), ps_net);
+  const auto ps = price_hop_schedule(
+      hop_schedule(kAllReduce, kParameterServer, 0, m, d,
+                   PsServer::kOwnNode),
+      full_precision_wire(), ps_net);
   NetworkSim ring_net(m, model);
-  const auto ring = ring_allreduce_timing(m, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_hop_schedule(
+      hop_schedule(kAllReduce, kRing, 0, m, d), full_precision_wire(),
+      ring_net);
   EXPECT_GT(ps.completion_seconds, ring.completion_seconds);
 }
 
 TEST(PsTimingTest, RequiresServerNode) {
   const CostModel model = test_model();
   NetworkSim net(4, model);  // no room for a server
-  EXPECT_THROW(ps_allreduce_timing(4, 100, full_precision_wire(), net),
+  EXPECT_THROW(price_hop_schedule(hop_schedule(kAllReduce, kParameterServer,
+                                               0, 4, 100, PsServer::kOwnNode),
+                                  full_precision_wire(), net),
                CheckError);
 }
 
 TEST(TorusTimingTest, CompletesAndCountsBits) {
   const CostModel model = test_model();
   NetworkSim net(16, model);
-  const auto timing = torus_allreduce_timing(4, 4, 1600, marsit_wire(model),
-                                             net);
+  const auto timing =
+      price_hop_schedule(hop_schedule(kAllReduce, kTorus2d, 4, 16, 1600),
+                         marsit_wire(model), net);
   EXPECT_GT(timing.completion_seconds, 0.0);
   EXPECT_GT(timing.total_wire_bits, 0.0);
   EXPECT_GT(timing.bits_per_worker, 0.0);
@@ -147,21 +208,35 @@ TEST(TorusTimingTest, FewerLatencyStepsThanRingWhenAlphaDominates) {
   model.link_bandwidth = 1e12;  // latency-bound
   const std::size_t m = 16, d = 16000;
   NetworkSim ring_net(m, model);
-  const auto ring = ring_allreduce_timing(m, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_hop_schedule(
+      hop_schedule(kAllReduce, kRing, 0, m, d), full_precision_wire(),
+      ring_net);
   NetworkSim torus_net(m, model);
-  const auto torus = torus_allreduce_timing(4, 4, d, full_precision_wire(),
-                                            torus_net);
+  const auto torus = price_hop_schedule(
+      hop_schedule(kAllReduce, kTorus2d, 4, m, d), full_precision_wire(),
+      torus_net);
   EXPECT_LT(torus.completion_seconds, ring.completion_seconds);
 }
 
 TEST(TorusTimingTest, RejectsDegenerateShapes) {
+  // A strategy refuses a torus that is one row or does not tile its
+  // workers; the generator itself would re-form a one-row membership as a
+  // ring (torus_rows_for).
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{1, 4},
+                                   std::pair<std::size_t, std::size_t>{3, 2}}) {
+    SyncConfig config;
+    config.num_workers = 4;
+    config.paradigm = kTorus2d;
+    config.torus_rows = rows;
+    config.torus_cols = cols;
+    EXPECT_THROW(PsgdSync{config}, CheckError) << rows << "x" << cols;
+  }
   const CostModel model = test_model();
   NetworkSim net(16, model);
-  EXPECT_THROW(torus_allreduce_timing(1, 16, 100, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(torus_allreduce_timing(8, 4, 100, marsit_wire(model), net),
-               CheckError);  // 32 nodes > 16-node network
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kTorus2d, 4, 32, 100),
+                         marsit_wire(model), net),
+      CheckError);  // 32 nodes > 16-node network
 }
 
 TEST(WireFormatTest, EliasWireUsesMeasuredSizes) {
@@ -186,9 +261,10 @@ TEST(RingTimingTest, CorruptionChargesFooterOncePerDeliveredMessage) {
   // by exactly one 32-bit CRC footer in total_wire_bits — added in one
   // place, never double-counted against retransmission accounting.
   const CostModel model = test_model();
+  const HopSchedule schedule = hop_schedule(kAllReduce, kRing, 0, 4, 400);
   NetworkSim clean_net(4, model);
   const auto clean =
-      ring_allreduce_timing(4, 400, full_precision_wire(), clean_net);
+      price_hop_schedule(schedule, full_precision_wire(), clean_net);
 
   FaultPlan plan;
   plan.corruption_rate = 1e-12;  // footer cost without actual corruption
@@ -196,7 +272,7 @@ TEST(RingTimingTest, CorruptionChargesFooterOncePerDeliveredMessage) {
   NetworkSim net(4, model);
   net.set_fault_plan(&plan);
   net.begin_round(0);
-  const auto lossy = ring_allreduce_timing(4, 400, full_precision_wire(), net);
+  const auto lossy = price_hop_schedule(schedule, full_precision_wire(), net);
   // The M=4 ring moves 2(M−1) steps × M segments = 24 messages.
   EXPECT_DOUBLE_EQ(lossy.total_wire_bits,
                    clean.total_wire_bits + kCrcFooterBits * 24.0);

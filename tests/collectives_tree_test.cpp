@@ -1,11 +1,13 @@
-// Tree all-reduce schedule + the tree one-bit fold — the paper's claimed
-// extension fabric ("can be easily extended to ... tree all-reduce").
+// Tree all-reduce schedule priced through price_hop_schedule + the tree
+// one-bit fold — the paper's claimed extension fabric ("can be easily
+// extended to ... tree all-reduce").
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "collectives/timing.hpp"
+#include "core/hop_schedule.hpp"
 #include "core/sync_strategy.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -13,6 +15,9 @@
 
 namespace marsit {
 namespace {
+
+using enum RoundKind;
+using enum MarParadigm;
 
 CostModel test_model() {
   CostModel model;
@@ -31,8 +36,8 @@ CostModel test_model() {
 TEST(TreeTimingTest, TwoWorkersIsOneRoundTrip) {
   const CostModel model = test_model();
   NetworkSim net(2, model);
-  const auto timing =
-      tree_allreduce_timing(2, 100, full_precision_wire(), net);
+  const auto timing = price_hop_schedule(
+      hop_schedule(kAllReduce, kTree, 0, 2, 100), full_precision_wire(), net);
   // One 400-byte reduce transfer + one broadcast transfer: 2·(1 + 4).
   EXPECT_NEAR(timing.completion_seconds, 2.0 * (1.0 + 4.0), 1e-9);
   EXPECT_NEAR(timing.total_wire_bits, 2.0 * 3200.0, 1e-9);
@@ -45,11 +50,13 @@ TEST(TreeTimingTest, LogDepthScaling) {
   model.link_bandwidth = 1e12;
   const std::size_t d = 1000;
   NetworkSim tree_net(16, model);
-  const auto tree = tree_allreduce_timing(16, d, full_precision_wire(),
-                                          tree_net);
+  const auto tree = price_hop_schedule(
+      hop_schedule(kAllReduce, kTree, 0, 16, d), full_precision_wire(),
+      tree_net);
   NetworkSim ring_net(16, model);
-  const auto ring = ring_allreduce_timing(16, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_hop_schedule(
+      hop_schedule(kAllReduce, kRing, 0, 16, d), full_precision_wire(),
+      ring_net);
   EXPECT_LT(tree.completion_seconds, ring.completion_seconds / 2.0);
 }
 
@@ -61,11 +68,13 @@ TEST(TreeTimingTest, BandwidthBoundRingWins) {
   model.link_alpha = 0.0;
   const std::size_t d = 100000;
   NetworkSim tree_net(16, model);
-  const auto tree = tree_allreduce_timing(16, d, full_precision_wire(),
-                                          tree_net);
+  const auto tree = price_hop_schedule(
+      hop_schedule(kAllReduce, kTree, 0, 16, d), full_precision_wire(),
+      tree_net);
   NetworkSim ring_net(16, model);
-  const auto ring = ring_allreduce_timing(16, d, full_precision_wire(),
-                                          ring_net);
+  const auto ring = price_hop_schedule(
+      hop_schedule(kAllReduce, kRing, 0, 16, d), full_precision_wire(),
+      ring_net);
   EXPECT_GT(tree.completion_seconds, ring.completion_seconds);
 }
 
@@ -73,8 +82,8 @@ TEST(TreeTimingTest, NonPowerOfTwoWorkerCounts) {
   const CostModel model = test_model();
   for (std::size_t m : {3u, 5u, 6u, 7u, 12u}) {
     NetworkSim net(m, model);
-    const auto timing =
-        tree_allreduce_timing(m, 64, marsit_wire(model), net);
+    const auto timing = price_hop_schedule(
+        hop_schedule(kAllReduce, kTree, 0, m, 64), marsit_wire(model), net);
     EXPECT_GT(timing.completion_seconds, 0.0) << "M=" << m;
     // Reduce needs M−1 merges, broadcast M−1 sends: 2(M−1) messages total.
     EXPECT_EQ(net.total_messages(), 2 * (m - 1)) << "M=" << m;
@@ -84,23 +93,29 @@ TEST(TreeTimingTest, NonPowerOfTwoWorkerCounts) {
 TEST(TreeTimingTest, SignSumPayloadsGrowUpTheTree) {
   const CostModel model = test_model();
   NetworkSim fixed_net(8, model);
-  const auto fixed = tree_allreduce_timing(8, 6400, sign_sum_wire(model),
-                                           fixed_net);
+  const auto fixed = price_hop_schedule(
+      hop_schedule(kAllReduce, kTree, 0, 8, 6400), sign_sum_wire(model),
+      fixed_net);
   NetworkSim one_bit_net(8, model);
-  const auto one_bit = tree_allreduce_timing(8, 6400, marsit_wire(model),
-                                             one_bit_net);
+  const auto one_bit = price_hop_schedule(
+      hop_schedule(kAllReduce, kTree, 0, 8, 6400), marsit_wire(model),
+      one_bit_net);
   EXPECT_GT(fixed.total_wire_bits, one_bit.total_wire_bits);
 }
 
 TEST(TreeTimingTest, RejectsDegenerateArguments) {
   const CostModel model = test_model();
   NetworkSim net(4, model);
-  EXPECT_THROW(tree_allreduce_timing(1, 10, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(tree_allreduce_timing(8, 10, marsit_wire(model), net),
-               CheckError);
-  EXPECT_THROW(tree_allreduce_timing(4, 0, marsit_wire(model), net),
-               CheckError);
+  const WireFormat wire = marsit_wire(model);
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kTree, 0, 1, 10), wire, net),
+      CheckError);
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kTree, 0, 8, 10), wire, net),
+      CheckError);
+  EXPECT_THROW(
+      price_hop_schedule(hop_schedule(kAllReduce, kTree, 0, 4, 0), wire, net),
+      CheckError);
 }
 
 // --- tree schedule under an active FaultPlan --------------------------------
@@ -114,8 +129,9 @@ TEST(TreeFaultTest, PacketLossBurnsRetransmittedBitsNotPayload) {
 
   NetworkSim clean_net(8, model);
   clean_net.begin_round(0);
+  const HopSchedule schedule = hop_schedule(kAllReduce, kTree, 0, 8, 256);
   const auto clean =
-      tree_allreduce_timing(8, 256, full_precision_wire(), clean_net);
+      price_hop_schedule(schedule, full_precision_wire(), clean_net);
   EXPECT_EQ(clean.retransmissions, 0u);
   EXPECT_DOUBLE_EQ(clean.retransmitted_wire_bits, 0.0);
 
@@ -123,7 +139,7 @@ TEST(TreeFaultTest, PacketLossBurnsRetransmittedBitsNotPayload) {
   lossy_net.set_fault_plan(&plan);
   lossy_net.begin_round(0);
   const auto lossy =
-      tree_allreduce_timing(8, 256, full_precision_wire(), lossy_net);
+      price_hop_schedule(schedule, full_precision_wire(), lossy_net);
 
   // Payload accounting counts each message once; lost attempts land on the
   // retransmitted side channel and stretch completion via retry timeouts.
@@ -148,7 +164,8 @@ TEST(TreeFaultTest, FaultStreamIsDeterministicPerRound) {
   auto run = [&model, &plan](NetworkSim& net, std::size_t round) {
     net.set_fault_plan(&plan);
     net.begin_round(round);
-    return tree_allreduce_timing(8, 64, marsit_wire(model), net);
+    return price_hop_schedule(hop_schedule(kAllReduce, kTree, 0, 8, 64),
+                              marsit_wire(model), net);
   };
   NetworkSim net_a(8, model), net_b(8, model), net_c(8, model);
   const auto a = run(net_a, 5);
@@ -174,14 +191,15 @@ TEST(TreeFaultTest, RootStragglerStretchesCompletion) {
   plan.stragglers.push_back(FaultPlan::Straggler{.node = 0, .slowdown = 8.0});
   plan.validate();
 
+  const HopSchedule schedule = hop_schedule(kAllReduce, kTree, 0, 8, 1000);
   NetworkSim clean_net(8, model);
   const auto clean =
-      tree_allreduce_timing(8, 1000, full_precision_wire(), clean_net);
+      price_hop_schedule(schedule, full_precision_wire(), clean_net);
   NetworkSim slow_net(8, model);
   slow_net.set_fault_plan(&plan);
   slow_net.begin_round(0);
   const auto slow =
-      tree_allreduce_timing(8, 1000, full_precision_wire(), slow_net);
+      price_hop_schedule(schedule, full_precision_wire(), slow_net);
   EXPECT_GT(slow.completion_seconds, clean.completion_seconds);
   EXPECT_EQ(slow.retransmissions, 0u);
   EXPECT_DOUBLE_EQ(slow.total_wire_bits, clean.total_wire_bits);
@@ -194,16 +212,17 @@ TEST(TreeFaultTest, RootOutageDefersTheWholeReduce) {
       FaultPlan::Outage{.node = 0, .start = 0.0, .end = 50.0});
   plan.validate();
 
+  const HopSchedule schedule = hop_schedule(kAllReduce, kTree, 0, 8, 100);
   NetworkSim net(8, model);
   net.set_fault_plan(&plan);
   net.begin_round(0);
   const auto timing =
-      tree_allreduce_timing(8, 100, full_precision_wire(), net);
+      price_hop_schedule(schedule, full_precision_wire(), net);
   // Nothing can land on the root before its NICs come back up.
   EXPECT_GT(timing.completion_seconds, 50.0);
   NetworkSim clean_net(8, model);
   const auto clean =
-      tree_allreduce_timing(8, 100, full_precision_wire(), clean_net);
+      price_hop_schedule(schedule, full_precision_wire(), clean_net);
   EXPECT_GT(timing.completion_seconds, clean.completion_seconds);
 }
 
@@ -212,7 +231,7 @@ TEST(TreeFaultTest, StrategyReportsRetransmissionAccounting) {
   // SyncStepResult, where the trainer picks it up for TrainResult.
   SyncConfig config;
   config.num_workers = 8;
-  config.paradigm = MarParadigm::kTree;
+  config.paradigm = kTree;
   config.seed = 31;
   config.fault_plan.seed = 9;
   config.fault_plan.packet_loss = 0.4;
@@ -248,7 +267,7 @@ TEST(TreeFaultTest, DegradedMembershipShrinksTheTree) {
   // aggregate.
   SyncConfig config;
   config.num_workers = 8;
-  config.paradigm = MarParadigm::kTree;
+  config.paradigm = kTree;
   config.seed = 31;
   config.fault_plan.dropouts.push_back(
       FaultPlan::DropOut{.worker = 3, .from_round = 0, .to_round = 1});
@@ -286,7 +305,7 @@ TEST(TreeFaultTest, DegradedMembershipShrinksTheTree) {
 TEST(TreeMarsitTest, TreeParadigmNameAndTiming) {
   SyncConfig config;
   config.num_workers = 8;
-  config.paradigm = MarParadigm::kTree;
+  config.paradigm = kTree;
   config.seed = 21;
   MarsitOptions options;
   options.eta_s = 0.5f;
@@ -313,7 +332,7 @@ TEST(TreeMarsitTest, TreeFoldIsUnbiased) {
   // fold's weighted merges must keep P(bit=1) = k/M exactly.
   SyncConfig config;
   config.num_workers = 5;
-  config.paradigm = MarParadigm::kTree;
+  config.paradigm = kTree;
   MarsitOptions options;
   options.eta_s = 1.0f;
 
@@ -347,7 +366,7 @@ TEST(TreeMarsitTest, TreeFoldIsUnbiased) {
 TEST(TreePsgdTest, ExactMeanOnTree) {
   SyncConfig config;
   config.num_workers = 6;
-  config.paradigm = MarParadigm::kTree;
+  config.paradigm = kTree;
   config.seed = 23;
   PsgdSync sync(config);
   EXPECT_EQ(sync.name(), "PSGD-TREE");

@@ -208,8 +208,10 @@ TEST(HopScheduleTest, OneBitScheduleFoldsEveryContributionOnceToWeightM) {
         }
       }
       EXPECT_EQ(payload, 2 * (m - 1) * w);
-      EXPECT_EQ(price_hop_schedule(schedule, CostModel{}, 8).total_bits,
-                static_cast<double>(64 * 2 * (m - 1) * w));
+      NetworkSim net(m, CostModel{});
+      EXPECT_EQ(
+          price_hop_schedule(schedule, one_bit_wire(), net).total_wire_bits,
+          static_cast<double>(64 * 2 * (m - 1) * w));
     }
   }
 }
@@ -353,9 +355,10 @@ TEST(HopScheduleTest, FlushDeliversEveryRowToEveryRank) {
         EXPECT_EQ(rows[r], expected) << "rank " << r << " misses a row";
         total += sent[r];
       }
+      NetworkSim net(m, CostModel{});
       EXPECT_EQ(8.0 * total,
-                price_hop_schedule(schedule, CostModel{}, sizeof(float))
-                    .total_bits);
+                price_hop_schedule(schedule, full_precision_wire(), net)
+                    .total_wire_bits);
     }
   }
 }

@@ -9,9 +9,11 @@
 // every rank of every backend must finish with bit-identical parameters,
 // witnessed by FNV-1a digests.  The simulator side runs a 128-element shard
 // chunk grid the worker does not have, so the matrix also shows that
-// digests do not depend on the chunk size.  The α–β predictions and wire accounting must also agree
-// bit-for-bit across the two transport backends, and the per-rank payload
-// bits must sum to the round's total on every backend.
+// digests do not depend on the chunk size.  The α–β predictions and wire
+// accounting must also agree bit-for-bit across the two transport
+// backends, the per-rank payload bits must sum to the round's total on
+// every backend, and the wire bits MarsitSync prices for a one-bit round
+// must be the ones the worker sends.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -28,6 +30,7 @@
 #include "net/socket_transport.hpp"
 #include "nn/models.hpp"
 #include "sim/trainer.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/logging.hpp"
 
@@ -74,11 +77,9 @@ Sequential make_model(const SyntheticDigits& digits) {
   return make_mlp(digits.sample_size(), {8}, digits.num_classes());
 }
 
-/// The oracle: the simulator run every backend must reproduce.
-std::uint64_t trainer_digest(const dist::WorkerConfig& config,
-                             std::size_t world) {
-  SyntheticDigits digits;
-  const auto factory = [&digits] { return make_model(digits); };
+/// The simulator's SyncConfig for a worker run.
+SyncConfig sync_config_of(const dist::WorkerConfig& config,
+                          std::size_t world) {
   SyncConfig sync_config;
   sync_config.num_workers = world;
   sync_config.paradigm = config.paradigm;
@@ -86,7 +87,15 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
   sync_config.torus_cols = config.torus_cols;
   sync_config.seed = config.sync_seed;
   sync_config.shard_chunk_elements = 128;
-  MarsitSync strategy(sync_config, config.options);
+  return sync_config;
+}
+
+/// The oracle: the simulator run every backend must reproduce.
+std::uint64_t trainer_digest(const dist::WorkerConfig& config,
+                             std::size_t world) {
+  SyntheticDigits digits;
+  const auto factory = [&digits] { return make_model(digits); };
+  MarsitSync strategy(sync_config_of(config, world), config.options);
 
   TrainerConfig trainer_config;
   trainer_config.batch_size_per_worker = config.batch_size_per_worker;
@@ -102,6 +111,26 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
   Tensor params(trainer.param_count());
   trainer.copy_params_into(params.span());
   return ckpt::fnv1a(params.span().data(), params.size() * sizeof(float));
+}
+
+/// The wire bits MarsitSync prices for one one-bit round of a `d`-element
+/// update.
+double trainer_one_bit_bits(const dist::WorkerConfig& config,
+                            std::size_t world, std::size_t d) {
+  MarsitOptions options = config.options;
+  options.full_precision_period = 0;
+  MarsitSync strategy(sync_config_of(config, world), options);
+  std::vector<Tensor> updates(world, Tensor(d));
+  WorkerSpans spans;
+  Rng rng(5);
+  for (Tensor& update : updates) {
+    fill_normal(update.span(), rng, 0.0f, 1.0f);
+    spans.push_back(update.span());
+  }
+  Tensor out(d);
+  const SyncStepResult step = strategy.synchronize(spans, out.span());
+  EXPECT_FALSE(step.full_precision);
+  return step.timing.total_wire_bits;
 }
 
 /// Runs `world` ranks on threads, one transport each, and returns the
@@ -209,6 +238,14 @@ void run_cell(MarParadigm paradigm, std::size_t world,
   for (std::size_t r = 0; r < world; ++r) {
     EXPECT_EQ(sim[r].param_digest, oracle) << "SimTransport rank " << r;
   }
+  // The trainer prices the traffic the backend sends: a one-bit round
+  // (round 1; K = 3) moves 2(M−1)·⌈D/64⌉·64 sign bits on every paradigm.
+  SyntheticDigits digits;
+  const std::size_t d = make_model(digits).param_count();
+  const double one_bit_bits = trainer_one_bit_bits(config, world, d);
+  EXPECT_EQ(one_bit_bits, sim[0].rounds[1].total_wire_bits);
+  EXPECT_EQ(one_bit_bits,
+            static_cast<double>(2 * (world - 1) * ((d + 63) / 64) * 64));
 
   const std::vector<dist::WorkerResult> sockets =
       run_over_sockets(config, world);

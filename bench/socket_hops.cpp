@@ -7,8 +7,9 @@
 // The launcher forks M = 4 ranks that mesh-connect over loopback TCP and
 // run execute_hop_schedule (core/hop_schedule.hpp) for three rounds:
 //
-//   ring_flush    the float all-gather of a ring flush at ring-large's
-//                 D = 4,624,394 (three 18.5 MB hops per rank);
+//   ring_flush    the float all-reduce of a ring flush (reduce-scatter
+//                 with a float add, then all-gather) at ring-large's
+//                 D = 4,620,298 (six 4.6 MB hops per rank);
 //   ring_one_bit  a one-bit ring round (reduce-scatter ⊙ fold, then
 //                 all-gather) at the same D;
 //   torus_flush   the 2×2 torus flush at torus-flush's D = 1,261,578.
@@ -22,9 +23,10 @@
 // binary from a two-rank ping: the median send-until-ack time of 64 B and
 // 4 MiB frames gives α and the bandwidth.
 //
-// The rounds check themselves: after every flush each rank's rows must
-// hold every rank's contribution, and after every one-bit round all ranks
-// must hold the same aggregate.  A failed check, a payload byte count
+// The rounds check themselves: after every flush each rank must hold
+// bytes memcmp-equal to the in-memory fold (fold_float_schedule) of the
+// same contributions, and after every one-bit round all ranks must hold the
+// same aggregate.  A failed check, a payload byte count
 // other than the schedule's, or a rank that dies or overruns the watchdog
 // exits 1 without writing the file.
 #include <poll.h>
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -50,6 +53,7 @@
 
 #include "compress/kernels.hpp"
 #include "core/hop_schedule.hpp"
+#include "core/segmented_fold.hpp"
 #include "net/socket_transport.hpp"
 
 namespace marsit {
@@ -85,13 +89,13 @@ struct Case {
 };
 
 const Case kCases[] = {
-    {"ring_flush", RoundKind::kFlush, MarParadigm::kRing, 0, 4624394},
-    {"ring_one_bit", RoundKind::kOneBit, MarParadigm::kRing, 0, 4624394},
-    {"torus_flush", RoundKind::kFlush, MarParadigm::kTorus2d, 2, 1261578},
+    {"ring_flush", RoundKind::kAllReduce, MarParadigm::kRing, 0, 4620298},
+    {"ring_one_bit", RoundKind::kOneBit, MarParadigm::kRing, 0, 4620298},
+    {"torus_flush", RoundKind::kAllReduce, MarParadigm::kTorus2d, 2, 1261578},
 };
 
 HopSchedule schedule_of(const Case& c) {
-  const std::size_t units = c.kind == RoundKind::kFlush
+  const std::size_t units = c.kind == RoundKind::kAllReduce
                                 ? c.elements
                                 : kernels::words_for(c.elements);
   return hop_schedule(c.kind, c.paradigm, c.torus_cols, kRanks, units);
@@ -99,7 +103,8 @@ HopSchedule schedule_of(const Case& c) {
 
 /// The wire alone, as the distributed worker prices its rounds.
 WireFormat wire_of(const Case& c) {
-  return c.kind == RoundKind::kFlush ? full_precision_wire() : one_bit_wire();
+  return c.kind == RoundKind::kAllReduce ? full_precision_wire()
+                                         : one_bit_wire();
 }
 
 double median(std::vector<double> values) {
@@ -258,9 +263,35 @@ double cpu_seconds(const timeval& tv) {
          static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
-/// Deterministic stand-in for rank `rank`'s flush row.
+/// Deterministic stand-in for rank `rank`'s flush contribution: values of
+/// mixed magnitude, so the sum depends on its association.
 float flush_value(std::size_t rank, std::size_t i) {
-  return static_cast<float>(rank * 1000 + i % 997);
+  return static_cast<float>((rank * 7919 + i) % 9973) *
+         (i % 3 == 0 ? 1e-3f : 1.7f) * (rank % 2 == 0 ? 1.0f : -0.3f);
+}
+
+/// Every flush case's sum, folded in memory from every rank's contribution,
+/// in kCases order (empty for one-bit cases).
+std::vector<std::vector<float>> flush_sums() {
+  std::vector<std::vector<float>> sums;
+  for (const Case& c : kCases) {
+    sums.emplace_back();
+    if (c.kind != RoundKind::kAllReduce) {
+      continue;
+    }
+    std::vector<std::vector<float>> rows(kRanks,
+                                         std::vector<float>(c.elements));
+    std::vector<std::span<float>> spans;
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      for (std::size_t i = 0; i < c.elements; ++i) {
+        rows[r][i] = flush_value(r, i);
+      }
+      spans.emplace_back(rows[r]);
+    }
+    sums.back().resize(c.elements);
+    fold_float_schedule(schedule_of(c), spans, {0, c.elements}, sums.back());
+  }
+  return sums;
 }
 
 std::uint64_t fnv1a(std::span<const std::uint64_t> words) {
@@ -287,19 +318,22 @@ enum CaseField : std::size_t {
   kCaseFields
 };
 
-/// One warm-up round, then `reps` timed rounds of every case.
+/// One warm-up round, then `reps` timed rounds of every case; `sums` is
+/// flush_sums().
 std::vector<double> time_cases(std::size_t rank, SocketTransport& transport,
-                               std::size_t reps) {
+                               std::size_t reps,
+                               const std::vector<std::vector<float>>& sums) {
   std::vector<double> report;
   std::uint32_t round = 0;
-  for (const Case& c : kCases) {
+  for (std::size_t ci = 0; ci < std::size(kCases); ++ci) {
+    const Case& c = kCases[ci];
     const HopSchedule schedule = schedule_of(c);
     const std::size_t d = c.elements;
-    std::vector<float> rows;
+    std::vector<float> values;
     std::vector<std::uint64_t> own_words;
     std::vector<std::uint64_t> words;
-    if (c.kind == RoundKind::kFlush) {
-      rows.assign(kRanks * d, 0.0f);
+    if (c.kind == RoundKind::kAllReduce) {
+      values.resize(d);
     } else {
       own_words.resize(kernels::words_for(d));
       for (std::size_t w = 0; w < own_words.size(); ++w) {
@@ -313,11 +347,10 @@ std::vector<double> time_cases(std::size_t rank, SocketTransport& transport,
     bool checked = true;
     std::uint64_t digest = 0;
     for (std::size_t rep = 0; rep <= reps; ++rep) {
-      // Untimed: reset the buffers to this rank's contribution alone.
-      if (c.kind == RoundKind::kFlush) {
-        std::fill(rows.begin(), rows.end(), 0.0f);
+      // Untimed: reset the buffers to this rank's contribution.
+      if (c.kind == RoundKind::kAllReduce) {
         for (std::size_t i = 0; i < d; ++i) {
-          rows[rank * d + i] = flush_value(rank, i);
+          values[i] = flush_value(rank, i);
         }
       } else {
         words = own_words;
@@ -326,23 +359,18 @@ std::vector<double> time_cases(std::size_t rank, SocketTransport& transport,
       rusage before{};
       ::getrusage(RUSAGE_SELF, &before);
       const double start = now_seconds();
-      payload = c.kind == RoundKind::kFlush
-                    ? execute_hop_schedule(transport, schedule, round, rows)
+      payload = c.kind == RoundKind::kAllReduce
+                    ? execute_hop_schedule(transport, schedule, round,
+                                           std::span<float>(values))
                     : execute_hop_schedule(transport, schedule, round,
                                            kRoundSeed, words);
       const double elapsed = now_seconds() - start;
       rusage after{};
       ::getrusage(RUSAGE_SELF, &after);
       ++round;
-      if (c.kind == RoundKind::kFlush) {
-        for (std::size_t g = 0; g < kRanks && checked; ++g) {
-          for (std::size_t i = 0; i < d; ++i) {
-            if (rows[g * d + i] != flush_value(g, i)) {
-              checked = false;
-              break;
-            }
-          }
-        }
+      if (c.kind == RoundKind::kAllReduce) {
+        checked = checked && std::memcmp(values.data(), sums[ci].data(),
+                                         d * sizeof(float)) == 0;
       } else {
         const std::uint64_t got = fnv1a(words);
         checked = checked && (rep == 0 || got == digest);
@@ -536,9 +564,12 @@ int main(int argc, char** argv) {
                fit.large_seconds * 1e6, fit.cost.link_alpha * 1e6,
                fit.cost.link_bandwidth * 8e-9);
 
+  // Folded before the fork, so the ranks share the pages.
+  const std::vector<std::vector<float>> sums = flush_sums();
   std::vector<std::vector<double>> reports;
-  const RankBody body = [reps](std::size_t rank, SocketTransport& transport) {
-    return time_cases(rank, transport, reps);
+  const RankBody body = [reps, &sums](std::size_t rank,
+                                      SocketTransport& transport) {
+    return time_cases(rank, transport, reps, sums);
   };
   if (!run_ranks(kRanks, body, reports)) {
     std::fprintf(stderr, "a rank failed\n");

@@ -8,11 +8,12 @@
 // price_hop_schedule (core/hop_schedule.hpp), replays a round's hop
 // schedule and asks the format for each hop's bits and processing time.
 //
-// The aggregation arithmetic runs separately on full vectors (see
-// aggregators.hpp and src/core): elementwise aggregation is invariant to how
-// a vector is chunked into segments, so values and timing can be computed
-// independently without loss of fidelity.  DESIGN.md §6 records this
-// decoupling.
+// A baseline's aggregation arithmetic runs separately on full vectors
+// (aggregators.hpp): elementwise aggregation is invariant to how a vector is
+// chunked into segments, so its values and timing are computed
+// independently.  Marsit's rounds instead fold the schedule they price —
+// ⊙ draws keyed by its (segment, op), the flush's float sum in its
+// association (core/segmented_fold.hpp).  DESIGN.md §6 records both.
 #pragma once
 
 #include <cstddef>

@@ -9,6 +9,7 @@
 #include "core/one_bit.hpp"
 #include "net/crc32.hpp"
 #include "obs/trace.hpp"
+#include "tensor/ops.hpp"
 #include "util/check.hpp"
 
 namespace marsit {
@@ -103,16 +104,6 @@ std::vector<WordSegment> partition(std::size_t base, std::size_t units,
   return ranges;
 }
 
-/// `count` consecutive blocks of `size` units starting at block `first`.
-std::vector<WordSegment> blocks(std::size_t first, std::size_t count,
-                                std::size_t size) {
-  std::vector<WordSegment> ranges(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ranges[i] = {(first + i) * size, size};
-  }
-  return ranges;
-}
-
 std::uint32_t frame_tag(std::size_t round, std::uint32_t stream) {
   MARSIT_CHECK(stream < 4) << "tag stream " << stream;
   return static_cast<std::uint32_t>(round << 2) | stream;
@@ -137,7 +128,8 @@ void for_step(const HopPhase& phase, std::size_t t, Fn&& fn) {
 }
 
 /// One member's side of `schedule` over its buffer `units`: copy hops land
-/// in place, fold hops go to fold(hop, payload).
+/// in place, fold hops go to fold(hop, arriving, resident) with the
+/// arriving units copied out of the frame.
 template <typename Unit, typename Fold>
 double run_member(Transport& transport, const HopSchedule& schedule,
                   std::size_t round, std::span<Unit> units, Fold&& fold) {
@@ -148,6 +140,7 @@ double run_member(Transport& transport, const HopSchedule& schedule,
       << "a parameter server on its own node is priced, not run";
   const std::size_t self = transport.rank();
   double sent_bytes = 0.0;
+  std::vector<Unit> arriving;
   for (const HopPhase& phase : schedule.phases) {
     const std::uint32_t tag = frame_tag(round, phase.stream);
     for (std::size_t t = 0, steps = phase_steps(phase); t < steps; ++t) {
@@ -169,11 +162,13 @@ double run_member(Transport& transport, const HopSchedule& schedule,
         MARSIT_CHECK(payload.size() == hop.count * sizeof(Unit))
             << "hop payload " << payload.size() << " bytes, expected "
             << hop.count * sizeof(Unit);
+        const auto resident = units.subspan(hop.begin, hop.count);
         if (phase.kind == HopKind::kFold) {
-          fold(hop, payload);
+          arriving.resize(hop.count);
+          std::memcpy(arriving.data(), payload.data(), payload.size());
+          fold(hop, std::span<const Unit>(arriving), resident);
         } else {
-          std::memcpy(units.subspan(hop.begin, hop.count).data(),
-                      payload.data(), payload.size());
+          std::memcpy(resident.data(), payload.data(), payload.size());
         }
       });
     }
@@ -211,27 +206,6 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
                                ? torus_rows_for(cols, members)
                                : 0;
   const Ring ring = ring_of(0, 1, members);
-
-  if (kind == RoundKind::kFlush) {
-    if (rows == 0) {
-      add_ring_chains(add_phase("all-gather", HopKind::kCopy, 0), ring,
-                      blocks(0, members, units), 0);
-      return schedule;
-    }
-    // Rows gather their members' rows, then columns gather whole-row
-    // bundles.
-    HopPhase& row_phase = add_phase("row all-gather", HopKind::kCopy, 0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      add_ring_chains(row_phase, ring_of(r * cols, 1, cols),
-                      blocks(r * cols, cols, units), 0);
-    }
-    HopPhase& col_phase = add_phase("column all-gather", HopKind::kCopy, 1);
-    for (std::size_t c = 0; c < cols; ++c) {
-      add_ring_chains(col_phase, ring_of(c, cols, rows),
-                      blocks(0, rows, cols * units), 0);
-    }
-    return schedule;
-  }
 
   // The parameter server and the tree fold and send the whole plane as one
   // chain per phase.
@@ -340,25 +314,29 @@ void fold_hop(const Hop& hop, std::uint64_t round_seed,
   }
 }
 
-double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
-                            std::size_t round, std::uint64_t round_seed,
-                            std::span<std::uint64_t> words) {
-  std::vector<std::uint64_t> arriving;
-  return run_member(
-      transport, schedule, round, words,
-      [&](const Hop& hop, const std::vector<std::uint8_t>& payload) {
-        arriving.resize(hop.count);
-        std::memcpy(arriving.data(), payload.data(), payload.size());
-        const auto resident = words.subspan(hop.begin, hop.count);
-        fold_hop(hop, round_seed, arriving, resident, resident);
-      });
+void fold_hop(const Hop& hop, std::span<const float> arriving,
+              std::span<const float> resident, std::span<float> out) {
+  if (hop.arriving_first) {
+    add(arriving, resident, out);
+  } else {
+    add(resident, arriving, out);
+  }
 }
 
 double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
-                            std::size_t round, std::span<float> rows) {
-  return run_member(transport, schedule, round, rows,
-                    [](const Hop&, const std::vector<std::uint8_t>&) {
-                      MARSIT_CHECK(false) << "float rows cannot be ⊙-folded";
+                            std::size_t round, std::uint64_t round_seed,
+                            std::span<std::uint64_t> words) {
+  return run_member(transport, schedule, round, words,
+                    [round_seed](const Hop& hop, auto arriving, auto resident) {
+                      fold_hop(hop, round_seed, arriving, resident, resident);
+                    });
+}
+
+double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
+                            std::size_t round, std::span<float> values) {
+  return run_member(transport, schedule, round, values,
+                    [](const Hop& hop, auto arriving, auto resident) {
+                      fold_hop(hop, arriving, resident, resident);
                     });
 }
 

@@ -7,22 +7,26 @@
 // Hop t of every chain in a phase forms the phase's step t.  A phase is
 // one of two kinds:
 //
-//   fold  the receiver merges the arriving units into its own copy with
-//         Marsit's weighted ⊙ (core/one_bit.hpp).  The hop names the
-//         segment seed id and op index of its generator
+//   fold  the receiver merges the arriving units into its own copy: with
+//         Marsit's weighted ⊙ (core/one_bit.hpp) on a one-bit round, with a
+//         float add on an all-reduce.  The hop names the segment seed id
+//         and op index of its ⊙ generator
 //         (segment_op_rng(segment_fold_seed(round_seed, seed_id), op)), the
 //         weight each operand stands for, and which operand comes first —
 //         ⊙ draws its Bernoulli mask for the first operand, so the order is
 //         part of the result.  Ring and torus chains fold the arriving
 //         partial first; the parameter server and the tree fold the
-//         receiver's aggregate first.
+//         receiver's aggregate first.  A float chain's order fixes its
+//         sum's association: ((x_s + x_{s+1}) + …) around a ring, rank
+//         order at a server.
 //   copy  the receiver overwrites its copy of the units (all-gathers and
 //         broadcasts).
 //
 // hop_schedule() is the only generator.  A one-bit round's schedule is the
 // paradigm's reduce-scatter and all-gather over the W-word sign plane; an
-// all-reduce round's is the same hops over D elements, for pricing any
-// other method's payload (floats, sign-sums):
+// all-reduce round's is the same hops over D elements: Marsit's flush,
+// which both backends run as a float all-reduce, and the priced payload of
+// every other method (floats, sign-sums):
 //
 //   ring   fold: segment s of word_segment(W, M, ·) starts at member s and
 //          folds around the ring (seed id s, op k at member s+k+1);
@@ -37,22 +41,21 @@
 //          folds them in rank order (seed id 0, op k for the k-th push);
 //          copy: the server sends the aggregate to every member.  Priced on
 //          the server NIC.  The `server` argument places it: at member 0
-//          (PsServer::kMember0, which pushes nothing — what Marsit's fold
+//          (PsServer::kMember0, which pushes nothing — what Marsit's folds
 //          and the socket worker run), or on its own node `members`
 //          (PsServer::kOwnNode — the paper's PS, which the baselines and
 //          the figure benches price; such a schedule is priced, never run).
 //   tree   fold: binomial stride-doubling merges into the lower member
 //          (seed id 0, one op per merge); copy: the mirrored broadcast.
 //
-// Every one-bit schedule moves exactly 2(M−1)·W words.  For a flush round
-// it emits the float all-gather of the members' D-unit rows into one M×D
-// buffer: one ring for ring, PS and tree; row rings, then column rings of
-// whole-row bundles for the torus.
+// Every schedule moves exactly 2(M−1)·units units; a PS on its own node
+// moves 2M·units.
 //
 // The interpreters:
 //
-//   marsit_fold_signs_segmented (core/segmented_fold.hpp)  folds in memory,
-//       one pool task per chain of each fold phase.
+//   marsit_fold_signs_segmented, fold_float_schedule
+//       (core/segmented_fold.hpp) fold in memory: ⊙ chains as pool tasks,
+//       floats window by window.
 //   execute_hop_schedule  runs one member's side over a Transport.  In each
 //       step it sends before it receives; round t's frames carry the tag
 //       t << 2 | stream (stream < 4), so a reader can recover the round
@@ -142,19 +145,16 @@ struct HopSchedule {
 };
 
 /// kOneBit: Marsit's sign-word plane, 64 elements a unit.  kAllReduce: the
-/// same reduce-scatter and all-gather over single elements, priced for the
-/// other methods' payloads and Marsit's flush.  kFlush: the float row
-/// all-gather the socket worker's flush runs.
-enum class RoundKind { kOneBit, kFlush, kAllReduce };
+/// same reduce-scatter and all-gather over single elements — Marsit's float
+/// flush, and the priced payload of the other methods.
+enum class RoundKind { kOneBit, kAllReduce };
 
 /// Where a parameter-server schedule puts its server.
 enum class PsServer { kMember0, kOwnNode };
 
 /// The schedule of a `kind` round over `members` members, each
 /// contributing `units` units: W sign words of a one-bit round, D elements
-/// of an all-reduce, or D floats of a flush row (the flush's buffer holds
-/// members × units).  `server` matters only to a kOneBit or kAllReduce
-/// parameter server.
+/// of an all-reduce.  `server` matters only to a parameter server.
 HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
                          std::size_t torus_cols, std::size_t members,
                          std::size_t units,
@@ -175,12 +175,16 @@ double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
                             std::size_t round, std::uint64_t round_seed,
                             std::span<std::uint64_t> words);
 
-/// Runs member transport.rank()'s side of flush `schedule` for round
-/// `round`.  `rows` is the members × D buffer: on entry this member's row
-/// holds its contribution, on exit every row holds its member's.  Returns
-/// the payload bytes this member sent.
+/// The float fold of hop `hop`: `out` becomes the sum of `arriving` and
+/// `resident` in the hop's operand order.  `out` may alias either operand.
+void fold_hop(const Hop& hop, std::span<const float> arriving,
+              std::span<const float> resident, std::span<float> out);
+
+/// Runs member transport.rank()'s side of all-reduce `schedule` for round
+/// `round`, folding floats.  `values` holds this member's contribution on
+/// entry and the sum on exit.  Returns the payload bytes this member sent.
 double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
-                            std::size_t round, std::span<float> rows);
+                            std::size_t round, std::span<float> values);
 
 /// Prices `schedule` on `net` (its fault plan included) in `wire`'s format.
 ///

@@ -1,5 +1,5 @@
-// Marsit's ⊙ reduction in memory — the single-process interpreter of the
-// one-bit hop schedule (core/hop_schedule.hpp).
+// The in-memory interpreters of a hop schedule (core/hop_schedule.hpp):
+// Marsit's ⊙ reduction of a one-bit round and the float sum of its flush.
 //
 // `bernoulli_word` consumes a variable number of raw generator words, so a
 // fold that drew from one sequential stream would force whoever folds to
@@ -11,21 +11,21 @@
 // single-process trainer emulating them — reproduce the identical aggregate
 // bit-for-bit.
 //
-// In memory, signs[i] starts as member i's buffer.  A chain that folds the
-// arriving partial first (ring, torus) accumulates it in the vector the
-// chain started from, so each chain writes only its own words, and later
+// In memory, buffer i starts as member i's units.  A chain that folds the
+// arriving partial first (ring, torus) accumulates it in the buffer the
+// chain started from, so each chain writes only its own units, and later
 // hops read a member's copy from wherever its chain left it: the torus
-// column phase folds each row's aggregate from the vector its row chain
+// column phase folds each row's aggregate from the buffer its row chain
 // accumulated in.  A chain that folds into the receiver's aggregate (PS,
-// tree) folds in place in the receiver's vector.  Chains write disjoint
-// (vector, word-range) pairs and never read a range another chain of the
-// same phase writes, so each fold phase's chains run as tasks on a thread
-// pool with output identical to any serial order.  The PS and tree
-// schedules are one whole-payload chain per phase and so fold serially —
-// as on the wire, where one server or one root folds everything.  The copy
-// phases are applied to signs.front() only: each chain of the last fold
-// phase finishes its range at full weight, and that range is copied into
-// signs.front().
+// tree) folds in place in the receiver's buffer.  Chains write disjoint
+// (buffer, unit-range) pairs and never read a range another chain of the
+// same phase writes, so the ⊙ fold runs each fold phase's chains as pool
+// tasks with output identical to any serial order; the PS and tree are one
+// chain per phase and fold serially, as one server or root does on the
+// wire.  Float adds are elementwise, so the float fold may walk the chains
+// over any window of units and still give the schedule's sum.  The copy
+// phases are not run: each range the last fold phase finishes at full
+// weight is copied out.
 //
 // The statistical contract — both Eq. 2 branches unbiased for every segment
 // split and every paradigm — is proven in tests/core_one_bit_stat_test.cpp.
@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compress/bit_vector.hpp"
@@ -57,5 +58,12 @@ void marsit_fold_signs_segmented(MarParadigm paradigm, std::size_t torus_rows,
                                  std::size_t count, std::size_t num_words,
                                  std::uint64_t round_seed,
                                  ThreadPool* pool = nullptr);
+
+/// The float all-reduce of kAllReduce `schedule`, serially, on the units
+/// `window` of rows[0..members): writes their sum, in the schedule's
+/// association, into out[window] and clobbers the rows' window.
+void fold_float_schedule(const HopSchedule& schedule,
+                         std::span<const std::span<float>> rows,
+                         WordSegment window, std::span<float> out);
 
 }  // namespace marsit

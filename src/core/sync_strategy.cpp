@@ -274,9 +274,8 @@ const WorkerSpans& SyncStrategy::active_inputs(const WorkerSpans& inputs) {
   return active_scratch_;
 }
 
-CollectiveTiming SyncStrategy::mar_timing(std::size_t units,
-                                          const WireFormat& wire,
-                                          RoundKind kind) {
+HopSchedule SyncStrategy::round_schedule(RoundKind kind, std::size_t units,
+                                         PsServer server) const {
   const std::size_t m = active_.size();
   if (config_.paradigm == MarParadigm::kTorus2d) {
     if (const std::size_t rows = torus_rows_for(config_.torus_cols, m)) {
@@ -284,13 +283,15 @@ CollectiveTiming SyncStrategy::mar_timing(std::size_t units,
           validate::torus_shape(rows, config_.torus_cols, m));
     }
   }
-  // Marsit's one-bit plane is priced as its fold runs it, the parameter
-  // server at member 0; every other round prices the paper's PS on its own
-  // node.
-  const HopSchedule schedule = hop_schedule(
-      kind, config_.paradigm, config_.torus_cols, m, units,
-      kind == RoundKind::kOneBit ? PsServer::kMember0 : PsServer::kOwnNode);
-  return price_hop_schedule(schedule, wire, net_);
+  return hop_schedule(kind, config_.paradigm, config_.torus_cols, m, units,
+                      server);
+}
+
+CollectiveTiming SyncStrategy::mar_timing(std::size_t units,
+                                          const WireFormat& wire) {
+  return price_hop_schedule(
+      round_schedule(RoundKind::kAllReduce, units, PsServer::kOwnNode), wire,
+      net_);
 }
 
 Rng SyncStrategy::round_rng() const {
@@ -867,32 +868,37 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   const auto& active = active_workers();
   const std::size_t s = active.size();
 
+  const ShardPlan plan(d, config_.shard_chunk_elements);
+  MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
+  ThreadPool& pool = strategy_pool(config_);
   if (full_precision) {
-    // Lines 12–13: exact mean of u_m + c_m, compensation reset.  Each row
-    // is built in place in c_m, which is zeroed once the mean is taken.
-    // The mean is element-wise, so shard chunks run on the pool and the
-    // result is the same for any pool size and chunk size; the trust
-    // region then scales the whole mean.
-    const ShardPlan plan(d, config_.shard_chunk_elements);
-    parallel_for(strategy_pool(config_), plan.num_chunks(),
-                 [&](std::size_t c) {
+    // Lines 12–13: each survivor's u_m + c_m, built in place in c_m, summed
+    // in the association of the all-reduce the socket worker runs, scaled
+    // by 1/s; c_m is reset.  Each shard chunk folds its own units, so the
+    // mean is the same for any pool and chunk size.  The trust region then
+    // scales the whole mean.
+    const HopSchedule schedule =
+        round_schedule(RoundKind::kAllReduce, d, PsServer::kMember0);
+    const float inv_s = 1.0f / static_cast<float>(s);
+    parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
       const Shard shard = plan.chunk(c);
       const std::size_t n = shard.size();
-      WorkerSpans rows;
+      std::vector<std::span<float>> rows;
       rows.reserve(s);
       for (const std::size_t w : active) {
-        const std::span<float> row =
-            compensation_[w].span().subspan(shard.begin, n);
-        add(inputs[w].subspan(shard.begin, n), row, row);
+        const std::span<float> row = compensation_[w].span();
+        add(inputs[w].subspan(shard.begin, n), row.subspan(shard.begin, n),
+            row.subspan(shard.begin, n));
         rows.push_back(row);
       }
-      aggregate_mean(rows, out.subspan(shard.begin, n));
-      for (const std::size_t w : active) {
-        zero(compensation_[w].span().subspan(shard.begin, n));
+      fold_float_schedule(schedule, rows, {shard.begin, n}, out);
+      scale(out.subspan(shard.begin, n), inv_s);
+      for (const std::span<float> row : rows) {
+        zero(row.subspan(shard.begin, n));
       }
     });
     clip_flush_mean(options_, out);
-    result.timing = mar_timing(d, full_precision_wire());
+    result.timing = price_hop_schedule(schedule, full_precision_wire(), net_);
     result.full_precision = true;
     result.bits_per_element = 32.0;
     return result;
@@ -910,9 +916,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   if (signs_.empty() || signs_.front().size() != d) {
     signs_.assign(m, BitVector(d));
   }
-  const ShardPlan plan(d, config_.shard_chunk_elements);
-  MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
-  ThreadPool& pool = strategy_pool(config_);
+  const std::size_t words = signs_.front().words().size();
   // Line 1 of Algorithm 1: fold the update into the compensation and pack
   // the signs, per survivor.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
@@ -928,8 +932,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   });
   // Lines 4–8: the ⊙ reduction, leaving the aggregate in signs_[0].
   marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
-                              config_.torus_cols, signs_, s,
-                              signs_.front().words().size(),
+                              config_.torus_cols, signs_, s, words,
                               derive_seed(config_.seed, round_), &pool);
   // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
@@ -946,9 +949,10 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
     }
   });
 
-  result.timing = mar_timing(signs_.front().words().size(),
-                             marsit_wire(config_.cost_model),
-                             RoundKind::kOneBit);
+  // Priced as folded: the same generator call, the PS at member 0.
+  result.timing = price_hop_schedule(
+      round_schedule(RoundKind::kOneBit, words, PsServer::kMember0),
+      marsit_wire(config_.cost_model), net_);
   result.bits_per_element = 1.0;
   // The residual-magnitude gauge costs an O(M·D) norm pass, so it is
   // computed only when someone is listening.

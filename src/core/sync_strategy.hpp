@@ -150,19 +150,21 @@ class SyncStrategy {
   /// zeros the worker's compensation).  Default: nothing to discard.
   virtual void on_flush_rejoin(std::size_t worker);
 
-  /// Timing of this round's collective in the given wire format: the
-  /// hop_schedule of a `kind` round over `units` units, priced by
-  /// price_hop_schedule on the strategy's own NetworkSim.  kAllReduce
-  /// prices d elements with the paper's PS on its own node; kOneBit prices
-  /// Marsit's W-word sign plane as its fold runs it, the PS at member 0.
-  /// The schedule re-forms over this round's *surviving* membership,
-  /// active_workers().size() participants (a torus that no longer tiles
-  /// re-forms as a smaller torus when the survivor count still fills whole
-  /// rows, else as a ring).  Survivors are renumbered densely onto nodes
-  /// 0..S−1, so per-node fault attributes follow re-formed fabric
-  /// positions, not physical hosts.
-  CollectiveTiming mar_timing(std::size_t units, const WireFormat& wire,
-                              RoundKind kind = RoundKind::kAllReduce);
+  /// This round's hop_schedule of a `kind` round over `units` units, with
+  /// a parameter server placed at `server`.  The schedule re-forms over
+  /// this round's *surviving* membership, active_workers().size()
+  /// participants (a torus that no longer tiles re-forms as a smaller torus
+  /// when the survivor count still fills whole rows, else as a ring).
+  /// Survivors are renumbered densely onto nodes 0..S−1, so per-node fault
+  /// attributes follow re-formed fabric positions, not physical hosts.
+  /// MarsitSync folds and prices these schedules with the PS at member 0.
+  HopSchedule round_schedule(RoundKind kind, std::size_t units,
+                             PsServer server) const;
+
+  /// Timing of a baseline round in the given wire format: the kAllReduce
+  /// round_schedule of `units` elements with the paper's PS on its own
+  /// node, priced by price_hop_schedule on the strategy's own NetworkSim.
+  CollectiveTiming mar_timing(std::size_t units, const WireFormat& wire);
 
   /// Original indices of the workers present this round, ascending.  Always
   /// the full fleet when the fault plan has no membership faults; never
@@ -375,7 +377,7 @@ class MarsitSync final : public SyncStrategy {
 
   MarsitOptions options_;
   // Per-worker c_t, lazily sized.  Within a round a survivor's holds
-  // u_m + c_m: the packed vector of a one-bit round, a flush's mean row.
+  // u_m + c_m: the packed vector of a one-bit round, a flush's summed row.
   std::vector<Tensor> compensation_;
   std::vector<BitVector> signs_;      // per-worker packed signs scratch
 };

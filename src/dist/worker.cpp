@@ -1,6 +1,7 @@
 #include "dist/worker.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "ckpt/snapshot.hpp"
 #include "compress/bit_vector.hpp"
@@ -58,7 +59,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       hop_schedule(RoundKind::kOneBit, config.paradigm, config.torus_cols, m,
                    kernels::words_for(d));
   const HopSchedule flush = hop_schedule(
-      RoundKind::kFlush, config.paradigm, config.torus_cols, m, d);
+      RoundKind::kAllReduce, config.paradigm, config.torus_cols, m, d);
   NetworkSim net(m, config.cost_model);
   const CollectiveTiming one_bit_price =
       price_hop_schedule(one_bit, one_bit_wire(), net);
@@ -66,15 +67,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   const CollectiveTiming flush_price =
       price_hop_schedule(flush, full_precision_wire(), net);
   BitVector signs(d);
-  // Flush rounds gather every rank's u + c into row g of `rows`.
-  Tensor rows;
-  WorkerSpans row_spans;
-  if (k > 0) {
-    rows = Tensor(m * d);
-    for (std::size_t g = 0; g < m; ++g) {
-      row_spans.push_back(rows.span().subspan(g * d, d));
-    }
-  }
+  const float inv_m = 1.0f / static_cast<float>(m);
 
   WorkerResult result;
   result.rounds.reserve(config.rounds);
@@ -90,10 +83,13 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     const WallClock::time_point comm_start = WallClock::now();
     double sent_bytes = 0.0;
     if (full_precision) {
-      add(local.update(), compensation.span(),
-          rows.span().subspan(rank * d, d));
-      sent_bytes = execute_hop_schedule(transport, flush, t, rows.span());
-      aggregate_mean(row_spans, global.span());
+      // Lines 12–13: all-reduce u + c in place; its mean becomes g and
+      // c restarts at zero.
+      add(local.update(), compensation.span(), compensation.span());
+      sent_bytes =
+          execute_hop_schedule(transport, flush, t, compensation.span());
+      scale(compensation.span(), inv_m);
+      std::swap(compensation, global);
       clip_flush_mean(config.options, global.span());
       compensation.zero();
     } else {

@@ -12,26 +12,23 @@
 //
 // Every round runs a hop schedule (core/hop_schedule.hpp) through
 // execute_hop_schedule, the schedule's Transport interpreter; the trainer's
-// in-memory fold interprets the same schedule, so both fold each (segment,
-// op) pair with the same operands.  One-bit rounds run the paradigm's
-// reduce-scatter and all-gather at the paper's wire volume: 2(M−1)·D sign
-// bits on ring, torus, parameter server (colocated at rank 0) and binomial
-// tree alike.  Round t's frames are tagged t << 2 | stream.
-//
-// Full-precision flush rounds all-gather the float vectors instead (float
-// summation is order-sensitive, so the flush keeps the single local-mean
-// ordering everywhere): every row lands in one M×D buffer that
-// aggregate_mean reads in rank order.  The torus gathers rows, then
-// column bundles; every other paradigm gathers over the ring — the gather
-// route does not change what each rank holds.
+// in-memory folds interpret the same schedules, so both fold each (segment,
+// op) pair with the same operands.  Every round moves the paradigm's
+// reduce-scatter and all-gather volume on ring, torus, parameter server
+// (colocated at rank 0) and binomial tree alike: 2(M−1)·D sign bits on a
+// one-bit round, 2(M−1)·D floats on a full-precision flush.  The flush is
+// the float all-reduce of every rank's u + c, built in place in the
+// compensation buffer: each fold hop adds the arriving partial in the
+// schedule's association, which MarsitSync's float fold shares, then the
+// sum is scaled by 1/M.  Round t's frames are tagged t << 2 | stream.
 //
 // The α–β prediction reported per round comes from price_hop_schedule —
 // the pricer of every round, the trainer's included — run once per round
 // kind with wire-only formats (one_bit_wire, full_precision_wire: bits, no
 // compression seconds); so RoundReport::total_wire_bits equals the sum of
 // every rank's measured payload bits bit-for-bit — the invariant
-// tests/dist_wire_volume_test pins — and, on one-bit rounds, MarsitSync's
-// priced total_wire_bits (tests/dist_cross_backend_test).
+// tests/dist_wire_volume_test pins — and MarsitSync's priced
+// total_wire_bits (tests/dist_cross_backend_test).
 #pragma once
 
 #include <cstddef>
@@ -85,7 +82,7 @@ struct RoundReport {
   /// Payload bits ALL ranks put on the wire this round, from the same
   /// NetworkSim replay as predicted_comm_seconds.  Identical on every rank
   /// and bit-for-bit equal to the sum of per-rank wire_bits: 2(M−1)·D sign
-  /// bits on one-bit rounds.
+  /// bits on one-bit rounds, 2(M−1)·D·32 on flushes.
   double total_wire_bits = 0.0;
 };
 

@@ -15,13 +15,17 @@
 //   * Execution: one thread per rank over SimFabric endpoints, the
 //     Transport interpreter leaves every rank memcmp-equal to the in-memory
 //     fold (marsit_fold_signs_segmented).
-//   * Flush: the float all-gather delivers every row to every rank.
+//   * Float all-reduce: over SimFabric every rank ends with the bytes of the
+//     in-memory float fold (fold_float_schedule), whole-range and one unit
+//     window at a time; the parameter server's sum is the left fold in rank
+//     order; the bytes sent are the priced bits.
 #include "core/hop_schedule.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -326,33 +330,64 @@ TEST(HopScheduleTest, TransportExecutionMatchesTheInMemoryFold) {
   }
 }
 
-TEST(HopScheduleTest, FlushDeliversEveryRowToEveryRank) {
+TEST(HopScheduleTest, FloatAllReduceMatchesTheInMemoryFoldOnEveryRank) {
+  std::uint64_t salt = 0;
   for (const Shape& shape : shapes()) {
     const std::size_t m = shape.members;
     for (const std::size_t d : widths(m)) {
       SCOPED_TRACE(describe(shape, d));
-      std::vector<float> expected(m * d);
-      for (std::size_t i = 0; i < m * d; ++i) {
-        expected[i] = static_cast<float>(i) + 0.5f;
+      // Magnitudes spread over 2^±12, so the sum depends on its association.
+      Rng init(derive_seed(0xf10a7, ++salt));
+      std::vector<std::vector<float>> values(m, std::vector<float>(d));
+      for (std::vector<float>& row : values) {
+        for (float& v : row) {
+          v = std::ldexp(static_cast<float>(init.normal()),
+                         static_cast<int>(init.next_u64() % 25) - 12);
+        }
       }
-      // Each rank starts with only its own row.
-      std::vector<std::vector<float>> rows(m, std::vector<float>(m * d, -1.0f));
-      for (std::size_t r = 0; r < m; ++r) {
-        std::copy_n(expected.begin() + static_cast<std::ptrdiff_t>(r * d), d,
-                    rows[r].begin() + static_cast<std::ptrdiff_t>(r * d));
+      const HopSchedule schedule =
+          schedule_of(RoundKind::kAllReduce, shape, d);
+      // The in-memory fold, `window` units at a time.
+      const auto fold_in_memory = [&](std::size_t window) {
+        std::vector<std::vector<float>> rows = values;
+        const std::vector<std::span<float>> spans(rows.begin(), rows.end());
+        std::vector<float> sum(d, -1.0f);
+        for (std::size_t begin = 0; begin < d; begin += window) {
+          fold_float_schedule(schedule, spans,
+                              {begin, std::min(window, d - begin)}, sum);
+        }
+        return sum;
+      };
+      const std::vector<float> whole = fold_in_memory(d);
+      const auto same_bytes = [d](const std::vector<float>& a,
+                                  const std::vector<float>& b) {
+        return std::memcmp(a.data(), b.data(), d * sizeof(float)) == 0;
+      };
+      EXPECT_TRUE(same_bytes(fold_in_memory(1), whole))
+          << "unit windows differ from the whole-range fold";
+      if (shape.paradigm == MarParadigm::kParameterServer) {
+        std::vector<float> left = values[0];
+        for (std::size_t k = 1; k < m; ++k) {
+          for (std::size_t i = 0; i < d; ++i) {
+            left[i] = left[i] + values[k][i];
+          }
+        }
+        EXPECT_TRUE(same_bytes(whole, left))
+            << "the server's sum is not the left fold in rank order";
       }
-      const HopSchedule schedule = schedule_of(RoundKind::kFlush, shape, d);
-      for (const HopPhase& phase : schedule.phases) {
-        EXPECT_EQ(phase.kind, HopKind::kCopy);
-        EXPECT_LT(phase.stream, 4u);
-      }
+
+      std::vector<std::vector<float>> ranks = values;
       std::vector<double> sent(m, 0.0);
       on_fabric(m, [&](std::size_t rank, Transport& transport) {
-        sent[rank] = execute_hop_schedule(transport, schedule, 5, rows[rank]);
+        sent[rank] = execute_hop_schedule(transport, schedule, 5,
+                                          std::span<float>(ranks[rank]));
       });
       double total = 0.0;
       for (std::size_t r = 0; r < m; ++r) {
-        EXPECT_EQ(rows[r], expected) << "rank " << r << " misses a row";
+        EXPECT_TRUE(same_bytes(ranks[r], ranks[0]))
+            << "rank " << r << " differs from rank 0";
+        EXPECT_TRUE(same_bytes(ranks[r], whole))
+            << "rank " << r << " differs from the in-memory fold";
         total += sent[r];
       }
       NetworkSim net(m, CostModel{});

@@ -3,6 +3,9 @@
 // payload geometry), so every strategy must produce bit-identical outputs
 // for any thread-pool size at every chunk size — and Marsit, whose ⊙ draws
 // are keyed by fabric segment rather than chunk, across chunk sizes too.
+// Marsit's pool-invariance cases run K = 2, so rounds 0 and 2 are
+// full-precision flushes, each chunk folding its own units of the
+// all-reduce schedule.
 // Also pins signSGD-MV's sharded output to the serial scalar reference
 // (pack → sign-sum → majority → unpack), and the per-thread scratch arenas'
 // allocation discipline.
@@ -55,13 +58,17 @@ SyncConfig base_config(MarParadigm paradigm, ThreadPool* pool,
 }
 
 /// Runs kRounds synchronize() calls and returns the concatenated outputs.
+/// `marsit_k` is Marsit's flush period.
 std::vector<float> run_rounds(SyncMethod method, MarParadigm paradigm,
                               ThreadPool* pool, bool use_elias = false,
-                              std::size_t chunk = kChunk) {
+                              std::size_t chunk = kChunk,
+                              std::size_t marsit_k = 0) {
   SyncConfig config = base_config(paradigm, pool, chunk);
   config.use_elias = use_elias;
   config.elias_refresh_interval = 2;  // hit both refresh and cached rounds
-  auto strategy = make_sync_strategy(method, config);
+  MethodOptions options;
+  options.full_precision_period = marsit_k;
+  auto strategy = make_sync_strategy(method, config, options);
   std::vector<float> all;
   std::vector<float> out(kDim);
   for (std::size_t t = 0; t < kRounds; ++t) {
@@ -84,34 +91,41 @@ void expect_bit_identical(const std::vector<float>& a,
 }
 
 void check_pool_invariance(SyncMethod method, MarParadigm paradigm,
-                           const char* label) {
+                           const char* label, std::size_t marsit_k = 0) {
   ThreadPool pool1(1), pool4(4), pool_hw(0);
   // Chunk grids: many ragged chunks, a handful, and one covering the
   // payload.
   for (const std::size_t chunk : {kChunk, std::size_t{4096}, kDim}) {
     SCOPED_TRACE(testing::Message() << "chunk " << chunk);
     const std::vector<float> ref =
-        run_rounds(method, paradigm, &pool1, false, chunk);
-    expect_bit_identical(run_rounds(method, paradigm, &pool4, false, chunk),
-                         ref, label);
-    expect_bit_identical(run_rounds(method, paradigm, &pool_hw, false, chunk),
-                         ref, label);
+        run_rounds(method, paradigm, &pool1, false, chunk, marsit_k);
+    expect_bit_identical(
+        run_rounds(method, paradigm, &pool4, false, chunk, marsit_k), ref,
+        label);
+    expect_bit_identical(
+        run_rounds(method, paradigm, &pool_hw, false, chunk, marsit_k), ref,
+        label);
   }
 }
 
 TEST(ShardedSyncTest, MarsitRingPoolInvariant) {
   check_pool_invariance(SyncMethod::kMarsit, MarParadigm::kRing,
-                        "Marsit-RAR");
+                        "Marsit-2-RAR", 2);
 }
 
 TEST(ShardedSyncTest, MarsitTorusPoolInvariant) {
   check_pool_invariance(SyncMethod::kMarsit, MarParadigm::kTorus2d,
-                        "Marsit-TAR");
+                        "Marsit-2-TAR", 2);
+}
+
+TEST(ShardedSyncTest, MarsitPsPoolInvariant) {
+  check_pool_invariance(SyncMethod::kMarsit, MarParadigm::kParameterServer,
+                        "Marsit-2-PS", 2);
 }
 
 TEST(ShardedSyncTest, MarsitTreePoolInvariant) {
   check_pool_invariance(SyncMethod::kMarsit, MarParadigm::kTree,
-                        "Marsit-TREE");
+                        "Marsit-2-TREE", 2);
 }
 
 TEST(ShardedSyncTest, SignSgdPoolInvariant) {

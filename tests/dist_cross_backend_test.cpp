@@ -13,7 +13,7 @@
 // accounting must also agree bit-for-bit across the two transport
 // backends, the per-rank payload bits must sum to the round's total on
 // every backend, and the wire bits MarsitSync prices for a one-bit round
-// must be the ones the worker sends.
+// and for a flush must be the ones the worker sends.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -113,12 +113,13 @@ std::uint64_t trainer_digest(const dist::WorkerConfig& config,
   return ckpt::fnv1a(params.span().data(), params.size() * sizeof(float));
 }
 
-/// The wire bits MarsitSync prices for one one-bit round of a `d`-element
-/// update.
-double trainer_one_bit_bits(const dist::WorkerConfig& config,
-                            std::size_t world, std::size_t d) {
+/// MarsitSync's first round of a `d`-element update with flush period
+/// `flush_period`.
+SyncStepResult trainer_first_round(const dist::WorkerConfig& config,
+                                   std::size_t world, std::size_t d,
+                                   std::size_t flush_period) {
   MarsitOptions options = config.options;
-  options.full_precision_period = 0;
+  options.full_precision_period = flush_period;
   MarsitSync strategy(sync_config_of(config, world), options);
   std::vector<Tensor> updates(world, Tensor(d));
   WorkerSpans spans;
@@ -128,8 +129,23 @@ double trainer_one_bit_bits(const dist::WorkerConfig& config,
     spans.push_back(update.span());
   }
   Tensor out(d);
-  const SyncStepResult step = strategy.synchronize(spans, out.span());
+  return strategy.synchronize(spans, out.span());
+}
+
+/// The wire bits MarsitSync prices for one one-bit round of a `d`-element
+/// update.
+double trainer_one_bit_bits(const dist::WorkerConfig& config,
+                            std::size_t world, std::size_t d) {
+  const SyncStepResult step = trainer_first_round(config, world, d, 0);
   EXPECT_FALSE(step.full_precision);
+  return step.timing.total_wire_bits;
+}
+
+/// The wire bits MarsitSync prices for one flush of a `d`-element update.
+double trainer_flush_bits(const dist::WorkerConfig& config, std::size_t world,
+                          std::size_t d) {
+  const SyncStepResult step = trainer_first_round(config, world, d, 1);
+  EXPECT_TRUE(step.full_precision);
   return step.timing.total_wire_bits;
 }
 
@@ -246,6 +262,10 @@ void run_cell(MarParadigm paradigm, std::size_t world,
   EXPECT_EQ(one_bit_bits, sim[0].rounds[1].total_wire_bits);
   EXPECT_EQ(one_bit_bits,
             static_cast<double>(2 * (world - 1) * ((d + 63) / 64) * 64));
+  // A flush (round 0) all-reduces 2(M−1)·D floats on every paradigm.
+  const double flush_bits = trainer_flush_bits(config, world, d);
+  EXPECT_EQ(flush_bits, sim[0].rounds[0].total_wire_bits);
+  EXPECT_EQ(flush_bits, static_cast<double>(2 * (world - 1) * d * 32));
 
   const std::vector<dist::WorkerResult> sockets =
       run_over_sockets(config, world);

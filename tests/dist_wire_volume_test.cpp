@@ -3,13 +3,16 @@
 // sockets rather than inferred from the α–β model.
 //
 // SocketTransport counts every payload byte and data frame it send()s.
-// This test runs real one-bit rounds over loopback and pins:
+// This test runs real rounds over loopback, once with K = 0 (every round
+// one-bit) and once with K = 1 (every round a full-precision flush), and
+// pins:
 //
-//   * a one-bit round moves exactly 2(M−1)·D sign bits (D = the
-//     word-padded dimension), as M(M−1) reduce-scatter messages plus
-//     M(M−1) all-gather messages — so the only bytes on the wire beyond
-//     the paper's volume are the per-message frame header and CRC footer,
-//     whose exact total the frame counters expose;
+//   * a round moves exactly 2(M−1)·D units — sign bits of the word-padded
+//     dimension on a one-bit round, floats of the model dimension on a
+//     flush — as M(M−1) reduce-scatter messages plus M(M−1) all-gather
+//     messages, so the only bytes on the wire beyond that volume are the
+//     per-message frame header and CRC footer, whose exact total the frame
+//     counters expose;
 //   * RoundReport accounting agrees bit-for-bit with the transport's own
 //     byte counters: per-rank wire_bits equals 8 × measured payload bytes,
 //     and total_wire_bits equals their sum on every rank.
@@ -19,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,7 +39,8 @@ namespace {
 constexpr std::size_t kWorkers = 4;
 constexpr std::size_t kRounds = 3;
 
-dist::WorkerConfig worker_config() {
+/// Every round one-bit at `flush_period` 0, a flush at 1.
+dist::WorkerConfig worker_config(std::size_t flush_period) {
   dist::WorkerConfig config;
   config.batch_size_per_worker = 8;
   config.optimizer = OptimizerKind::kSgd;
@@ -45,9 +50,7 @@ dist::WorkerConfig worker_config() {
   config.sync_seed = 1177;
   config.paradigm = MarParadigm::kRing;
   config.options.eta_s = 2e-3f;
-  // No flush rounds: every round is a one-bit round, so the byte counters
-  // pin the sign-bit volume alone.
-  config.options.full_precision_period = 0;
+  config.options.full_precision_period = flush_period;
   return config;
 }
 
@@ -92,12 +95,11 @@ SocketRun run_over_sockets(const dist::WorkerConfig& config) {
   return run;
 }
 
-/// The word-padded model dimension the sign plane actually carries.
-std::size_t sign_words() {
+/// The model dimension D.
+std::size_t param_count() {
   SyntheticDigits digits;
-  Sequential model =
-      make_mlp(digits.sample_size(), {8}, digits.num_classes());
-  return kernels::words_for(model.param_count());
+  return make_mlp(digits.sample_size(), {8}, digits.num_classes())
+      .param_count();
 }
 
 /// RoundReport accounting must agree with the transport's byte counters:
@@ -121,22 +123,30 @@ void check_reports_match_counters(const SocketRun& run) {
   }
 }
 
-TEST(DistWireVolumeTest, ReduceScatterMovesExactlyTwiceMMinusOneD) {
-  set_log_level(LogLevel::kWarning);
-  const SocketRun run = run_over_sockets(worker_config());
-  const std::uint64_t w = sign_words();
-  ASSERT_GE(w, kWorkers) << "model too small: empty ring segments";
+/// The flush period K: 0 runs one-bit rounds only, 1 flushes every round.
+class DistWireVolumeTest : public testing::TestWithParam<std::size_t> {};
 
-  // Payload: each round's reduce-scatter pass moves (M−1)·D sign bits and
-  // the all-gather pass moves them again — 2(M−1)·D total, D = 64·w.
+TEST_P(DistWireVolumeTest, ReduceScatterMovesExactlyTwiceMMinusOneD) {
+  set_log_level(LogLevel::kWarning);
+  const bool flush = GetParam() == 1;
+  const SocketRun run = run_over_sockets(worker_config(GetParam()));
+  // Units per rank: the D-float row of a flush, or the sign plane's w
+  // words, D = 64·w padded.
+  const std::uint64_t units =
+      flush ? param_count() : kernels::words_for(param_count());
+  ASSERT_GE(units, kWorkers) << "model too small: empty ring segments";
+
+  // Payload: each round's reduce-scatter pass moves (M−1)·D units and the
+  // all-gather pass moves them again — 2(M−1)·D total.
   std::uint64_t payload = 0;
   std::uint64_t frames = 0;
   for (std::size_t r = 0; r < kWorkers; ++r) {
     payload += run.payload_bytes[r];
     frames += run.data_frames[r];
   }
-  const std::uint64_t word_bytes = w * sizeof(std::uint64_t);
-  EXPECT_EQ(payload, kRounds * 2 * (kWorkers - 1) * word_bytes);
+  const std::uint64_t row_bytes =
+      units * (flush ? sizeof(float) : sizeof(std::uint64_t));
+  EXPECT_EQ(payload, kRounds * 2 * (kWorkers - 1) * row_bytes);
 
   // Frames: one message per rank per step, M−1 steps per pass, two passes —
   // every non-payload byte on the wire is these frames' header + CRC.
@@ -144,19 +154,26 @@ TEST(DistWireVolumeTest, ReduceScatterMovesExactlyTwiceMMinusOneD) {
   const std::uint64_t framed_bytes =
       payload + frames * (kFrameHeaderBytes + kFrameFooterBytes);
   EXPECT_EQ(framed_bytes,
-            kRounds * 2 * (kWorkers - 1) * word_bytes +
+            kRounds * 2 * (kWorkers - 1) * row_bytes +
                 kRounds * 2 * kWorkers * (kWorkers - 1) *
                     (kFrameHeaderBytes + kFrameFooterBytes));
 
-  // The α–β report pins the same number: 2(M−1)·D bits per round.
+  // The α–β report pins the same number: 2(M−1)·D units per round.
   for (std::size_t r = 0; r < kWorkers; ++r) {
     for (const dist::RoundReport& report : run.results[r].rounds) {
+      EXPECT_EQ(report.full_precision, flush);
       EXPECT_EQ(report.total_wire_bits,
-                static_cast<double>(2 * (kWorkers - 1) * word_bytes * 8));
+                static_cast<double>(2 * (kWorkers - 1) * row_bytes * 8));
     }
   }
   check_reports_match_counters(run);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    OneBitAndFlush, DistWireVolumeTest, testing::Values(std::size_t{0}, std::size_t{1}),
+    [](const testing::TestParamInfo<std::size_t>& info) {
+      return info.param == 0 ? std::string("OneBit") : std::string("Flush");
+    });
 
 }  // namespace
 }  // namespace marsit

@@ -19,10 +19,18 @@
 // pool and "sharded" with its segment chains on the bench pool.  The two
 // aggregates are memcmp-compared, and a mismatch exits non-zero.
 //
-// Two fixed-shape sections ride along, independent of --sizes: the forward
-// GEMM (matmul_a_bt at the Linear shapes of the benchmark MLPs, batch 16;
-// seconds and GFLOP/s) and CRC32 at the two frame sizes of a ring-large
-// round (one-bit segment and float flush frame; GB/s).
+// The add_pack_signs rows time Algorithm 1's line 1: "scalar" is the
+// two-pass form (`add`, then pack_signs_words), "word" the fused
+// add_pack_signs_words, "sharded" the fused kernel over the chunk grid.
+//
+// Two fixed-shape sections ride along, independent of --sizes.  The GEMM
+// rows time the three products of a Linear layer at batch 16 on the Linear
+// shapes of the benchmark MLPs (seconds and GFLOP/s): forward matmul_a_bt,
+// the input gradient matmul and the weight gradient matmul_at_b (β = 0).
+// Each row also computes its product in the other two layouts, and a byte
+// that differs exits non-zero.  CRC32 runs at the two frame sizes of a
+// ring-large round, each one hop of hop_schedule (GB/s).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -36,6 +44,7 @@
 #include "compress/kernels.hpp"
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
+#include "core/hop_schedule.hpp"
 #include "core/one_bit.hpp"
 #include "core/segmented_fold.hpp"
 #include "net/crc32.hpp"
@@ -172,6 +181,30 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
       sharded([&](const Shard& s) {
         kernels::pack_signs_words(
             gs.subspan(s.begin, s.size()),
+            scratch.words().subspan(s.word_begin(), s.num_words()));
+      });
+    });
+    results.push_back(r);
+  }
+
+  {
+    KernelResult r;
+    r.kernel = "add_pack_signs";
+    r.elements = d;
+    BitVector scratch(d);
+    std::vector<float> comp(g.rbegin(), g.rend());
+    const std::span<float> comps{comp.data(), d};
+    r.scalar_seconds = time_best(reps, [&] {
+      add(gs, comps, comps);
+      kernels::pack_signs_words(comps, scratch.words());
+    });
+    r.word_seconds = time_best(reps, [&] {
+      kernels::add_pack_signs_words(gs, comps, scratch.words());
+    });
+    r.sharded_seconds = time_best(reps, [&] {
+      sharded([&](const Shard& s) {
+        kernels::add_pack_signs_words(
+            gs.subspan(s.begin, s.size()), comps.subspan(s.begin, s.size()),
             scratch.words().subspan(s.word_begin(), s.num_words()));
       });
     });
@@ -334,6 +367,7 @@ FoldResult run_fold(std::size_t d, std::size_t workers, std::size_t reps,
 }
 
 struct GemmResult {
+  const char* kernel = "";
   std::size_t m = 0;
   std::size_t k = 0;
   std::size_t n = 0;
@@ -344,26 +378,91 @@ struct GemmResult {
   }
 };
 
-/// y(16×n) = x(16×k)·Wᵀ, W stored n×k: Linear::forward at batch 16 for the
-/// 196→2048 input layer and the 2048→2048 hidden layer of ring-large's MLP,
-/// and the 1024→1024 hidden layer of sim-fold's.
+std::vector<float> transposed(const std::vector<float>& x, std::size_t rows,
+                              std::size_t cols) {
+  std::vector<float> t(x.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      t[c * rows + r] = x[r * cols + c];
+    }
+  }
+  return t;
+}
+
+/// a(m×k)·b(k×n) in all three layouts — matmul(a, b), matmul_a_bt(a, bᵀ),
+/// matmul_at_b(aᵀ, b) — which tensor/ops.hpp defines to agree byte for byte.
+/// Exits 1 if they do not.
+void check_layouts(const char* row, const std::vector<float>& a,
+                   const std::vector<float>& b, std::size_t m, std::size_t k,
+                   std::size_t n) {
+  const std::vector<float> at = transposed(a, m, k);
+  const std::vector<float> bt = transposed(b, k, n);
+  std::vector<float> plain(m * n), a_bt(m * n), at_b(m * n);
+  matmul({a.data(), a.size()}, {b.data(), b.size()},
+         {plain.data(), plain.size()}, m, k, n);
+  matmul_a_bt({a.data(), a.size()}, {bt.data(), bt.size()},
+              {a_bt.data(), a_bt.size()}, m, k, n);
+  matmul_at_b({at.data(), at.size()}, {b.data(), b.size()},
+              {at_b.data(), at_b.size()}, m, k, n);
+  const std::size_t bytes = plain.size() * sizeof(float);
+  if (std::memcmp(plain.data(), a_bt.data(), bytes) != 0 ||
+      std::memcmp(plain.data(), at_b.data(), bytes) != 0) {
+    std::fprintf(stderr,
+                 "%s %zux%zux%zu: matmul, matmul_a_bt and matmul_at_b "
+                 "differ\n",
+                 row, m, k, n);
+    std::exit(1);
+  }
+}
+
+/// One Linear layer's three products at batch 16, for the 196→2048 input
+/// layer and the 2048→2048 hidden layer of ring-large's MLP and the
+/// 1024→1024 hidden layer of sim-fold's: y = x·Wᵀ (matmul_a_bt), dx = dy·W
+/// (matmul) and dW = dyᵀ·x (matmul_at_b, written with β = 0).  dy is as
+/// sparse as a gradient behind a ReLU (half +0.0), so the backward rows skip
+/// half their terms; gflops counts every term.
 std::vector<GemmResult> run_gemm(std::size_t reps) {
   constexpr std::size_t kBatch = 16;
-  const std::size_t shapes[][2] = {{196, 2048}, {2048, 2048}, {1024, 1024}};
-  std::vector<GemmResult> results;
+  const std::size_t layers[][2] = {{196, 2048}, {2048, 2048}, {1024, 1024}};
+  std::vector<GemmResult> forward, input_grad, weight_grad;
   Rng rng(43);
-  for (const auto& [k, n] : shapes) {
-    std::vector<float> x(kBatch * k), w(n * k), y(kBatch * n);
+  for (const auto& [in, out] : layers) {
+    std::vector<float> x(kBatch * in), w(out * in), y(kBatch * out);
     fill_normal({x.data(), x.size()}, rng, 0.0f, 1.0f);
     fill_normal({w.data(), w.size()}, rng, 0.0f, 1.0f);
-    GemmResult r{kBatch, k, n, 0.0};
+    std::vector<float> dy(kBatch * out), dx(kBatch * in), dw(out * in);
+    fill_normal({dy.data(), dy.size()}, rng, 0.0f, 1.0f);
+    for (float& v : dy) {
+      v = std::max(v, 0.0f);
+    }
+
+    GemmResult r{"matmul_a_bt", kBatch, in, out, 0.0};
     r.seconds = time_best(reps, [&] {
       matmul_a_bt({x.data(), x.size()}, {w.data(), w.size()},
-                  {y.data(), y.size()}, kBatch, k, n);
+                  {y.data(), y.size()}, kBatch, in, out);
     });
-    results.push_back(r);
+    check_layouts(r.kernel, x, transposed(w, out, in), kBatch, in, out);
+    forward.push_back(r);
+
+    r = {"matmul", kBatch, out, in, 0.0};
+    r.seconds = time_best(reps, [&] {
+      matmul({dy.data(), dy.size()}, {w.data(), w.size()},
+             {dx.data(), dx.size()}, kBatch, out, in);
+    });
+    check_layouts(r.kernel, dy, w, kBatch, out, in);
+    input_grad.push_back(r);
+
+    r = {"matmul_at_b", out, kBatch, in, 0.0};
+    r.seconds = time_best(reps, [&] {
+      matmul_at_b({dy.data(), dy.size()}, {x.data(), x.size()},
+                  {dw.data(), dw.size()}, out, kBatch, in);
+    });
+    check_layouts(r.kernel, transposed(dy, kBatch, out), x, out, kBatch, in);
+    weight_grad.push_back(r);
   }
-  return results;
+  forward.insert(forward.end(), input_grad.begin(), input_grad.end());
+  forward.insert(forward.end(), weight_grad.begin(), weight_grad.end());
+  return forward;
 }
 
 struct CrcResult {
@@ -373,11 +472,23 @@ struct CrcResult {
   double gb_per_s() const { return static_cast<double>(bytes) / seconds / 1e9; }
 };
 
-/// crc32 over ring-large's two frame payloads: a one-bit ring segment
-/// (⌈D/64⌉/4 = 18,064 words) and a float flush frame (D = 4,624,394).
+/// crc32 over ring-large's two frame payloads (D = 4,620,298, the
+/// parameters of make_mlp(196, {2048, 2048}, 10), on a 4-rank ring): the
+/// first hop of a one-bit round (a segment of sign words) and of the flush
+/// (a reduce-scatter segment of floats).
 std::vector<CrcResult> run_crc(std::size_t reps) {
-  const std::size_t sizes[] = {18064 * sizeof(std::uint64_t),
-                               4624394 * sizeof(float)};
+  constexpr std::size_t kRingLargeParams = 4620298;
+  const auto first_hop = [](RoundKind kind, std::size_t units) {
+    return hop_schedule(kind, MarParadigm::kRing, 0, 4, units)
+        .phases.front()
+        .chains.front()
+        .front()
+        .count;
+  };
+  const std::size_t sizes[] = {
+      first_hop(RoundKind::kOneBit, kernels::words_for(kRingLargeParams)) *
+          sizeof(std::uint64_t),
+      first_hop(RoundKind::kAllReduce, kRingLargeParams) * sizeof(float)};
   std::vector<CrcResult> results;
   Rng rng(44);
   for (const std::size_t bytes : sizes) {
@@ -455,9 +566,9 @@ void write_json(const Options& opt, const std::string& command,
   for (std::size_t i = 0; i < gemm.size(); ++i) {
     const GemmResult& r = gemm[i];
     std::fprintf(f,
-                 "    {\"kernel\": \"matmul_a_bt\", \"m\": %zu, \"k\": %zu, "
+                 "    {\"kernel\": \"%s\", \"m\": %zu, \"k\": %zu, "
                  "\"n\": %zu, \"seconds\": %.9f, \"gflops\": %.2f}%s\n",
-                 r.m, r.k, r.n, r.seconds, r.gflops(),
+                 r.kernel, r.m, r.k, r.n, r.seconds, r.gflops(),
                  i + 1 < gemm.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"crc32\": [\n");
@@ -509,11 +620,11 @@ int main(int argc, char** argv) {
                    r.word_seconds / r.sharded_seconds);
     }
   }
-  std::fprintf(stderr, "timing forward GEMM and CRC32...\n");
+  std::fprintf(stderr, "timing GEMMs and CRC32...\n");
   const std::vector<GemmResult> gemm = run_gemm(opt.reps);
   for (const GemmResult& r : gemm) {
-    std::fprintf(stderr, "  matmul_a_bt %zux%zux%zu  %.6fs  %.1f GFLOP/s\n",
-                 r.m, r.k, r.n, r.seconds, r.gflops());
+    std::fprintf(stderr, "  %-11s %zux%zux%zu  %.6fs  %.1f GFLOP/s\n",
+                 r.kernel, r.m, r.k, r.n, r.seconds, r.gflops());
   }
   const std::vector<CrcResult> crc = run_crc(opt.reps);
   for (const CrcResult& r : crc) {

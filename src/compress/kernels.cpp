@@ -64,6 +64,61 @@ void pack_signs_words(std::span<const float> g,
   }
 }
 
+void add_pack_signs_words(std::span<const float> update,
+                          std::span<float> compensation,
+                          std::span<std::uint64_t> words) {
+  MARSIT_CHECK(update.size() == compensation.size())
+      << "add_pack_signs_words: extents " << update.size() << " vs "
+      << compensation.size();
+  check_extents(compensation.size(), words.size());
+  const std::size_t full = compensation.size() / kWordBits;
+  const float* u = update.data();
+  float* c = compensation.data();
+  for (std::size_t w = 0; w < full; ++w) {
+    const float* u_base = u + w * kWordBits;
+    float* c_base = c + w * kWordBits;
+    std::uint64_t bits = 0;
+#if defined(__AVX512F__)
+    const __m512 zero = _mm512_setzero_ps();
+    for (std::size_t k = 0; k < kWordBits; k += 16) {
+      const __m512 sum = _mm512_add_ps(_mm512_loadu_ps(u_base + k),
+                                       _mm512_loadu_ps(c_base + k));
+      _mm512_storeu_ps(c_base + k, sum);
+      const __mmask16 ge = _mm512_cmp_ps_mask(sum, zero, _CMP_GE_OQ);
+      bits |= static_cast<std::uint64_t>(_cvtmask16_u32(ge)) << k;
+    }
+#elif defined(__AVX2__)
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < kWordBits; k += 8) {
+      const __m256 sum = _mm256_add_ps(_mm256_loadu_ps(u_base + k),
+                                       _mm256_loadu_ps(c_base + k));
+      _mm256_storeu_ps(c_base + k, sum);
+      const __m256 ge = _mm256_cmp_ps(sum, zero, _CMP_GE_OQ);
+      bits |= static_cast<std::uint64_t>(
+                  static_cast<unsigned>(_mm256_movemask_ps(ge)))
+              << k;
+    }
+#else
+    for (std::size_t j = 0; j < kWordBits; ++j) {
+      c_base[j] = u_base[j] + c_base[j];
+      bits |= static_cast<std::uint64_t>(c_base[j] >= 0.0f) << j;
+    }
+#endif
+    words[w] = bits;
+  }
+  const std::size_t tail = compensation.size() % kWordBits;
+  if (tail != 0) {
+    const float* u_base = u + full * kWordBits;
+    float* c_base = c + full * kWordBits;
+    std::uint64_t bits = 0;
+    for (std::size_t j = 0; j < tail; ++j) {
+      c_base[j] = u_base[j] + c_base[j];
+      bits |= static_cast<std::uint64_t>(c_base[j] >= 0.0f) << j;
+    }
+    words[full] = bits;
+  }
+}
+
 void unpack_signs_words(std::span<const std::uint64_t> words, float scale,
                         std::span<float> out) {
   check_extents(out.size(), words.size());

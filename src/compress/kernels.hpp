@@ -47,6 +47,13 @@ constexpr std::size_t words_for(std::size_t elements) {
 void pack_signs_words(std::span<const float> g,
                       std::span<std::uint64_t> words);
 
+/// c_i ← u_i + c_i, then bit_i = [c_i >= 0] packed as pack_signs_words
+/// does: Algorithm 1's line 1 in one pass, byte-identical to `add` followed
+/// by pack_signs_words.  u and c have equal extents.
+void add_pack_signs_words(std::span<const float> update,
+                          std::span<float> compensation,
+                          std::span<std::uint64_t> words);
+
 /// out_i = scale · (bit_i ? +1 : −1).  words.size() == words_for(out.size()).
 void unpack_signs_words(std::span<const std::uint64_t> words, float scale,
                         std::span<float> out);

@@ -761,8 +761,7 @@ void clip_flush_mean(const MarsitOptions& options, std::span<float> mean) {
 void marsit_begin_round(std::span<const float> update,
                         std::span<float> compensation,
                         std::span<std::uint64_t> signs) {
-  add(update, compensation, compensation);
-  kernels::pack_signs_words(compensation, signs);
+  kernels::add_pack_signs_words(update, compensation, signs);
 }
 
 void marsit_end_round(const MarsitOptions& options,

@@ -26,10 +26,14 @@ void Relu::forward(std::span<const float> x, std::size_t batch,
 
 void Relu::backward(std::span<const float> dy, std::size_t batch,
                     std::span<float> dx) {
-  MARSIT_CHECK(dy.size() == batch * size_ && dx.size() == dy.size())
+  MARSIT_CHECK(dy.size() == batch * size_ &&
+               (dx.empty() || dx.size() == dy.size()))
       << "ReLU backward extent mismatch";
   MARSIT_CHECK(mask_.size() == dy.size())
       << "ReLU backward without matching forward";
+  if (dx.empty()) {
+    return;
+  }
   hadamard(dy, mask_.span(), dx);
 }
 
@@ -46,8 +50,12 @@ void Flatten::forward(std::span<const float> x, std::size_t batch,
 
 void Flatten::backward(std::span<const float> dy, std::size_t batch,
                        std::span<float> dx) {
-  MARSIT_CHECK(dy.size() == batch * size_ && dx.size() == dy.size())
+  MARSIT_CHECK(dy.size() == batch * size_ &&
+               (dx.empty() || dx.size() == dy.size()))
       << "Flatten backward extent mismatch";
+  if (dx.empty()) {
+    return;
+  }
   copy_into(dy, dx);
 }
 

@@ -163,7 +163,8 @@ void Conv2d::forward(std::span<const float> x, std::size_t batch,
 void Conv2d::backward(std::span<const float> dy, std::size_t batch,
                       std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * out_size()) << "conv backward: dy extent";
-  MARSIT_CHECK(dx.size() == batch * in_size()) << "conv backward: dx extent";
+  MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
+      << "conv backward: dx extent";
   MARSIT_CHECK(cached_batch_ == batch && !cached_cols_.empty())
       << "conv backward without matching forward";
 
@@ -175,7 +176,7 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
   auto dw = grad_storage_.span().subspan(0, weight_count_);
   auto db = grad_storage_.span().subspan(weight_count_, out_channels_);
 
-  std::vector<float> dcols(patch * out_plane);
+  std::vector<float> dcols(dx.empty() ? 0 : patch * out_plane);
   zero(dx);
   for (std::size_t n = 0; n < batch; ++n) {
     const float* dy_n = dy.data() + n * out_size();
@@ -185,13 +186,18 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
       for (std::size_t p = 0; p < out_plane; ++p) {
         bias_acc += dy_plane[p];
       }
-      db[oc] += static_cast<float>(bias_acc);
+      // Sample 0 writes 0.0f + v: what adding v to zeroed storage gave,
+      // signed zeros included.
+      db[oc] = (n == 0 ? 0.0f : db[oc]) + static_cast<float>(bias_acc);
     }
 
     const float* cols = cached_cols_.data() + n * out_plane * patch;
-    // dW(Cout × patch) += dy(Cout × plane) · cols(patch × plane)ᵀ.
+    // dW(Cout × patch) = Σ_n dy_n(Cout × plane) · cols_n(patch × plane)ᵀ.
     matmul_a_bt({dy_n, out_size()}, {cols, patch * out_plane}, dw,
-                out_channels_, out_plane, patch, /*beta=*/1.0f);
+                out_channels_, out_plane, patch, n == 0 ? 0.0f : 1.0f);
+    if (dx.empty()) {
+      continue;
+    }
     // dcols(patch × plane) = Wᵀ(patch × Cout) · dy(Cout × plane).
     matmul_at_b(w, {dy_n, out_size()}, {dcols.data(), dcols.size()}, patch,
                 out_channels_, out_plane);
@@ -264,9 +270,13 @@ void MaxPool2d::forward(std::span<const float> x, std::size_t batch,
 void MaxPool2d::backward(std::span<const float> dy, std::size_t batch,
                          std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * out_size()) << "pool backward: dy extent";
-  MARSIT_CHECK(dx.size() == batch * in_size()) << "pool backward: dx extent";
+  MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
+      << "pool backward: dx extent";
   MARSIT_CHECK(argmax_.size() == dy.size())
       << "pool backward without matching forward";
+  if (dx.empty()) {
+    return;
+  }
   const ImageDims out = out_dims();
   const std::size_t in_plane = in_.height * in_.width;
   const std::size_t out_plane = out.height * out.width;
@@ -306,7 +316,11 @@ void GlobalAvgPool::forward(std::span<const float> x, std::size_t batch,
 void GlobalAvgPool::backward(std::span<const float> dy, std::size_t batch,
                              std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * in_.channels) << "gap backward: dy extent";
-  MARSIT_CHECK(dx.size() == batch * in_size()) << "gap backward: dx extent";
+  MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
+      << "gap backward: dx extent";
+  if (dx.empty()) {
+    return;
+  }
   const std::size_t plane = in_.height * in_.width;
   const float inv = 1.0f / static_cast<float>(plane);
   for (std::size_t n = 0; n < batch; ++n) {

@@ -43,11 +43,12 @@ void Embedding::backward(std::span<const float> dy, std::size_t batch,
                          std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * seq_len_ * dim_)
       << "embedding backward: dy extent";
-  MARSIT_CHECK(dx.size() == batch * seq_len_)
+  MARSIT_CHECK(dx.empty() || dx.size() == batch * seq_len_)
       << "embedding backward: dx extent";
-  MARSIT_CHECK(cached_ids_.size() == dx.size())
+  MARSIT_CHECK(cached_ids_.size() == batch * seq_len_)
       << "embedding backward without matching forward";
   zero(dx);  // ids carry no gradient
+  grad_.zero();
   for (std::size_t i = 0; i < cached_ids_.size(); ++i) {
     axpy(1.0f, dy.subspan(i * dim_, dim_),
          grad_.span().subspan(cached_ids_[i] * dim_, dim_));
@@ -82,8 +83,11 @@ void MeanPool::forward(std::span<const float> x, std::size_t batch,
 void MeanPool::backward(std::span<const float> dy, std::size_t batch,
                         std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * dim_) << "meanpool backward: dy extent";
-  MARSIT_CHECK(dx.size() == batch * in_size())
+  MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
       << "meanpool backward: dx extent";
+  if (dx.empty()) {
+    return;
+  }
   const float inv = 1.0f / static_cast<float>(seq_len_);
   for (std::size_t n = 0; n < batch; ++n) {
     auto g = dy.subspan(n * dim_, dim_);

@@ -5,8 +5,10 @@
 //    per-sample input size I receives batch·I floats;
 //  * forward() caches whatever it needs (usually its input) so the
 //    immediately following backward() on the same batch can run;
-//  * backward() writes dL/dx and *accumulates* parameter gradients (call
-//    zero_grads() once per step before the batch).
+//  * backward() writes dL/dx and *writes* the parameter gradients of the
+//    cached batch: whatever grads() held before is overwritten, so a step
+//    needs no zero_grads().  An empty dx means nobody reads dL/dx (the
+//    model's first layer); the layer then skips that work.
 //
 // Each simulated worker owns a full model replica, so layers need no
 // thread-safety: concurrency lives one level up (one replica per pool
@@ -35,8 +37,9 @@ class Layer {
   virtual void forward(std::span<const float> x, std::size_t batch,
                        std::span<float> y) = 0;
 
-  /// dx = ∂L/∂x given dy = ∂L/∂y for the cached batch; accumulates parameter
-  /// gradients.
+  /// dx = ∂L/∂x given dy = ∂L/∂y for the cached batch, and grads() = ∂L/∂θ
+  /// for that batch, written, not added.  dx is batch·in_size() floats, or
+  /// empty when the caller does not want it.
   virtual void backward(std::span<const float> dy, std::size_t batch,
                         std::span<float> dx) = 0;
 

@@ -43,23 +43,27 @@ void Linear::forward(std::span<const float> x, std::size_t batch,
 void Linear::backward(std::span<const float> dy, std::size_t batch,
                       std::span<float> dx) {
   MARSIT_CHECK(dy.size() == batch * out_) << "linear backward: dy extent";
-  MARSIT_CHECK(dx.size() == batch * in_) << "linear backward: dx extent";
+  MARSIT_CHECK(dx.empty() || dx.size() == batch * in_)
+      << "linear backward: dx extent";
   MARSIT_CHECK(cached_input_.size() == batch * in_)
       << "linear backward without matching forward";
 
-  // dW(out×in) += dyᵀ(out×b) · x(b×in)
+  // dW(out×in) = dyᵀ(out×b) · x(b×in)
   auto dw = grad_storage_.span().subspan(0, in_ * out_);
-  matmul_at_b(dy, cached_input_.span(), dw, out_, batch, in_, /*beta=*/1.0f);
+  matmul_at_b(dy, cached_input_.span(), dw, out_, batch, in_);
 
   if (with_bias_) {
     auto db = grad_storage_.span().subspan(in_ * out_, out_);
+    zero(db);
     for (std::size_t row = 0; row < batch; ++row) {
       axpy(1.0f, dy.subspan(row * out_, out_), db);
     }
   }
 
-  // dx(b×in) = dy(b×out) · W(out×in)
-  matmul(dy, weights(), dx, batch, out_, in_);
+  if (!dx.empty()) {
+    // dx(b×in) = dy(b×out) · W(out×in)
+    matmul(dy, weights(), dx, batch, out_, in_);
+  }
 }
 
 void Linear::init(Rng& rng) {

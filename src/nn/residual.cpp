@@ -52,7 +52,7 @@ void ResidualConvBlock::forward(std::span<const float> x, std::size_t batch,
 void ResidualConvBlock::backward(std::span<const float> dy, std::size_t batch,
                                  std::span<float> dx) {
   const std::size_t elems = batch * dims_.size();
-  MARSIT_CHECK(dy.size() == elems && dx.size() == elems)
+  MARSIT_CHECK(dy.size() == elems && (dx.empty() || dx.size() == elems))
       << "residual backward extent mismatch";
   MARSIT_CHECK(out_mask_.size() == elems)
       << "residual backward without matching forward";
@@ -75,7 +75,9 @@ void ResidualConvBlock::backward(std::span<const float> dy, std::size_t batch,
   conv1_.backward(d_mid, batch, dx);
 
   // Skip branch adds d_pre directly.
-  axpy(1.0f, d_pre, dx);
+  if (!dx.empty()) {
+    axpy(1.0f, d_pre, dx);
+  }
 }
 
 void ResidualConvBlock::collect_leaves(std::vector<Layer*>& out) {

@@ -77,8 +77,9 @@ void Sequential::backward(std::span<const float> dy, std::size_t batch) {
       << "backward batch " << batch << " without matching forward";
   MARSIT_CHECK(dy.size() == batch * out_size()) << "backward: dy extent";
 
-  // Two ping-pong scratch buffers sized to the largest interface.
-  std::size_t max_elems = batch * in_size();
+  // Two ping-pong scratch buffers sized to the largest interface.  Nothing
+  // reads the model input's gradient, so the first layer gets an empty dx.
+  std::size_t max_elems = 0;
   for (const auto& layer : layers_) {
     max_elems = std::max(max_elems, batch * layer->out_size());
   }
@@ -90,7 +91,8 @@ void Sequential::backward(std::span<const float> dy, std::size_t batch) {
   Tensor* spare = &b;
   for (std::size_t i = layers_.size(); i > 0; --i) {
     Layer& layer = *layers_[i - 1];
-    auto dx = next->span().subspan(0, batch * layer.in_size());
+    auto dx = i == 1 ? std::span<float>{}
+                     : next->span().subspan(0, batch * layer.in_size());
     layer.backward(current, batch, dx);
     current = dx;
     std::swap(next, spare);

@@ -47,10 +47,13 @@ class Sequential {
   /// valid until the next forward call.
   std::span<const float> forward(std::span<const float> x, std::size_t batch);
 
-  /// Backward from dL/d(output); parameter gradients accumulate in the
-  /// layers.  Must follow a forward() with the same batch.
+  /// Backward from dL/d(output); every layer writes its parameter
+  /// gradients for this batch.  The model input's gradient is not computed.
+  /// Must follow a forward() with the same batch.
   void backward(std::span<const float> dy, std::size_t batch);
 
+  /// Sets every parameter gradient to +0.0.  backward() overwrites them, so
+  /// a training step does not need it.
   void zero_grads();
 
   /// Serializes all parameter gradients into `out` (extent = param_count()).

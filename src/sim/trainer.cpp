@@ -57,7 +57,6 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
   for (std::size_t h = 0; h < local_steps; ++h) {
     sampler.worker_batch(worker, round * local_steps + h, batch_);
 
-    model_.zero_grads();
     const auto logits = model_.forward(batch_.inputs.span(), batch_.size());
     if (dlogits_.size() != logits.size()) {
       dlogits_ = Tensor(logits.size());  // sized once; reused every step

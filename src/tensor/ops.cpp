@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/check.hpp"
@@ -58,6 +59,80 @@ void a_bt_block(const Lanes* panel, const float* b, float* c, std::size_t k,
   for (std::size_t q = 0; q < Cols; ++q) {
     for (std::size_t l = 0; l < rows; ++l) {
       c[l * n + j0 + q] = acc[q][l];
+    }
+  }
+}
+
+// The backward GEMMs build every output row of c as a sum of terms
+// x·b_row(p) over p ascending, x = a(i, p), skipping the terms with x == 0.
+// They take p in blocks of kDepth: a block's live terms are gathered once per
+// output row and then swept across the row kSweep vectors (kSweep·kLanes
+// columns) at a time, the sums held in registers.
+constexpr std::size_t kDepth = 8;
+constexpr std::size_t kSweep = 4;
+
+struct Terms {
+  const float* rows[kDepth] = {};  // b_row(p) of each live term, p ascending
+  float xs[kDepth] = {};           // its a(i, p)
+  std::size_t count = 0;
+};
+
+/// The live terms of p in [p0, p1): x_p = a[p·stride], row b + p·n.
+Terms gather_terms(const float* a, std::size_t stride, const float* b,
+                   std::size_t n, std::size_t p0, std::size_t p1) {
+  Terms terms;
+  for (std::size_t p = p0; p < p1; ++p) {
+    const float x = a[p * stride];
+    if (x != 0.0f) {
+      terms.rows[terms.count] = b + p * n;
+      terms.xs[terms.count] = x;
+      ++terms.count;
+    }
+  }
+  return terms;
+}
+
+/// c_row[j] ← (fresh ? +0.0 : c_row[j]) + x_t·row_t[j] for each live term t
+/// in order, j < n.  Each step is `acc + x * w`, which contracts to an FMA
+/// exactly where the axpy loop's `c[j] += x * w[j]` does, and a stored float
+/// reloads exactly, so splitting p into blocks changes no bit.  The column
+/// tail runs the axpy statement itself.
+void sweep_row(const Terms& terms, float* c_row, std::size_t n, bool fresh) {
+  constexpr std::size_t kCols = kSweep * kLanes;
+  const auto load = [](const float* from) {
+    Lanes lanes;
+    std::memcpy(&lanes, from, sizeof(lanes));
+    return lanes;
+  };
+  std::size_t j0 = 0;
+  for (; j0 + kCols <= n; j0 += kCols) {
+    float* out = c_row + j0;
+    Lanes acc[kSweep];
+    for (std::size_t v = 0; v < kSweep; ++v) {
+      acc[v] = fresh ? Lanes{} : load(out + v * kLanes);
+    }
+    for (std::size_t t = 0; t < terms.count; ++t) {
+      const float x = terms.xs[t];
+      const float* w = terms.rows[t] + j0;
+      for (std::size_t v = 0; v < kSweep; ++v) {
+        acc[v] = acc[v] + x * load(w + v * kLanes);
+      }
+    }
+    for (std::size_t v = 0; v < kSweep; ++v) {
+      std::memcpy(out + v * kLanes, &acc[v], sizeof(Lanes));
+    }
+  }
+  if (j0 == n) {
+    return;
+  }
+  if (fresh) {
+    std::fill(c_row + j0, c_row + n, 0.0f);
+  }
+  for (std::size_t t = 0; t < terms.count; ++t) {
+    const float x = terms.xs[t];
+    const float* w = terms.rows[t];
+    for (std::size_t j = j0; j < n; ++j) {
+      c_row[j] += x * w[j];
     }
   }
 }
@@ -209,25 +284,27 @@ void matmul(std::span<const float> a, std::span<const float> b,
   MARSIT_CHECK(a.size() == m * k) << "matmul: a extent";
   MARSIT_CHECK(b.size() == k * n) << "matmul: b extent";
   MARSIT_CHECK(c.size() == m * n) << "matmul: c extent";
-  if (beta == 0.0f) {
-    std::fill(c.begin(), c.end(), 0.0f);
-  } else if (beta != 1.0f) {
+  if (beta != 0.0f && beta != 1.0f) {
     scale(c, beta);
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* a_row = a.data() + i * k;
-    float* c_row = c.data() + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float a_ip = a_row[p];
-      if (a_ip == 0.0f) {
-        continue;
-      }
-      const float* b_row = b.data() + p * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        c_row[j] += a_ip * b_row[j];
+  // Row i of c sums a[i][p]·b[p][·].  Each block of kDepth rows of b is
+  // swept for every row of a in turn, so it stays in cache and b streams
+  // from memory once per call.  Walking a column block down all k rows of
+  // b instead strides n floats per step and is slower than the axpy loop.
+  bool fresh = beta == 0.0f;
+  std::size_t p0 = 0;
+  do {
+    const std::size_t p1 = std::min(k, p0 + kDepth);
+    for (std::size_t i = 0; i < m; ++i) {
+      const Terms terms =
+          gather_terms(a.data() + i * k, 1, b.data(), n, p0, p1);
+      if (fresh || terms.count > 0) {
+        sweep_row(terms, c.data() + i * n, n, fresh);
       }
     }
-  }
+    fresh = false;
+    p0 = p1;
+  } while (p0 < k);
 }
 
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
@@ -236,26 +313,26 @@ void matmul_at_b(std::span<const float> a, std::span<const float> b,
   MARSIT_CHECK(a.size() == k * m) << "matmul_at_b: a extent";
   MARSIT_CHECK(b.size() == k * n) << "matmul_at_b: b extent";
   MARSIT_CHECK(c.size() == m * n) << "matmul_at_b: c extent";
-  if (beta == 0.0f) {
-    std::fill(c.begin(), c.end(), 0.0f);
-  } else if (beta != 1.0f) {
+  if (beta != 0.0f && beta != 1.0f) {
     scale(c, beta);
   }
-  // c(m×n) = aᵀ·b with a stored (k×m): stream over a and b rows together so
-  // both reads stay contiguous.
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* a_row = a.data() + p * m;
-    const float* b_row = b.data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float a_pi = a_row[i];
-      if (a_pi == 0.0f) {
-        continue;
+  // c(m×n) = aᵀ·b with a stored (k×m): row i of c sums a[p][i]·b[p][·].
+  // Rows of c are finished one at a time, so each is written from registers
+  // once per block of kDepth p while all k rows of b stay in cache; at
+  // β = 0 the first block never reads c.
+  for (std::size_t i = 0; i < m; ++i) {
+    float* c_row = c.data() + i * n;
+    bool fresh = beta == 0.0f;
+    std::size_t p0 = 0;
+    do {
+      const std::size_t p1 = std::min(k, p0 + kDepth);
+      const Terms terms = gather_terms(a.data() + i, m, b.data(), n, p0, p1);
+      if (fresh || terms.count > 0) {
+        sweep_row(terms, c_row, n, fresh);
       }
-      float* c_row = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        c_row[j] += a_pi * b_row[j];
-      }
-    }
+      fresh = false;
+      p0 = p1;
+    } while (p0 < k);
   }
 }
 

@@ -64,25 +64,32 @@ std::size_t argmax(std::span<const float> x);
 bool all_finite(std::span<const float> x);
 
 // ---- GEMM -----------------------------------------------------------------
+//
+// One bit-exactness contract covers all three products (DESIGN.md §7): each
+// c[i][j] starts from β·c[i][j] (β = 0 starts from +0.0 whatever c held,
+// β = 1 from c as it is), then adds its terms a(i, p)·b(p, j) one at a time
+// for p ascending, each as `acc + x * w`, skipping the terms with
+// a(i, p) == 0 (+0.0 or −0.0).  That is the sequence of the axpy loop
+// `c[i][·] += a(i, p)·b[p][·]`, so matmul(a, b) ≡ matmul_a_bt(a, bᵀ) ≡
+// matmul_at_b(aᵀ, b) byte for byte, at every -march.
 
-/// c = a(m×k) · b(k×n) + beta·c, all row-major.  Plain i-k-j loop order so
-/// the inner loop is a contiguous axpy; good enough to train the mini models
-/// at interactive speed without an external BLAS.
+/// c = a(m×k) · b(k×n) + beta·c, all row-major — the backward-input product
+/// (Linear's dX, Conv2d's forward).  Each block of 8 rows of b is swept for
+/// every row of a while it is in cache, so b streams from memory once.
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
             float beta = 0.0f);
 
-/// c = aᵀ(m×k, stored k×m) · b(k×n) + beta·c — the backward-weights product.
+/// c = aᵀ(m×k, stored k×m) · b(k×n) + beta·c — the backward-weights product
+/// (Linear's dW, Conv2d's input gradient).  Finishes one row of c at a time
+/// from registers, so at beta = 0 it writes c without reading it.
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, float beta = 0.0f);
 
 /// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c — Linear's forward product and
 /// Conv2d's weight gradient.  Register-blocked: each row of b is read once
-/// per block of 16, 8 or 4 rows of a (AVX-512, AVX, baseline).  Each c[i][j]
-/// adds a[i][p]·b[j][p] for p ascending and skips the terms with
-/// a[i][p] == 0, so it is bit-identical to the axpy loop over an explicit bᵀ
-/// (DESIGN.md §7).
+/// per block of 16, 8 or 4 rows of a (AVX-512, AVX, baseline).
 void matmul_a_bt(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, float beta = 0.0f);

@@ -67,6 +67,53 @@ TEST(KernelsTest, PackOverwritesStaleWords) {
   }
 }
 
+// Algorithm 1's line 1 fused: c ← u + c and the packed signs of c must be
+// the bytes of `add` followed by pack_signs_words, including ±0.0 operands
+// and sums that round to ±0.0.
+TEST(KernelsTest, AddPackMatchesAddThenPack) {
+  for (const std::size_t d : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65},
+                              std::size_t{1000}, std::size_t{4096 + 7}}) {
+    std::vector<float> u = random_gradient(d, 41 + d);
+    std::vector<float> c = random_gradient(d, 43 + d);
+    for (std::size_t i = 0; i < d; i += 5) {
+      switch (i / 5 % 4) {
+        case 0:  // x + (−x) rounds to +0.0
+          c[i] = -u[i];
+          break;
+        case 1:  // −0.0 + −0.0 is −0.0, which packs as +1
+          c[i] = -0.0f;
+          break;
+        case 2:  // a tiny sum that survives
+          c[i] = std::nextafter(-u[i], 0.0f);
+          break;
+        default:  // −0.0 + +0.0 is +0.0
+          c[i] = std::signbit(u[i]) ? 0.0f : -0.0f;
+          break;
+      }
+    }
+    for (std::size_t i = 1; i < d; i += 10) {
+      u[i] = -0.0f;
+      c[i] = -0.0f;
+    }
+
+    std::vector<float> expected_c = c;
+    add({u.data(), d}, {expected_c.data(), d}, {expected_c.data(), d});
+    std::vector<std::uint64_t> expected_words(kernels::words_for(d));
+    kernels::pack_signs_words({expected_c.data(), d}, expected_words);
+
+    std::vector<std::uint64_t> words(kernels::words_for(d),
+                                     ~std::uint64_t{0});
+    kernels::add_pack_signs_words({u.data(), d}, {c.data(), d}, words);
+    for (std::size_t i = 0; i < d; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(c[i]),
+                std::bit_cast<std::uint32_t>(expected_c[i]))
+          << "d=" << d << " i=" << i;
+    }
+    EXPECT_EQ(words, expected_words) << "d=" << d;
+  }
+}
+
 TEST(KernelsTest, UnpackMatchesScalarBitExactly) {
   for (const std::size_t d : kSizes) {
     const std::vector<float> g = random_gradient(d, 17 + d);

@@ -2,7 +2,9 @@
 // forward semantics on known inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -207,6 +209,135 @@ TEST(ResidualBlockTest, CollectsTwoConvLeaves) {
   block.collect_leaves(leaves);
   EXPECT_EQ(leaves.size(), 2u);
   EXPECT_GT(leaves[0]->param_count(), 0u);
+}
+
+// ---- backward() writes its gradients ---------------------------------------
+
+/// Every parameter gradient of `layer` (its leaves' for a composite), in
+/// order.
+std::vector<float> gradients_of(Layer& layer) {
+  std::vector<Layer*> leaves;
+  if (auto* composite = dynamic_cast<CompositeLayer*>(&layer)) {
+    composite->collect_leaves(leaves);
+  } else {
+    leaves.push_back(&layer);
+  }
+  std::vector<float> out;
+  for (Layer* leaf : leaves) {
+    const auto g = leaf->grads();
+    out.insert(out.end(), g.begin(), g.end());
+  }
+  return out;
+}
+
+/// Values as sparse as a ReLU output: about 40 % +0.0 and 10 % −0.0.
+std::vector<float> sparse_values(Rng& rng, std::size_t count) {
+  std::vector<float> v(count);
+  for (float& x : v) {
+    const double u = rng.uniform(0.0, 1.0);
+    x = u < 0.4 ? 0.0f : u < 0.5 ? -0.0f : static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+struct LayerBatch {
+  std::vector<float> x;
+  std::vector<float> dy;
+};
+
+/// backward on batch A and then on batch B, with no zero_grads() between,
+/// leaves the gradient and dx bytes of zero_grads() then backward on B.
+void expect_backward_writes(Layer& layer, std::size_t batch,
+                            const LayerBatch& a, const LayerBatch& b) {
+  std::vector<float> y(batch * layer.out_size());
+  std::vector<float> dx(batch * layer.in_size());
+  const auto run = [&](const LayerBatch& in) {
+    layer.forward({in.x.data(), in.x.size()}, batch, {y.data(), y.size()});
+    layer.backward({in.dy.data(), in.dy.size()}, batch,
+                   {dx.data(), dx.size()});
+  };
+  run(a);
+  run(b);
+  const std::vector<float> written = gradients_of(layer);
+  const std::vector<float> written_dx = dx;
+  layer.zero_grads();
+  run(b);
+  const std::vector<float> fresh = gradients_of(layer);
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_EQ(std::memcmp(written.data(), fresh.data(),
+                        fresh.size() * sizeof(float)),
+            0)
+      << layer.name();
+  EXPECT_EQ(std::memcmp(written_dx.data(), dx.data(),
+                        dx.size() * sizeof(float)),
+            0)
+      << layer.name();
+}
+
+LayerBatch sparse_batch(Rng& rng, const Layer& layer, std::size_t batch) {
+  return {sparse_values(rng, batch * layer.in_size()),
+          sparse_values(rng, batch * layer.out_size())};
+}
+
+TEST(BackwardWritesTest, Linear) {
+  Linear layer(37, 70);
+  Rng rng(90);
+  layer.init(rng);
+  const LayerBatch a = sparse_batch(rng, layer, 5);
+  LayerBatch b = sparse_batch(rng, layer, 5);
+  // Output 0's upstream gradient is −0.0 in every row: its bias gradient
+  // must be the +0.0 that zeroed storage plus −0.0 gives.
+  for (std::size_t row = 0; row < 5; ++row) {
+    b.dy[row * 70] = -0.0f;
+  }
+  expect_backward_writes(layer, 5, a, b);
+  EXPECT_FALSE(std::signbit(layer.grads()[37 * 70]));
+}
+
+TEST(BackwardWritesTest, Conv2d) {
+  Conv2d layer({3, 6, 5}, 4, 3, 1, 1);
+  Rng rng(91);
+  layer.init(rng);
+  const LayerBatch a = sparse_batch(rng, layer, 3);
+  LayerBatch b = sparse_batch(rng, layer, 3);
+  // Channel 0's upstream gradient is −0.0 everywhere in sample 0 and in
+  // every sample: its bias gradient must still come out +0.0.
+  const std::size_t plane = 6 * 5;
+  for (std::size_t n = 0; n < 3; ++n) {
+    std::fill_n(b.dy.begin() + static_cast<std::ptrdiff_t>(n * 4 * plane),
+                plane, -0.0f);
+  }
+  expect_backward_writes(layer, 3, a, b);
+  EXPECT_FALSE(std::signbit(layer.grads()[4 * 3 * 3 * 3]));
+}
+
+TEST(BackwardWritesTest, Embedding) {
+  Embedding layer(11, 4, 3);
+  Rng rng(92);
+  layer.init(rng);
+  const auto ids = [&] {
+    std::vector<float> x(2 * 3);
+    for (float& id : x) {
+      id = static_cast<float>(rng.next_below(11));
+    }
+    return x;
+  };
+  const LayerBatch a{ids(), sparse_values(rng, 2 * 3 * 4)};
+  const LayerBatch b{ids(), sparse_values(rng, 2 * 3 * 4)};
+  expect_backward_writes(layer, 2, a, b);
+}
+
+TEST(BackwardWritesTest, ResidualConvBlock) {
+  ResidualConvBlock block({2, 5, 4});
+  Rng rng(93);
+  block.init(rng);
+  // init zeroes the second conv; give it weights so its gradient flows.
+  std::vector<Layer*> leaves;
+  block.collect_leaves(leaves);
+  fill_normal(leaves[1]->params(), rng, 0.0f, 0.3f);
+  const LayerBatch a = sparse_batch(rng, block, 2);
+  const LayerBatch b = sparse_batch(rng, block, 2);
+  expect_backward_writes(block, 2, a, b);
 }
 
 TEST(LossTest, UniformLogitsGiveLogC) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "nn/activation.hpp"
+#include "nn/conv.hpp"
+#include "nn/embedding.hpp"
 #include "nn/linear.hpp"
 #include "tensor/ops.hpp"
 #include "nn/loss.hpp"
@@ -75,6 +81,155 @@ TEST(SequentialTest, GradAccumulationAndZero) {
   model.zero_grads();
   model.copy_grads_into({grads.data(), grads.size()});
   EXPECT_FLOAT_EQ(l2_norm({grads.data(), grads.size()}), 0.0f);
+}
+
+// ---- backward() writes, and skips the model input's gradient ----------------
+
+std::vector<float> model_grads(const Sequential& model) {
+  std::vector<float> g(model.param_count());
+  model.copy_grads_into({g.data(), g.size()});
+  return g;
+}
+
+bool same_bytes(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// Inputs for `model`: token ids below `vocab` when it is nonzero, else
+/// normal draws; and an upstream gradient with some ±0.0.
+std::pair<std::vector<float>, std::vector<float>> model_batch(
+    Rng& rng, const Sequential& model, std::size_t batch, std::size_t vocab) {
+  std::vector<float> x(batch * model.in_size());
+  for (float& v : x) {
+    v = vocab > 0 ? static_cast<float>(rng.next_below(vocab))
+                  : static_cast<float>(rng.normal());
+  }
+  std::vector<float> dy(batch * model.out_size());
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    dy[i] = i % 5 == 0   ? 0.0f
+            : i % 5 == 1 ? -0.0f
+                         : static_cast<float>(rng.normal());
+  }
+  return {x, dy};
+}
+
+/// A Sequential whose layers the test can also drive one by one.
+struct LayerStack {
+  Sequential model;
+  std::vector<Layer*> layers;
+
+  template <typename L, typename... Args>
+  L& add(Args&&... args) {
+    auto layer = std::make_unique<L>(std::forward<Args>(args)...);
+    L& ref = *layer;
+    layers.push_back(layer.get());
+    model.add(std::move(layer));
+    return ref;
+  }
+};
+
+LayerStack stacked_mlp() {
+  LayerStack s;
+  s.add<Linear>(13, 24);
+  s.add<Relu>(24);
+  s.add<Linear>(24, 18);
+  s.add<Relu>(18);
+  s.add<Linear>(18, 5);
+  return s;
+}
+
+// make_alexnet_mini's layer sequence.
+LayerStack stacked_alexnet_mini(ImageDims input, std::size_t classes) {
+  LayerStack s;
+  const ImageDims c1 = s.add<Conv2d>(input, 12, 3, 1, 1).out_dims();
+  s.add<Relu>(c1.size());
+  const ImageDims p1 = s.add<MaxPool2d>(c1, 2).out_dims();
+  const ImageDims c2 = s.add<Conv2d>(p1, 24, 3, 1, 1).out_dims();
+  s.add<Relu>(c2.size());
+  const ImageDims p2 = s.add<MaxPool2d>(c2, 2).out_dims();
+  s.add<Flatten>(p2.size());
+  s.add<Linear>(p2.size(), 96);
+  s.add<Relu>(96);
+  s.add<Linear>(96, classes);
+  return s;
+}
+
+// make_text_classifier's layer sequence.
+LayerStack stacked_text_classifier(std::size_t vocab, std::size_t seq_len,
+                                   std::size_t dim, std::size_t classes) {
+  LayerStack s;
+  s.add<Embedding>(vocab, dim, seq_len);
+  s.add<MeanPool>(seq_len, dim);
+  s.add<Linear>(dim, 64);
+  s.add<Relu>(64);
+  s.add<Linear>(64, classes);
+  return s;
+}
+
+/// Sequential::backward, which hands the first layer an empty dx, gives the
+/// gradient bytes of a layer-by-layer backward that computes every dx.
+void expect_input_grad_skip_keeps_grads(LayerStack& stack, std::size_t batch,
+                                        std::size_t vocab) {
+  Rng rng(70);
+  stack.model.init(rng);
+  const auto [x, dy] = model_batch(rng, stack.model, batch, vocab);
+  stack.model.forward({x.data(), x.size()}, batch);
+  std::vector<float> upstream = dy;
+  for (std::size_t i = stack.layers.size(); i > 0; --i) {
+    Layer& layer = *stack.layers[i - 1];
+    std::vector<float> dx(batch * layer.in_size());
+    layer.backward({upstream.data(), upstream.size()}, batch,
+                   {dx.data(), dx.size()});
+    upstream = std::move(dx);
+  }
+  const std::vector<float> every_dx = model_grads(stack.model);
+  stack.model.zero_grads();
+  stack.model.backward({dy.data(), dy.size()}, batch);
+  EXPECT_TRUE(same_bytes(model_grads(stack.model), every_dx));
+}
+
+TEST(SequentialTest, FirstLayerInputGradSkipMlp) {
+  LayerStack stack = stacked_mlp();
+  expect_input_grad_skip_keeps_grads(stack, 6, 0);
+}
+
+TEST(SequentialTest, FirstLayerInputGradSkipAlexNetMini) {
+  LayerStack stack = stacked_alexnet_mini({3, 12, 12}, 10);
+  expect_input_grad_skip_keeps_grads(stack, 3, 0);
+}
+
+TEST(SequentialTest, FirstLayerInputGradSkipTextClassifier) {
+  LayerStack stack = stacked_text_classifier(50, 7, 6, 2);
+  expect_input_grad_skip_keeps_grads(stack, 4, 50);
+}
+
+/// backward on batch A and then on batch B, with no zero_grads() between,
+/// leaves the bytes of zero_grads() then backward on B.
+void expect_model_backward_writes(Sequential& model, std::size_t batch) {
+  Rng rng(71);
+  model.init(rng);
+  const auto [xa, dya] = model_batch(rng, model, batch, 0);
+  const auto [xb, dyb] = model_batch(rng, model, batch, 0);
+  model.forward({xa.data(), xa.size()}, batch);
+  model.backward({dya.data(), dya.size()}, batch);
+  model.forward({xb.data(), xb.size()}, batch);
+  model.backward({dyb.data(), dyb.size()}, batch);
+  const std::vector<float> written = model_grads(model);
+  model.zero_grads();
+  model.forward({xb.data(), xb.size()}, batch);
+  model.backward({dyb.data(), dyb.size()}, batch);
+  EXPECT_TRUE(same_bytes(model_grads(model), written));
+}
+
+TEST(SequentialTest, BackwardWritesGradsMlp) {
+  Sequential model = make_mlp(13, {24, 18}, 5);
+  expect_model_backward_writes(model, 6);
+}
+
+TEST(SequentialTest, BackwardWritesGradsAlexNetMini) {
+  Sequential model = make_alexnet_mini({3, 12, 12}, 10);
+  expect_model_backward_writes(model, 3);
 }
 
 TEST(SequentialTest, DescribeListsLayers) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -316,6 +317,214 @@ TEST(OpsTest, MatmulABtBitIdenticalToTransposeAxpyLoop) {
     }
   }
   EXPECT_EQ(cases, 6u * 3u * 5u * 3u);
+}
+
+// matmul as it was before the blocked kernel: the axpy loop
+// c[i][·] += a[i][p]·b[p][·], skipping a[i][p] == 0.
+void axpy_matmul(const std::vector<float>& a, const std::vector<float>& b,
+                 std::vector<float>& c, std::size_t m, std::size_t k,
+                 std::size_t n, float beta) {
+  if (beta == 0.0f) {
+    std::fill(c.begin(), c.end(), 0.0f);
+  } else if (beta != 1.0f) {
+    scale({c.data(), c.size()}, beta);
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a.data() + i * k;
+    float* c_row = c.data() + i * n;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float a_ip = a_row[p];
+      if (a_ip == 0.0f) {
+        continue;
+      }
+      const float* b_row = b.data() + p * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        c_row[j] += a_ip * b_row[j];
+      }
+    }
+  }
+}
+
+// matmul_at_b as it was before the blocked kernel: the same axpy loop with
+// a stored transposed (k×m) and p outermost.
+void axpy_matmul_at_b(const std::vector<float>& a, const std::vector<float>& b,
+                      std::vector<float>& c, std::size_t m, std::size_t k,
+                      std::size_t n, float beta) {
+  if (beta == 0.0f) {
+    std::fill(c.begin(), c.end(), 0.0f);
+  } else if (beta != 1.0f) {
+    scale({c.data(), c.size()}, beta);
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* a_row = a.data() + p * m;
+    const float* b_row = b.data() + p * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float a_pi = a_row[i];
+      if (a_pi == 0.0f) {
+        continue;
+      }
+      float* c_row = c.data() + i * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        c_row[j] += a_pi * b_row[j];
+      }
+    }
+  }
+}
+
+std::vector<float> transposed(const std::vector<float>& x, std::size_t rows,
+                              std::size_t cols) {
+  std::vector<float> t(x.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t q = 0; q < cols; ++q) {
+      t[q * rows + r] = x[r * cols + q];
+    }
+  }
+  return t;
+}
+
+/// Operands of c(m×n) = a(m×k)·b(k×n) + β·c with the edge cases of the
+/// bit-exactness contract.
+struct GemmOperands {
+  std::vector<float> a;
+  std::vector<float> b;
+  std::vector<float> c;
+};
+
+GemmOperands gemm_operands(Rng& rng, std::size_t m, std::size_t k,
+                           std::size_t n, float beta) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  GemmOperands ops{std::vector<float>(m * k), std::vector<float>(k * n),
+                   std::vector<float>(m * n)};
+  // a is as sparse as a ReLU output: about 45 % +0.0, 10 % −0.0.
+  for (float& v : ops.a) {
+    const double u = rng.uniform(0.0, 1.0);
+    v = u < 0.45   ? 0.0f
+        : u < 0.55 ? -0.0f
+                   : static_cast<float>(rng.normal());
+  }
+  for (float& v : ops.b) {
+    v = static_cast<float>(rng.normal());
+  }
+  // At β = 0 the kernels must not read c: NaN there would show.
+  for (float& v : ops.c) {
+    v = beta == 0.0f ? std::numeric_limits<float>::quiet_NaN()
+        : rng.uniform(0.0, 1.0) < 0.2 ? -0.0f
+                                      : static_cast<float>(rng.normal());
+  }
+  // Row 0 is a single term that underflows: (−1e−30)·(1e−30) rounds to
+  // −0.0f, so from a +0.0f or −0.0f start the sum is a signed zero whose
+  // sign depends on the FMA contraction being reproduced.
+  std::fill(ops.a.begin(), ops.a.begin() + static_cast<std::ptrdiff_t>(k),
+            0.0f);
+  ops.a[0] = -1e-30f;
+  std::fill(ops.b.begin(), ops.b.begin() + static_cast<std::ptrdiff_t>(n),
+            1e-30f);
+  // An infinite b meets only zero inputs (the skip must hold: 0·inf would
+  // be NaN).
+  if (k > 1) {
+    ops.b[(k - 1) * n + (n - 1)] = kInf;
+    for (std::size_t i = 0; i < m; ++i) {
+      ops.a[i * k + (k - 1)] = i % 2 == 0 ? 0.0f : -0.0f;
+    }
+  }
+  return ops;
+}
+
+bool same_bytes(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Widths cover n mod 32 and n mod 64 ∈ {0, 1, 4, 16, 31} (the column blocks
+// at every vector width) and depths cover k around the 8-deep p blocks.
+constexpr std::size_t kGemmRows[] = {1, 3, 16, 17};
+constexpr std::size_t kGemmDepths[] = {1, 7, 8, 9, 16, 17};
+constexpr std::size_t kGemmWidths[] = {1,  4,  16, 31, 32, 33,  36,
+                                       48, 63, 64, 65, 68, 80, 95,
+                                       96, 97, 100, 112, 127, 196};
+constexpr float kGemmBetas[] = {0.0f, 1.0f, 0.5f};
+
+TEST(OpsTest, MatmulBitIdenticalToAxpyLoop) {
+  Rng rng(12);
+  for (const std::size_t m : kGemmRows) {
+    for (const std::size_t k : kGemmDepths) {
+      for (const std::size_t n : kGemmWidths) {
+        for (const float beta : kGemmBetas) {
+          const GemmOperands ops = gemm_operands(rng, m, k, n, beta);
+          std::vector<float> expected = ops.c;
+          axpy_matmul(ops.a, ops.b, expected, m, k, n, beta);
+          std::vector<float> c = ops.c;
+          matmul({ops.a.data(), ops.a.size()}, {ops.b.data(), ops.b.size()},
+                 {c.data(), c.size()}, m, k, n, beta);
+          ASSERT_TRUE(same_bytes(c, expected))
+              << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+          ASSERT_TRUE(all_finite({c.data(), c.size()}));
+          if (beta == 0.0f) {
+            EXPECT_EQ(c[0], 0.0f);  // the underflowed row-0 sum is a zero
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OpsTest, MatmulAtBBitIdenticalToAxpyLoop) {
+  Rng rng(13);
+  for (const std::size_t m : kGemmRows) {
+    for (const std::size_t k : kGemmDepths) {
+      for (const std::size_t n : kGemmWidths) {
+        for (const float beta : kGemmBetas) {
+          const GemmOperands ops = gemm_operands(rng, m, k, n, beta);
+          const std::vector<float> at = transposed(ops.a, m, k);
+          std::vector<float> expected = ops.c;
+          axpy_matmul_at_b(at, ops.b, expected, m, k, n, beta);
+          std::vector<float> c = ops.c;
+          matmul_at_b({at.data(), at.size()}, {ops.b.data(), ops.b.size()},
+                      {c.data(), c.size()}, m, k, n, beta);
+          ASSERT_TRUE(same_bytes(c, expected))
+              << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+          ASSERT_TRUE(all_finite({c.data(), c.size()}));
+          if (beta == 0.0f) {
+            EXPECT_EQ(c[0], 0.0f);
+          }
+        }
+      }
+    }
+  }
+}
+
+// One contract defines all three GEMMs, so each layout of the same product
+// gives the same bytes: matmul(a, b) ≡ matmul_a_bt(a, bᵀ) ≡ matmul_at_b(aᵀ, b).
+TEST(OpsTest, GemmLayoutsAgreeByteForByte) {
+  Rng rng(14);
+  std::size_t cases = 0;
+  for (const std::size_t m : kGemmRows) {
+    for (const std::size_t k : kGemmDepths) {
+      for (const std::size_t n : kGemmWidths) {
+        for (const float beta : kGemmBetas) {
+          const GemmOperands ops = gemm_operands(rng, m, k, n, beta);
+          const std::vector<float> at = transposed(ops.a, m, k);
+          const std::vector<float> bt = transposed(ops.b, k, n);
+          std::vector<float> plain = ops.c;
+          std::vector<float> a_bt = ops.c;
+          std::vector<float> at_b = ops.c;
+          matmul({ops.a.data(), ops.a.size()}, {ops.b.data(), ops.b.size()},
+                 {plain.data(), plain.size()}, m, k, n, beta);
+          matmul_a_bt({ops.a.data(), ops.a.size()}, {bt.data(), bt.size()},
+                      {a_bt.data(), a_bt.size()}, m, k, n, beta);
+          matmul_at_b({at.data(), at.size()}, {ops.b.data(), ops.b.size()},
+                      {at_b.data(), at_b.size()}, m, k, n, beta);
+          ASSERT_TRUE(same_bytes(plain, a_bt))
+              << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+          ASSERT_TRUE(same_bytes(plain, at_b))
+              << "m=" << m << " k=" << k << " n=" << n << " beta=" << beta;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, std::size(kGemmRows) * std::size(kGemmDepths) *
+                       std::size(kGemmWidths) * std::size(kGemmBetas));
 }
 
 TEST(OpsTest, MatmulBetaAccumulates) {

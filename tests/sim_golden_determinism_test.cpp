@@ -1,7 +1,8 @@
-// Golden determinism regression (ISSUE satellite): a fixed-seed,
-// quickstart-shaped training run per strategy, hashed (final parameters +
-// TrainResult accounting) and asserted against a committed golden file —
-// and asserted identical across thread-pool sizes 1, 4, and hardware.
+// Golden determinism regression: a fixed-seed, quickstart-shaped training
+// run per case (a strategy and its workers' local step), hashed (final
+// parameters + TrainResult accounting) and asserted against a committed
+// golden file — and asserted identical across thread-pool sizes 1, 4, and
+// hardware.
 //
 // The pool-size invariance check is unconditional: it guards the sharded
 // pipelines' (seed, round, chunk) rng discipline.  The golden-file check
@@ -18,14 +19,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "data/synthetic_digits.hpp"
+#include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/trainer.hpp"
+#include "tensor/ops.hpp"
 #include "util/logging.hpp"
 
 namespace marsit {
@@ -51,11 +55,19 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+/// One golden run: a strategy and the local step its workers take.
 struct GoldenCase {
   const char* key;
   SyncMethod method;
+  OptimizerKind optimizer = OptimizerKind::kSgd;
+  float clip_grad_norm = 0.0f;
+  std::size_t local_steps = 1;
 };
 
+// The first six cases run plain SGD with one local step.  The last two pin
+// the local optimizers, gradient clipping and the multi-step local walk,
+// which both backends share through LocalWorker.
+constexpr float kFiringClip = 0.8f;
 constexpr GoldenCase kCases[] = {
     {"psgd-rar", SyncMethod::kPsgd},
     {"signsgd-rar", SyncMethod::kSignSgdMv},
@@ -63,39 +75,76 @@ constexpr GoldenCase kCases[] = {
     {"ssdm-rar", SyncMethod::kSsdm},
     {"cascading-rar", SyncMethod::kCascading},
     {"marsit-rar", SyncMethod::kMarsit},
+    {"marsit-rar-momentum-clip-h3", SyncMethod::kMarsit,
+     OptimizerKind::kMomentum, kFiringClip, 3},
+    {"psgd-rar-adam", SyncMethod::kPsgd, OptimizerKind::kAdam},
 };
+constexpr const GoldenCase& kClipCase = kCases[6];
 
-/// One quickstart-shaped run (4 workers on a ring, small MLP on the digit
-/// dataset) with the given pool; returns the FNV digest of the final
-/// parameters and the TrainResult accounting.
-std::uint64_t run_digest(SyncMethod method, ThreadPool* pool) {
-  SyntheticDigits digits;
+SyncConfig golden_sync_config(ThreadPool* pool) {
   SyncConfig sync_config;
   sync_config.num_workers = 4;
   sync_config.paradigm = MarParadigm::kRing;
   sync_config.seed = 2024;
   sync_config.pool = pool;
+  return sync_config;
+}
 
-  MethodOptions options;
-  options.eta_s = 2e-3f;
-  if (method == SyncMethod::kMarsit) {
-    options.full_precision_period = 5;
-  }
-  auto strategy = make_sync_strategy(method, sync_config, options);
-
+TrainerConfig golden_trainer_config(const GoldenCase& c) {
   TrainerConfig config;
   config.batch_size_per_worker = 16;
+  config.optimizer = c.optimizer;
   config.eta_l = 0.05f;
+  config.clip_grad_norm = c.clip_grad_norm;
+  config.local_steps = c.local_steps;
   config.rounds = 12;
   config.eval_interval = 6;
   config.eval_samples = 128;
   config.seed = 99;
   config.track_matching_rate = true;
-  auto factory = [&digits] {
-    return make_mlp(digits.sample_size(), {24}, digits.num_classes());
-  };
-  DistributedTrainer trainer(digits, factory, *strategy, config);
-  const TrainResult result = trainer.train();
+  return config;
+}
+
+Sequential golden_model(const SyntheticDigits& digits) {
+  return make_mlp(digits.sample_size(), {24}, digits.num_classes());
+}
+
+/// A finished run; the trainer keeps its final parameters.
+struct GoldenRun {
+  std::unique_ptr<SyncStrategy> strategy;
+  std::unique_ptr<DistributedTrainer> trainer;
+  TrainResult result;
+};
+
+/// Trains case `c` for `rounds` rounds (quickstart-shaped: 4 workers on a
+/// ring, small MLP on the digit dataset) on `pool`.
+GoldenRun run_case(const SyntheticDigits& digits, const GoldenCase& c,
+                   ThreadPool* pool, std::size_t rounds) {
+  MethodOptions options;
+  options.eta_s = 2e-3f;
+  if (c.method == SyncMethod::kMarsit) {
+    options.full_precision_period = 5;
+  }
+  GoldenRun run;
+  run.strategy =
+      make_sync_strategy(c.method, golden_sync_config(pool), options);
+  TrainerConfig config = golden_trainer_config(c);
+  config.rounds = rounds;
+  run.trainer = std::make_unique<DistributedTrainer>(
+      digits, [&digits] { return golden_model(digits); }, *run.strategy,
+      config);
+  run.result = run.trainer->train();
+  return run;
+}
+
+/// One golden run with the given pool; returns the FNV digest of the final
+/// parameters and the TrainResult accounting.
+std::uint64_t run_digest(const GoldenCase& c, ThreadPool* pool) {
+  SyntheticDigits digits;
+  const GoldenRun run =
+      run_case(digits, c, pool, golden_trainer_config(c).rounds);
+  const DistributedTrainer& trainer = *run.trainer;
+  const TrainResult& result = run.result;
 
   std::vector<float> params(trainer.param_count());
   trainer.copy_params_into({params.data(), params.size()});
@@ -117,6 +166,42 @@ std::uint64_t run_digest(SyncMethod method, ThreadPool* pool) {
   hash.add(result.mean_round_phases.communication);
   hash.add(static_cast<std::uint64_t>(result.diverged ? 1 : 0));
   return hash.digest();
+}
+
+TEST(GoldenDeterminismTest, ClipCaseClipsMostRounds) {
+  // The clip case pins gradient clipping only if clipping moves the
+  // gradient: in most (round, worker) pairs, the first local step must see
+  // a raw gradient longer than the clip norm.  Round t starts from the
+  // parameters of the same run stopped after t rounds.
+  set_log_level(LogLevel::kError);
+  SyntheticDigits digits;
+  const TrainerConfig config = golden_trainer_config(kClipCase);
+  const std::size_t workers = golden_sync_config(nullptr).num_workers;
+  const ShardedSampler sampler = make_train_sampler(
+      digits, workers, config.batch_size_per_worker, config.seed);
+  Sequential model = golden_model(digits);
+  std::vector<float> params(model.param_count());
+  std::vector<float> grads(params.size());
+  Batch batch;
+  std::size_t fired = 0;
+  for (std::size_t t = 0; t < config.rounds; ++t) {
+    const GoldenRun run = run_case(digits, kClipCase, nullptr, t);
+    run.trainer->copy_params_into({params.data(), params.size()});
+    model.load_params({params.data(), params.size()});
+    for (std::size_t w = 0; w < workers; ++w) {
+      sampler.worker_batch(w, t * config.local_steps, batch);
+      const auto logits = model.forward(batch.inputs.span(), batch.size());
+      std::vector<float> dlogits(logits.size());
+      softmax_cross_entropy(logits,
+                            {batch.labels.data(), batch.labels.size()},
+                            model.out_size(), {dlogits.data(), dlogits.size()});
+      model.backward({dlogits.data(), dlogits.size()}, batch.size());
+      model.copy_grads_into({grads.data(), grads.size()});
+      fired += l2_norm({grads.data(), grads.size()}) > kFiringClip ? 1 : 0;
+    }
+  }
+  EXPECT_GE(fired, config.rounds * workers * 3 / 4)
+      << fired << " of " << config.rounds * workers << " steps clipped";
 }
 
 std::string golden_path() {
@@ -165,9 +250,9 @@ TEST(GoldenDeterminismTest, PoolSizeInvariantAndMatchesGolden) {
 
   std::map<std::string, std::uint64_t> digests;
   for (const GoldenCase& c : kCases) {
-    const std::uint64_t d1 = run_digest(c.method, &pool1);
-    const std::uint64_t d4 = run_digest(c.method, &pool4);
-    const std::uint64_t dh = run_digest(c.method, &pool_hw);
+    const std::uint64_t d1 = run_digest(c, &pool1);
+    const std::uint64_t d4 = run_digest(c, &pool4);
+    const std::uint64_t dh = run_digest(c, &pool_hw);
     EXPECT_EQ(d1, d4) << c.key << ": pool sizes 1 vs 4 diverge";
     EXPECT_EQ(d1, dh) << c.key << ": pool sizes 1 vs hardware diverge";
     digests[c.key] = d1;

@@ -112,10 +112,8 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     result.rounds.push_back(report);
   }
 
-  Tensor params(d);
-  local.model().copy_params_into(params.span());
   result.param_digest =
-      ckpt::fnv1a(params.span().data(), d * sizeof(float));
+      ckpt::fnv1a(local.model().params().data(), d * sizeof(float));
   return result;
 }
 

@@ -27,9 +27,7 @@ Conv2d::Conv2d(ImageDims in, std::size_t out_channels, std::size_t kernel,
       kernel_(kernel),
       stride_(stride),
       padding_(padding),
-      weight_count_(out_channels * in.channels * kernel * kernel),
-      storage_(weight_count_ + out_channels),
-      grad_storage_(storage_.size()) {
+      weight_count_(out_channels * in.channels * kernel * kernel) {
   MARSIT_CHECK(in.channels > 0 && in.height > 0 && in.width > 0)
       << "degenerate conv input";
   MARSIT_CHECK(out_channels > 0 && kernel > 0 && stride > 0)
@@ -130,6 +128,7 @@ void Conv2d::forward(std::span<const float> x, std::size_t batch,
                      std::span<float> y) {
   MARSIT_CHECK(x.size() == batch * in_size()) << "conv forward: x extent";
   MARSIT_CHECK(y.size() == batch * out_size()) << "conv forward: y extent";
+  check_bound();
 
   const ImageDims out = out_dims();
   const std::size_t out_plane = out.height * out.width;
@@ -173,10 +172,14 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
   const std::size_t patch = in_.channels * kernel_ * kernel_;
 
   const auto w = weights();
-  auto dw = grad_storage_.span().subspan(0, weight_count_);
-  auto db = grad_storage_.span().subspan(weight_count_, out_channels_);
+  auto dw = grads().first(weight_count_);
+  auto db = grads().subspan(weight_count_);
 
-  std::vector<float> dcols(dx.empty() ? 0 : patch * out_plane);
+  // matmul_at_b at β = 0 writes all of dcols, so the buffer is reused as
+  // it stands.
+  if (!dx.empty() && dcols_.size() != patch * out_plane) {
+    dcols_ = Tensor(patch * out_plane);
+  }
   zero(dx);
   for (std::size_t n = 0; n < batch; ++n) {
     const float* dy_n = dy.data() + n * out_size();
@@ -199,18 +202,18 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
       continue;
     }
     // dcols(patch × plane) = Wᵀ(patch × Cout) · dy(Cout × plane).
-    matmul_at_b(w, {dy_n, out_size()}, {dcols.data(), dcols.size()}, patch,
-                out_channels_, out_plane);
-    col2im(dcols.data(), dx.data() + n * in_size());
+    matmul_at_b(w, {dy_n, out_size()}, dcols_.span(), patch, out_channels_,
+                out_plane);
+    col2im(dcols_.data(), dx.data() + n * in_size());
   }
 }
 
 void Conv2d::init(Rng& rng) {
+  check_bound();
   const std::size_t fan_in = in_.channels * kernel_ * kernel_;
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
   fill_normal(weights(), rng, 0.0f, stddev);
   zero(bias());
-  grad_storage_.zero();
 }
 
 MaxPool2d::MaxPool2d(ImageDims in, std::size_t kernel, std::size_t stride)

@@ -37,9 +37,10 @@ class Conv2d final : public Layer {
   void backward(std::span<const float> dy, std::size_t batch,
                 std::span<float> dx) override;
 
-  std::span<float> params() override { return storage_.span(); }
-  std::span<const float> params() const override { return storage_.span(); }
-  std::span<float> grads() override { return grad_storage_.span(); }
+  /// [W(oc,ic,k,k) | b(oc)].
+  std::size_t param_count() const override {
+    return weight_count_ + out_channels_;
+  }
 
   void init(Rng& rng) override;
 
@@ -50,12 +51,8 @@ class Conv2d final : public Layer {
   }
 
  private:
-  std::span<float> weights() {
-    return storage_.span().subspan(0, weight_count_);
-  }
-  std::span<float> bias() {
-    return storage_.span().subspan(weight_count_, out_channels_);
-  }
+  std::span<float> weights() { return params().first(weight_count_); }
+  std::span<float> bias() { return params().subspan(weight_count_); }
 
   /// Expands one sample into patch rows; see forward() for the layout.
   void im2col(const float* x_n, float* cols) const;
@@ -68,9 +65,8 @@ class Conv2d final : public Layer {
   std::size_t stride_;
   std::size_t padding_;
   std::size_t weight_count_;
-  Tensor storage_;       // [W(oc,ic,k,k) | b(oc)]
-  Tensor grad_storage_;
   Tensor cached_cols_;   // im2col image cached by forward for backward
+  Tensor dcols_;         // backward's per-sample patch gradient
   std::size_t cached_batch_ = 0;
 };
 

@@ -9,11 +9,7 @@ namespace marsit {
 
 Embedding::Embedding(std::size_t vocab_size, std::size_t dim,
                      std::size_t seq_len)
-    : vocab_(vocab_size),
-      dim_(dim),
-      seq_len_(seq_len),
-      table_(vocab_size * dim),
-      grad_(vocab_size * dim) {
+    : vocab_(vocab_size), dim_(dim), seq_len_(seq_len) {
   MARSIT_CHECK(vocab_ > 0 && dim_ > 0 && seq_len_ > 0)
       << "degenerate embedding";
 }
@@ -28,14 +24,15 @@ void Embedding::forward(std::span<const float> x, std::size_t batch,
   MARSIT_CHECK(x.size() == batch * seq_len_) << "embedding forward: x extent";
   MARSIT_CHECK(y.size() == batch * seq_len_ * dim_)
       << "embedding forward: y extent";
+  check_bound();
+  const auto table = params();
   cached_ids_.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     const auto id = static_cast<std::size_t>(x[i]);
     MARSIT_CHECK(x[i] >= 0.0f && id < vocab_)
         << "token id " << x[i] << " outside vocab " << vocab_;
     cached_ids_[i] = id;
-    copy_into(table_.span().subspan(id * dim_, dim_),
-              y.subspan(i * dim_, dim_));
+    copy_into(table.subspan(id * dim_, dim_), y.subspan(i * dim_, dim_));
   }
 }
 
@@ -48,17 +45,18 @@ void Embedding::backward(std::span<const float> dy, std::size_t batch,
   MARSIT_CHECK(cached_ids_.size() == batch * seq_len_)
       << "embedding backward without matching forward";
   zero(dx);  // ids carry no gradient
-  grad_.zero();
+  const auto grad = grads();
+  zero(grad);
   for (std::size_t i = 0; i < cached_ids_.size(); ++i) {
     axpy(1.0f, dy.subspan(i * dim_, dim_),
-         grad_.span().subspan(cached_ids_[i] * dim_, dim_));
+         grad.subspan(cached_ids_[i] * dim_, dim_));
   }
 }
 
 void Embedding::init(Rng& rng) {
-  fill_normal(table_.span(), rng, 0.0f,
+  check_bound();
+  fill_normal(params(), rng, 0.0f,
               1.0f / std::sqrt(static_cast<float>(dim_)));
-  grad_.zero();
 }
 
 MeanPool::MeanPool(std::size_t seq_len, std::size_t dim)

@@ -24,14 +24,13 @@ class Embedding final : public Layer {
 
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
-  /// dx is zero (token ids are not differentiable); gradients accumulate
-  /// into the embedding table rows.
+  /// dx is zero (token ids are not differentiable); the table gradient is
+  /// zeroed, then each token's dy row is added to its id's row.
   void backward(std::span<const float> dy, std::size_t batch,
                 std::span<float> dx) override;
 
-  std::span<float> params() override { return table_.span(); }
-  std::span<const float> params() const override { return table_.span(); }
-  std::span<float> grads() override { return grad_.span(); }
+  /// The vocab × dim table.
+  std::size_t param_count() const override { return vocab_ * dim_; }
 
   void init(Rng& rng) override;
 
@@ -44,8 +43,6 @@ class Embedding final : public Layer {
   std::size_t vocab_;
   std::size_t dim_;
   std::size_t seq_len_;
-  Tensor table_;  // vocab × dim
-  Tensor grad_;
   std::vector<std::size_t> cached_ids_;
 };
 

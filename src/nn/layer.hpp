@@ -7,12 +7,16 @@
 //    immediately following backward() on the same batch can run;
 //  * backward() writes dL/dx and *writes* the parameter gradients of the
 //    cached batch: whatever grads() held before is overwritten, so a step
-//    needs no zero_grads().  An empty dx means nobody reads dL/dx (the
+//    needs no zeroing pass.  An empty dx means nobody reads dL/dx (the
 //    model's first layer); the layer then skips that work.
 //
-// Each simulated worker owns a full model replica, so layers need no
-// thread-safety: concurrency lives one level up (one replica per pool
-// thread).
+// A layer owns no parameter storage.  It computes param_count() from its
+// geometry, and bind() points params() and grads() at param_count() floats
+// each of storage someone else owns: Sequential's flat buffers, or a
+// test's.  Several models may view one parameter buffer (the trainer's M
+// simulated workers do); each keeps its own gradients, activations and
+// caches, so a layer needs no thread-safety as long as nothing writes the
+// shared parameters while the models run.
 #pragma once
 
 #include <cstddef>
@@ -43,15 +47,18 @@ class Layer {
   virtual void backward(std::span<const float> dy, std::size_t batch,
                         std::span<float> dx) = 0;
 
-  /// Flat views of trainable parameters and their gradient accumulators
-  /// (empty for parameter-free layers).  Extents always match.
-  virtual std::span<float> params() { return {}; }
-  virtual std::span<const float> params() const { return {}; }
-  virtual std::span<float> grads() { return {}; }
+  /// Trainable parameter count, from the layer's geometry (0 for
+  /// parameter-free layers).
+  virtual std::size_t param_count() const { return 0; }
 
-  std::size_t param_count() const { return params().size(); }
+  /// Points params() and grads() at `params` and `grads`, param_count()
+  /// floats each, which the caller owns and keeps alive.  A composite
+  /// splits them among its parts.
+  virtual void bind(std::span<float> params, std::span<float> grads);
 
-  virtual void zero_grads();
+  /// The bound parameters and their gradients; empty until bind().
+  std::span<float> params() { return params_; }
+  std::span<float> grads() { return grads_; }
 
   /// Draws initial parameter values (He/Xavier as appropriate); layers with
   /// no parameters ignore it.
@@ -61,6 +68,14 @@ class Layer {
   /// cheap elementwise layers).  Feeds the simulated compute cost:
   /// forward+backward ≈ 3× forward, 2 flops per MAC.
   virtual double forward_macs_per_sample() const { return 0.0; }
+
+ protected:
+  /// Throws unless bind() gave the layer its param_count() floats.
+  void check_bound() const;
+
+ private:
+  std::span<float> params_;
+  std::span<float> grads_;
 };
 
 }  // namespace marsit

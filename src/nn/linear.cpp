@@ -9,11 +9,7 @@ namespace marsit {
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
                bool with_bias)
-    : in_(in_features),
-      out_(out_features),
-      with_bias_(with_bias),
-      storage_(in_features * out_features + (with_bias ? out_features : 0)),
-      grad_storage_(storage_.size()) {
+    : in_(in_features), out_(out_features), with_bias_(with_bias) {
   MARSIT_CHECK(in_ > 0 && out_ > 0) << "degenerate linear layer";
 }
 
@@ -25,6 +21,7 @@ void Linear::forward(std::span<const float> x, std::size_t batch,
                      std::span<float> y) {
   MARSIT_CHECK(x.size() == batch * in_) << "linear forward: x extent";
   MARSIT_CHECK(y.size() == batch * out_) << "linear forward: y extent";
+  check_bound();
   if (cached_input_.size() != x.size()) {
     cached_input_ = Tensor(x.size());
   }
@@ -49,11 +46,11 @@ void Linear::backward(std::span<const float> dy, std::size_t batch,
       << "linear backward without matching forward";
 
   // dW(out×in) = dyᵀ(out×b) · x(b×in)
-  auto dw = grad_storage_.span().subspan(0, in_ * out_);
+  auto dw = grads().first(in_ * out_);
   matmul_at_b(dy, cached_input_.span(), dw, out_, batch, in_);
 
   if (with_bias_) {
-    auto db = grad_storage_.span().subspan(in_ * out_, out_);
+    auto db = grads().subspan(in_ * out_);
     zero(db);
     for (std::size_t row = 0; row < batch; ++row) {
       axpy(1.0f, dy.subspan(row * out_, out_), db);
@@ -67,13 +64,11 @@ void Linear::backward(std::span<const float> dy, std::size_t batch,
 }
 
 void Linear::init(Rng& rng) {
+  check_bound();
   const float bound =
       init_scale_ * std::sqrt(6.0f / static_cast<float>(in_));
   fill_uniform(weights(), rng, -bound, bound);
-  if (with_bias_) {
-    zero(bias());
-  }
-  grad_storage_.zero();
+  zero(bias());
 }
 
 }  // namespace marsit

@@ -24,9 +24,10 @@ class Linear final : public Layer {
   void backward(std::span<const float> dy, std::size_t batch,
                 std::span<float> dx) override;
 
-  std::span<float> params() override { return storage_.span(); }
-  std::span<const float> params() const override { return storage_.span(); }
-  std::span<float> grads() override { return grad_storage_.span(); }
+  /// [W | b]: W (out×in) row-major, then b.
+  std::size_t param_count() const override {
+    return in_ * out_ + (with_bias_ ? out_ : 0);
+  }
 
   /// He-uniform fan-in initialization (times init_scale); bias zero.
   void init(Rng& rng) override;
@@ -40,19 +41,14 @@ class Linear final : public Layer {
     return static_cast<double>(in_) * static_cast<double>(out_);
   }
 
-  std::span<float> weights() { return storage_.span().subspan(0, in_ * out_); }
-  std::span<float> bias() {
-    return with_bias_ ? storage_.span().subspan(in_ * out_, out_)
-                      : std::span<float>{};
-  }
+  std::span<float> weights() { return params().first(in_ * out_); }
+  std::span<float> bias() { return params().subspan(in_ * out_); }
 
  private:
   std::size_t in_;
   std::size_t out_;
   bool with_bias_;
   float init_scale_ = 1.0f;
-  Tensor storage_;       // [W | b] contiguous so params() is one span
-  Tensor grad_storage_;  // same layout
   Tensor cached_input_;
 };
 

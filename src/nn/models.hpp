@@ -1,8 +1,7 @@
 // Model factories — the scaled stand-ins for the paper's AlexNet,
 // ResNet-20/18/50 and DistilBERT (see DESIGN.md §2 for the substitution
-// rationale).  Each factory returns an uninitialized Sequential; callers
-// initialize every replica from the same seed so worker models start
-// bit-identical.
+// rationale).  Each factory returns an uninitialized Sequential; models
+// initialized from the same seed start bit-identical.
 #pragma once
 
 #include <cstddef>

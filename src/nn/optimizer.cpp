@@ -25,32 +25,25 @@ void LocalOptimizer::save_state(ckpt::SnapshotWriter& /*writer*/) const {}
 
 void LocalOptimizer::load_state(ckpt::SnapshotReader& /*reader*/) {}
 
-void SgdOptimizer::transform(std::span<const float> grad,
-                             std::span<float> direction) {
-  copy_into(grad, direction);
-}
-
-std::unique_ptr<LocalOptimizer> SgdOptimizer::clone_fresh() const {
-  return std::make_unique<SgdOptimizer>();
+void SgdOptimizer::transform(std::span<const float> grad, float eta_l,
+                             std::span<float> update) {
+  scale(grad, eta_l, update);
 }
 
 MomentumOptimizer::MomentumOptimizer(float mu) : mu_(mu) {
   MARSIT_CHECK(mu_ >= 0.0f && mu_ < 1.0f) << "momentum out of [0,1)";
 }
 
-void MomentumOptimizer::transform(std::span<const float> grad,
-                                  std::span<float> direction) {
+void MomentumOptimizer::transform(std::span<const float> grad, float eta_l,
+                                  std::span<float> update) {
   if (velocity_.size() != grad.size()) {
     velocity_ = Tensor(grad.size());
   }
+  // Two passes, each rounded: one loop would contract μ·v + g into an FMA.
   auto v = velocity_.span();
   scale(v, mu_);
   axpy(1.0f, grad, v);
-  copy_into(v, direction);
-}
-
-std::unique_ptr<LocalOptimizer> MomentumOptimizer::clone_fresh() const {
-  return std::make_unique<MomentumOptimizer>(mu_);
+  scale(v, eta_l, update);
 }
 
 void MomentumOptimizer::save_state(ckpt::SnapshotWriter& writer) const {
@@ -68,8 +61,8 @@ AdamOptimizer::AdamOptimizer(float beta1, float beta2, float epsilon)
   MARSIT_CHECK(epsilon_ > 0.0f) << "epsilon must be positive";
 }
 
-void AdamOptimizer::transform(std::span<const float> grad,
-                              std::span<float> direction) {
+void AdamOptimizer::transform(std::span<const float> grad, float eta_l,
+                              std::span<float> update) {
   if (m_.size() != grad.size()) {
     m_ = Tensor(grad.size());
     v_ = Tensor(grad.size());
@@ -87,13 +80,10 @@ void AdamOptimizer::transform(std::span<const float> grad,
     v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad[i] * grad[i];
     const double m_hat = static_cast<double>(m[i]) / bc1;
     const double v_hat = static_cast<double>(v[i]) / bc2;
-    direction[i] = static_cast<float>(
+    const auto direction = static_cast<float>(
         m_hat / (std::sqrt(v_hat) + static_cast<double>(epsilon_)));
+    update[i] = eta_l * direction;
   }
-}
-
-std::unique_ptr<LocalOptimizer> AdamOptimizer::clone_fresh() const {
-  return std::make_unique<AdamOptimizer>(beta1_, beta2_, epsilon_);
 }
 
 void AdamOptimizer::save_state(ckpt::SnapshotWriter& writer) const {

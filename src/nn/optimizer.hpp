@@ -4,9 +4,9 @@
 // with a local optimizer (Momentum for the image tasks, Adam for sentiment)
 // before the synchronization framework aggregates the result (Algorithm 2
 // feeds η_l·g into Marsit; the same pattern applies to the baselines).
-// LocalOptimizer captures that: transform(grad) → update direction, keeping
-// per-worker state (velocity / moments) across rounds.  The *global*
-// stepsize is owned by the sync strategy / trainer, not here.
+// LocalOptimizer captures that: transform(grad, η_l) → η_l · direction,
+// keeping per-worker state (velocity / moments) across rounds.  The
+// *global* stepsize is owned by the sync strategy / trainer, not here.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +23,11 @@ class LocalOptimizer {
  public:
   virtual ~LocalOptimizer() = default;
   virtual std::string name() const = 0;
-  /// Writes the update direction for this round's gradient; `direction` may
-  /// not alias `grad`.
-  virtual void transform(std::span<const float> grad,
-                         std::span<float> direction) = 0;
-  virtual std::unique_ptr<LocalOptimizer> clone_fresh() const = 0;
+  /// Writes update = η_l · direction for this round's gradient, the
+  /// direction rounded to float before the one float multiply by `eta_l`.
+  /// `update` may not alias `grad`.
+  virtual void transform(std::span<const float> grad, float eta_l,
+                         std::span<float> update) = 0;
 
   /// Checkpointing: serializes the cross-round state (velocity, moments,
   /// step counter) so a resumed run continues bit-identically.  Stateless
@@ -41,9 +41,8 @@ class LocalOptimizer {
 class SgdOptimizer final : public LocalOptimizer {
  public:
   std::string name() const override { return "SGD"; }
-  void transform(std::span<const float> grad,
-                 std::span<float> direction) override;
-  std::unique_ptr<LocalOptimizer> clone_fresh() const override;
+  void transform(std::span<const float> grad, float eta_l,
+                 std::span<float> update) override;
 };
 
 /// Heavy-ball momentum: v ← μ·v + grad; direction = v.
@@ -51,9 +50,8 @@ class MomentumOptimizer final : public LocalOptimizer {
  public:
   explicit MomentumOptimizer(float mu = 0.9f);
   std::string name() const override { return "Momentum"; }
-  void transform(std::span<const float> grad,
-                 std::span<float> direction) override;
-  std::unique_ptr<LocalOptimizer> clone_fresh() const override;
+  void transform(std::span<const float> grad, float eta_l,
+                 std::span<float> update) override;
   void save_state(ckpt::SnapshotWriter& writer) const override;
   void load_state(ckpt::SnapshotReader& reader) override;
 
@@ -68,9 +66,8 @@ class AdamOptimizer final : public LocalOptimizer {
   AdamOptimizer(float beta1 = 0.9f, float beta2 = 0.999f,
                 float epsilon = 1e-8f);
   std::string name() const override { return "Adam"; }
-  void transform(std::span<const float> grad,
-                 std::span<float> direction) override;
-  std::unique_ptr<LocalOptimizer> clone_fresh() const override;
+  void transform(std::span<const float> grad, float eta_l,
+                 std::span<float> update) override;
   void save_state(ckpt::SnapshotWriter& writer) const override;
   void load_state(ckpt::SnapshotReader& reader) override;
 

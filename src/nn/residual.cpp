@@ -80,6 +80,14 @@ void ResidualConvBlock::backward(std::span<const float> dy, std::size_t batch,
   }
 }
 
+void ResidualConvBlock::bind(std::span<float> params,
+                             std::span<float> grads) {
+  Layer::bind(params, grads);
+  const std::size_t first = conv1_.param_count();
+  conv1_.bind(params.first(first), grads.first(first));
+  conv2_.bind(params.subspan(first), grads.subspan(first));
+}
+
 void ResidualConvBlock::collect_leaves(std::vector<Layer*>& out) {
   out.push_back(&conv1_);
   out.push_back(&conv2_);
@@ -94,11 +102,6 @@ void ResidualConvBlock::init(Rng& rng) {
   // the forward signal bounded at any depth.
   conv2_.init(rng);
   zero(conv2_.params());
-}
-
-void ResidualConvBlock::zero_grads() {
-  conv1_.zero_grads();
-  conv2_.zero_grads();
 }
 
 }  // namespace marsit

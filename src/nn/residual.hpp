@@ -28,10 +28,15 @@ class ResidualConvBlock final : public CompositeLayer {
   void backward(std::span<const float> dy, std::size_t batch,
                 std::span<float> dx) override;
 
+  std::size_t param_count() const override {
+    return conv1_.param_count() + conv2_.param_count();
+  }
+  /// conv1's parameters, then conv2's.
+  void bind(std::span<float> params, std::span<float> grads) override;
+
   void collect_leaves(std::vector<Layer*>& out) override;
 
   void init(Rng& rng) override;
-  void zero_grads() override;
 
   double forward_macs_per_sample() const override {
     return conv1_.forward_macs_per_sample() +

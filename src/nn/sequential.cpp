@@ -7,27 +7,24 @@
 
 namespace marsit {
 
-void Sequential::add(std::unique_ptr<Layer> layer) {
-  MARSIT_CHECK(layer != nullptr) << "null layer";
-  if (!layers_.empty()) {
-    MARSIT_CHECK(layer->in_size() == layers_.back()->out_size())
+Sequential::Sequential(std::vector<std::unique_ptr<Layer>> layers)
+    : layers_(std::move(layers)), activations_(layers_.size()) {
+  MARSIT_CHECK(!layers_.empty()) << "empty model";
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer* layer = layers_[i].get();
+    MARSIT_CHECK(layer != nullptr) << "null layer";
+    MARSIT_CHECK(i == 0 || layer->in_size() == layers_[i - 1]->out_size())
         << "layer " << layer->name() << " expects " << layer->in_size()
-        << " inputs but previous layer " << layers_.back()->name()
-        << " produces " << layers_.back()->out_size();
+        << " inputs but previous layer " << layers_[i - 1]->name()
+        << " produces " << layers_[i - 1]->out_size();
+    param_count_ += layer->param_count();
   }
-  layers_.push_back(std::move(layer));
-  activations_.emplace_back();
+  grads_ = Tensor(param_count_);
 }
 
-std::size_t Sequential::in_size() const {
-  MARSIT_CHECK(!layers_.empty()) << "empty model";
-  return layers_.front()->in_size();
-}
+std::size_t Sequential::in_size() const { return layers_.front()->in_size(); }
 
-std::size_t Sequential::out_size() const {
-  MARSIT_CHECK(!layers_.empty()) << "empty model";
-  return layers_.back()->out_size();
-}
+std::size_t Sequential::out_size() const { return layers_.back()->out_size(); }
 
 std::vector<Layer*> Sequential::leaves() const {
   std::vector<Layer*> result;
@@ -41,15 +38,34 @@ std::vector<Layer*> Sequential::leaves() const {
   return result;
 }
 
-std::size_t Sequential::param_count() const {
-  std::size_t total = 0;
-  for (Layer* layer : leaves()) {
-    total += layer->param_count();
+void Sequential::bind_storage() {
+  if (params_.size() != param_count_) {
+    own_params_ = Tensor(param_count_);
+    bind_params(own_params_.span());
   }
-  return total;
+}
+
+void Sequential::bind_params(std::span<float> params) {
+  MARSIT_CHECK(params.size() == param_count_)
+      << "binding " << params.size() << " parameters to a model of "
+      << param_count_;
+  params_ = params;
+  std::size_t offset = 0;
+  for (const auto& layer : layers_) {
+    const std::size_t count = layer->param_count();
+    layer->bind(params.subspan(offset, count),
+                grads_.span().subspan(offset, count));
+    offset += count;
+  }
+}
+
+std::span<float> Sequential::params() {
+  bind_storage();
+  return params_;
 }
 
 void Sequential::init(Rng& rng) {
+  bind_storage();
   for (Layer* layer : leaves()) {
     layer->init(rng);
   }
@@ -57,8 +73,8 @@ void Sequential::init(Rng& rng) {
 
 std::span<const float> Sequential::forward(std::span<const float> x,
                                            std::size_t batch) {
-  MARSIT_CHECK(!layers_.empty()) << "forward through empty model";
   MARSIT_CHECK(x.size() == batch * in_size()) << "forward: input extent";
+  bind_storage();
   last_batch_ = batch;
   std::span<const float> current = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -77,18 +93,22 @@ void Sequential::backward(std::span<const float> dy, std::size_t batch) {
       << "backward batch " << batch << " without matching forward";
   MARSIT_CHECK(dy.size() == batch * out_size()) << "backward: dy extent";
 
-  // Two ping-pong scratch buffers sized to the largest interface.  Nothing
-  // reads the model input's gradient, so the first layer gets an empty dx.
+  // Two ping-pong buffers sized to the largest interface, kept across
+  // calls: every layer writes all of its dx.  Nothing reads the model
+  // input's gradient, so the first layer gets an empty dx.
   std::size_t max_elems = 0;
   for (const auto& layer : layers_) {
     max_elems = std::max(max_elems, batch * layer->out_size());
   }
-  Tensor a(max_elems);
-  Tensor b(max_elems);
+  for (Tensor& scratch : dx_scratch_) {
+    if (scratch.size() != max_elems) {
+      scratch = Tensor(max_elems);
+    }
+  }
 
   std::span<const float> current = dy;
-  Tensor* next = &a;
-  Tensor* spare = &b;
+  Tensor* next = &dx_scratch_[0];
+  Tensor* spare = &dx_scratch_[1];
   for (std::size_t i = layers_.size(); i > 0; --i) {
     Layer& layer = *layers_[i - 1];
     auto dx = i == 1 ? std::span<float>{}
@@ -99,50 +119,10 @@ void Sequential::backward(std::span<const float> dy, std::size_t batch) {
   }
 }
 
-void Sequential::zero_grads() {
-  for (Layer* layer : leaves()) {
-    layer->zero_grads();
-  }
-}
-
-void Sequential::copy_grads_into(std::span<float> out) const {
-  MARSIT_CHECK(out.size() == param_count()) << "grad buffer extent";
-  std::size_t offset = 0;
-  for (Layer* layer : leaves()) {
-    auto g = layer->grads();
-    copy_into(g, out.subspan(offset, g.size()));
-    offset += g.size();
-  }
-}
-
-void Sequential::copy_params_into(std::span<float> out) const {
-  MARSIT_CHECK(out.size() == param_count()) << "param buffer extent";
-  std::size_t offset = 0;
-  for (Layer* layer : leaves()) {
-    auto p = layer->params();
-    copy_into(p, out.subspan(offset, p.size()));
-    offset += p.size();
-  }
-}
-
-void Sequential::load_params(std::span<const float> params) {
-  MARSIT_CHECK(params.size() == param_count()) << "param buffer extent";
-  std::size_t offset = 0;
-  for (Layer* layer : leaves()) {
-    auto p = layer->params();
-    copy_into(params.subspan(offset, p.size()), p);
-    offset += p.size();
-  }
-}
+void Sequential::zero_grads() { grads_.zero(); }
 
 void Sequential::apply_update(std::span<const float> delta) {
-  MARSIT_CHECK(delta.size() == param_count()) << "update extent";
-  std::size_t offset = 0;
-  for (Layer* layer : leaves()) {
-    auto p = layer->params();
-    axpy(-1.0f, delta.subspan(offset, p.size()), p);
-    offset += p.size();
-  }
+  axpy(-1.0f, delta, params());
 }
 
 std::string Sequential::describe() const {
@@ -163,7 +143,7 @@ double Sequential::flops_per_sample() const {
   // Forward MACs are exact per layer; backward ≈ 2× forward (input grads +
   // weight grads); 2 flops per MAC.
   double macs = 0.0;
-  for (Layer* layer : leaves()) {
+  for (const auto& layer : layers_) {
     macs += layer->forward_macs_per_sample();
   }
   return 6.0 * macs;

@@ -1,6 +1,8 @@
-// Sequential model container: owns a layer stack, runs forward/backward,
-// and exposes the flattened parameter/gradient vector that the
-// synchronization strategies operate on.
+// Sequential model container: owns a layer stack and the model's two flat
+// buffers, the parameter vector x and its gradient, which every layer views
+// through Layer::bind.  x is the vector the synchronization strategies
+// update; bind_params points a model at a parameter vector it does not
+// own, so several models can share one (DESIGN.md §5).
 #pragma once
 
 #include <cstddef>
@@ -24,12 +26,12 @@ class CompositeLayer : public Layer {
 
 class Sequential {
  public:
-  Sequential() = default;
+  /// Takes the whole layer stack, first layer first; each layer's in_size
+  /// must match the previous layer's out_size.  Allocates the gradient
+  /// buffer at its final size.
+  explicit Sequential(std::vector<std::unique_ptr<Layer>> layers);
   Sequential(Sequential&&) = default;
   Sequential& operator=(Sequential&&) = default;
-
-  /// Appends a layer; its in_size must match the current out_size.
-  void add(std::unique_ptr<Layer> layer);
 
   std::size_t num_layers() const { return layers_.size(); }
   std::size_t in_size() const;
@@ -37,10 +39,10 @@ class Sequential {
 
   /// Total trainable parameter count D — the gradient dimension every
   /// synchronization strategy sees.
-  std::size_t param_count() const;
+  std::size_t param_count() const { return param_count_; }
 
-  /// Initializes every layer from one RNG (replicas constructed with the
-  /// same seed are bit-identical — the consistent-replica invariant).
+  /// Initializes every layer from one RNG (models initialized from the
+  /// same seed are bit-identical).
   void init(Rng& rng);
 
   /// Forward pass; returns the output activations (batch × out_size),
@@ -56,14 +58,17 @@ class Sequential {
   /// a training step does not need it.
   void zero_grads();
 
-  /// Serializes all parameter gradients into `out` (extent = param_count()).
-  void copy_grads_into(std::span<float> out) const;
+  /// The parameter vector x and its gradient, param_count() floats each:
+  /// every layer's parameters in layer order.  Unless bind_params came
+  /// first, the first call that needs x allocates the model's own.
+  std::span<float> params();
+  std::span<float> grads() { return grads_.span(); }
 
-  /// Serializes all parameters into `out`.
-  void copy_params_into(std::span<float> out) const;
-
-  /// Loads parameters from a flat vector (inverse of copy_params_into).
-  void load_params(std::span<const float> params);
+  /// Points the model's parameters at `params` (param_count() floats the
+  /// caller owns and keeps alive) without copying; the gradients stay the
+  /// model's own.  A model bound before first use never allocates
+  /// parameters of its own.
+  void bind_params(std::span<float> params);
 
   /// Applies the global update: params ← params − delta.
   void apply_update(std::span<const float> delta);
@@ -78,10 +83,16 @@ class Sequential {
 
  private:
   std::vector<Layer*> leaves() const;
+  /// Binds the model's own parameter buffer unless it is bound already.
+  void bind_storage();
 
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::vector<Tensor> activations_;   // per-layer outputs
-  Tensor input_grad_;                 // scratch for the deepest dx
+  std::size_t param_count_ = 0;
+  Tensor own_params_;                // empty while bound elsewhere
+  Tensor grads_;
+  std::span<float> params_;          // own_params_ or a bind_params span
+  std::vector<Tensor> activations_;  // per-layer outputs
+  Tensor dx_scratch_[2];             // backward's ping-pong dx buffers
   std::size_t last_batch_ = 0;
 };
 

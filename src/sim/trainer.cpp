@@ -40,18 +40,21 @@ void init_replica(Sequential& model, const Dataset& dataset,
 LocalWorker::LocalWorker(Sequential model, OptimizerKind optimizer)
     : model_(std::move(model)),
       optimizer_(make_optimizer(optimizer)),
-      update_(model_.param_count()),
-      grad_(model_.param_count()) {}
+      update_(model_.param_count()) {}
 
 void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
                        std::size_t round, float eta_l, float clip_grad_norm,
                        std::size_t local_steps) {
   local_steps = std::max<std::size_t>(1, local_steps);
+  const std::span<float> params = model_.params();
   if (local_steps > 1) {
-    if (snapshot_.size() != update_.size()) {
-      snapshot_ = Tensor(update_.size());
+    // Walk a private copy, so the parameters this model shares with the
+    // other workers stay untouched.
+    if (walk_.size() != params.size()) {
+      walk_ = Tensor(params.size());
     }
-    model_.copy_params_into(snapshot_.span());
+    copy_into(params, walk_.span());
+    model_.bind_params(walk_.span());
   }
 
   for (std::size_t h = 0; h < local_steps; ++h) {
@@ -65,29 +68,24 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
                           model_.out_size(), dlogits_.span());
     model_.backward(dlogits_.span(), batch_.size());
 
-    model_.copy_grads_into(grad_.span());
+    const std::span<float> grad = model_.grads();
     if (clip_grad_norm > 0.0f) {
-      const float norm = l2_norm(grad_.span());
+      const float norm = l2_norm(grad);
       if (norm > clip_grad_norm) {
-        scale(grad_.span(), clip_grad_norm / norm);
+        scale(grad, clip_grad_norm / norm);
       }
     }
-    optimizer_->transform(grad_.span(), update_.span());
-    scale(update_.span(), eta_l);
+    optimizer_->transform(grad, eta_l, update_.span());
     if (local_steps > 1) {
-      // Walk the replica locally; the synchronized vector is the total
-      // movement, computed below.
       model_.apply_update(update_.span());
     }
   }
 
   if (local_steps > 1) {
-    // u_m = x_before − x_after (so x ← x − u replays the local walk), then
-    // rewind: the *global* update must be the only state change so replicas
-    // stay consistent.
-    model_.copy_params_into(grad_.span());
-    sub(snapshot_.span(), grad_.span(), update_.span());
-    model_.load_params(snapshot_.span());
+    // u_m = x − x_walk, so x ← x − u replays the local walk; the global
+    // update stays the only change to x.
+    sub(params, walk_.span(), update_.span());
+    model_.bind_params(params);
   }
 }
 
@@ -107,17 +105,14 @@ DistributedTrainer::DistributedTrainer(
   for (std::size_t w = 0; w < m; ++w) {
     workers_.emplace_back(model_factory(), config_.optimizer);
   }
-  Sequential& first = workers_.front().model();
-  init_replica(first, dataset_, config_.seed);
-  param_count_ = first.param_count();
-  // Every replica would draw the same values from the same seed; copying
-  // replica 0 gives the identical state without M−1 more draws.  Fresh
-  // layers already hold zero gradients, which is all init adds.
-  Tensor init_params(param_count_);
-  first.copy_params_into(init_params.span());
-  for (std::size_t w = 1; w < m; ++w) {
-    workers_[w].model().load_params(init_params.span());
+  param_count_ = workers_.front().model().param_count();
+  // One parameter vector for all M workers: every update is global, so
+  // the MAR replicas never differ.
+  params_ = Tensor(param_count_);
+  for (LocalWorker& worker : workers_) {
+    worker.model().bind_params(params_.span());
   }
+  init_replica(workers_.front().model(), dataset_, config_.seed);
   global_update_ = Tensor(param_count_);
 }
 
@@ -129,13 +124,8 @@ double DistributedTrainer::compute_seconds_per_round() const {
   return strategy_.config().cost_model.compute_seconds(flops);
 }
 
-void DistributedTrainer::copy_params_into(std::span<float> out,
-                                          std::size_t worker) const {
-  MARSIT_CHECK(out.size() == param_count_)
-      << "param copy extent " << out.size() << " vs " << param_count_;
-  MARSIT_CHECK(worker < workers_.size())
-      << "replica " << worker << " of " << workers_.size();
-  workers_[worker].model().copy_params_into(out);
+void DistributedTrainer::copy_params_into(std::span<float> out) const {
+  copy_into(params_.span(), out);
 }
 
 EvalPoint DistributedTrainer::evaluate(std::size_t samples) {
@@ -242,9 +232,8 @@ TrainResult DistributedTrainer::train() {
       totals.matching_total += round_matching_rate;
     }
 
-    for (LocalWorker& worker : workers_) {
-      worker.model().apply_update(global_update_.span());
-    }
+    // Every worker's model views params_: one update moves all M.
+    workers_.front().model().apply_update(global_update_.span());
 
     cumulative_seconds_ += compute_seconds + step.timing.completion_seconds;
     cumulative_bits_ += step.timing.total_wire_bits;
@@ -346,9 +335,8 @@ TrainResult DistributedTrainer::train() {
 
     if (config_.checkpoint_every > 0 && !config_.checkpoint_path.empty() &&
         (t + 1) % config_.checkpoint_every == 0) {
-      // After the round's evaluation, at the round boundary: replicas are
-      // bit-identical (MAR invariant) and the evals list is consistent with
-      // rounds_completed.
+      // After the round's evaluation, at the round boundary, so the evals
+      // list is consistent with rounds_completed.
       write_checkpoint(t + 1, result, totals);
     }
   }
@@ -396,11 +384,8 @@ void DistributedTrainer::write_checkpoint(std::size_t rounds_done,
   checkpoint.meta.fault_seed = sync.fault_plan.seed;
   checkpoint.meta.strategy_name = strategy_.name();
 
-  // All replicas are bit-identical at a round boundary (the MAR invariant),
-  // so one copy of replica 0's parameters restores every worker.
-  checkpoint.params.resize(param_count_);
-  workers_.front().model().copy_params_into(
-      {checkpoint.params.data(), checkpoint.params.size()});
+  const std::span<const float> params = params_.span();
+  checkpoint.params.assign(params.begin(), params.end());
 
   ckpt::SnapshotWriter optimizer_state;
   optimizer_state.u8(static_cast<std::uint8_t>(config_.optimizer));
@@ -489,10 +474,7 @@ void DistributedTrainer::restore_checkpoint(TrainResult& result,
       << "checkpoint at round " << meta.round << " is past the configured "
       << config_.rounds;
 
-  for (LocalWorker& worker : workers_) {
-    worker.model().load_params(
-        {checkpoint.params.data(), checkpoint.params.size()});
-  }
+  copy_into(checkpoint.params, params_.span());
 
   ckpt::SnapshotReader optimizer_state({checkpoint.optimizer_state.data(),
                                         checkpoint.optimizer_state.size()});

@@ -3,10 +3,11 @@
 // Simulates M workers doing data-parallel training with a pluggable
 // synchronization strategy (Marsit or any baseline):
 //
-//   * every worker is a LocalWorker owning a full model replica,
-//     bit-identical at the start (replica 0 is initialized from the seed and
-//     copied to the rest) and updated with the identical global update
-//     every round, so replicas stay consistent — exactly the MAR invariant;
+//   * every worker applies the same global update x ← x − g_t, so the M
+//     MAR replicas are one parameter vector: the trainer holds it, every
+//     worker's LocalWorker model views it (Sequential::bind_params) and
+//     keeps only its own gradients, activations and optimizer state, and
+//     each round's update is applied once;
 //   * per round, LocalWorker::step draws i.i.d. minibatches (the paper's
 //     shuffled-cloud data assumption), computes real gradients on the
 //     synthetic datasets, runs the local optimizer (Momentum/Adam/SGD) and
@@ -59,20 +60,21 @@ ShardedSampler make_train_sampler(const Dataset& dataset,
 void init_replica(Sequential& model, const Dataset& dataset,
                   std::uint64_t seed);
 
-/// One worker's side of a round (Algorithm 2's local step): a model
-/// replica, its local optimizer and the step's scratch.  DistributedTrainer
-/// holds one per simulated worker, the distributed worker one per rank, so
-/// both compute u_m with the same code.
+/// One worker's side of a round (Algorithm 2's local step): a model, its
+/// local optimizer and the step's scratch.  DistributedTrainer holds one
+/// per simulated worker, the distributed worker one per rank, so both
+/// compute u_m with the same code.
 class LocalWorker {
  public:
   LocalWorker(Sequential model, OptimizerKind optimizer);
 
   /// Computes worker `worker`'s u_m for round `round` into update().  Each
   /// of H = max(1, local_steps) local steps samples a minibatch, runs
-  /// forward, loss and backward, clips the gradient to `clip_grad_norm`
-  /// (0 disables), applies the local optimizer and scales by `eta_l`.  With
-  /// H > 1 the replica walks H steps, u_m is the total movement, and the
-  /// replica is rewound so that the global update is its only change.
+  /// forward, loss and backward, clips the model's gradient in place to
+  /// `clip_grad_norm` (0 disables), and has the local optimizer write
+  /// η_l · direction from it.  The step never writes the model's
+  /// parameters: with H > 1 the model walks H steps on a private copy,
+  /// u_m is the total movement, and the model is pointed back.
   void step(const ShardedSampler& sampler, std::size_t worker,
             std::size_t round, float eta_l, float clip_grad_norm,
             std::size_t local_steps);
@@ -87,10 +89,9 @@ class LocalWorker {
  private:
   Sequential model_;
   std::unique_ptr<LocalOptimizer> optimizer_;
-  Tensor update_;    // u_m = η_l · direction
-  Tensor grad_;
-  Tensor dlogits_;   // ∂L/∂logits, sized on the first step
-  Tensor snapshot_;  // pre-round params (local_steps > 1)
+  Tensor update_;   // u_m = η_l · direction
+  Tensor dlogits_;  // ∂L/∂logits, sized on the first step
+  Tensor walk_;     // the walked parameters (local_steps > 1)
   Batch batch_;
 };
 
@@ -106,9 +107,9 @@ struct TrainerConfig {
   float clip_grad_norm = 0.0f;
   /// Local updates per synchronization (the paper's "clients perform
   /// multiple local updates between two successive synchronizations").
-  /// With H > 1 each worker takes H local optimizer steps on its replica,
-  /// the synchronized vector u_m is the accumulated local movement, and the
-  /// replica is rewound before the (consistent) global update is applied.
+  /// With H > 1 each worker takes H local optimizer steps on a private copy
+  /// of the parameters, and the synchronized vector u_m is the accumulated
+  /// local movement; the global update alone moves the shared parameters.
   std::size_t local_steps = 1;
   std::size_t rounds = 200;
   /// Evaluate on held-out data every `eval_interval` rounds.
@@ -132,7 +133,7 @@ struct TrainerConfig {
   // --- checkpoint/restore (DESIGN.md §11) ----------------------------------
   /// Write a checkpoint to `checkpoint_path` every this-many completed
   /// rounds (0 disables).  Checkpoints land after the round's evaluation,
-  /// at the round boundary where all replicas are bit-identical.
+  /// at the round boundary.
   std::size_t checkpoint_every = 0;
   /// Destination for cadenced checkpoints.  A "{round}" placeholder expands
   /// to the completed-round count (per-round history); without it the one
@@ -198,9 +199,9 @@ struct TrainResult {
 
 class DistributedTrainer {
  public:
-  /// `model_factory` must build identical architectures; replica 0 is
-  /// initialized from config.seed and its parameters copied to the others,
-  /// so all workers start at the same point.
+  /// `model_factory` must build identical architectures.  Every model is
+  /// bound to the trainer's one parameter vector, initialized once from
+  /// config.seed (init_replica).
   DistributedTrainer(const Dataset& dataset,
                      std::function<Sequential()> model_factory,
                      SyncStrategy& strategy, TrainerConfig config);
@@ -213,12 +214,12 @@ class DistributedTrainer {
 
   TrainResult train();
 
-  /// Evaluates replica 0 on `samples` held-out examples.
+  /// Evaluates the model on `samples` held-out examples.
   EvalPoint evaluate(std::size_t samples);
 
-  /// Copies replica `worker`'s current parameters into `out` (extent must
-  /// equal param_count()); the golden determinism test hashes replica 0's.
-  void copy_params_into(std::span<float> out, std::size_t worker = 0) const;
+  /// Copies the current parameters into `out` (extent must equal
+  /// param_count()); the golden determinism test hashes them.
+  void copy_params_into(std::span<float> out) const;
 
  private:
   /// Accumulators that live across rounds and must survive a
@@ -246,6 +247,7 @@ class DistributedTrainer {
   SyncStrategy& strategy_;
   TrainerConfig config_;
   ShardedSampler sampler_;
+  Tensor params_;  // x, viewed by every worker's model
   std::vector<LocalWorker> workers_;
   Tensor global_update_;
   std::size_t param_count_ = 0;

@@ -174,6 +174,14 @@ void scale(std::span<float> x, float alpha) {
   }
 }
 
+void scale(std::span<const float> x, float alpha, std::span<float> out) {
+  check_same_size(x, out, "scale");
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = x[i] * alpha;
+  }
+}
+
 void add(std::span<const float> a, std::span<const float> b,
          std::span<float> out) {
   check_same_size(a, b, "add");

@@ -34,6 +34,9 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y);
 /// x *= alpha
 void scale(std::span<float> x, float alpha);
 
+/// out = x * alpha  (out may alias x)
+void scale(std::span<const float> x, float alpha, std::span<float> out);
+
 /// out = a + b  (out may alias a or b)
 void add(std::span<const float> a, std::span<const float> b,
          std::span<float> out);

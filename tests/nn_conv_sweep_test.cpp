@@ -11,6 +11,7 @@
 #include "nn/conv.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "layer_storage.hpp"
 
 namespace marsit {
 namespace {
@@ -70,6 +71,7 @@ TEST_P(ConvSweepTest, ForwardMatchesDefinition) {
   const auto [c, h, w, oc, k, s, p] = GetParam();
   const ImageDims in{c, h, w};
   Conv2d conv(in, oc, k, s, p);
+  LayerStorage storage(conv);
   Rng rng(1000 + c * 31 + h * 7 + k);
   conv.init(rng);
 
@@ -100,6 +102,7 @@ TEST_P(ConvSweepTest, BackwardInputGradientMatchesTransposedForward) {
   const auto [c, h, w, oc, k, s, p] = GetParam();
   const ImageDims in{c, h, w};
   Conv2d conv(in, oc, k, s, p);
+  LayerStorage storage(conv);
   Rng rng(2000 + c * 31 + h * 7 + k);
   conv.init(rng);
   // Remove the bias so the map is purely linear.
@@ -116,7 +119,6 @@ TEST_P(ConvSweepTest, BackwardInputGradientMatchesTransposedForward) {
 
   std::vector<float> probe(conv.out_size());
   fill_normal({probe.data(), probe.size()}, rng, 0.0f, 1.0f);
-  conv.zero_grads();
   std::vector<float> dx(in.size());
   conv.backward({probe.data(), probe.size()}, batch, {dx.data(), dx.size()});
 

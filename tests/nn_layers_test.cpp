@@ -15,12 +15,14 @@
 #include "nn/residual.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
+#include "layer_storage.hpp"
 
 namespace marsit {
 namespace {
 
 TEST(LinearTest, KnownAffineMap) {
   Linear layer(2, 2);
+  LayerStorage storage(layer);
   // W = [[1, 2], [3, 4]], b = [10, 20].
   auto w = layer.weights();
   w[0] = 1;
@@ -42,7 +44,9 @@ TEST(LinearTest, ParamLayout) {
   EXPECT_EQ(with_bias.param_count(), 16u);
   Linear no_bias(3, 4, false);
   EXPECT_EQ(no_bias.param_count(), 12u);
+  LayerStorage storage(no_bias);
   EXPECT_TRUE(no_bias.bias().empty());
+  EXPECT_EQ(no_bias.weights().size(), 12u);
 }
 
 TEST(LinearTest, ExtentChecks) {
@@ -92,6 +96,7 @@ TEST(Conv2dTest, OutputGeometry) {
 
 TEST(Conv2dTest, IdentityKernelPassesThrough) {
   Conv2d layer({1, 3, 3}, 1, 1, 1, 0);  // 1×1 kernel
+  LayerStorage storage(layer);
   layer.params()[0] = 1.0f;             // weight
   layer.params()[1] = 0.0f;             // bias
   std::vector<float> x{1, 2, 3, 4, 5, 6, 7, 8, 9};
@@ -104,6 +109,7 @@ TEST(Conv2dTest, IdentityKernelPassesThrough) {
 
 TEST(Conv2dTest, BoxFilterSumsNeighborhood) {
   Conv2d layer({1, 3, 3}, 1, 3, 1, 1);
+  LayerStorage storage(layer);
   for (std::size_t i = 0; i < 9; ++i) {
     layer.params()[i] = 1.0f;  // all-ones 3×3 kernel
   }
@@ -153,6 +159,7 @@ TEST(GlobalAvgPoolTest, AveragesPerChannel) {
 
 TEST(EmbeddingTest, LooksUpRows) {
   Embedding layer(3, 2, 2);
+  LayerStorage storage(layer);
   auto table = layer.params();
   // Row r = [r, 10r].
   for (std::size_t r = 0; r < 3; ++r) {
@@ -170,6 +177,7 @@ TEST(EmbeddingTest, LooksUpRows) {
 
 TEST(EmbeddingTest, RejectsOutOfVocabIds) {
   Embedding layer(3, 2, 1);
+  LayerStorage storage(layer);
   std::vector<float> ids{3.0f};
   std::vector<float> y(2);
   EXPECT_THROW(layer.forward({ids.data(), 1}, 1, {y.data(), 2}), CheckError);
@@ -187,14 +195,11 @@ TEST(MeanPoolTest, AveragesSequence) {
 
 TEST(ResidualBlockTest, ZeroWeightsActAsReluIdentity) {
   ResidualConvBlock block({1, 3, 3});
+  LayerStorage storage(block);
   // Zero convolutions: y = ReLU(0 + x) = ReLU(x).
   Rng rng(55);
   block.init(rng);
-  std::vector<Layer*> leaves;
-  block.collect_leaves(leaves);
-  for (Layer* leaf : leaves) {
-    zero(leaf->params());
-  }
+  zero(block.params());
   std::vector<float> x{-1, 2, -3, 4, -5, 6, -7, 8, -9};
   std::vector<float> y(9);
   block.forward({x.data(), 9}, 1, {y.data(), 9});
@@ -203,31 +208,27 @@ TEST(ResidualBlockTest, ZeroWeightsActAsReluIdentity) {
   }
 }
 
-TEST(ResidualBlockTest, CollectsTwoConvLeaves) {
+TEST(ResidualBlockTest, ParamsAreBothConvs) {
   ResidualConvBlock block({2, 4, 4});
-  std::vector<Layer*> leaves;
-  block.collect_leaves(leaves);
-  EXPECT_EQ(leaves.size(), 2u);
-  EXPECT_GT(leaves[0]->param_count(), 0u);
+  const Conv2d conv({2, 4, 4}, 2, 3, 1, 1);
+  EXPECT_EQ(block.param_count(), 2 * conv.param_count());
+}
+
+TEST(LayerTest, BindChecksExtents) {
+  Linear layer(3, 4);
+  std::vector<float> params(layer.param_count());
+  std::vector<float> short_grads(layer.param_count() - 1);
+  EXPECT_THROW(layer.bind(params, short_grads), CheckError);
+  // An unbound layer refuses to run instead of writing through no storage.
+  std::vector<float> x(3), y(4);
+  EXPECT_THROW(layer.forward(x, 1, y), CheckError);
 }
 
 // ---- backward() writes its gradients ---------------------------------------
 
-/// Every parameter gradient of `layer` (its leaves' for a composite), in
-/// order.
+/// Every parameter gradient of `layer` (both convs' for a residual block).
 std::vector<float> gradients_of(Layer& layer) {
-  std::vector<Layer*> leaves;
-  if (auto* composite = dynamic_cast<CompositeLayer*>(&layer)) {
-    composite->collect_leaves(leaves);
-  } else {
-    leaves.push_back(&layer);
-  }
-  std::vector<float> out;
-  for (Layer* leaf : leaves) {
-    const auto g = leaf->grads();
-    out.insert(out.end(), g.begin(), g.end());
-  }
-  return out;
+  return {layer.grads().begin(), layer.grads().end()};
 }
 
 /// Values as sparse as a ReLU output: about 40 % +0.0 and 10 % −0.0.
@@ -245,8 +246,8 @@ struct LayerBatch {
   std::vector<float> dy;
 };
 
-/// backward on batch A and then on batch B, with no zero_grads() between,
-/// leaves the gradient and dx bytes of zero_grads() then backward on B.
+/// backward on batch A and then on batch B, with no zeroing between, leaves
+/// the gradient and dx bytes of zeroed gradients then backward on B.
 void expect_backward_writes(Layer& layer, std::size_t batch,
                             const LayerBatch& a, const LayerBatch& b) {
   std::vector<float> y(batch * layer.out_size());
@@ -260,7 +261,7 @@ void expect_backward_writes(Layer& layer, std::size_t batch,
   run(b);
   const std::vector<float> written = gradients_of(layer);
   const std::vector<float> written_dx = dx;
-  layer.zero_grads();
+  zero(layer.grads());
   run(b);
   const std::vector<float> fresh = gradients_of(layer);
   ASSERT_FALSE(fresh.empty());
@@ -281,6 +282,7 @@ LayerBatch sparse_batch(Rng& rng, const Layer& layer, std::size_t batch) {
 
 TEST(BackwardWritesTest, Linear) {
   Linear layer(37, 70);
+  LayerStorage storage(layer);
   Rng rng(90);
   layer.init(rng);
   const LayerBatch a = sparse_batch(rng, layer, 5);
@@ -296,6 +298,7 @@ TEST(BackwardWritesTest, Linear) {
 
 TEST(BackwardWritesTest, Conv2d) {
   Conv2d layer({3, 6, 5}, 4, 3, 1, 1);
+  LayerStorage storage(layer);
   Rng rng(91);
   layer.init(rng);
   const LayerBatch a = sparse_batch(rng, layer, 3);
@@ -313,6 +316,7 @@ TEST(BackwardWritesTest, Conv2d) {
 
 TEST(BackwardWritesTest, Embedding) {
   Embedding layer(11, 4, 3);
+  LayerStorage storage(layer);
   Rng rng(92);
   layer.init(rng);
   const auto ids = [&] {
@@ -329,12 +333,12 @@ TEST(BackwardWritesTest, Embedding) {
 
 TEST(BackwardWritesTest, ResidualConvBlock) {
   ResidualConvBlock block({2, 5, 4});
+  LayerStorage storage(block);
   Rng rng(93);
   block.init(rng);
   // init zeroes the second conv; give it weights so its gradient flows.
-  std::vector<Layer*> leaves;
-  block.collect_leaves(leaves);
-  fill_normal(leaves[1]->params(), rng, 0.0f, 0.3f);
+  const std::size_t conv1 = block.param_count() / 2;
+  fill_normal(block.params().subspan(conv1), rng, 0.0f, 0.3f);
   const LayerBatch a = sparse_batch(rng, block, 2);
   const LayerBatch b = sparse_batch(rng, block, 2);
   expect_backward_writes(block, 2, a, b);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,24 +21,64 @@ namespace marsit {
 namespace {
 
 TEST(SequentialTest, RejectsShapeMismatch) {
-  Sequential model;
-  model.add(std::make_unique<Linear>(4, 8));
-  EXPECT_THROW(model.add(std::make_unique<Linear>(9, 2)), CheckError);
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Linear>(4, 8));
+  layers.push_back(std::make_unique<Linear>(9, 2));
+  EXPECT_THROW(Sequential{std::move(layers)}, CheckError);
+  EXPECT_THROW(Sequential{{}}, CheckError);
 }
 
-TEST(SequentialTest, ParamRoundTrip) {
+bool same_bytes(std::span<const float> x, std::span<const float> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(SequentialTest, BindParamsViewsTheCallersBuffer) {
   Sequential model = make_mlp(6, {5}, 3);
-  Rng rng(60);
-  model.init(rng);
   const std::size_t d = model.param_count();
   EXPECT_EQ(d, 6u * 5u + 5u + 5u * 3u + 3u);
+  std::vector<float> shared(d);
+  model.bind_params(shared);
+  Rng rng(60);
+  model.init(rng);
+  EXPECT_EQ(model.params().data(), shared.data());
 
-  std::vector<float> saved(d);
-  model.copy_params_into({saved.data(), d});
-  std::vector<float> reloaded(d, 0.0f);
-  model.load_params({saved.data(), d});
-  model.copy_params_into({reloaded.data(), d});
-  EXPECT_EQ(saved, reloaded);
+  // init wrote the caller's buffer, with a self-owned model's values.
+  Sequential own = make_mlp(6, {5}, 3);
+  Rng own_rng(60);
+  own.init(own_rng);
+  EXPECT_TRUE(same_bytes(shared, own.params()));
+
+  // Writes through the buffer reach the layers.
+  std::vector<float> x{1, 2, 3, 4, 5, 6};
+  const std::vector<float> y = [&] {
+    const auto out = model.forward(x, 1);
+    return std::vector<float>(out.begin(), out.end());
+  }();
+  shared.back() += 1.0f;  // the last bias
+  EXPECT_FLOAT_EQ(model.forward(x, 1).back(), y.back() + 1.0f);
+
+  std::vector<float> wrong(d + 1);
+  EXPECT_THROW(model.bind_params(wrong), CheckError);
+}
+
+TEST(SequentialTest, MoveKeepsLayerViews) {
+  Sequential model = make_mlp(4, {3}, 2);
+  Rng rng(67);
+  model.init(rng);
+  const float* params = model.params().data();
+  std::vector<float> x{0.5f, -1.0f, 2.0f, 0.25f};
+  const std::vector<float> before = [&] {
+    const auto out = model.forward(x, 1);
+    return std::vector<float>(out.begin(), out.end());
+  }();
+  Sequential moved = std::move(model);
+  EXPECT_EQ(moved.params().data(), params);
+  EXPECT_TRUE(same_bytes(moved.forward(x, 1), before));
+  std::vector<float> delta(moved.param_count(), 0.0f);
+  delta.back() = 1.0f;  // the last bias
+  moved.apply_update(delta);
+  EXPECT_FLOAT_EQ(moved.forward(x, 1).back(), before.back() - 1.0f);
 }
 
 TEST(SequentialTest, ApplyUpdateSubtractsDelta) {
@@ -44,30 +86,25 @@ TEST(SequentialTest, ApplyUpdateSubtractsDelta) {
   Rng rng(61);
   model.init(rng);
   const std::size_t d = model.param_count();
-  std::vector<float> before(d), delta(d, 0.5f), after(d);
-  model.copy_params_into({before.data(), d});
+  const std::vector<float> before(model.params().begin(),
+                                  model.params().end());
+  std::vector<float> delta(d, 0.5f);
   model.apply_update({delta.data(), d});
-  model.copy_params_into({after.data(), d});
   for (std::size_t i = 0; i < d; ++i) {
-    ASSERT_FLOAT_EQ(after[i], before[i] - 0.5f);
+    ASSERT_FLOAT_EQ(model.params()[i], before[i] - 0.5f);
   }
 }
 
-TEST(SequentialTest, SameSeedGivesIdenticalReplicas) {
-  // The consistent-replica invariant every strategy depends on.
+TEST(SequentialTest, SameSeedGivesIdenticalModels) {
   Sequential a = make_alexnet_mini({1, 14, 14}, 10);
   Sequential b = make_alexnet_mini({1, 14, 14}, 10);
   Rng ra(62), rb(62);
   a.init(ra);
   b.init(rb);
-  const std::size_t d = a.param_count();
-  std::vector<float> pa(d), pb(d);
-  a.copy_params_into({pa.data(), d});
-  b.copy_params_into({pb.data(), d});
-  EXPECT_EQ(pa, pb);
+  EXPECT_TRUE(same_bytes(a.params(), b.params()));
 }
 
-TEST(SequentialTest, GradAccumulationAndZero) {
+TEST(SequentialTest, GradsWrittenAndZeroed) {
   Sequential model = make_mlp(3, {4}, 2);
   Rng rng(63);
   model.init(rng);
@@ -75,25 +112,15 @@ TEST(SequentialTest, GradAccumulationAndZero) {
   const auto y = model.forward({x.data(), 3}, 1);
   std::vector<float> dy(y.size(), 1.0f);
   model.backward({dy.data(), dy.size()}, 1);
-  std::vector<float> grads(model.param_count());
-  model.copy_grads_into({grads.data(), grads.size()});
-  EXPECT_GT(l2_norm({grads.data(), grads.size()}), 0.0f);
+  EXPECT_GT(l2_norm(model.grads()), 0.0f);
   model.zero_grads();
-  model.copy_grads_into({grads.data(), grads.size()});
-  EXPECT_FLOAT_EQ(l2_norm({grads.data(), grads.size()}), 0.0f);
+  EXPECT_FLOAT_EQ(l2_norm(model.grads()), 0.0f);
 }
 
 // ---- backward() writes, and skips the model input's gradient ----------------
 
-std::vector<float> model_grads(const Sequential& model) {
-  std::vector<float> g(model.param_count());
-  model.copy_grads_into({g.data(), g.size()});
-  return g;
-}
-
-bool same_bytes(const std::vector<float>& x, const std::vector<float>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+std::vector<float> model_grads(Sequential& model) {
+  return {model.grads().begin(), model.grads().end()};
 }
 
 /// Inputs for `model`: token ids below `vocab` when it is nonzero, else
@@ -114,9 +141,10 @@ std::pair<std::vector<float>, std::vector<float>> model_batch(
   return {x, dy};
 }
 
-/// A Sequential whose layers the test can also drive one by one.
+/// A Sequential whose layers the test can also drive one by one: add()
+/// the layers, then build().
 struct LayerStack {
-  Sequential model;
+  std::vector<std::unique_ptr<Layer>> pending;
   std::vector<Layer*> layers;
 
   template <typename L, typename... Args>
@@ -124,9 +152,10 @@ struct LayerStack {
     auto layer = std::make_unique<L>(std::forward<Args>(args)...);
     L& ref = *layer;
     layers.push_back(layer.get());
-    model.add(std::move(layer));
+    pending.push_back(std::move(layer));
     return ref;
   }
+  Sequential build() { return Sequential(std::move(pending)); }
 };
 
 LayerStack stacked_mlp() {
@@ -171,10 +200,11 @@ LayerStack stacked_text_classifier(std::size_t vocab, std::size_t seq_len,
 /// gradient bytes of a layer-by-layer backward that computes every dx.
 void expect_input_grad_skip_keeps_grads(LayerStack& stack, std::size_t batch,
                                         std::size_t vocab) {
+  Sequential model = stack.build();
   Rng rng(70);
-  stack.model.init(rng);
-  const auto [x, dy] = model_batch(rng, stack.model, batch, vocab);
-  stack.model.forward({x.data(), x.size()}, batch);
+  model.init(rng);
+  const auto [x, dy] = model_batch(rng, model, batch, vocab);
+  model.forward({x.data(), x.size()}, batch);
   std::vector<float> upstream = dy;
   for (std::size_t i = stack.layers.size(); i > 0; --i) {
     Layer& layer = *stack.layers[i - 1];
@@ -183,10 +213,10 @@ void expect_input_grad_skip_keeps_grads(LayerStack& stack, std::size_t batch,
                    {dx.data(), dx.size()});
     upstream = std::move(dx);
   }
-  const std::vector<float> every_dx = model_grads(stack.model);
-  stack.model.zero_grads();
-  stack.model.backward({dy.data(), dy.size()}, batch);
-  EXPECT_TRUE(same_bytes(model_grads(stack.model), every_dx));
+  const std::vector<float> every_dx = model_grads(model);
+  model.zero_grads();
+  model.backward({dy.data(), dy.size()}, batch);
+  EXPECT_TRUE(same_bytes(model_grads(model), every_dx));
 }
 
 TEST(SequentialTest, FirstLayerInputGradSkipMlp) {
@@ -204,32 +234,46 @@ TEST(SequentialTest, FirstLayerInputGradSkipTextClassifier) {
   expect_input_grad_skip_keeps_grads(stack, 4, 50);
 }
 
-/// backward on batch A and then on batch B, with no zero_grads() between,
-/// leaves the bytes of zero_grads() then backward on B.
-void expect_model_backward_writes(Sequential& model, std::size_t batch) {
-  Rng rng(71);
-  model.init(rng);
-  const auto [xa, dya] = model_batch(rng, model, batch, 0);
-  const auto [xb, dyb] = model_batch(rng, model, batch, 0);
-  model.forward({xa.data(), xa.size()}, batch);
-  model.backward({dya.data(), dya.size()}, batch);
-  model.forward({xb.data(), xb.size()}, batch);
-  model.backward({dyb.data(), dyb.size()}, batch);
-  const std::vector<float> written = model_grads(model);
-  model.zero_grads();
-  model.forward({xb.data(), xb.size()}, batch);
-  model.backward({dyb.data(), dyb.size()}, batch);
-  EXPECT_TRUE(same_bytes(model_grads(model), written));
+/// backward on batch A and then on batch B leaves the gradient bytes of a
+/// fresh model's backward on B: neither the gradients nor backward's reused
+/// scratch carry anything over from A.
+void expect_model_backward_writes(const std::function<Sequential()>& factory,
+                                  std::size_t batch, std::size_t vocab) {
+  Sequential model = factory();
+  Sequential fresh = factory();
+  Rng init_model(71), init_fresh(71);
+  model.init(init_model);
+  fresh.init(init_fresh);
+  Rng rng(72);
+  const auto [xa, dya] = model_batch(rng, model, batch, vocab);
+  const auto [xb, dyb] = model_batch(rng, model, batch, vocab);
+  model.forward(xa, batch);
+  model.backward(dya, batch);
+  model.forward(xb, batch);
+  model.backward(dyb, batch);
+  fresh.forward(xb, batch);
+  fresh.backward(dyb, batch);
+  EXPECT_TRUE(same_bytes(model.grads(), fresh.grads()));
 }
 
 TEST(SequentialTest, BackwardWritesGradsMlp) {
-  Sequential model = make_mlp(13, {24, 18}, 5);
-  expect_model_backward_writes(model, 6);
+  expect_model_backward_writes([] { return make_mlp(13, {24, 18}, 5); }, 6,
+                               0);
 }
 
 TEST(SequentialTest, BackwardWritesGradsAlexNetMini) {
-  Sequential model = make_alexnet_mini({3, 12, 12}, 10);
-  expect_model_backward_writes(model, 3);
+  expect_model_backward_writes(
+      [] { return make_alexnet_mini({3, 12, 12}, 10); }, 3, 0);
+}
+
+TEST(SequentialTest, BackwardWritesGradsTextClassifier) {
+  expect_model_backward_writes(
+      [] { return make_text_classifier(50, 7, 6, 2); }, 4, 50);
+}
+
+TEST(SequentialTest, BackwardWritesGradsResNetMini) {
+  expect_model_backward_writes(
+      [] { return make_resnet_mini({2, 8, 8}, 5, 1, 4); }, 2, 0);
 }
 
 TEST(SequentialTest, DescribeListsLayers) {
@@ -327,8 +371,7 @@ TEST(SequentialTest, TrainingStepReducesLossOnTinyProblem) {
   softmax_cross_entropy(y, {labels.data(), 8}, 2, {dy.data(), dy.size()});
   model.backward({dy.data(), dy.size()}, 8);
   std::vector<float> update(model.param_count());
-  model.copy_grads_into({update.data(), update.size()});
-  scale({update.data(), update.size()}, 0.1f);
+  scale(model.grads(), 0.1f, update);
   model.apply_update({update.data(), update.size()});
   EXPECT_LT(loss_of(), before);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/check.hpp"
@@ -14,7 +15,7 @@ TEST(SgdOptimizerTest, IdentityTransform) {
   SgdOptimizer opt;
   std::vector<float> grad{1.0f, -2.0f, 3.0f};
   std::vector<float> direction(3);
-  opt.transform({grad.data(), 3}, {direction.data(), 3});
+  opt.transform({grad.data(), 3}, 1.0f, {direction.data(), 3});
   EXPECT_EQ(direction, grad);
 }
 
@@ -22,11 +23,11 @@ TEST(MomentumOptimizerTest, VelocityRecursion) {
   MomentumOptimizer opt(0.5f);
   std::vector<float> grad{1.0f};
   std::vector<float> direction(1);
-  opt.transform({grad.data(), 1}, {direction.data(), 1});
+  opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
   EXPECT_FLOAT_EQ(direction[0], 1.0f);  // v1 = 0.5·0 + 1
-  opt.transform({grad.data(), 1}, {direction.data(), 1});
+  opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
   EXPECT_FLOAT_EQ(direction[0], 1.5f);  // v2 = 0.5·1 + 1
-  opt.transform({grad.data(), 1}, {direction.data(), 1});
+  opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
   EXPECT_FLOAT_EQ(direction[0], 1.75f);
 }
 
@@ -41,7 +42,7 @@ TEST(AdamOptimizerTest, FirstStepIsSignLikeUnitStep) {
   AdamOptimizer opt;
   std::vector<float> grad{0.3f, -0.7f};
   std::vector<float> direction(2);
-  opt.transform({grad.data(), 2}, {direction.data(), 2});
+  opt.transform({grad.data(), 2}, 1.0f, {direction.data(), 2});
   EXPECT_NEAR(direction[0], 1.0f, 1e-4f);
   EXPECT_NEAR(direction[1], -1.0f, 1e-4f);
 }
@@ -62,7 +63,7 @@ TEST(AdamOptimizerTest, MatchesReferenceImplementation) {
     const double expected = m_hat / (std::sqrt(v_hat) + eps);
 
     std::vector<float> grad{grads[step - 1]};
-    opt.transform({grad.data(), 1}, {direction.data(), 1});
+    opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
     EXPECT_NEAR(direction[0], expected, 1e-4) << "step " << step;
   }
 }
@@ -73,16 +74,26 @@ TEST(AdamOptimizerTest, RejectsBadHyperparameters) {
   EXPECT_THROW(AdamOptimizer(0.9f, 0.999f, 0.0f), CheckError);
 }
 
-TEST(CloneFreshTest, ClonesStartStateless) {
-  MomentumOptimizer opt(0.9f);
-  std::vector<float> grad{1.0f};
-  std::vector<float> direction(1);
-  opt.transform({grad.data(), 1}, {direction.data(), 1});
-  opt.transform({grad.data(), 1}, {direction.data(), 1});
-
-  auto fresh = opt.clone_fresh();
-  fresh->transform({grad.data(), 1}, {direction.data(), 1});
-  EXPECT_FLOAT_EQ(direction[0], 1.0f);  // no inherited velocity
+TEST(OptimizerTest, EtaScalesTheFloatDirection) {
+  // update = η_l · direction, with the direction rounded to float first:
+  // the bits of the direction at η_l = 1 times η_l in float.
+  const float eta_l = 0.05f;
+  const std::vector<float> grad{0.3f, -0.7f, 1e-3f, 0.0f, -0.0f, 2.5f};
+  for (const auto kind : {OptimizerKind::kSgd, OptimizerKind::kMomentum,
+                          OptimizerKind::kAdam}) {
+    const auto unit = make_optimizer(kind);
+    const auto scaled = make_optimizer(kind);
+    std::vector<float> direction(grad.size()), update(grad.size());
+    for (int step = 0; step < 3; ++step) {
+      unit->transform(grad, 1.0f, direction);
+      scaled->transform(grad, eta_l, update);
+      for (std::size_t i = 0; i < grad.size(); ++i) {
+        const float expected = direction[i] * eta_l;
+        EXPECT_EQ(std::memcmp(&update[i], &expected, sizeof(float)), 0)
+            << unit->name() << " step " << step << " element " << i;
+      }
+    }
+  }
 }
 
 TEST(FactoryTest, BuildsEachKind) {
@@ -95,9 +106,9 @@ TEST(OptimizerTest, StateResizesWithDimension) {
   // Dimension change mid-stream (new model) must not crash; state resets.
   MomentumOptimizer opt(0.9f);
   std::vector<float> g1{1.0f}, d1(1);
-  opt.transform({g1.data(), 1}, {d1.data(), 1});
+  opt.transform({g1.data(), 1}, 1.0f, {d1.data(), 1});
   std::vector<float> g2{1.0f, 2.0f}, d2(2);
-  opt.transform({g2.data(), 2}, {d2.data(), 2});
+  opt.transform({g2.data(), 2}, 1.0f, {d2.data(), 2});
   EXPECT_FLOAT_EQ(d2[0], 1.0f);
   EXPECT_FLOAT_EQ(d2[1], 2.0f);
 }

@@ -180,14 +180,11 @@ TEST(GoldenDeterminismTest, ClipCaseClipsMostRounds) {
   const ShardedSampler sampler = make_train_sampler(
       digits, workers, config.batch_size_per_worker, config.seed);
   Sequential model = golden_model(digits);
-  std::vector<float> params(model.param_count());
-  std::vector<float> grads(params.size());
   Batch batch;
   std::size_t fired = 0;
   for (std::size_t t = 0; t < config.rounds; ++t) {
     const GoldenRun run = run_case(digits, kClipCase, nullptr, t);
-    run.trainer->copy_params_into({params.data(), params.size()});
-    model.load_params({params.data(), params.size()});
+    run.trainer->copy_params_into(model.params());
     for (std::size_t w = 0; w < workers; ++w) {
       sampler.worker_batch(w, t * config.local_steps, batch);
       const auto logits = model.forward(batch.inputs.span(), batch.size());
@@ -196,8 +193,7 @@ TEST(GoldenDeterminismTest, ClipCaseClipsMostRounds) {
                             {batch.labels.data(), batch.labels.size()},
                             model.out_size(), {dlogits.data(), dlogits.size()});
       model.backward({dlogits.data(), dlogits.size()}, batch.size());
-      model.copy_grads_into({grads.data(), grads.size()});
-      fired += l2_norm({grads.data(), grads.size()}) > kFiringClip ? 1 : 0;
+      fired += l2_norm(model.grads()) > kFiringClip ? 1 : 0;
     }
   }
   EXPECT_GE(fired, config.rounds * workers * 3 / 4)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "data/synthetic_digits.hpp"
@@ -68,16 +69,15 @@ TEST_F(TrainerTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
-TEST_F(TrainerTest, ReplicasAreBitEqualAfterConstruction) {
-  // Replica 0 is initialized and copied to the others; every replica must
-  // hold exactly what its own init from the shared seed would have drawn.
-  // The residual model covers conv, composite and linear leaves.
+TEST_F(TrainerTest, ParamsAreOneFreshInitAfterConstruction) {
+  // The trainer's one parameter vector, which every worker's model views,
+  // holds exactly what a fresh model's init from the shared seed draws.
+  // The residual model covers conv, composite and linear layers.
   const auto factory = [this] {
     return make_resnet_mini(digits_.image_dims(), digits_.num_classes(),
                             /*blocks_per_stage=*/1, /*base_channels=*/4);
   };
-  const std::size_t workers = 4;
-  PsgdSync strategy(ring_config(workers));
+  PsgdSync strategy(ring_config(4));
   TrainerConfig config;
   config.seed = 19;
   DistributedTrainer trainer(digits_, factory, strategy, config);
@@ -85,21 +85,16 @@ TEST_F(TrainerTest, ReplicasAreBitEqualAfterConstruction) {
   Sequential fresh = factory();
   Rng init_rng(derive_seed(config.seed, kModelInitSeedSalt));
   fresh.init(init_rng);
-  std::vector<float> expected(fresh.param_count());
-  fresh.copy_params_into({expected.data(), expected.size()});
+  const std::span<const float> expected = fresh.params();
   ASSERT_EQ(expected.size(), trainer.param_count());
 
-  std::vector<float> params(expected.size());
-  for (std::size_t w = 0; w < workers; ++w) {
-    std::fill(params.begin(), params.end(), -1.0f);
-    trainer.copy_params_into({params.data(), params.size()}, w);
-    EXPECT_EQ(std::memcmp(params.data(), expected.data(),
-                          params.size() * sizeof(float)),
-              0)
-        << "replica " << w;
-  }
-  EXPECT_THROW(trainer.copy_params_into({params.data(), params.size()},
-                                        workers),
+  std::vector<float> params(expected.size(), -1.0f);
+  trainer.copy_params_into({params.data(), params.size()});
+  EXPECT_EQ(std::memcmp(params.data(), expected.data(),
+                        params.size() * sizeof(float)),
+            0);
+  params.push_back(0.0f);
+  EXPECT_THROW(trainer.copy_params_into({params.data(), params.size()}),
                CheckError);
 }
 

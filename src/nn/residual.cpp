@@ -88,15 +88,10 @@ void ResidualConvBlock::bind(std::span<float> params,
   conv2_.bind(params.subspan(first), grads.subspan(first));
 }
 
-void ResidualConvBlock::collect_leaves(std::vector<Layer*>& out) {
-  out.push_back(&conv1_);
-  out.push_back(&conv2_);
-}
-
 void ResidualConvBlock::init(Rng& rng) {
   conv1_.init(rng);
   // Fixup-style initialization: the block's second conv starts at zero so
-  // the block is the identity at initialization.  Without normalization
+  // the block computes ReLU(x) at initialization.  Without normalization
   // layers, He-initialized residual stacks amplify activations by ~√2 per
   // block and diverge within a few steps; zero-initialized branches keep
   // the forward signal bounded at any depth.

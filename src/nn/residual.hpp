@@ -7,15 +7,14 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "nn/conv.hpp"
-#include "nn/sequential.hpp"
+#include "nn/layer.hpp"
 #include "tensor/tensor.hpp"
 
 namespace marsit {
 
-class ResidualConvBlock final : public CompositeLayer {
+class ResidualConvBlock final : public Layer {
  public:
   explicit ResidualConvBlock(ImageDims dims);
 
@@ -33,8 +32,6 @@ class ResidualConvBlock final : public CompositeLayer {
   }
   /// conv1's parameters, then conv2's.
   void bind(std::span<float> params, std::span<float> grads) override;
-
-  void collect_leaves(std::vector<Layer*>& out) override;
 
   void init(Rng& rng) override;
 

@@ -26,18 +26,6 @@ std::size_t Sequential::in_size() const { return layers_.front()->in_size(); }
 
 std::size_t Sequential::out_size() const { return layers_.back()->out_size(); }
 
-std::vector<Layer*> Sequential::leaves() const {
-  std::vector<Layer*> result;
-  for (const auto& layer : layers_) {
-    if (auto* composite = dynamic_cast<CompositeLayer*>(layer.get())) {
-      composite->collect_leaves(result);
-    } else {
-      result.push_back(layer.get());
-    }
-  }
-  return result;
-}
-
 void Sequential::bind_storage() {
   if (params_.size() != param_count_) {
     own_params_ = Tensor(param_count_);
@@ -66,7 +54,7 @@ std::span<float> Sequential::params() {
 
 void Sequential::init(Rng& rng) {
   bind_storage();
-  for (Layer* layer : leaves()) {
+  for (const auto& layer : layers_) {
     layer->init(rng);
   }
 }

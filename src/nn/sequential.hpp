@@ -16,14 +16,6 @@
 
 namespace marsit {
 
-/// A layer that contains other layers advertises them through this hook so
-/// Sequential can reach every parameter-bearing leaf (used by
-/// ResidualConvBlock).
-class CompositeLayer : public Layer {
- public:
-  virtual void collect_leaves(std::vector<Layer*>& out) = 0;
-};
-
 class Sequential {
  public:
   /// Takes the whole layer stack, first layer first; each layer's in_size
@@ -41,8 +33,9 @@ class Sequential {
   /// synchronization strategy sees.
   std::size_t param_count() const { return param_count_; }
 
-  /// Initializes every layer from one RNG (models initialized from the
-  /// same seed are bit-identical).
+  /// Initializes every layer, in order, from one RNG (models initialized
+  /// from the same seed are bit-identical).  A composite layer initializes
+  /// its parts itself.
   void init(Rng& rng);
 
   /// Forward pass; returns the output activations (batch × out_size),
@@ -82,7 +75,6 @@ class Sequential {
   double flops_per_sample() const;
 
  private:
-  std::vector<Layer*> leaves() const;
   /// Binds the model's own parameter buffer unless it is bound already.
   void bind_storage();
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -13,6 +15,7 @@
 #include "nn/conv.hpp"
 #include "nn/embedding.hpp"
 #include "nn/linear.hpp"
+#include "nn/residual.hpp"
 #include "tensor/ops.hpp"
 #include "nn/loss.hpp"
 #include "util/check.hpp"
@@ -194,6 +197,58 @@ LayerStack stacked_text_classifier(std::size_t vocab, std::size_t seq_len,
   s.add<Relu>(64);
   s.add<Linear>(64, classes);
   return s;
+}
+
+// make_resnet_mini's layer sequence; `blocks` collects its residual blocks.
+LayerStack stacked_resnet_mini(ImageDims input, std::size_t classes,
+                               std::size_t blocks_per_stage, std::size_t base,
+                               std::vector<ResidualConvBlock*>& blocks) {
+  LayerStack s;
+  ImageDims dims = s.add<Conv2d>(input, base, 3, 1, 1).out_dims();
+  s.add<Relu>(dims.size());
+  for (std::size_t stage = 0; stage < 3; ++stage) {
+    if (stage > 0) {
+      dims = s.add<Conv2d>(dims, dims.channels * 2, 3, 2, 1).out_dims();
+      s.add<Relu>(dims.size());
+    }
+    for (std::size_t b = 0; b < blocks_per_stage; ++b) {
+      blocks.push_back(&s.add<ResidualConvBlock>(dims));
+    }
+  }
+  s.add<GlobalAvgPool>(dims);
+  s.add<Linear>(dims.channels, classes).set_init_scale(0.1f);
+  return s;
+}
+
+TEST(SequentialTest, InitStartsEveryResidualBlockAtRelu) {
+  // Fixup init (DESIGN.md §6): Sequential::init runs each block's own init,
+  // which zeroes the block's second conv, so the block computes ReLU(x).
+  std::vector<ResidualConvBlock*> blocks;
+  LayerStack stack = stacked_resnet_mini({1, 14, 14}, 10, 1, 4, blocks);
+  Sequential model = stack.build();
+  Rng rng(68);
+  model.init(rng);
+  Sequential factory_model = make_resnet_mini({1, 14, 14}, 10, 1, 4);
+  Rng factory_rng(68);
+  factory_model.init(factory_rng);
+  EXPECT_TRUE(same_bytes(model.params(), factory_model.params()));
+
+  ASSERT_EQ(blocks.size(), 3u);
+  Rng x_rng(69);
+  for (ResidualConvBlock* block : blocks) {
+    // A block's parameters are conv1's, then conv2's, of equal count.
+    const auto conv2 = block->params().subspan(block->param_count() / 2);
+    EXPECT_EQ(std::count(conv2.begin(), conv2.end(), 0.0f),
+              static_cast<std::ptrdiff_t>(conv2.size()))
+        << block->name();
+    std::vector<float> x(2 * block->in_size());
+    std::vector<float> y(x.size());
+    fill_normal(x, x_rng, 0.0f, 1.0f);
+    block->forward(x, 2, y);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(y[i], std::max(x[i], 0.0f)) << block->name() << " " << i;
+    }
+  }
 }
 
 /// Sequential::backward, which hands the first layer an empty dx, gives the

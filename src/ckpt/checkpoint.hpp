@@ -9,8 +9,8 @@
 //              stream in marsit is keyed by (seed, round, entity), so
 //              (seeds, round) IS the cursor of every stream, including the
 //              FaultPlan's membership and link-fault draws.
-//   params     the model parameters (all replicas are bit-identical at a
-//              round boundary — the MAR invariant — so one copy suffices).
+//   params     the model parameters: the one vector every worker views
+//              (the MAR invariant keeps the workers' models identical).
 //   optimizer  per-worker local-optimizer state (momentum velocity, Adam
 //              moments + step), written by LocalOptimizer::save_state.
 //   strategy   cross-round strategy state (Marsit compensation, EF

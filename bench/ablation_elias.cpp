@@ -7,7 +7,13 @@
 // get *longer* than the fixed width — so a deployed sender picks
 // min(fixed, Elias) per message (the "hybrid" column, used by the Figure 5
 // bench).  Marsit needs none of this: one bit at every hop by construction.
+//
+// Exits 1 unless the printed shape holds: at every M, Elias on uncorrelated
+// sums < fixed width < Elias on correlated sums, every column stays above
+// Marsit's 1 bit, and the fixed − Elias(uncorrelated) gap grows with M.
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "collectives/aggregators.hpp"
@@ -51,6 +57,8 @@ int main(int argc, char** argv) {
   TextTable table({"M", "fixed", "Elias (uncorrelated)",
                    "Elias (correlated)", "hybrid min", "Marsit"});
 
+  std::vector<std::string> failures;
+  double previous_gap = 0.0;
   for (std::size_t m : {4u, 8u, 16u, 32u, 64u}) {
     Rng rng(60 + m);
     const double fixed = static_cast<double>(sign_sum_bits_per_element(m));
@@ -61,10 +69,26 @@ int main(int argc, char** argv) {
                    format_fixed(elias_uncorr, 2),
                    format_fixed(elias_corr, 2), format_fixed(hybrid, 2),
                    "1"});
+    const std::string at = " at M = " + std::to_string(m);
+    if (!(elias_uncorr < fixed && fixed < elias_corr)) {
+      failures.push_back("Elias (uncorrelated) < fixed < Elias (correlated)" +
+                         at);
+    }
+    if (!(hybrid > 1.0)) {  // the smallest of the baseline columns
+      failures.push_back("every column above Marsit's 1 bit" + at);
+    }
+    const double gap = fixed - elias_uncorr;
+    if (!(gap > previous_gap)) {
+      failures.push_back("fixed - Elias (uncorrelated) grows with M" + at);
+    }
+    previous_gap = gap;
   }
   table.print(std::cout);
   std::cout << "\nshape check: on uncorrelated sums Elias beats the fixed "
                "width and the gap\ngrows with M; on correlated sums it "
                "loses; all columns stay far above\nMarsit's constant 1.\n";
-  return 0;
+  for (const std::string& failure : failures) {
+    std::cout << "shape check FAILED: " << failure << "\n";
+  }
+  return failures.empty() ? 0 : 1;
 }

@@ -13,8 +13,8 @@
 //              (the MAR invariant keeps the workers' models identical).
 //   optimizer  per-worker local-optimizer state (momentum velocity, Adam
 //              moments + step), written by LocalOptimizer::save_state.
-//   strategy   cross-round strategy state (Marsit compensation, EF
-//              residuals, Elias size caches), written by
+//   strategy   cross-round strategy state (the round counter, Marsit
+//              compensation, EF residuals), written by
 //              SyncStrategy::save_state.
 //   trainer    cumulative accounting (simulated seconds, wire bits, phase
 //              totals, fault/rejoin counters, evaluation history, η_l).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compress/elias.hpp"
 #include "compress/sign_codec.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -63,34 +62,6 @@ SignSumAggregate aggregate_sign_sum(const std::vector<BitVector>& signs,
     }
   }
   return result;
-}
-
-std::vector<double> measure_elias_bits_per_element(
-    const std::vector<BitVector>& signs, const SignSum* final_sum) {
-  MARSIT_CHECK(!signs.empty()) << "measure over zero workers";
-  const auto bits_per_element = [](const SignSum& sum) {
-    return static_cast<double>(sum.wire_bits_elias()) /
-           static_cast<double>(sum.size());
-  };
-  std::vector<double> sizes;
-  sizes.reserve(signs.size());
-  if (final_sum != nullptr) {
-    MARSIT_CHECK(final_sum->size() == signs.front().size() &&
-                 final_sum->contributions() == signs.size())
-        << "final sum (" << final_sum->size() << " elements, "
-        << final_sum->contributions() << " contributions) does not match "
-        << signs.size() << " sign vectors of " << signs.front().size();
-  }
-  SignSum partial(signs.front().size());
-  for (std::size_t c = 0; c < signs.size(); ++c) {
-    if (final_sum != nullptr && c + 1 == signs.size()) {
-      sizes.push_back(bits_per_element(*final_sum));
-      break;
-    }
-    partial.accumulate(signs[c]);
-    sizes.push_back(bits_per_element(partial));
-  }
-  return sizes;
 }
 
 void cascading_aggregate(const WorkerSpans& inputs, Rng& rng,

@@ -24,9 +24,9 @@ using WorkerSpans = std::vector<std::span<const float>>;
 void aggregate_mean(const WorkerSpans& inputs, std::span<float> out);
 
 /// Folds per-worker sign bit-vectors into a sign-sum, optionally recording
-/// the measured Elias-γ bits/element after each contribution (used by the
-/// Elias wire format; costs one encode pass per contribution, so callers
-/// sample it rather than running it every round).
+/// the measured Elias-γ bits/element after each contribution (the Elias
+/// wire format's sizes in bench/ablation_elias and fig5_time_breakdown;
+/// costs one encode pass per contribution).
 struct SignSumAggregate {
   SignSum sum;
   /// elias_bits_per_element[c-1] = measured γ-code bits per element when the
@@ -36,17 +36,6 @@ struct SignSumAggregate {
 
 SignSumAggregate aggregate_sign_sum(const std::vector<BitVector>& signs,
                                     bool record_elias_sizes = false);
-
-/// Measures the Elias-γ bits/element of the growing sign-sum at every
-/// contribution count 1..M without handing back an aggregate — the
-/// size-measurement half of aggregate_sign_sum, for callers whose sum was
-/// already computed elsewhere (the sharded majority round).  When
-/// `final_sum` is non-null it must be the full M-contribution sum of
-/// `signs`; the last entry is then measured from it directly and the final
-/// accumulate is skipped (the sum is reused, not re-folded).  Entries are
-/// bit-identical to aggregate_sign_sum(signs, true).elias_bits_per_element.
-std::vector<double> measure_elias_bits_per_element(
-    const std::vector<BitVector>& signs, const SignSum* final_sum = nullptr);
 
 /// How a cascading hop decodes the incoming (norm, signs) message.
 enum class CascadeDecode {

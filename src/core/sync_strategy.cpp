@@ -37,6 +37,18 @@ ThreadPool& strategy_pool(const SyncConfig& config) {
   return config.pool != nullptr ? *config.pool : global_thread_pool();
 }
 
+/// `count` zero vectors of `size` elements, each built in place (assign()
+/// would zero one temporary and copy it `count` times).
+template <typename Vector>
+std::vector<Vector> zero_vectors(std::size_t count, std::size_t size) {
+  std::vector<Vector> vectors;
+  vectors.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    vectors.emplace_back(size);
+  }
+  return vectors;
+}
+
 /// Reads the per-worker vectors a strategy's save_state wrote: none, or one
 /// per worker, all of one length: a round slices every worker's vector on
 /// one chunk grid.
@@ -55,19 +67,6 @@ std::vector<Tensor> load_worker_vectors(ckpt::SnapshotReader& reader,
         << " elements, worker 0's has " << vectors.front().size();
   }
   return vectors;
-}
-
-/// Records an Elias refresh round: a counter tick and a trace instant
-/// (refreshes are O(M·D) re-encodes, worth spotting on a timeline).
-void note_elias_refresh(std::size_t round) {
-  if (obs::metrics_enabled()) {
-    static const obs::Counter refreshes("sync.elias_refreshes");
-    refreshes.increment();
-  }
-  if (obs::TraceSession* trace = obs::TraceSession::current()) {
-    trace->add_instant("elias-refresh round " + std::to_string(round),
-                       "refresh", trace->time_offset(), /*track=*/0);
-  }
 }
 
 /// Publishes the per-round synchronization metrics.  Pure observation of the
@@ -298,19 +297,6 @@ Rng SyncStrategy::round_rng() const {
   return Rng(derive_seed(config_.seed, round_));
 }
 
-double elias_cache_bits_per_element(const std::vector<double>& cache,
-                                    std::size_t contributions) {
-  if (cache.empty()) {
-    return 2.0;  // cold-start fallback, replaced on first refresh
-  }
-  // Clamp at both ends: contributions == 0 must not wrap to SIZE_MAX, and a
-  // membership larger than the (degraded-round) measurement reads the last
-  // entry.
-  const std::size_t clamped =
-      std::clamp<std::size_t>(contributions, 1, cache.size());
-  return cache[clamped - 1];
-}
-
 // --- PSGD ----------------------------------------------------------------
 
 PsgdSync::PsgdSync(SyncConfig config) : SyncStrategy(config) {}
@@ -343,43 +329,6 @@ Rng marsit_chunk_rng(std::uint64_t round_seed, std::size_t chunk_index) {
                               : derive_seed(round_seed, chunk_index));
 }
 
-bool elias_refresh_due(const SyncConfig& config, std::size_t round,
-                       const std::vector<double>& elias_cache) {
-  return config.use_elias &&
-         (elias_cache.empty() ||
-          (config.elias_refresh_interval > 0 &&
-           round % config.elias_refresh_interval == 0));
-}
-
-/// The wire format (and headline bits/element) of a sign-sum round, from the
-/// configured encoding and the cached Elias measurements.
-struct SignSumWireInfo {
-  WireFormat wire;
-  double bits_per_element = 0.0;
-};
-
-SignSumWireInfo sign_sum_wire_info(const SyncConfig& config,
-                                   const std::vector<double>& elias_cache,
-                                   std::size_t scalars_per_message,
-                                   std::size_t contributing_workers) {
-  SignSumWireInfo info;
-  if (config.use_elias) {
-    // Copy the cache into the closure: the wire format must stay valid and
-    // self-contained for the duration of the timing pass.
-    std::vector<double> cache = elias_cache;
-    info.wire = sign_sum_elias_wire(
-        config.cost_model, [cache](std::size_t contributions) {
-          return elias_cache_bits_per_element(cache, contributions);
-        });
-    info.bits_per_element = elias_cache.empty() ? 2.0 : elias_cache.back();
-  } else {
-    info.wire = sign_sum_wire(config.cost_model, scalars_per_message);
-    info.bits_per_element = static_cast<double>(
-        sign_sum_bits_per_element(contributing_workers));
-  }
-  return info;
-}
-
 /// Geometry + knobs of one sharded majority round (signSGD-MV, SSDM-MAR,
 /// SSDM-PS): every chunk packs all workers, accumulates the sign-sum,
 /// majority-votes and unpacks — chunk-locally, with its own rng stream.
@@ -395,13 +344,8 @@ struct MajorityRound {
 };
 
 /// out = eta_s · sign(Σ_m pack(u_m)), sharded over word-aligned chunks.
-/// `sum` receives the full sign-sum (sized by the caller).  When `signs_out`
-/// is non-null the per-worker packed vectors are also materialized there
-/// (Elias refresh rounds measure their incremental wire sizes); packing
-/// consumes rng identically either way, so the round's output does not
-/// depend on whether a refresh happened.
+/// `sum` receives the full sign-sum (sized by the caller).
 void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
-                           std::vector<BitVector>* signs_out,
                            std::span<float> out, const MajorityRound& cfg) {
   const std::size_t d = out.size();
   const std::size_t m = inputs.size();
@@ -412,13 +356,6 @@ void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
                plan.chunk_elements() % cfg.ssdm_block == 0)
       << "shard chunk " << plan.chunk_elements()
       << " must be a multiple of the SSDM block " << cfg.ssdm_block;
-  // Reallocate on *either* geometry change: the dimension, or the worker
-  // count — degraded rounds shrink and re-grow M while d stays fixed, and a
-  // stale vector count would index out of bounds when M grows back.
-  if (signs_out != nullptr &&
-      (signs_out->size() != m || signs_out->front().size() != d)) {
-    signs_out->assign(m, BitVector(d));
-  }
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   // One task per chunk (DESIGN.md §12).  Scratch comes from the thread's
   // arena, so the steady-state hot loop performs zero heap allocations
@@ -428,19 +365,14 @@ void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
     arena.reset();
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
-    const std::size_t w0 = shard.word_begin();
     const std::size_t nw = shard.num_words();
     // Pack every worker's chunk and tally the sign-sum.  All rng
     // consumption lives here, in worker order, on the chunk's own stream.
     auto values = sum.values_mut().subspan(shard.begin, n);
     std::fill(values.begin(), values.end(), 0);
     Rng rng = marsit_chunk_rng(cfg.round_seed, c);
-    const std::span<std::uint64_t> scratch =
-        signs_out == nullptr ? arena.words(nw) : std::span<std::uint64_t>{};
+    const std::span<std::uint64_t> words = arena.words(nw);
     for (std::size_t w = 0; w < m; ++w) {
-      const std::span<std::uint64_t> words =
-          signs_out != nullptr ? (*signs_out)[w].words().subspan(w0, nw)
-                               : scratch;
       if (cfg.stochastic) {
         ssdm_pack_words(inputs[w].subspan(shard.begin, n), rng,
                         cfg.ssdm_block, words);
@@ -471,42 +403,23 @@ std::string SignSgdMvSync::name() const {
   return std::string("signSGD-") + mar_paradigm_name(config_.paradigm);
 }
 
-void SignSgdMvSync::save_state(ckpt::SnapshotWriter& writer) const {
-  SyncStrategy::save_state(writer);
-  writer.f64_vec(cached_elias_bpe_);
-}
-
-void SignSgdMvSync::load_state(ckpt::SnapshotReader& reader) {
-  SyncStrategy::load_state(reader);
-  cached_elias_bpe_ = reader.f64_vec();
-}
-
 SyncStepResult SignSgdMvSync::do_synchronize(const WorkerSpans& inputs,
                                              std::span<float> out) {
   const std::size_t d = out.size();
   if (sum_.size() != d) {
     sum_ = SignSum(d);
   }
-  const bool refresh = elias_refresh_due(config_, round_, cached_elias_bpe_);
   MajorityRound majority;
   majority.eta_s = eta_s_;
   majority.pool = &strategy_pool(config_);
   majority.chunk_elements = config_.shard_chunk_elements;
   // Majority-vote over the survivors; absent workers simply cast no vote.
-  sharded_majority_sync(active_inputs(inputs), sum_,
-                        refresh ? &signs_ : nullptr, out, majority);
-  if (refresh) {
-    // Size measurement only — the sign-sum itself was already computed by
-    // the sharded round and is reused, not re-folded.
-    cached_elias_bpe_ = measure_elias_bits_per_element(signs_, &sum_);
-    note_elias_refresh(round_);
-  }
-  const SignSumWireInfo info =
-      sign_sum_wire_info(config_, cached_elias_bpe_, 0, active_workers().size());
+  sharded_majority_sync(active_inputs(inputs), sum_, out, majority);
 
   SyncStepResult result;
-  result.timing = mar_timing(d, info.wire);
-  result.bits_per_element = info.bits_per_element;
+  result.timing = mar_timing(d, sign_sum_wire(config_.cost_model));
+  result.bits_per_element =
+      static_cast<double>(sign_sum_bits_per_element(active_workers().size()));
   return result;
 }
 
@@ -524,20 +437,18 @@ void EfSignSgdSync::save_state(ckpt::SnapshotWriter& writer) const {
   for (const Tensor& e : error_) {
     writer.f32_span(e.span());
   }
-  writer.f64_vec(cached_elias_bpe_);
 }
 
 void EfSignSgdSync::load_state(ckpt::SnapshotReader& reader) {
   SyncStrategy::load_state(reader);
   error_ = load_worker_vectors(reader, config_.num_workers, "EF state");
-  cached_elias_bpe_ = reader.f64_vec();
 }
 
 SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
                                              std::span<float> out) {
   const std::size_t d = out.size();
   if (error_.empty()) {
-    error_.assign(config_.num_workers, Tensor(d));
+    error_ = zero_vectors<Tensor>(config_.num_workers, d);
   }
   // Only the survivors compress and contribute; an absent worker's EF
   // memory e_m is carried forward untouched and re-enters the feedback loop
@@ -547,9 +458,11 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   if (sum_.size() != d) {
     sum_ = SignSum(d);
   }
-  // Reallocate on either geometry change (see sharded_majority_sync).
+  // Reallocate on *either* geometry change: the dimension, or the survivor
+  // count — degraded rounds shrink and re-grow s while d stays fixed, and a
+  // stale vector count would index out of bounds when s grows back.
   if (signs_.size() != s || signs_.front().size() != d) {
-    signs_.assign(s, BitVector(d));
+    signs_ = zero_vectors<BitVector>(s, d);
   }
   scales_.resize(s);
 
@@ -608,21 +521,11 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   });
   sum_.set_contributions(s);
 
-  if (elias_refresh_due(config_, round_, cached_elias_bpe_)) {
-    // Size measurement only — bit-identical to the aggregate the round
-    // already produced, so the round's output does not depend on whether a
-    // refresh happened.
-    cached_elias_bpe_ = measure_elias_bits_per_element(signs_, &sum_);
-    note_elias_refresh(round_);
-  }
   // One float scale rides along per message (the running scale sum).  The
   // decoded mean renormalizes by the survivor count on degraded rounds.
-  const SignSumWireInfo info =
-      sign_sum_wire_info(config_, cached_elias_bpe_, 1, s);
-
   SyncStepResult result;
-  result.timing = mar_timing(d, info.wire);
-  result.bits_per_element = info.bits_per_element;
+  result.timing = mar_timing(d, sign_sum_wire(config_.cost_model, 1));
+  result.bits_per_element = static_cast<double>(sign_sum_bits_per_element(s));
   return result;
 }
 
@@ -637,23 +540,12 @@ std::string SsdmMarSync::name() const {
   return std::string("SSDM-") + mar_paradigm_name(config_.paradigm);
 }
 
-void SsdmMarSync::save_state(ckpt::SnapshotWriter& writer) const {
-  SyncStrategy::save_state(writer);
-  writer.f64_vec(cached_elias_bpe_);
-}
-
-void SsdmMarSync::load_state(ckpt::SnapshotReader& reader) {
-  SyncStrategy::load_state(reader);
-  cached_elias_bpe_ = reader.f64_vec();
-}
-
 SyncStepResult SsdmMarSync::do_synchronize(const WorkerSpans& inputs,
                                            std::span<float> out) {
   const std::size_t d = out.size();
   if (sum_.size() != d) {
     sum_ = SignSum(d);
   }
-  const bool refresh = elias_refresh_due(config_, round_, cached_elias_bpe_);
   MajorityRound majority;
   majority.eta_s = eta_s_;
   majority.stochastic = true;
@@ -661,19 +553,12 @@ SyncStepResult SsdmMarSync::do_synchronize(const WorkerSpans& inputs,
   majority.round_seed = derive_seed(config_.seed, round_);
   majority.pool = &strategy_pool(config_);
   majority.chunk_elements = config_.shard_chunk_elements;
-  sharded_majority_sync(active_inputs(inputs), sum_,
-                        refresh ? &signs_ : nullptr, out, majority);
-  if (refresh) {
-    // Size measurement only — the sharded round's sum is reused.
-    cached_elias_bpe_ = measure_elias_bits_per_element(signs_, &sum_);
-    note_elias_refresh(round_);
-  }
-  const SignSumWireInfo info =
-      sign_sum_wire_info(config_, cached_elias_bpe_, 0, active_workers().size());
+  sharded_majority_sync(active_inputs(inputs), sum_, out, majority);
 
   SyncStepResult result;
-  result.timing = mar_timing(d, info.wire);
-  result.bits_per_element = info.bits_per_element;
+  result.timing = mar_timing(d, sign_sum_wire(config_.cost_model));
+  result.bits_per_element =
+      static_cast<double>(sign_sum_bits_per_element(active_workers().size()));
   return result;
 }
 
@@ -703,7 +588,7 @@ SyncStepResult SsdmPsSync::do_synchronize(const WorkerSpans& inputs,
   majority.round_seed = derive_seed(config_.seed, round_);
   majority.pool = &strategy_pool(config_);
   majority.chunk_elements = config_.shard_chunk_elements;
-  sharded_majority_sync(active_inputs(inputs), sum_, nullptr, out, majority);
+  sharded_majority_sync(active_inputs(inputs), sum_, out, majority);
 
   WireFormat wire;
   wire.reduce_bits = [](std::size_t elements, std::size_t) {
@@ -849,7 +734,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   const std::size_t d = out.size();
   const std::size_t m = config_.num_workers;
   if (compensation_.empty()) {
-    compensation_.assign(m, Tensor(d));
+    compensation_ = zero_vectors<Tensor>(m, d);
   }
   for (const Tensor& c : compensation_) {
     MARSIT_CHECK(c.size() == d)
@@ -913,7 +798,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   // exactly as a native s-worker run would, so a degraded M-worker ring
   // matches an s-worker ring bit-for-bit.
   if (signs_.empty() || signs_.front().size() != d) {
-    signs_.assign(m, BitVector(d));
+    signs_ = zero_vectors<BitVector>(m, d);
   }
   const std::size_t words = signs_.front().words().size();
   // Line 1 of Algorithm 1: fold the update into the compensation and pack

@@ -51,12 +51,6 @@ struct SyncConfig {
   SyncMode sync_mode = SyncMode::kReduceScatter;
   CostModel cost_model;
   std::uint64_t seed = 1;
-  /// Sign-sum baselines: Elias-γ recode the growing messages (the paper
-  /// compacts baseline transmissions with Elias coding).
-  bool use_elias = false;
-  /// How often (rounds) the Elias wire image is re-measured from real data;
-  /// between refreshes the cached per-contribution sizes are reused.
-  std::size_t elias_refresh_interval = 50;
   /// Pool running the sharded rounds — one parallel_for task per shard
   /// chunk (DESIGN.md §12) — and Marsit's segment fold chains; nullptr uses
   /// global_thread_pool().  Results are bit-identical for any pool size: the
@@ -89,7 +83,8 @@ struct SyncStepResult {
   bool full_precision = false;
   /// Wire-format bits used to encode one element this round (the paper's
   /// Figure 3 "Bits" column): 32 for full precision, 1 for one-bit rounds,
-  /// ⌈log2(M+1)⌉+1-ish for sign-sums.
+  /// for sign-sums the fixed width ⌈log2(s+1)⌉+1 of the sum over this
+  /// round's s contributors.
   double bits_per_element = 0.0;
   /// Workers that contributed this round (== num_workers unless the fault
   /// plan dropped some).
@@ -131,10 +126,10 @@ class SyncStrategy {
   virtual std::size_t flush_period() const { return 0; }
 
   /// Checkpointing: serializes the strategy's cross-round state (round
-  /// counter, Marsit compensation, EF residuals, Elias size caches) so a
-  /// resumed run continues bit-identically.  Per-round scratch is excluded —
-  /// it is lazily rebuilt.  load_state must be paired with the same strategy
-  /// and configuration that produced the bytes (the trainer checks names and
+  /// counter, Marsit compensation, EF residuals) so a resumed run continues
+  /// bit-identically.  Per-round scratch is excluded — it is lazily
+  /// rebuilt.  load_state must be paired with the same strategy and
+  /// configuration that produced the bytes (the trainer checks names and
   /// seeds).
   virtual void save_state(ckpt::SnapshotWriter& writer) const;
   virtual void load_state(ckpt::SnapshotReader& reader);
@@ -191,17 +186,6 @@ class SyncStrategy {
   WorkerSpans active_scratch_;       // filtered-span scratch (degraded rounds)
 };
 
-/// Bits/element lookup into a measured per-contribution Elias size cache:
-/// cache[c-1] is the measurement at c contributions, clamped at both ends —
-/// c == 0 (an empty aggregate, possible when degraded schedules price a
-/// not-yet-started segment) reads the 1-contribution entry instead of
-/// underflowing, and c beyond the cache (membership grew after the cache
-/// was measured on a degraded round) reads the last entry.  An empty cache
-/// returns the 2.0 bits/element cold-start fallback.  Exposed for
-/// regression tests; the Elias wire closures route through it.
-double elias_cache_bits_per_element(const std::vector<double>& cache,
-                                    std::size_t contributions);
-
 // --- concrete strategies -----------------------------------------------------
 
 /// PSGD: full-precision aggregation (the non-compression baseline).  Runs on
@@ -222,17 +206,13 @@ class SignSgdMvSync final : public SyncStrategy {
  public:
   SignSgdMvSync(SyncConfig config, float eta_s);
   std::string name() const override;
-  void save_state(ckpt::SnapshotWriter& writer) const override;
-  void load_state(ckpt::SnapshotReader& reader) override;
 
  private:
   SyncStepResult do_synchronize(const WorkerSpans& inputs,
                                 std::span<float> out) override;
 
   float eta_s_;
-  std::vector<double> cached_elias_bpe_;
-  SignSum sum_;                    // round-to-round sign-sum scratch
-  std::vector<BitVector> signs_;  // materialized only on Elias refresh rounds
+  SignSum sum_;  // round-to-round sign-sum scratch
 };
 
 /// EF-signSGD [30] extended to MAR: per-worker error feedback around the
@@ -252,7 +232,6 @@ class EfSignSgdSync final : public SyncStrategy {
   // Per-worker EF memory e_m, lazily sized.  Within a round a survivor's
   // holds p = u_m + e_m, updated in place chunk by chunk.
   std::vector<Tensor> error_;
-  std::vector<double> cached_elias_bpe_;
   // Round scratch (never serialized).
   std::vector<float> scales_;      // per-survivor ‖p‖₁/d compressor scales
   SignSum sum_;                    // round-to-round sign-sum scratch
@@ -267,17 +246,13 @@ class SsdmMarSync final : public SyncStrategy {
  public:
   SsdmMarSync(SyncConfig config, float eta_s);
   std::string name() const override;
-  void save_state(ckpt::SnapshotWriter& writer) const override;
-  void load_state(ckpt::SnapshotReader& reader) override;
 
  private:
   SyncStepResult do_synchronize(const WorkerSpans& inputs,
                                 std::span<float> out) override;
 
   float eta_s_;
-  std::vector<double> cached_elias_bpe_;
-  SignSum sum_;                    // round-to-round sign-sum scratch
-  std::vector<BitVector> signs_;  // materialized only on Elias refresh rounds
+  SignSum sum_;  // round-to-round sign-sum scratch
 };
 
 /// SSDM under a parameter server (the single-hop home turf of signSGD

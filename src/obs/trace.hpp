@@ -11,7 +11,8 @@
 //      │                             collective schedules)
 //      └─ hop a→b                    track 1+a (one track per fabric node,
 //                                    emitted by NetworkSim::transfer)
-//   elias-refresh                    instant events, track 0
+//   rejoin / corruption-demoted      instant events, track 0 (membership
+//                                    faults, SyncStrategy::synchronize)
 //
 // Installation follows the same global-pointer pattern as the metrics
 // enable flag: `TraceSession::install(&session)` makes `current()` non-null
@@ -39,7 +40,8 @@ namespace marsit::obs {
 
 struct TraceSpan {
   std::string name;
-  /// Category: "round" | "compute" | "sync" | "phase" | "hop" | "refresh".
+  /// Category: "round" | "compute" | "sync" | "phase" | "hop" | "rejoin" |
+  /// "demote".
   std::string cat;
   double start_seconds = 0.0;
   /// == start_seconds for instant events.

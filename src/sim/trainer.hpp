@@ -127,8 +127,6 @@ struct TrainerConfig {
   bool track_matching_rate = false;
   /// Compute worker gradients on the global thread pool.
   bool parallel_workers = true;
-  /// Samples used for the train_* running metrics (0 disables).
-  std::size_t train_metric_samples = 0;
 
   // --- checkpoint/restore (DESIGN.md §11) ----------------------------------
   /// Write a checkpoint to `checkpoint_path` every this-many completed

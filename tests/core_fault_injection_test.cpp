@@ -4,14 +4,13 @@
 // outputs and timings bit-identical to no plan at all, and link loss
 // stretches the priced rounds without changing an output bit.  Also
 // regression coverage for the sync-path bug sweep that rode along with the
-// fault layer (Elias cache clamping, the sharded scratch reallocation guard,
-// the measurement-only Elias sizing helper).
+// fault layer (the sharded scratch reallocation guard).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
-#include "collectives/aggregators.hpp"
 #include "core/sync_strategy.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -241,62 +240,35 @@ TEST(FaultInjectionTest, BernoulliDropoutRoundsAreDeterministic) {
 
 // --- satellite regressions --------------------------------------------------------
 
-TEST(EliasCacheTest, ClampsContributionsIntoCacheRange) {
-  const std::vector<double> cache = {2.0, 2.5, 2.9};
-  // contributions == 0 used to wrap to SIZE_MAX and index out of bounds.
-  EXPECT_DOUBLE_EQ(elias_cache_bits_per_element(cache, 0), 2.0);
-  EXPECT_DOUBLE_EQ(elias_cache_bits_per_element(cache, 1), 2.0);
-  EXPECT_DOUBLE_EQ(elias_cache_bits_per_element(cache, 3), 2.9);
-  // Membership can grow past the count the cache was measured at (a worker
-  // returning after a degraded refresh round): clamp to the last entry.
-  EXPECT_DOUBLE_EQ(elias_cache_bits_per_element(cache, 5), 2.9);
-  EXPECT_DOUBLE_EQ(elias_cache_bits_per_element({}, 4), 2.0);
-}
-
-TEST(EliasMeasureTest, MatchesAggregateSignSumSizes) {
-  // The measurement-only helper must agree entry-for-entry with the sizes
-  // aggregate_sign_sum records while folding — with and without the
-  // precomputed final sum (the reuse path the refresh rounds take).
-  std::vector<BitVector> signs;
-  Rng rng(9);
-  for (std::size_t w = 0; w < 5; ++w) {
-    BitVector bits(700);
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      bits.set(i, rng.bernoulli(0.4));
-    }
-    signs.push_back(std::move(bits));
-  }
-  const SignSumAggregate reference = aggregate_sign_sum(signs, true);
-  EXPECT_EQ(measure_elias_bits_per_element(signs),
-            reference.elias_bits_per_element);
-  EXPECT_EQ(measure_elias_bits_per_element(signs, &reference.sum),
-            reference.elias_bits_per_element);
-}
-
 TEST(FaultInjectionTest, ShardedScratchReallocatedWhenMembershipGrows) {
-  // S2 regression: the scratch sign vectors are sized by the previous
-  // round's survivor count; when membership grows back on an Elias refresh
-  // round the guard must notice the worker-count change, not just the
-  // dimension.  Round 1's output must match a fault-free run's round 1
-  // (signSGD keeps no cross-round value state).
-  SyncConfig config = base_config(4);
-  config.use_elias = true;
-  config.elias_refresh_interval = 1;  // refresh (and materialize) every round
+  // S2 regression: EF-signSGD's per-survivor sign vectors are sized by the
+  // previous round's survivor count; when membership grows back the guard
+  // must notice the worker-count change, not just the dimension.  Worker 3
+  // sits out round 0 of the degraded run, so its EF memory stays zero.  In
+  // the clean run it hands in a constant round-0 input, which the scaled
+  // sign compresses exactly, so its memory is zero there too.  A residual
+  // depends only on its own worker's inputs, so round 1, with all four
+  // workers present in both runs, must match bit for bit.
+  const SyncConfig config = base_config(4);
   SyncConfig faulty = config;
   faulty.fault_plan.dropouts.push_back({3, 0, 1});
 
-  auto clean = make_sync_strategy(SyncMethod::kSignSgdMv, config);
-  auto degraded = make_sync_strategy(SyncMethod::kSignSgdMv, faulty);
+  auto clean = make_sync_strategy(SyncMethod::kEfSignSgd, config);
+  auto degraded = make_sync_strategy(SyncMethod::kEfSignSgd, faulty);
   std::vector<float> out_clean(kDim), out_degraded(kDim);
   for (std::size_t t = 0; t < 2; ++t) {
-    const auto inputs = make_inputs(4, t);
+    auto inputs = make_inputs(4, t);
+    if (t == 0) {
+      std::fill(inputs[3].begin(), inputs[3].end(), 0.5f);
+    }
     clean->synchronize(as_spans(inputs),
                        {out_clean.data(), out_clean.size()});
-    degraded->synchronize(as_spans(inputs),
-                          {out_degraded.data(), out_degraded.size()});
+    const SyncStepResult step = degraded->synchronize(
+        as_spans(inputs), {out_degraded.data(), out_degraded.size()});
+    EXPECT_EQ(step.active_workers, t == 0 ? 3u : 4u) << "round " << t;
   }
   expect_bit_identical(out_degraded, out_clean,
-                       "post-recovery refresh round");
+                       "round after membership grew back");
 }
 
 // --- elastic rejoin at the K-round flush -------------------------------------------

@@ -60,15 +60,12 @@ SyncConfig base_config(MarParadigm paradigm, ThreadPool* pool,
 /// Runs kRounds synchronize() calls and returns the concatenated outputs.
 /// `marsit_k` is Marsit's flush period.
 std::vector<float> run_rounds(SyncMethod method, MarParadigm paradigm,
-                              ThreadPool* pool, bool use_elias = false,
-                              std::size_t chunk = kChunk,
+                              ThreadPool* pool, std::size_t chunk = kChunk,
                               std::size_t marsit_k = 0) {
-  SyncConfig config = base_config(paradigm, pool, chunk);
-  config.use_elias = use_elias;
-  config.elias_refresh_interval = 2;  // hit both refresh and cached rounds
   MethodOptions options;
   options.full_precision_period = marsit_k;
-  auto strategy = make_sync_strategy(method, config, options);
+  auto strategy = make_sync_strategy(
+      method, base_config(paradigm, pool, chunk), options);
   std::vector<float> all;
   std::vector<float> out(kDim);
   for (std::size_t t = 0; t < kRounds; ++t) {
@@ -98,13 +95,11 @@ void check_pool_invariance(SyncMethod method, MarParadigm paradigm,
   for (const std::size_t chunk : {kChunk, std::size_t{4096}, kDim}) {
     SCOPED_TRACE(testing::Message() << "chunk " << chunk);
     const std::vector<float> ref =
-        run_rounds(method, paradigm, &pool1, false, chunk, marsit_k);
+        run_rounds(method, paradigm, &pool1, chunk, marsit_k);
     expect_bit_identical(
-        run_rounds(method, paradigm, &pool4, false, chunk, marsit_k), ref,
-        label);
+        run_rounds(method, paradigm, &pool4, chunk, marsit_k), ref, label);
     expect_bit_identical(
-        run_rounds(method, paradigm, &pool_hw, false, chunk, marsit_k), ref,
-        label);
+        run_rounds(method, paradigm, &pool_hw, chunk, marsit_k), ref, label);
   }
 }
 
@@ -147,18 +142,6 @@ TEST(ShardedSyncTest, EfSignSgdPoolInvariant) {
                         "EF-signSGD");
 }
 
-TEST(ShardedSyncTest, EliasRefreshDoesNotChangeOutputs) {
-  // Elias refresh rounds materialize per-worker sign vectors instead of
-  // packing into scratch; the packing consumes rng identically either way,
-  // so outputs must not depend on the wire encoding choice.
-  ThreadPool pool(2);
-  for (const SyncMethod method : {SyncMethod::kSignSgdMv, SyncMethod::kSsdm}) {
-    const auto plain = run_rounds(method, MarParadigm::kRing, &pool, false);
-    const auto elias = run_rounds(method, MarParadigm::kRing, &pool, true);
-    expect_bit_identical(elias, plain, sync_method_name(method));
-  }
-}
-
 TEST(ShardedSyncTest, SignSgdMatchesScalarReference) {
   // The whole sharded round, pinned against the serial scalar path:
   // per-worker pack_signs_scalar → SignSum::accumulate_scalar →
@@ -197,7 +180,7 @@ TEST(ShardedSyncTest, MarsitShardChunkIsAPurePerformanceKnob) {
        {MarParadigm::kRing, MarParadigm::kTorus2d,
         MarParadigm::kParameterServer, MarParadigm::kTree}) {
     const std::vector<float> ref =
-        run_rounds(SyncMethod::kMarsit, paradigm, &pool1, false, kChunk);
+        run_rounds(SyncMethod::kMarsit, paradigm, &pool1, kChunk);
     for (const std::size_t chunk :
          {std::size_t{64}, std::size_t{256}, std::size_t{4096},
           std::size_t{1} << 20}) {
@@ -206,7 +189,7 @@ TEST(ShardedSyncTest, MarsitShardChunkIsAPurePerformanceKnob) {
                                         << pool->num_threads()
                                         << "-thread pool");
         expect_bit_identical(
-            run_rounds(SyncMethod::kMarsit, paradigm, pool, false, chunk),
+            run_rounds(SyncMethod::kMarsit, paradigm, pool, chunk),
             ref, mar_paradigm_name(paradigm));
       }
     }

@@ -43,7 +43,7 @@ WorkerSpans spans_of(const std::vector<Tensor>& inputs) {
 
 /// A strategy-state blob as save_state lays it out: the round counter, then
 /// one zero vector per entry of `lengths` (Marsit's compensation, EF's
-/// memory), then an empty Elias size cache that only EF reads.
+/// memory).
 std::vector<std::uint8_t> worker_vectors_blob(
     const std::vector<std::size_t>& lengths) {
   ckpt::SnapshotWriter writer;
@@ -52,7 +52,6 @@ std::vector<std::uint8_t> worker_vectors_blob(
   for (const std::size_t length : lengths) {
     writer.f32_span(Tensor(length).span());
   }
-  writer.f64_vec({});
   return writer.bytes();
 }
 

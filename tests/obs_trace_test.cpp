@@ -278,11 +278,11 @@ TEST(TraceSessionTest, CountsSpansByCategory) {
   TraceSession session;
   session.add_span("round 0", "round", 0.0, 2.0, 0);
   session.add_span("sync", "sync", 1.0, 2.0, 0);
-  session.add_instant("elias-refresh", "refresh", 1.5, 0);
+  session.add_instant("rejoin worker 2", "rejoin", 1.5, 0);
   EXPECT_EQ(session.span_count(), 3u);
   EXPECT_EQ(session.span_count("round"), 1u);
   EXPECT_EQ(session.span_count("sync"), 1u);
-  EXPECT_EQ(session.span_count("refresh"), 1u);
+  EXPECT_EQ(session.span_count("rejoin"), 1u);
   EXPECT_EQ(session.span_count("nope"), 0u);
 }
 
@@ -318,7 +318,7 @@ TEST(ExporterTest, ChromeTraceIsValidJsonWithExpectedEvents) {
   session.add_span("compute", "compute", 0.0, 1.0, 0);
   session.add_span("sync", "sync", 1.0, 2.0, 0);
   session.add_span("hop 0→1", "hop", 1.0, 1.5, 1);
-  session.add_instant("elias-refresh", "refresh", 1.0, 0);
+  session.add_instant("rejoin worker 2", "rejoin", 1.0, 0);
   RoundRecord record;
   record.round = 0;
   record.set("wire_bits", 128.0);

@@ -51,10 +51,13 @@ struct ResumeCase {
   SyncMethod method;
 };
 
-// Marsit (per-worker compensation + the K-round flush), signSGD-MV and SSDM
-// (Elias size caches) cover every kind of cross-round strategy state.
+// Marsit (per-worker compensation + the K-round flush) and EF-signSGD
+// (per-worker error-feedback residuals) cover the per-worker strategy
+// state; signSGD-MV and SSDM keep only the round counter, which the
+// per-round rng of SSDM's stochastic signs is keyed by.
 constexpr ResumeCase kCases[] = {
     {"marsit", SyncMethod::kMarsit},
+    {"ef-signsgd", SyncMethod::kEfSignSgd},
     {"signsgd-mv", SyncMethod::kSignSgdMv},
     {"ssdm", SyncMethod::kSsdm},
 };

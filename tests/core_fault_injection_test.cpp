@@ -220,6 +220,57 @@ TEST(FaultInjectionTest, AbsentWorkerStateCarriedForwardUntouched) {
   }
 }
 
+TEST(FaultInjectionTest, AbsentMarsitWorkerKeepsSettledCompensation) {
+  // Algorithm 1's arithmetic beside MarsitSync: a survivor's c becomes
+  // (u + c) − g on a one-bit round and 0 on a flush; an absent worker's c
+  // stays as its last round left it.  In the window plan worker 3 is active
+  // in one-bit round 1, absent in round 2 and back in round 3, before the
+  // flush at round 4 discards its c; the Bernoulli plan adds more drop-outs
+  // and returns.  The mean compensation must match after every round.
+  constexpr std::size_t kWorkers = 6;
+  constexpr std::size_t kPeriod = 4;
+  FaultPlan window;
+  window.dropouts.push_back({3, 2, 3});
+  FaultPlan bernoulli;
+  bernoulli.seed = 21;
+  bernoulli.dropout_rate = 0.3;
+  for (const FaultPlan& plan : {window, bernoulli}) {
+    SyncConfig config = base_config(kWorkers);
+    config.fault_plan = plan;
+    MarsitOptions options;
+    options.full_precision_period = kPeriod;
+    MarsitSync sync(config, options);
+    std::vector<std::vector<float>> c(kWorkers, std::vector<float>(kDim));
+    std::vector<float> out(kDim), mean(kDim), expect(kDim);
+    for (std::size_t t = 0; t < 9; ++t) {
+      const auto inputs = make_inputs(kWorkers, t);
+      const SyncStepResult step =
+          sync.synchronize(as_spans(inputs), {out.data(), out.size()});
+      std::size_t active = 0;
+      for (std::size_t w = 0; w < kWorkers; ++w) {
+        if (plan.worker_absent(w, t, kPeriod)) {
+          continue;
+        }
+        ++active;
+        if (step.full_precision) {
+          zero(c[w]);
+        } else {
+          add(inputs[w], c[w], c[w]);
+          sub(c[w], out, c[w]);
+        }
+      }
+      ASSERT_EQ(step.active_workers, active) << "round " << t;
+      zero(expect);
+      for (const auto& cw : c) {
+        axpy(1.0f, cw, expect);
+      }
+      scale(expect, 1.0f / static_cast<float>(kWorkers));
+      sync.mean_compensation_into(mean);
+      expect_bit_identical(mean, expect, "mean compensation");
+    }
+  }
+}
+
 TEST(FaultInjectionTest, BernoulliDropoutRoundsAreDeterministic) {
   SyncConfig config = base_config(6);
   config.fault_plan.seed = 13;

@@ -19,9 +19,12 @@
 // pool and "sharded" with its segment chains on the bench pool.  The two
 // aggregates are memcmp-compared, and a mismatch exits non-zero.
 //
-// The add_pack_signs rows time Algorithm 1's line 1: "scalar" is the
-// two-pass form (`add`, then pack_signs_words), "word" the fused
-// add_pack_signs_words, "sharded" the fused kernel over the chunk grid.
+// The settle_add_pack_signs rows time Algorithm 1's line 1 with the
+// previous round's line 10 settled first: "scalar" is the three-pass form
+// (accumulate_signs_words, `add`, then pack_signs_words), "word" the fused
+// settle_add_pack_signs_words, "sharded" the fused kernel over the chunk
+// grid.  Before timing, one fused call that settles in place must match
+// the three passes byte for byte, or the harness exits non-zero.
 //
 // Two fixed-shape sections ride along, independent of --sizes.  The GEMM
 // rows time the three products of a Linear layer at batch 16 on the Linear
@@ -149,6 +152,36 @@ Options parse_options(int argc, char** argv) {
 /// SyncConfig::shard_chunk_elements' default).
 constexpr std::size_t kChunk = 1 << 16;
 
+/// The owed scale of settle_add_pack_signs_words: −η_s.
+constexpr float kSettleScale = -0.5f;
+
+/// One settle_add_pack_signs_words call with `owed` aliasing its output
+/// words, against accumulate_signs_words, `add` and pack_signs_words.
+/// Exits 1 if a byte of c or of the words differs.
+void check_settle_add_pack(std::span<const float> u, const BitVector& owed,
+                           std::span<const float> c) {
+  const std::size_t d = u.size();
+  std::vector<float> expected(c.begin(), c.end());
+  std::vector<float> fused(c.begin(), c.end());
+  BitVector expected_signs(d);
+  BitVector fused_signs = owed;
+  kernels::accumulate_signs_words(owed.words(), kSettleScale,
+                                  {expected.data(), d});
+  add(u, {expected.data(), d}, {expected.data(), d});
+  kernels::pack_signs_words({expected.data(), d}, expected_signs.words());
+  kernels::settle_add_pack_signs_words(fused_signs.words(), kSettleScale, u,
+                                       {fused.data(), d},
+                                       fused_signs.words());
+  if (std::memcmp(expected.data(), fused.data(), d * sizeof(float)) != 0 ||
+      fused_signs != expected_signs) {
+    std::fprintf(stderr,
+                 "settle_add_pack_signs: fused kernel differs from its "
+                 "three passes at %zu elements\n",
+                 d);
+    std::exit(1);
+  }
+}
+
 std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
                                    ThreadPool& pool) {
   std::vector<KernelResult> results;
@@ -189,23 +222,29 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
 
   {
     KernelResult r;
-    r.kernel = "add_pack_signs";
+    r.kernel = "settle_add_pack_signs";
     r.elements = d;
-    BitVector scratch(d);
     std::vector<float> comp(g.rbegin(), g.rend());
     const std::span<float> comps{comp.data(), d};
+    check_settle_add_pack(gs, bits, comps);
+    // Each call settles the words the previous one packed, in place.
+    BitVector owed = bits;
     r.scalar_seconds = time_best(reps, [&] {
+      kernels::accumulate_signs_words(owed.words(), kSettleScale, comps);
       add(gs, comps, comps);
-      kernels::pack_signs_words(comps, scratch.words());
+      kernels::pack_signs_words(comps, owed.words());
     });
     r.word_seconds = time_best(reps, [&] {
-      kernels::add_pack_signs_words(gs, comps, scratch.words());
+      kernels::settle_add_pack_signs_words(owed.words(), kSettleScale, gs,
+                                           comps, owed.words());
     });
     r.sharded_seconds = time_best(reps, [&] {
       sharded([&](const Shard& s) {
-        kernels::add_pack_signs_words(
-            gs.subspan(s.begin, s.size()), comps.subspan(s.begin, s.size()),
-            scratch.words().subspan(s.word_begin(), s.num_words()));
+        const auto words =
+            owed.words().subspan(s.word_begin(), s.num_words());
+        kernels::settle_add_pack_signs_words(
+            words, kSettleScale, gs.subspan(s.begin, s.size()),
+            comps.subspan(s.begin, s.size()), words);
       });
     });
     results.push_back(r);

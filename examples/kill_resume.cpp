@@ -8,10 +8,11 @@
 //       parameters plus the TrainResult accounting.
 //
 //   --kill-at R --dir DIR
-//       Fork a child that trains with a checkpoint every round; as soon as
-//       the round-R snapshot appears in DIR the parent delivers SIGKILL —
-//       the child dies mid-round, exactly like a crashed job — then a fresh
-//       trainer resumes from that snapshot and prints the same digest.
+//       Delete DIR's drill snapshots, then fork a child that trains with a
+//       checkpoint every round; as soon as the round-R snapshot appears in
+//       DIR the parent delivers SIGKILL — the child dies mid-round, exactly
+//       like a crashed job — then a fresh trainer resumes from that
+//       snapshot and prints the same digest.
 //
 // The two digests must be identical (DESIGN.md §11): a resumed run is
 // bit-for-bit the run that never died.  CI drills this in Release and
@@ -163,6 +164,11 @@ int main(int argc, char** argv) {
   const std::string ckpt_template = dir + "/drill_{round}.bin";
   const std::string kill_trigger =
       ckpt::expand_checkpoint_path(ckpt_template, kill_at);
+  // A snapshot left in DIR by an earlier run would end the child at once
+  // and resume from stale state: start from an empty drill.
+  for (std::size_t round = 0; round <= kRounds; ++round) {
+    ::unlink(ckpt::expand_checkpoint_path(ckpt_template, round).c_str());
+  }
 
   const pid_t child = ::fork();
   MARSIT_CHECK(child >= 0) << "fork failed";

@@ -17,6 +17,113 @@ void check_extents(std::size_t elements, std::size_t words) {
       << "kernel word span " << words << " vs " << elements << " elements";
 }
 
+/// Bit 0 of `bit` ? scale : −scale, with `scale_bits` the bits of scale.
+/// Negation is a sign-bit flip, so this is bit-exact with the scalar
+/// `bit ? scale : -scale` for every bit pattern, NaN included.
+float signed_scale(std::uint32_t scale_bits, std::uint64_t bit) {
+  const auto negative = static_cast<std::uint32_t>(~bit & std::uint64_t{1});
+  return std::bit_cast<float>(scale_bits ^ (negative << 31));
+}
+
+#if defined(__AVX512F__)
+/// Lane l: bit k + l of `bits` ? pos : neg, with neg = −pos.  The 16-lane
+/// predicate mask IS the next 16 bits of the word.
+__m512 signed_lanes(std::uint64_t bits, std::size_t k, __m512 pos,
+                    __m512 neg) {
+  return _mm512_mask_mov_ps(
+      neg, static_cast<__mmask16>((bits >> k) & std::uint64_t{0xffff}), pos);
+}
+#elif defined(__AVX2__)
+/// Lane l: bit k + l of `bits` ? pos : −pos, clear bits flipping pos's sign
+/// bit as signed_scale does.
+__m256 signed_lanes(std::uint64_t bits, std::size_t k, __m256 pos) {
+  const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i byte =
+      _mm256_set1_epi32(static_cast<int>((bits >> k) & 0xff));
+  const __m256i set = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane), lane);
+  const __m256 flip =
+      _mm256_andnot_ps(_mm256_castsi256_ps(set), _mm256_set1_ps(-0.0f));
+  return _mm256_xor_ps(pos, flip);
+}
+#endif
+
+/// Packs [c >= 0] for c ← (c + signed_scale(debt)) + u, or c ← u + c when
+/// kSettle is false; one element of settle_add_pack_signs_words.
+template <bool kSettle>
+std::uint64_t settle_add_element(float u, float& c, std::uint32_t scale_bits,
+                                 std::uint64_t debt) {
+  float settled = c;
+  if constexpr (kSettle) {
+    settled += signed_scale(scale_bits, debt);
+  }
+  c = u + settled;
+  return static_cast<std::uint64_t>(c >= 0.0f);
+}
+
+template <bool kSettle>
+void settle_add_pack(const std::uint64_t* owed, float scale, const float* u,
+                     float* c, std::size_t elements, std::uint64_t* words) {
+  const std::uint32_t scale_bits = std::bit_cast<std::uint32_t>(scale);
+  const std::size_t full = elements / kWordBits;
+  for (std::size_t w = 0; w < full; ++w) {
+    const float* u_base = u + w * kWordBits;
+    float* c_base = c + w * kWordBits;
+    // Read before words[w] is written: owed may alias words.
+    const std::uint64_t debt = kSettle ? owed[w] : 0;
+    std::uint64_t bits = 0;
+#if defined(__AVX512F__)
+    const __m512 zero = _mm512_setzero_ps();
+    const __m512 pos = _mm512_set1_ps(scale);
+    const __m512 neg = _mm512_set1_ps(-scale);
+    for (std::size_t k = 0; k < kWordBits; k += 16) {
+      __m512 settled = _mm512_loadu_ps(c_base + k);
+      if constexpr (kSettle) {
+        settled = _mm512_add_ps(settled, signed_lanes(debt, k, pos, neg));
+      }
+      const __m512 sum = _mm512_add_ps(_mm512_loadu_ps(u_base + k), settled);
+      _mm512_storeu_ps(c_base + k, sum);
+      const __mmask16 ge = _mm512_cmp_ps_mask(sum, zero, _CMP_GE_OQ);
+      bits |= static_cast<std::uint64_t>(_cvtmask16_u32(ge)) << k;
+    }
+#elif defined(__AVX2__)
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 pos = _mm256_set1_ps(scale);
+    for (std::size_t k = 0; k < kWordBits; k += 8) {
+      __m256 settled = _mm256_loadu_ps(c_base + k);
+      if constexpr (kSettle) {
+        settled = _mm256_add_ps(settled, signed_lanes(debt, k, pos));
+      }
+      const __m256 sum = _mm256_add_ps(_mm256_loadu_ps(u_base + k), settled);
+      _mm256_storeu_ps(c_base + k, sum);
+      const __m256 ge = _mm256_cmp_ps(sum, zero, _CMP_GE_OQ);
+      bits |= static_cast<std::uint64_t>(
+                  static_cast<unsigned>(_mm256_movemask_ps(ge)))
+              << k;
+    }
+#else
+    for (std::size_t j = 0; j < kWordBits; ++j) {
+      bits |= settle_add_element<kSettle>(u_base[j], c_base[j], scale_bits,
+                                          debt >> j)
+              << j;
+    }
+#endif
+    words[w] = bits;
+  }
+  const std::size_t tail = elements % kWordBits;
+  if (tail != 0) {
+    const float* u_base = u + full * kWordBits;
+    float* c_base = c + full * kWordBits;
+    const std::uint64_t debt = kSettle ? owed[full] : 0;
+    std::uint64_t bits = 0;
+    for (std::size_t j = 0; j < tail; ++j) {
+      bits |= settle_add_element<kSettle>(u_base[j], c_base[j], scale_bits,
+                                          debt >> j)
+              << j;
+    }
+    words[full] = bits;
+  }
+}
+
 }  // namespace
 
 void pack_signs_words(std::span<const float> g,
@@ -64,59 +171,24 @@ void pack_signs_words(std::span<const float> g,
   }
 }
 
-void add_pack_signs_words(std::span<const float> update,
-                          std::span<float> compensation,
-                          std::span<std::uint64_t> words) {
+void settle_add_pack_signs_words(std::span<const std::uint64_t> owed,
+                                 float scale, std::span<const float> update,
+                                 std::span<float> compensation,
+                                 std::span<std::uint64_t> words) {
   MARSIT_CHECK(update.size() == compensation.size())
-      << "add_pack_signs_words: extents " << update.size() << " vs "
+      << "settle_add_pack_signs_words: extents " << update.size() << " vs "
       << compensation.size();
   check_extents(compensation.size(), words.size());
-  const std::size_t full = compensation.size() / kWordBits;
-  const float* u = update.data();
-  float* c = compensation.data();
-  for (std::size_t w = 0; w < full; ++w) {
-    const float* u_base = u + w * kWordBits;
-    float* c_base = c + w * kWordBits;
-    std::uint64_t bits = 0;
-#if defined(__AVX512F__)
-    const __m512 zero = _mm512_setzero_ps();
-    for (std::size_t k = 0; k < kWordBits; k += 16) {
-      const __m512 sum = _mm512_add_ps(_mm512_loadu_ps(u_base + k),
-                                       _mm512_loadu_ps(c_base + k));
-      _mm512_storeu_ps(c_base + k, sum);
-      const __mmask16 ge = _mm512_cmp_ps_mask(sum, zero, _CMP_GE_OQ);
-      bits |= static_cast<std::uint64_t>(_cvtmask16_u32(ge)) << k;
-    }
-#elif defined(__AVX2__)
-    const __m256 zero = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < kWordBits; k += 8) {
-      const __m256 sum = _mm256_add_ps(_mm256_loadu_ps(u_base + k),
-                                       _mm256_loadu_ps(c_base + k));
-      _mm256_storeu_ps(c_base + k, sum);
-      const __m256 ge = _mm256_cmp_ps(sum, zero, _CMP_GE_OQ);
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<unsigned>(_mm256_movemask_ps(ge)))
-              << k;
-    }
-#else
-    for (std::size_t j = 0; j < kWordBits; ++j) {
-      c_base[j] = u_base[j] + c_base[j];
-      bits |= static_cast<std::uint64_t>(c_base[j] >= 0.0f) << j;
-    }
-#endif
-    words[w] = bits;
+  if (owed.empty()) {
+    settle_add_pack<false>(nullptr, scale, update.data(),
+                           compensation.data(), compensation.size(),
+                           words.data());
+    return;
   }
-  const std::size_t tail = compensation.size() % kWordBits;
-  if (tail != 0) {
-    const float* u_base = u + full * kWordBits;
-    float* c_base = c + full * kWordBits;
-    std::uint64_t bits = 0;
-    for (std::size_t j = 0; j < tail; ++j) {
-      c_base[j] = u_base[j] + c_base[j];
-      bits |= static_cast<std::uint64_t>(c_base[j] >= 0.0f) << j;
-    }
-    words[full] = bits;
-  }
+  check_extents(compensation.size(), owed.size());
+  settle_add_pack<true>(owed.data(), scale, update.data(),
+                        compensation.data(), compensation.size(),
+                        words.data());
 }
 
 void unpack_signs_words(std::span<const std::uint64_t> words, float scale,
@@ -130,33 +202,18 @@ void unpack_signs_words(std::span<const std::uint64_t> words, float scale,
     float* base = data + w * kWordBits;
 #if defined(__AVX512F__)
     const __m512 pos = _mm512_set1_ps(scale);
-    // Float negation is a sign-bit flip, bit-exact with the scalar
-    // `bit ? scale : -scale` for every bit pattern including NaN.
     const __m512 neg = _mm512_set1_ps(-scale);
     for (std::size_t k = 0; k < kWordBits; k += 16) {
-      const auto mask =
-          static_cast<__mmask16>((bits >> k) & std::uint64_t{0xffff});
-      _mm512_storeu_ps(base + k, _mm512_mask_mov_ps(neg, mask, pos));
+      _mm512_storeu_ps(base + k, signed_lanes(bits, k, pos, neg));
     }
 #elif defined(__AVX2__)
-    const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     const __m256 pos = _mm256_set1_ps(scale);
-    const __m256 sign = _mm256_set1_ps(-0.0f);
     for (std::size_t k = 0; k < kWordBits; k += 8) {
-      const __m256i byte =
-          _mm256_set1_epi32(static_cast<int>((bits >> k) & 0xff));
-      const __m256i set =
-          _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane), lane);
-      // Clear bits flip the sign: ±scale is a sign-bit XOR, bit-exact with
-      // the scalar `bit ? scale : -scale`.
-      const __m256 flip = _mm256_andnot_ps(_mm256_castsi256_ps(set), sign);
-      _mm256_storeu_ps(base + k, _mm256_xor_ps(pos, flip));
+      _mm256_storeu_ps(base + k, signed_lanes(bits, k, pos));
     }
 #else
     for (std::size_t j = 0; j < kWordBits; ++j) {
-      const auto negative =
-          static_cast<std::uint32_t>(~(bits >> j) & std::uint64_t{1});
-      base[j] = std::bit_cast<float>(scale_bits ^ (negative << 31));
+      base[j] = signed_scale(scale_bits, bits >> j);
     }
 #endif
   }
@@ -165,9 +222,7 @@ void unpack_signs_words(std::span<const std::uint64_t> words, float scale,
     const std::uint64_t bits = words[full];
     float* base = data + full * kWordBits;
     for (std::size_t j = 0; j < tail; ++j) {
-      const auto negative =
-          static_cast<std::uint32_t>(~(bits >> j) & std::uint64_t{1});
-      base[j] = std::bit_cast<float>(scale_bits ^ (negative << 31));
+      base[j] = signed_scale(scale_bits, bits >> j);
     }
   }
 }
@@ -185,31 +240,20 @@ void accumulate_signs_words(std::span<const std::uint64_t> words, float scale,
     const __m512 pos = _mm512_set1_ps(scale);
     const __m512 neg = _mm512_set1_ps(-scale);
     for (std::size_t k = 0; k < kWordBits; k += 16) {
-      const auto mask =
-          static_cast<__mmask16>((bits >> k) & std::uint64_t{0xffff});
       const __m512 cur = _mm512_loadu_ps(base + k);
-      _mm512_storeu_ps(
-          base + k, _mm512_add_ps(cur, _mm512_mask_mov_ps(neg, mask, pos)));
+      _mm512_storeu_ps(base + k,
+                       _mm512_add_ps(cur, signed_lanes(bits, k, pos, neg)));
     }
 #elif defined(__AVX2__)
-    const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     const __m256 pos = _mm256_set1_ps(scale);
-    const __m256 sign = _mm256_set1_ps(-0.0f);
     for (std::size_t k = 0; k < kWordBits; k += 8) {
-      const __m256i byte =
-          _mm256_set1_epi32(static_cast<int>((bits >> k) & 0xff));
-      const __m256i set =
-          _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane), lane);
-      const __m256 flip = _mm256_andnot_ps(_mm256_castsi256_ps(set), sign);
       const __m256 cur = _mm256_loadu_ps(base + k);
       _mm256_storeu_ps(base + k,
-                       _mm256_add_ps(cur, _mm256_xor_ps(pos, flip)));
+                       _mm256_add_ps(cur, signed_lanes(bits, k, pos)));
     }
 #else
     for (std::size_t j = 0; j < kWordBits; ++j) {
-      const auto negative =
-          static_cast<std::uint32_t>(~(bits >> j) & std::uint64_t{1});
-      base[j] += std::bit_cast<float>(scale_bits ^ (negative << 31));
+      base[j] += signed_scale(scale_bits, bits >> j);
     }
 #endif
   }
@@ -218,9 +262,7 @@ void accumulate_signs_words(std::span<const std::uint64_t> words, float scale,
     const std::uint64_t bits = words[full];
     float* base = data + full * kWordBits;
     for (std::size_t j = 0; j < tail; ++j) {
-      const auto negative =
-          static_cast<std::uint32_t>(~(bits >> j) & std::uint64_t{1});
-      base[j] += std::bit_cast<float>(scale_bits ^ (negative << 31));
+      base[j] += signed_scale(scale_bits, bits >> j);
     }
   }
 }

@@ -47,12 +47,17 @@ constexpr std::size_t words_for(std::size_t elements) {
 void pack_signs_words(std::span<const float> g,
                       std::span<std::uint64_t> words);
 
-/// c_i ← u_i + c_i, then bit_i = [c_i >= 0] packed as pack_signs_words
-/// does: Algorithm 1's line 1 in one pass, byte-identical to `add` followed
-/// by pack_signs_words.  u and c have equal extents.
-void add_pack_signs_words(std::span<const float> update,
-                          std::span<float> compensation,
-                          std::span<std::uint64_t> words);
+/// c_i ← (c_i + scale · (owed_i ? +1 : −1)) + u_i, then bit_i = [c_i >= 0]
+/// packed as pack_signs_words does: Algorithm 1's line 1 in one pass, with
+/// the previous round's line 10 settled first.  Byte-identical to
+/// accumulate_signs_words(owed, scale, c), then `add(u, c, c)`, then
+/// pack_signs_words.  An empty `owed` settles nothing (c_i ← u_i + c_i);
+/// otherwise it has words.size() words and may alias `words`.  u and c have
+/// equal extents.
+void settle_add_pack_signs_words(std::span<const std::uint64_t> owed,
+                                 float scale, std::span<const float> update,
+                                 std::span<float> compensation,
+                                 std::span<std::uint64_t> words);
 
 /// out_i = scale · (bit_i ? +1 : −1).  words.size() == words_for(out.size()).
 void unpack_signs_words(std::span<const std::uint64_t> words, float scale,

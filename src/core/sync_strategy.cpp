@@ -344,9 +344,8 @@ struct MajorityRound {
 };
 
 /// out = eta_s · sign(Σ_m pack(u_m)), sharded over word-aligned chunks.
-/// `sum` receives the full sign-sum (sized by the caller).
-void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
-                           std::span<float> out, const MajorityRound& cfg) {
+void sharded_majority_sync(const WorkerSpans& inputs, std::span<float> out,
+                           const MajorityRound& cfg) {
   const std::size_t d = out.size();
   const std::size_t m = inputs.size();
   const ShardPlan plan(d, cfg.chunk_elements);
@@ -368,7 +367,7 @@ void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
     const std::size_t nw = shard.num_words();
     // Pack every worker's chunk and tally the sign-sum.  All rng
     // consumption lives here, in worker order, on the chunk's own stream.
-    auto values = sum.values_mut().subspan(shard.begin, n);
+    const std::span<std::int32_t> values = arena.counts(n);
     std::fill(values.begin(), values.end(), 0);
     Rng rng = marsit_chunk_rng(cfg.round_seed, c);
     const std::span<std::uint64_t> words = arena.words(nw);
@@ -387,7 +386,6 @@ void sharded_majority_sync(const WorkerSpans& inputs, SignSum& sum,
     kernels::unpack_signs_words(verdict, cfg.eta_s,
                                 out.subspan(shard.begin, n));
   });
-  sum.set_contributions(m);
 }
 
 }  // namespace
@@ -406,15 +404,12 @@ std::string SignSgdMvSync::name() const {
 SyncStepResult SignSgdMvSync::do_synchronize(const WorkerSpans& inputs,
                                              std::span<float> out) {
   const std::size_t d = out.size();
-  if (sum_.size() != d) {
-    sum_ = SignSum(d);
-  }
   MajorityRound majority;
   majority.eta_s = eta_s_;
   majority.pool = &strategy_pool(config_);
   majority.chunk_elements = config_.shard_chunk_elements;
   // Majority-vote over the survivors; absent workers simply cast no vote.
-  sharded_majority_sync(active_inputs(inputs), sum_, out, majority);
+  sharded_majority_sync(active_inputs(inputs), out, majority);
 
   SyncStepResult result;
   result.timing = mar_timing(d, sign_sum_wire(config_.cost_model));
@@ -455,9 +450,6 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   // when the worker returns.
   const std::vector<std::size_t>& active = active_workers();
   const std::size_t s = active.size();
-  if (sum_.size() != d) {
-    sum_ = SignSum(d);
-  }
   // Reallocate on *either* geometry change: the dimension, or the survivor
   // count — degraded rounds shrink and re-grow s while d stays fixed, and a
   // stale vector count would index out of bounds when s grows back.
@@ -494,7 +486,7 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
     const std::size_t n = shard.size();
     const std::size_t w0 = shard.word_begin();
     const std::size_t nw = shard.num_words();
-    auto values = sum_.values_mut().subspan(shard.begin, n);
+    const std::span<std::int32_t> values = arena.counts(n);
     std::fill(values.begin(), values.end(), 0);
     for (std::size_t i = 0; i < s; ++i) {
       const std::span<std::uint64_t> words =
@@ -519,7 +511,6 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
       sub(error, delta, error);
     }
   });
-  sum_.set_contributions(s);
 
   // One float scale rides along per message (the running scale sum).  The
   // decoded mean renormalizes by the survivor count on degraded rounds.
@@ -543,9 +534,6 @@ std::string SsdmMarSync::name() const {
 SyncStepResult SsdmMarSync::do_synchronize(const WorkerSpans& inputs,
                                            std::span<float> out) {
   const std::size_t d = out.size();
-  if (sum_.size() != d) {
-    sum_ = SignSum(d);
-  }
   MajorityRound majority;
   majority.eta_s = eta_s_;
   majority.stochastic = true;
@@ -553,7 +541,7 @@ SyncStepResult SsdmMarSync::do_synchronize(const WorkerSpans& inputs,
   majority.round_seed = derive_seed(config_.seed, round_);
   majority.pool = &strategy_pool(config_);
   majority.chunk_elements = config_.shard_chunk_elements;
-  sharded_majority_sync(active_inputs(inputs), sum_, out, majority);
+  sharded_majority_sync(active_inputs(inputs), out, majority);
 
   SyncStepResult result;
   result.timing = mar_timing(d, sign_sum_wire(config_.cost_model));
@@ -578,9 +566,6 @@ SyncStepResult SsdmPsSync::do_synchronize(const WorkerSpans& inputs,
   // Uplink: each worker's stochastic signs; server majority-votes them and
   // broadcasts the one-bit decision.
   const std::size_t d = out.size();
-  if (sum_.size() != d) {
-    sum_ = SignSum(d);
-  }
   MajorityRound majority;
   majority.eta_s = eta_s_;
   majority.stochastic = true;
@@ -588,7 +573,7 @@ SyncStepResult SsdmPsSync::do_synchronize(const WorkerSpans& inputs,
   majority.round_seed = derive_seed(config_.seed, round_);
   majority.pool = &strategy_pool(config_);
   majority.chunk_elements = config_.shard_chunk_elements;
-  sharded_majority_sync(active_inputs(inputs), sum_, out, majority);
+  sharded_majority_sync(active_inputs(inputs), out, majority);
 
   WireFormat wire;
   wire.reduce_bits = [](std::size_t elements, std::size_t) {
@@ -643,24 +628,28 @@ void clip_flush_mean(const MarsitOptions& options, std::span<float> mean) {
   }
 }
 
-void marsit_begin_round(std::span<const float> update,
+void marsit_begin_round(const MarsitOptions& options,
+                        std::span<const std::uint64_t> owed,
+                        std::span<const float> update,
                         std::span<float> compensation,
                         std::span<std::uint64_t> signs) {
-  kernels::add_pack_signs_words(update, compensation, signs);
+  if (!options.use_compensation) {
+    // sign(u) is sign(u + 0.0f), NaN and −0.0 included.
+    kernels::pack_signs_words(update, signs);
+    return;
+  }
+  kernels::settle_add_pack_signs_words(owed, -options.eta_s, update,
+                                       compensation, signs);
 }
 
-void marsit_end_round(const MarsitOptions& options,
-                      std::span<const float> global,
-                      std::span<float> compensation) {
-  if (options.use_compensation) {
-    sub(compensation, global, compensation);
-  } else {
-    zero(compensation);
-  }
+void marsit_settle(const MarsitOptions& options,
+                   std::span<const std::uint64_t> owed,
+                   std::span<float> compensation) {
+  kernels::accumulate_signs_words(owed, -options.eta_s, compensation);
 }
 
 MarsitSync::MarsitSync(SyncConfig config, MarsitOptions options)
-    : SyncStrategy(config), options_(options) {
+    : SyncStrategy(config), options_(options), owes_(config.num_workers) {
   // All four paradigms are supported: ring and torus are the paper's
   // multi-hop schedules; the parameter server (server colocated at rank 0)
   // and binomial tree exist as comparison baselines with the same ⊙ fold
@@ -684,8 +673,8 @@ std::string MarsitSync::name() const {
 void MarsitSync::save_state(ckpt::SnapshotWriter& writer) const {
   SyncStrategy::save_state(writer);
   writer.u64(static_cast<std::uint64_t>(compensation_.size()));
-  for (const Tensor& c : compensation_) {
-    writer.f32_span(c.span());
+  for (std::size_t w = 0; w < compensation_.size(); ++w) {
+    writer.f32_span(settled_compensation(w).span());
   }
 }
 
@@ -693,6 +682,15 @@ void MarsitSync::load_state(ckpt::SnapshotReader& reader) {
   SyncStrategy::load_state(reader);
   compensation_ =
       load_worker_vectors(reader, config_.num_workers, "compensation");
+  owes_.assign(owes_.size(), false);
+}
+
+Tensor MarsitSync::settled_compensation(std::size_t w) const {
+  Tensor c = compensation_[w];
+  if (owes_[w]) {
+    marsit_settle(options_, owed_.words(), c.span());
+  }
+  return c;
 }
 
 void MarsitSync::on_flush_rejoin(std::size_t worker) {
@@ -703,6 +701,7 @@ void MarsitSync::on_flush_rejoin(std::size_t worker) {
   if (worker < compensation_.size()) {
     compensation_[worker].zero();
   }
+  owes_[worker] = false;
 }
 
 double MarsitSync::mean_compensation_norm() const {
@@ -710,8 +709,8 @@ double MarsitSync::mean_compensation_norm() const {
     return 0.0;
   }
   double total = 0.0;
-  for (const auto& c : compensation_) {
-    total += l2_norm(c.span());
+  for (std::size_t w = 0; w < compensation_.size(); ++w) {
+    total += l2_norm(settled_compensation(w).span());
   }
   return total / static_cast<double>(compensation_.size());
 }
@@ -721,7 +720,8 @@ void MarsitSync::mean_compensation_into(std::span<float> out) const {
   if (compensation_.empty()) {
     return;
   }
-  for (const auto& c : compensation_) {
+  for (std::size_t w = 0; w < compensation_.size(); ++w) {
+    const Tensor c = settled_compensation(w);
     MARSIT_CHECK(c.size() == out.size())
         << "compensation extent " << c.size() << " vs out " << out.size();
     axpy(1.0f, c.span(), out);
@@ -748,19 +748,26 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
 
   // On a degraded round only the survivors contribute; absent workers keep
   // their compensation untouched, so their residual re-enters the aggregate
-  // when they return (Algorithm 1's line 1 still folds it in).
+  // when they return (Algorithm 1's line 1 still folds it in).  An absent
+  // worker settles what it owes now, while owed_ still holds its round.
   const auto& active = active_workers();
   const std::size_t s = active.size();
+  for (std::size_t w = 0; w < m; ++w) {
+    if (owes_[w] && !std::binary_search(active.begin(), active.end(), w)) {
+      marsit_settle(options_, owed_.words(), compensation_[w].span());
+      owes_[w] = false;
+    }
+  }
 
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   ThreadPool& pool = strategy_pool(config_);
   if (full_precision) {
-    // Lines 12–13: each survivor's u_m + c_m, built in place in c_m, summed
-    // in the association of the all-reduce the socket worker runs, scaled
-    // by 1/s; c_m is reset.  Each shard chunk folds its own units, so the
-    // mean is the same for any pool and chunk size.  The trust region then
-    // scales the whole mean.
+    // Lines 12–13: each survivor's u_m + c_m, built in place in c_m once
+    // it has settled what it owes, summed in the association of the
+    // all-reduce the socket worker runs, scaled by 1/s; c_m is reset.  Each
+    // shard chunk folds its own units, so the mean is the same for any pool
+    // and chunk size.  The trust region then scales the whole mean.
     const HopSchedule schedule =
         round_schedule(RoundKind::kAllReduce, d, PsServer::kMember0);
     const float inv_s = 1.0f / static_cast<float>(s);
@@ -771,8 +778,14 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       rows.reserve(s);
       for (const std::size_t w : active) {
         const std::span<float> row = compensation_[w].span();
-        add(inputs[w].subspan(shard.begin, n), row.subspan(shard.begin, n),
-            row.subspan(shard.begin, n));
+        const std::span<float> chunk = row.subspan(shard.begin, n);
+        if (owes_[w]) {
+          marsit_settle(
+              options_,
+              owed_.words().subspan(shard.word_begin(), shard.num_words()),
+              chunk);
+        }
+        add(inputs[w].subspan(shard.begin, n), chunk, chunk);
         rows.push_back(row);
       }
       fold_float_schedule(schedule, rows, {shard.begin, n}, out);
@@ -781,6 +794,7 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
         zero(row.subspan(shard.begin, n));
       }
     });
+    owes_.assign(m, false);
     clip_flush_mean(options_, out);
     result.timing = price_hop_schedule(schedule, full_precision_wire(), net_);
     result.full_precision = true;
@@ -799,39 +813,49 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   // matches an s-worker ring bit-for-bit.
   if (signs_.empty() || signs_.front().size() != d) {
     signs_ = zero_vectors<BitVector>(m, d);
+    owed_ = BitVector(d);
   }
   const std::size_t words = signs_.front().words().size();
-  // Line 1 of Algorithm 1: fold the update into the compensation and pack
-  // the signs, per survivor.
+  // Line 1 of Algorithm 1, per survivor: settle the previous round's owed
+  // line 10, fold the update into the compensation and pack the signs.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
+    const std::size_t w0 = shard.word_begin();
+    const std::size_t nw = shard.num_words();
     for (std::size_t i = 0; i < s; ++i) {
       const std::size_t w = active[i];
       marsit_begin_round(
+          options_,
+          owes_[w] ? owed_.words().subspan(w0, nw)
+                   : std::span<const std::uint64_t>{},
           inputs[w].subspan(shard.begin, n),
           compensation_[w].span().subspan(shard.begin, n),
-          signs_[i].words().subspan(shard.word_begin(), shard.num_words()));
+          signs_[i].words().subspan(w0, nw));
     }
   });
   // Lines 4–8: the ⊙ reduction, leaving the aggregate in signs_[0].
   marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
                               config_.torus_cols, signs_, s, words,
                               derive_seed(config_.seed, round_), &pool);
-  // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
+  // Line 9: g_t = eta_s · sign-vector, which the caller applies once for
+  // every worker.  Line 10, c_{t+1}^{(m)} = (u_m + c_m) − g_t, is owed by
+  // each survivor until its next round settles it against the aggregate,
+  // kept in owed_.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
-    const std::size_t n = shard.size();
-    const auto out_chunk = out.subspan(shard.begin, n);
     kernels::unpack_signs_words(
         signs_.front().words().subspan(shard.word_begin(),
                                        shard.num_words()),
-        options_.eta_s, out_chunk);
-    for (const std::size_t w : active) {
-      marsit_end_round(options_, out_chunk,
-                       compensation_[w].span().subspan(shard.begin, n));
-    }
+        options_.eta_s, out.subspan(shard.begin, shard.size()));
   });
+  std::swap(owed_, signs_.front());
+  owes_.assign(m, false);
+  if (options_.use_compensation) {
+    for (const std::size_t w : active) {
+      owes_[w] = true;
+    }
+  }
 
   // Priced as folded: the same generator call, the PS at member 0.
   result.timing = price_hop_schedule(

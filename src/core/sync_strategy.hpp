@@ -212,7 +212,6 @@ class SignSgdMvSync final : public SyncStrategy {
                                 std::span<float> out) override;
 
   float eta_s_;
-  SignSum sum_;  // round-to-round sign-sum scratch
 };
 
 /// EF-signSGD [30] extended to MAR: per-worker error feedback around the
@@ -234,7 +233,6 @@ class EfSignSgdSync final : public SyncStrategy {
   std::vector<Tensor> error_;
   // Round scratch (never serialized).
   std::vector<float> scales_;      // per-survivor ‖p‖₁/d compressor scales
-  SignSum sum_;                    // round-to-round sign-sum scratch
   std::vector<BitVector> signs_;   // per-survivor packed signs
 };
 
@@ -252,7 +250,6 @@ class SsdmMarSync final : public SyncStrategy {
                                 std::span<float> out) override;
 
   float eta_s_;
-  SignSum sum_;  // round-to-round sign-sum scratch
 };
 
 /// SSDM under a parameter server (the single-hop home turf of signSGD
@@ -268,7 +265,6 @@ class SsdmPsSync final : public SyncStrategy {
                                 std::span<float> out) override;
 
   float eta_s_;
-  SignSum sum_;  // round-to-round sign-sum scratch
 };
 
 /// Cascading compression (paper §3.2): decompress-add-recompress at every
@@ -310,17 +306,23 @@ void clip_flush_mean(const MarsitOptions& options, std::span<float> mean);
 
 /// Algorithm 1, line 1, over one rank's slice of u, c and its packed signs
 /// (MarsitSync calls it per shard chunk, the distributed worker once per
-/// round): c ← u + c in place, then packs sign(c) into `signs`.  c holds
-/// u + c until marsit_end_round.
-void marsit_begin_round(std::span<const float> update,
+/// round).  Line 10 of the rank's previous one-bit round, c ← c − η_s·s for
+/// that round's aggregate sign words s, is owed until here: with `owed`
+/// those words (empty when nothing is owed; it may alias `signs`), c ←
+/// (c − η_s·s) + u in place, then packs sign(c) into `signs`.  c holds
+/// u + c until the next round settles it.  With use_compensation off it
+/// packs sign(u) and never writes c, so nothing is ever owed.
+void marsit_begin_round(const MarsitOptions& options,
+                        std::span<const std::uint64_t> owed,
+                        std::span<const float> update,
                         std::span<float> compensation,
                         std::span<std::uint64_t> signs);
 
-/// Lines 9–10 over the same slice: c ← c − g for the decoded global update
-/// g, so c becomes (u + c) − g; or c ← 0 when use_compensation is off.
-void marsit_end_round(const MarsitOptions& options,
-                      std::span<const float> global,
-                      std::span<float> compensation);
+/// The owed line 10 on its own, for a rank whose next step is not a one-bit
+/// line 1 (a flush, an absence, a checkpoint): c ← c − η_s·s.
+void marsit_settle(const MarsitOptions& options,
+                   std::span<const std::uint64_t> owed,
+                   std::span<float> compensation);
 
 class MarsitSync final : public SyncStrategy {
  public:
@@ -350,11 +352,17 @@ class MarsitSync final : public SyncStrategy {
                                 std::span<float> out) override;
   void on_flush_rejoin(std::size_t worker) override;
 
+  /// Worker w's c_t with its owed line 10 applied (a copy).
+  Tensor settled_compensation(std::size_t w) const;
+
   MarsitOptions options_;
-  // Per-worker c_t, lazily sized.  Within a round a survivor's holds
-  // u_m + c_m: the packed vector of a one-bit round, a flush's summed row.
+  // Per-worker c_t, lazily sized.  A survivor's holds u_m + c_m from its
+  // line 1 on: the packed vector of a one-bit round, whose line 10 it owes
+  // against owed_ until its next round, or a flush's summed row.
   std::vector<Tensor> compensation_;
   std::vector<BitVector> signs_;      // per-worker packed signs scratch
+  BitVector owed_;                    // the last one-bit round's aggregate
+  std::vector<bool> owes_;            // per worker: line 10 not yet settled
 };
 
 // --- factory ------------------------------------------------------------------

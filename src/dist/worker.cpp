@@ -50,7 +50,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   const std::size_t d = local.model().param_count();
 
   Tensor compensation(d);
-  Tensor global(d);
+  Tensor global(d);  // the flush's mean
   const std::size_t k = config.options.full_precision_period;
   // One schedule per round kind, priced once on the wire alone: the
   // NetworkSim replay is a pure function of the schedule and the cost
@@ -66,7 +66,10 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   net.reset();
   const CollectiveTiming flush_price =
       price_hop_schedule(flush, full_precision_wire(), net);
+  // After a one-bit round with compensation on, `signs` holds the round's
+  // aggregate, whose line 10 (c ← c − η_s·s) is owed until the next round.
   BitVector signs(d);
+  bool owed = false;
   const float inv_m = 1.0f / static_cast<float>(m);
 
   WorkerResult result;
@@ -85,6 +88,9 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     if (full_precision) {
       // Lines 12–13: all-reduce u + c in place; its mean becomes g and
       // c restarts at zero.
+      if (owed) {
+        marsit_settle(config.options, signs.words(), compensation.span());
+      }
       add(local.update(), compensation.span(), compensation.span());
       sent_bytes =
           execute_hop_schedule(transport, flush, t, compensation.span());
@@ -93,14 +99,14 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       clip_flush_mean(config.options, global.span());
       compensation.zero();
     } else {
-      marsit_begin_round(local.update(), compensation.span(), signs.words());
+      marsit_begin_round(config.options,
+                         owed ? signs.words() : std::span<std::uint64_t>{},
+                         local.update(), compensation.span(), signs.words());
       sent_bytes = execute_hop_schedule(transport, one_bit, t,
                                         derive_seed(config.sync_seed, t),
                                         signs.words());
-      kernels::unpack_signs_words(signs.words(), config.options.eta_s,
-                                  global.span());
-      marsit_end_round(config.options, global.span(), compensation.span());
     }
+    owed = !full_precision && config.options.use_compensation;
     report.measured_comm_seconds = seconds_since(comm_start);
     report.wire_bits = sent_bytes * 8.0;
     const CollectiveTiming& priced =
@@ -108,7 +114,13 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     report.predicted_comm_seconds = priced.completion_seconds;
     report.total_wire_bits = priced.total_wire_bits;
 
-    local.model().apply_update(global.span());
+    if (full_precision) {
+      local.model().apply_update(global.span());
+    } else {
+      // x ← x − g straight from the aggregate's sign bits.
+      kernels::accumulate_signs_words(signs.words(), -config.options.eta_s,
+                                      local.model().params());
+    }
     result.rounds.push_back(report);
   }
 

@@ -4,10 +4,12 @@
 // Each rank calls the simulator's per-rank code, not a copy of it: one
 // LocalWorker (sim/trainer.hpp) built by make_train_sampler and
 // init_replica runs the trainer's local step, and Algorithm 1's lines 1 and
-// 9–10 are the marsit_begin_round / marsit_end_round stages MarsitSync runs
-// per shard chunk (core/sync_strategy.hpp).  A run over SimTransport or
-// SocketTransport therefore finishes with parameters bit-identical to the
-// simulator's — the cross-backend determinism contract
+// 10 are the marsit_begin_round / marsit_settle stages MarsitSync runs per
+// shard chunk (core/sync_strategy.hpp): a one-bit round's line 10 is owed
+// until the next round's line 1 settles it, and the rank applies the
+// round's update straight from the aggregate's sign bits.  A run over
+// SimTransport or SocketTransport therefore finishes with parameters
+// bit-identical to the simulator's — the cross-backend determinism contract
 // tests/dist_cross_backend_test pins via FNV-1a param digests.
 //
 // Every round runs a hop schedule (core/hop_schedule.hpp) through

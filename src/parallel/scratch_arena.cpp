@@ -17,6 +17,9 @@ void ScratchArena::reset() {
   for (auto& block : float_blocks_) {
     block.in_use = false;
   }
+  for (auto& block : count_blocks_) {
+    block.in_use = false;
+  }
 }
 
 template <typename T>
@@ -45,6 +48,10 @@ std::span<std::uint64_t> ScratchArena::words(std::size_t count) {
 
 std::span<float> ScratchArena::floats(std::size_t count) {
   return take(float_blocks_, count);
+}
+
+std::span<std::int32_t> ScratchArena::counts(std::size_t count) {
+  return take(count_blocks_, count);
 }
 
 std::uint64_t ScratchArena::total_grows() {

@@ -2,12 +2,13 @@
 //
 // A sharded round (DESIGN.md §12) runs one parallel_for task per ShardPlan
 // chunk, and a task often needs a chunk-sized temporary: the packed signs
-// of a worker it folds straight into the sign-sum, the majority verdict, the
-// decoded EF delta.  Allocating those per chunk would put a heap allocation
-// inside the hot loop of every round.  Instead each thread keeps a
-// thread-local arena of reusable blocks; a task resets its thread's arena and
-// takes what it needs, and a global grow counter lets tests assert that warm
-// rounds allocate nothing (tests/core_sharded_sync_test.cpp).
+// of a worker it folds straight into the sign-sum, the sign-sum's counts,
+// the majority verdict, the decoded EF delta.  Allocating those per chunk
+// would put a heap allocation inside the hot loop of every round.  Instead
+// each thread keeps a thread-local arena of reusable blocks; a task resets
+// its thread's arena and takes what it needs, and a global grow counter
+// lets tests assert that warm rounds allocate nothing
+// (tests/core_sharded_sync_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +36,9 @@ class ScratchArena {
   /// A float block of exactly `count` elements.
   std::span<float> floats(std::size_t count);
 
+  /// A sign-sum count block of exactly `count` elements.
+  std::span<std::int32_t> counts(std::size_t count);
+
   /// Process-wide count of arena block allocations (cold-path grows).  A
   /// warm round must leave this unchanged — the counting hook the
   /// zero-allocation test asserts on.
@@ -52,6 +56,7 @@ class ScratchArena {
 
   std::vector<Block<std::uint64_t>> word_blocks_;
   std::vector<Block<float>> float_blocks_;
+  std::vector<Block<std::int32_t>> count_blocks_;
 };
 
 /// The calling thread's arena (thread-local, created on first use).  Pool

@@ -1,11 +1,17 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "util/check.hpp"
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 namespace marsit {
 
@@ -51,10 +57,20 @@ void a_bt_block(const Lanes* panel, const float* b, float* c, std::size_t k,
     const Lanes x = panel[p];
     // Select rather than add a zero term: −0.0 + 0 would turn a −0.0 sum
     // into +0.0, and 0·inf would make a NaN.
+#if defined(__AVX512F__)
+    // The select as one masked FMA per column (GCC compiles the select to
+    // an FMA and a masked move).  _CMP_NEQ_UQ is `!=`: NaN is live.
+    const __mmask16 live = _mm512_cmp_ps_mask(x, zeros, _CMP_NEQ_UQ);
+    for (std::size_t q = 0; q < Cols; ++q) {
+      acc[q] = _mm512_mask3_fmadd_ps(x, _mm512_set1_ps(w[q * k + p]), acc[q],
+                                     live);
+    }
+#else
     const auto live = x != zeros;
     for (std::size_t q = 0; q < Cols; ++q) {
       acc[q] = live ? acc[q] + x * w[q * k + p] : acc[q];
     }
+#endif
   }
   for (std::size_t q = 0; q < Cols; ++q) {
     for (std::size_t l = 0; l < rows; ++l) {
@@ -278,8 +294,18 @@ std::size_t argmax(std::span<const float> x) {
 }
 
 bool all_finite(std::span<const float> x) {
-  for (float v : x) {
-    if (!std::isfinite(v)) {
+  // Branch-free within each 1024-element block, so the scan vectorizes: a
+  // float is inf or NaN iff its exponent bits are all ones.
+  constexpr std::size_t kBlock = 1024;
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  for (std::size_t begin = 0; begin < x.size(); begin += kBlock) {
+    const std::span<const float> block =
+        x.subspan(begin, std::min(kBlock, x.size() - begin));
+    std::uint32_t bad = 0;
+    for (const float v : block) {
+      bad |= (std::bit_cast<std::uint32_t>(v) & kExponent) == kExponent;
+    }
+    if (bad != 0) {
       return false;
     }
   }

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "compress/sign_codec.hpp"
@@ -67,10 +69,14 @@ TEST(KernelsTest, PackOverwritesStaleWords) {
   }
 }
 
-// Algorithm 1's line 1 fused: c ← u + c and the packed signs of c must be
-// the bytes of `add` followed by pack_signs_words, including ±0.0 operands
-// and sums that round to ±0.0.
-TEST(KernelsTest, AddPackMatchesAddThenPack) {
+// Algorithm 1's line 1 with the previous round's line 10 settled first:
+// c ← (c + scale·(owed ? +1 : −1)) + u and the packed signs of c must be
+// the bytes of accumulate_signs_scalar, then `add`, then pack_signs_words —
+// with nothing owed, with owed words of their own and with owed aliasing
+// the output words.  The inputs hold ±0.0 operands and sums that round to
+// ±0.0; the smallest subnormal scale settles without disturbing those sums
+// (and moves the ±0.0 c), −0.5 moves every element.
+TEST(KernelsTest, SettleAddPackMatchesAccumulateAddPack) {
   for (const std::size_t d : {std::size_t{0}, std::size_t{1}, std::size_t{63},
                               std::size_t{64}, std::size_t{65},
                               std::size_t{1000}, std::size_t{4096 + 7}}) {
@@ -97,20 +103,44 @@ TEST(KernelsTest, AddPackMatchesAddThenPack) {
       c[i] = -0.0f;
     }
 
-    std::vector<float> expected_c = c;
-    add({u.data(), d}, {expected_c.data(), d}, {expected_c.data(), d});
-    std::vector<std::uint64_t> expected_words(kernels::words_for(d));
-    kernels::pack_signs_words({expected_c.data(), d}, expected_words);
+    const std::vector<float> owed_signs = random_gradient(d, 47 + d);
+    const BitVector owed = pack_signs_scalar({owed_signs.data(), d});
 
-    std::vector<std::uint64_t> words(kernels::words_for(d),
-                                     ~std::uint64_t{0});
-    kernels::add_pack_signs_words({u.data(), d}, {c.data(), d}, words);
-    for (std::size_t i = 0; i < d; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(c[i]),
-                std::bit_cast<std::uint32_t>(expected_c[i]))
-          << "d=" << d << " i=" << i;
+    enum class Owed { kNothing, kApart, kAliased };
+    for (const float scale :
+         {-std::numeric_limits<float>::denorm_min(), -0.5f}) {
+      for (const Owed mode : {Owed::kNothing, Owed::kApart, Owed::kAliased}) {
+        std::vector<float> expected_c = c;
+        if (mode != Owed::kNothing) {
+          accumulate_signs_scalar(owed, scale, {expected_c.data(), d});
+        }
+        add({u.data(), d}, {expected_c.data(), d}, {expected_c.data(), d});
+        std::vector<std::uint64_t> expected_words(kernels::words_for(d));
+        kernels::pack_signs_words({expected_c.data(), d}, expected_words);
+
+        std::vector<float> actual_c = c;
+        std::vector<std::uint64_t> words(kernels::words_for(d),
+                                         ~std::uint64_t{0});
+        std::span<const std::uint64_t> debt;
+        if (mode == Owed::kApart) {
+          debt = owed.words();
+        } else if (mode == Owed::kAliased) {
+          std::copy(owed.words().begin(), owed.words().end(), words.begin());
+          debt = words;
+        }
+        kernels::settle_add_pack_signs_words(debt, scale, {u.data(), d},
+                                             {actual_c.data(), d}, words);
+        const int label = static_cast<int>(mode);
+        for (std::size_t i = 0; i < d; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(actual_c[i]),
+                    std::bit_cast<std::uint32_t>(expected_c[i]))
+              << "d=" << d << " i=" << i << " scale=" << scale
+              << " mode=" << label;
+        }
+        EXPECT_EQ(words, expected_words)
+            << "d=" << d << " scale=" << scale << " mode=" << label;
+      }
     }
-    EXPECT_EQ(words, expected_words) << "d=" << d;
   }
 }
 

@@ -13,11 +13,13 @@ TEST(ScratchArenaTest, ReusesBlocksAfterWarmup) {
   arena.reset();
   const std::span<std::uint64_t> w1 = arena.words(37);
   const std::span<float> f1 = arena.floats(129);
+  const std::span<std::int32_t> c1 = arena.counts(65);
   // Distinct requests in one task get distinct blocks.
   const std::span<std::uint64_t> w2 = arena.words(37);
   EXPECT_NE(w1.data(), w2.data());
   EXPECT_EQ(w1.size(), 37u);
   EXPECT_EQ(f1.size(), 129u);
+  EXPECT_EQ(c1.size(), 65u);
   // After reset, the same request sequence reuses the warm blocks: the grow
   // counter (the zero-allocation hook the sync tests pin) stays flat.
   const std::uint64_t grows = ScratchArena::total_grows();
@@ -25,6 +27,7 @@ TEST(ScratchArenaTest, ReusesBlocksAfterWarmup) {
     arena.reset();
     (void)arena.words(37);
     (void)arena.floats(129);
+    (void)arena.counts(65);
     (void)arena.words(30);  // smaller fits the warm 37-word block
   }
   EXPECT_EQ(ScratchArena::total_grows(), grows)

@@ -133,6 +133,32 @@ TEST(OpsTest, AllFiniteDetectsNanAndInf) {
   EXPECT_FALSE(all_finite(x.span()));
 }
 
+// all_finite scans 1024-element blocks: a non-finite value is found first,
+// either side of a block boundary and in the partial last block, and −0.0,
+// subnormals and the largest floats count as finite.
+TEST(OpsTest, AllFiniteFindsNonFiniteValuesAcrossBlocks) {
+  using Limits = std::numeric_limits<float>;
+  constexpr std::size_t kSize = 3 * 1024 + 37;
+  std::vector<float> x(kSize, 1.0f);
+  x[5] = -0.0f;
+  x[6] = Limits::denorm_min();
+  x[7] = -Limits::denorm_min();
+  x[1500] = Limits::max();
+  x[kSize - 2] = Limits::lowest();
+  EXPECT_TRUE(all_finite(x));
+  EXPECT_TRUE(all_finite(std::span<const float>{}));
+  for (const float bad : {Limits::infinity(), -Limits::infinity(),
+                          Limits::quiet_NaN(), -Limits::quiet_NaN()}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{1023},
+                                 std::size_t{1024}, std::size_t{3071},
+                                 std::size_t{3072}, kSize - 1}) {
+      std::vector<float> y = x;
+      y[at] = bad;
+      EXPECT_FALSE(all_finite(y)) << "value " << bad << " at " << at;
+    }
+  }
+}
+
 TEST(OpsTest, FillNormalMoments) {
   Tensor x(50000);
   Rng rng(3);

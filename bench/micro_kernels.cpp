@@ -293,11 +293,12 @@ std::vector<KernelResult> run_size(std::size_t d, std::size_t reps,
     r.elements = d;
     r.scalar_seconds = time_best(reps, [&] { sum.accumulate_scalar(bits); });
     r.word_seconds = time_best(reps, [&] { sum.accumulate(bits); });
+    std::vector<std::int32_t> counts(d, 0);
     r.sharded_seconds = time_best(reps, [&] {
       sharded([&](const Shard& s) {
         kernels::accumulate_counts_words(
             bits.words().subspan(s.word_begin(), s.num_words()),
-            sum.values_mut().subspan(s.begin, s.size()));
+            std::span<std::int32_t>(counts).subspan(s.begin, s.size()));
       });
     });
     results.push_back(r);

@@ -6,100 +6,11 @@
 
 namespace marsit {
 
-void BitWriter::write_bit(bool bit) {
-  const std::size_t byte_index = bit_count_ / 8;
-  if (byte_index == bytes_.size()) {
-    bytes_.push_back(0);
-  }
-  if (bit) {
-    bytes_[byte_index] |= static_cast<std::uint8_t>(1u << (bit_count_ % 8));
-  }
-  ++bit_count_;
-}
-
-void BitWriter::write_bits_msb_first(std::uint64_t value, unsigned count) {
-  MARSIT_CHECK(count <= 64) << "cannot write " << count << " bits";
-  for (unsigned i = count; i > 0; --i) {
-    write_bit((value >> (i - 1)) & 1u);
-  }
-}
-
-bool BitReader::read_bit() {
-  MARSIT_CHECK(position_ < bit_count_) << "bit stream exhausted";
-  const bool bit = (bytes_[position_ / 8] >> (position_ % 8)) & 1u;
-  ++position_;
-  return bit;
-}
-
-std::uint64_t BitReader::read_bits_msb_first(unsigned count) {
-  MARSIT_CHECK(count <= 64) << "cannot read " << count << " bits";
-  std::uint64_t value = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    value = (value << 1) | (read_bit() ? 1u : 0u);
-  }
-  return value;
-}
-
-namespace {
-
-unsigned floor_log2(std::uint64_t n) {
-  return 63u - static_cast<unsigned>(std::countl_zero(n));
-}
-
-}  // namespace
-
-void elias_gamma_encode(std::uint64_t n, BitWriter& writer) {
-  MARSIT_CHECK(n >= 1) << "Elias gamma is defined for n >= 1";
-  const unsigned len = floor_log2(n);
-  for (unsigned i = 0; i < len; ++i) {
-    writer.write_bit(false);
-  }
-  writer.write_bits_msb_first(n, len + 1);
-}
-
-std::uint64_t elias_gamma_decode(BitReader& reader) {
-  unsigned zeros = 0;
-  while (!reader.read_bit()) {
-    ++zeros;
-    MARSIT_CHECK(zeros < 64) << "malformed gamma code";
-  }
-  std::uint64_t n = 1;
-  if (zeros > 0) {
-    n = (n << zeros) | reader.read_bits_msb_first(zeros);
-  }
-  return n;
-}
-
 std::size_t elias_gamma_length(std::uint64_t n) {
   MARSIT_CHECK(n >= 1) << "Elias gamma is defined for n >= 1";
-  return 2 * static_cast<std::size_t>(floor_log2(n)) + 1;
-}
-
-void elias_delta_encode(std::uint64_t n, BitWriter& writer) {
-  MARSIT_CHECK(n >= 1) << "Elias delta is defined for n >= 1";
-  const unsigned len = floor_log2(n);
-  elias_gamma_encode(len + 1, writer);
-  if (len > 0) {
-    writer.write_bits_msb_first(n & ((std::uint64_t{1} << len) - 1), len);
-  }
-}
-
-std::uint64_t elias_delta_decode(BitReader& reader) {
-  const auto len_plus_one = elias_gamma_decode(reader);
-  MARSIT_CHECK(len_plus_one >= 1 && len_plus_one <= 64)
-      << "malformed delta code";
-  const unsigned len = static_cast<unsigned>(len_plus_one - 1);
-  std::uint64_t n = std::uint64_t{1} << len;
-  if (len > 0) {
-    n |= reader.read_bits_msb_first(len);
-  }
-  return n;
-}
-
-std::size_t elias_delta_length(std::uint64_t n) {
-  MARSIT_CHECK(n >= 1) << "Elias delta is defined for n >= 1";
-  const unsigned len = floor_log2(n);
-  return elias_gamma_length(len + 1) + len;
+  const auto floor_log2 =
+      static_cast<std::size_t>(63 - std::countl_zero(n));
+  return 2 * floor_log2 + 1;
 }
 
 std::uint64_t zigzag_map(std::int64_t value) {
@@ -108,34 +19,6 @@ std::uint64_t zigzag_map(std::int64_t value) {
     return 2 * static_cast<std::uint64_t>(value) + 1;
   }
   return 2 * static_cast<std::uint64_t>(-value);
-}
-
-std::int64_t zigzag_unmap(std::uint64_t mapped) {
-  MARSIT_CHECK(mapped >= 1) << "zig-zag codes start at 1";
-  if (mapped % 2 == 1) {
-    return static_cast<std::int64_t>((mapped - 1) / 2);
-  }
-  return -static_cast<std::int64_t>(mapped / 2);
-}
-
-std::size_t elias_gamma_encode_signed(std::span<const std::int32_t> values,
-                                      BitWriter& writer) {
-  const std::size_t before = writer.bit_count();
-  for (std::int32_t v : values) {
-    elias_gamma_encode(zigzag_map(v), writer);
-  }
-  return writer.bit_count() - before;
-}
-
-std::vector<std::int32_t> elias_gamma_decode_signed(BitReader& reader,
-                                                    std::size_t count) {
-  std::vector<std::int32_t> values;
-  values.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    values.push_back(
-        static_cast<std::int32_t>(zigzag_unmap(elias_gamma_decode(reader))));
-  }
-  return values;
 }
 
 }  // namespace marsit

@@ -1,9 +1,10 @@
-// Elias universal codes (γ and δ) over a bit stream.
+// Elias-γ code lengths for the baselines' sign-sum messages.
 //
 // The paper compacts the baselines' growing sign-sum messages with Elias
-// coding [31]; this module provides the exact codec so the communication
-// accounting in Figures 1, 4 and 5 uses real encoded sizes rather than
-// fixed-width upper bounds.
+// coding [31]; SignSum::wire_bits_elias sums these lengths so the Elias
+// sizes in bench/ablation_elias and Figure 5 are the exact encoded sizes,
+// not fixed-width upper bounds.  Nothing encodes or decodes the stream:
+// a γ code's length is a closed form of its value.
 //
 // Codes operate on positive integers (>= 1).  Signed sign-sum values are
 // first zig-zag mapped: 0→1, −1→2, +1→3, −2→4, ... (shifted by one since
@@ -12,72 +13,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace marsit {
 
-/// Append-only bit stream writer (LSB-first within bytes).
-class BitWriter {
- public:
-  void write_bit(bool bit);
-  /// Writes the low `count` bits of `value`, most-significant first
-  /// (the conventional order for Elias codes).
-  void write_bits_msb_first(std::uint64_t value, unsigned count);
-
-  std::size_t bit_count() const { return bit_count_; }
-  std::span<const std::uint8_t> bytes() const {
-    return {bytes_.data(), bytes_.size()};
-  }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-  std::size_t bit_count_ = 0;
-};
-
-/// Sequential reader over a BitWriter's output.
-class BitReader {
- public:
-  BitReader(std::span<const std::uint8_t> bytes, std::size_t bit_count)
-      : bytes_(bytes), bit_count_(bit_count) {}
-
-  bool read_bit();
-  std::uint64_t read_bits_msb_first(unsigned count);
-  bool exhausted() const { return position_ >= bit_count_; }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t bit_count_;
-  std::size_t position_ = 0;
-};
-
-// ---- Elias gamma ----------------------------------------------------------
-
-/// γ(n) for n >= 1: ⌊log2 n⌋ zeros, then n's ⌊log2 n⌋+1 bits.
-void elias_gamma_encode(std::uint64_t n, BitWriter& writer);
-std::uint64_t elias_gamma_decode(BitReader& reader);
-/// Code length in bits: 2⌊log2 n⌋ + 1.
+/// Length in bits of γ(n) for n >= 1 (⌊log2 n⌋ zeros, then n's
+/// ⌊log2 n⌋+1 bits): 2⌊log2 n⌋ + 1.
 std::size_t elias_gamma_length(std::uint64_t n);
-
-// ---- Elias delta ----------------------------------------------------------
-
-/// δ(n) for n >= 1: γ(⌊log2 n⌋+1) then n's remaining ⌊log2 n⌋ bits.
-void elias_delta_encode(std::uint64_t n, BitWriter& writer);
-std::uint64_t elias_delta_decode(BitReader& reader);
-std::size_t elias_delta_length(std::uint64_t n);
-
-// ---- zig-zag --------------------------------------------------------------
 
 /// Signed → positive mapping for Elias coding: 0→1, −1→2, 1→3, −2→4, 2→5...
 std::uint64_t zigzag_map(std::int64_t value);
-std::int64_t zigzag_unmap(std::uint64_t mapped);
-
-/// Encodes a signed sequence with γ codes; returns total bit length.
-std::size_t elias_gamma_encode_signed(std::span<const std::int32_t> values,
-                                      BitWriter& writer);
-
-/// Decodes `count` signed values encoded by elias_gamma_encode_signed.
-std::vector<std::int32_t> elias_gamma_decode_signed(BitReader& reader,
-                                                    std::size_t count);
 
 }  // namespace marsit

@@ -1,6 +1,5 @@
 #include "compress/sign_sum.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "compress/elias.hpp"
@@ -15,11 +14,6 @@ SignSum SignSum::from_signs(const BitVector& bits) {
   SignSum sum(bits.size());
   sum.accumulate(bits);
   return sum;
-}
-
-void SignSum::reset() {
-  std::fill(values_.begin(), values_.end(), 0);
-  contributions_ = 0;
 }
 
 void SignSum::accumulate(const BitVector& bits) {
@@ -39,15 +33,6 @@ void SignSum::accumulate_scalar(const BitVector& bits) {
     values_[i] += positive ? 1 : -1;
   }
   ++contributions_;
-}
-
-void SignSum::merge(const SignSum& other) {
-  MARSIT_CHECK(other.values_.size() == values_.size())
-      << "sign-sum extent mismatch in merge";
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_[i] += other.values_[i];
-  }
-  contributions_ += other.contributions_;
 }
 
 BitVector SignSum::majority() const {
@@ -81,8 +66,11 @@ std::size_t SignSum::wire_bits_fixed() const {
 }
 
 std::size_t SignSum::wire_bits_elias() const {
-  BitWriter writer;
-  return elias_gamma_encode_signed({values_.data(), values_.size()}, writer);
+  std::size_t bits = 0;
+  for (const std::int32_t v : values_) {
+    bits += elias_gamma_length(zigzag_map(v));
+  }
+  return bits;
 }
 
 std::size_t sign_sum_bits_per_element(std::size_t contributions) {

@@ -12,8 +12,8 @@
 // accumulate() and majority() run the word-parallel kernels from
 // compress/kernels.hpp (64 elements per packed word, branch-free); the
 // `*_scalar` twins are the original loops, kept as bit-exactness oracles.
-// merge() and mean_into() are plain contiguous element-wise loops that the
-// compiler already vectorizes — there is no packed-bit structure to exploit.
+// mean_into() is a plain contiguous element-wise loop that the compiler
+// already vectorizes — there is no packed-bit structure to exploit.
 #pragma once
 
 #include <cstddef>
@@ -44,31 +44,11 @@ class SignSum {
     return {values_.data(), values_.size()};
   }
 
-  /// Mutable view of the per-element sums — the sharded aggregator writes
-  /// disjoint chunks of this span concurrently, then records the
-  /// contribution count once via set_contributions().
-  std::span<std::int32_t> values_mut() {
-    return {values_.data(), values_.size()};
-  }
-
-  /// Sets the contribution count directly (sharded aggregation accumulates
-  /// chunks without going through accumulate()).
-  void set_contributions(std::size_t contributions) {
-    contributions_ = contributions;
-  }
-
-  /// Zeroes every sum and the contribution count, keeping the extent —
-  /// round-to-round reuse without reallocation.
-  void reset();
-
   /// Adds another worker's sign bits.
   void accumulate(const BitVector& bits);
 
   /// Scalar reference for accumulate (bit-identical).
   void accumulate_scalar(const BitVector& bits);
-
-  /// Adds another sign-sum (segment merge in torus reduction).
-  void merge(const SignSum& other);
 
   /// Majority decision per element: +1 when the sum is >= 0 (ties to +1,
   /// matching the pack_signs convention), encoded as bits.
@@ -83,8 +63,8 @@ class SignSum {
   /// Fixed-width wire size in bits: size() * (⌈log2(contributions+1)⌉ + 1).
   std::size_t wire_bits_fixed() const;
 
-  /// Wire size after Elias-γ entropy coding of the zig-zag mapped values —
-  /// computed exactly by encoding (compress/elias.hpp).
+  /// Wire size after Elias-γ coding of the zig-zag mapped values: the sum
+  /// of their γ code lengths (compress/elias.hpp).
   std::size_t wire_bits_elias() const;
 
  private:

@@ -450,12 +450,6 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
   // when the worker returns.
   const std::vector<std::size_t>& active = active_workers();
   const std::size_t s = active.size();
-  // Reallocate on *either* geometry change: the dimension, or the survivor
-  // count — degraded rounds shrink and re-grow s while d stays fixed, and a
-  // stale vector count would index out of bounds when s grows back.
-  if (signs_.size() != s || signs_.front().size() != d) {
-    signs_ = zero_vectors<BitVector>(s, d);
-  }
   scales_.resize(s);
 
   // Whole-vector pre-pass: the compressor scale is the *global* ‖p‖₁/d, so
@@ -484,13 +478,13 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
     arena.reset();
     const Shard shard = plan.chunk(c);
     const std::size_t n = shard.size();
-    const std::size_t w0 = shard.word_begin();
     const std::size_t nw = shard.num_words();
     const std::span<std::int32_t> values = arena.counts(n);
     std::fill(values.begin(), values.end(), 0);
+    // Survivor i's packed chunk signs: signs[i·nw, (i+1)·nw).
+    const std::span<std::uint64_t> signs = arena.words(s * nw);
     for (std::size_t i = 0; i < s; ++i) {
-      const std::span<std::uint64_t> words =
-          signs_[i].words().subspan(w0, nw);
+      const std::span<std::uint64_t> words = signs.subspan(i * nw, nw);
       kernels::pack_signs_words(
           error_[active[i]].span().subspan(shard.begin, n), words);
       kernels::accumulate_counts_words(words, values);
@@ -506,8 +500,8 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
     const std::span<float> delta = arena.floats(n);
     for (std::size_t i = 0; i < s; ++i) {
       const auto error = error_[active[i]].span().subspan(shard.begin, n);
-      kernels::unpack_signs_words(signs_[i].words().subspan(w0, nw),
-                                  scales_[i], delta);
+      kernels::unpack_signs_words(signs.subspan(i * nw, nw), scales_[i],
+                                  delta);
       sub(error, delta, error);
     }
   });

@@ -231,9 +231,9 @@ class EfSignSgdSync final : public SyncStrategy {
   // Per-worker EF memory e_m, lazily sized.  Within a round a survivor's
   // holds p = u_m + e_m, updated in place chunk by chunk.
   std::vector<Tensor> error_;
-  // Round scratch (never serialized).
-  std::vector<float> scales_;      // per-survivor ‖p‖₁/d compressor scales
-  std::vector<BitVector> signs_;   // per-survivor packed signs
+  // Round scratch (never serialized): per-survivor ‖p‖₁/d compressor
+  // scales.  The chunk tasks take the packed signs from their arenas.
+  std::vector<float> scales_;
 };
 
 /// SSDM [14] extended to MAR: stochastic signs (P(+1) = 1/2 + g_i/(2‖g‖))

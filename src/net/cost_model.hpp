@@ -56,12 +56,6 @@ struct CostModel {
   double elias_code_rate = 8.0e9;
 
   // --- derived helpers -------------------------------------------------------
-  double message_seconds(double bytes) const {
-    return link_alpha + bytes / link_bandwidth;
-  }
-  double message_seconds_bits(double bits) const {
-    return message_seconds(bits / 8.0);
-  }
   double compute_seconds(double flops) const { return flops / flop_rate; }
 };
 

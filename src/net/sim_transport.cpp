@@ -4,8 +4,7 @@
 
 namespace marsit {
 
-SimFabric::SimFabric(std::size_t world_size, const CostModel& cost_model)
-    : world_size_(world_size), net_(world_size, cost_model) {
+SimFabric::SimFabric(std::size_t world_size) : world_size_(world_size) {
   MARSIT_CHECK(world_size >= 2) << "fabric needs at least 2 endpoints";
 }
 
@@ -16,30 +15,12 @@ std::unique_ptr<SimTransport> SimFabric::endpoint(std::size_t rank) {
   return std::unique_ptr<SimTransport>(new SimTransport(this, rank));
 }
 
-double SimFabric::simulated_seconds() const {
-  const MutexLock lock(mutex_);
-  return simulated_seconds_;
-}
-
-double SimFabric::total_bytes() const {
-  const MutexLock lock(mutex_);
-  return net_.total_bytes();
-}
-
 void SimFabric::send(std::size_t src, std::size_t dst, std::uint32_t tag,
                      std::span<const std::uint8_t> payload) {
   MARSIT_CHECK(src < world_size_ && dst < world_size_ && src != dst)
       << "bad simulated transfer " << src << " -> " << dst;
   {
     const MutexLock lock(mutex_);
-    // Price the message on the α–β model; the NIC-occupancy state inside
-    // NetworkSim extends the per-node timelines exactly like the collective
-    // schedules do, so the prediction matches ring/torus arithmetic.
-    const double done = net_.transfer(
-        src, dst, static_cast<double>(payload.size()), simulated_seconds_);
-    if (done > simulated_seconds_) {
-      simulated_seconds_ = done;
-    }
     mail_[StreamKey{src, dst, tag}].emplace_back(payload.begin(),
                                                  payload.end());
   }

@@ -1,14 +1,12 @@
-// SimTransport — the Transport backend over NetworkSim (DESIGN.md §14).
+// SimTransport — the in-memory Transport backend (DESIGN.md §14).
 //
-// A SimFabric owns one NetworkSim shared by all endpoints, the same way the
-// collective schedules in src/collectives share one: every send() is priced
-// through NetworkSim::transfer on the α–β cost model (including the CRC
-// footer under corruption plans and per-NIC serialization), and the payload
-// itself is handed over through an in-memory mailbox.  Delivery is
-// immediate from the caller's perspective — the simulator's transfer()
-// already accounts for when the bytes land — which satisfies the Transport
-// contract that send() returns once the peer's transport accepted the
-// message.
+// A SimFabric holds the mailboxes of every (src, dst, tag) stream: send()
+// appends a copy of the payload to the stream's mailbox and returns, which
+// satisfies the Transport contract that send() returns once the peer's
+// transport accepted the message; recv() waits for the stream's next
+// payload.  The fabric only delivers — it prices nothing.  A round's α–β
+// time comes from price_hop_schedule (core/hop_schedule.hpp), the one
+// pricer of every method's round.
 //
 // This is the deterministic oracle the socket backend is checked against: a
 // distributed worker run over SimTransport must produce bit-identical
@@ -28,8 +26,6 @@
 #include <tuple>
 #include <vector>
 
-#include "net/cost_model.hpp"
-#include "net/network_sim.hpp"
 #include "net/transport.hpp"
 #include "util/thread_safety.hpp"
 
@@ -37,23 +33,16 @@ namespace marsit {
 
 class SimTransport;
 
-/// The shared medium: one NetworkSim plus the in-memory mailboxes of every
-/// (src, dst, tag) stream.
+/// The shared medium: the in-memory mailboxes of every (src, dst, tag)
+/// stream.
 class SimFabric {
  public:
-  SimFabric(std::size_t world_size, const CostModel& cost_model);
+  explicit SimFabric(std::size_t world_size);
 
   std::size_t world_size() const { return world_size_; }
 
   /// Creates the endpoint for `rank` (each rank exactly once).
   std::unique_ptr<SimTransport> endpoint(std::size_t rank);
-
-  /// Total simulated seconds the fabric has charged across all transfers —
-  /// the α–β prediction the trainer reports next to measured wall-clock.
-  double simulated_seconds() const;
-
-  /// Total bytes priced on the simulated wire.
-  double total_bytes() const;
 
  private:
   friend class SimTransport;
@@ -66,12 +55,8 @@ class SimFabric {
   using StreamKey = std::tuple<std::size_t, std::size_t, std::uint32_t>;
 
   std::size_t world_size_;
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar cv_;
-  NetworkSim net_ MARSIT_GUARDED_BY(mutex_);
-  /// Monotone fabric clock: every send is scheduled ready at the latest
-  /// completion so far, and the maximum completion is the fabric's total.
-  double simulated_seconds_ MARSIT_GUARDED_BY(mutex_) = 0.0;
   std::map<StreamKey, std::deque<std::vector<std::uint8_t>>> mail_
       MARSIT_GUARDED_BY(mutex_);
 };

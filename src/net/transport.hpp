@@ -5,15 +5,14 @@
 // per step; a Transport carries the bytes.  Two backends implement it:
 //
 //   SimTransport     the deterministic oracle — endpoints share a SimFabric
-//                    whose NetworkSim prices every message on the α–β cost
-//                    model, in-memory queues deliver the payloads;
+//                    whose in-memory queues deliver the payloads;
 //   SocketTransport  real OS sockets — one process (or thread) per worker,
 //                    length-prefixed CRC-checked frames, acks for
 //                    flow-control (see net/frame.hpp for the wire format).
 //
 // Contract:
 //   * send() blocks until the payload is accepted by the peer's transport
-//     (acked on sockets; enqueued-and-priced on the simulator).  After
+//     (acked on sockets; enqueued on the simulator).  After
 //     send() returns the bytes are guaranteed to be eventually recv()able
 //     exactly once by the peer.
 //   * recv() blocks until a message from `peer` with tag `tag` is

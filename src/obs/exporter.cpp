@@ -116,18 +116,6 @@ void write_round_jsonl(const TraceSession& session, std::ostream& out) {
   }
 }
 
-void ChromeTraceExporter::export_session(const TraceSession& session) {
-  std::ofstream out(path_);
-  MARSIT_CHECK(out.good()) << "cannot open trace output " << path_;
-  write_chrome_trace(session, out);
-}
-
-void JsonlMetricsExporter::export_session(const TraceSession& session) {
-  std::ofstream out(path_);
-  MARSIT_CHECK(out.good()) << "cannot open metrics output " << path_;
-  write_round_jsonl(session, out);
-}
-
 ScopedTrace::ScopedTrace(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string_view(argv[i]) == "--trace") {
@@ -147,12 +135,19 @@ ScopedTrace::~ScopedTrace() {
   }
   TraceSession::install(nullptr);
   set_metrics_enabled(false);
-  ChromeTraceExporter(path_).export_session(session_);
+  {
+    std::ofstream out(path_);
+    MARSIT_CHECK(out.good()) << "cannot open trace output " << path_;
+    write_chrome_trace(session_, out);
+  }
   std::cerr << "chrome trace written to " << path_
             << " (load via chrome://tracing or ui.perfetto.dev)\n";
   if (!session_.rounds().empty()) {
-    JsonlMetricsExporter(path_ + ".jsonl").export_session(session_);
-    std::cerr << "per-round metrics written to " << path_ << ".jsonl\n";
+    const std::string jsonl_path = path_ + ".jsonl";
+    std::ofstream out(jsonl_path);
+    MARSIT_CHECK(out.good()) << "cannot open metrics output " << jsonl_path;
+    write_round_jsonl(session_, out);
+    std::cerr << "per-round metrics written to " << jsonl_path << "\n";
   }
 }
 

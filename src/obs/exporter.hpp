@@ -1,60 +1,32 @@
-// Exporters turn a recorded TraceSession into files:
+// Writers that turn a recorded TraceSession into files:
 //
-//   * ChromeTraceExporter — chrome://tracing / Perfetto-loadable JSON.  One
+//   * write_chrome_trace — chrome://tracing / Perfetto-loadable JSON.  One
 //     complete ("ph":"X") event per span with microsecond timestamps on the
 //     simulated timeline, instant ("ph":"i") events for markers, thread_name
 //     metadata naming the tracks, and two non-standard top-level keys
 //     chrome ignores: "roundMetrics" (the per-round records) and "metrics"
 //     (a scrape of the global MetricsRegistry at export time);
 //
-//   * JsonlMetricsExporter — the per-round metrics stream, one JSON object
-//     per line in record order (field order preserved).  This is the
+//   * write_round_jsonl — the per-round metrics stream, one JSON object per
+//     line in record order (field order preserved).  This is the
 //     machine-readable side: summing the stream's `wire_bits` reproduces
 //     TrainResult::total_wire_bits exactly.
 //
-// Both are thin wrappers over the stream-level functions, which tests and
-// benches use directly.
+// ScopedTrace writes both files for the example binaries' `--trace` flag.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <utility>
 
 #include "obs/trace.hpp"
 
 namespace marsit::obs {
-
-class TraceExporter {
- public:
-  virtual ~TraceExporter() = default;
-  virtual void export_session(const TraceSession& session) = 0;
-};
 
 /// Writes the session's spans as a chrome://tracing JSON object.
 void write_chrome_trace(const TraceSession& session, std::ostream& out);
 
 /// Writes the session's round records as JSONL (one object per line).
 void write_round_jsonl(const TraceSession& session, std::ostream& out);
-
-class ChromeTraceExporter final : public TraceExporter {
- public:
-  explicit ChromeTraceExporter(std::string path) : path_(std::move(path)) {}
-  void export_session(const TraceSession& session) override;
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-class JsonlMetricsExporter final : public TraceExporter {
- public:
-  explicit JsonlMetricsExporter(std::string path) : path_(std::move(path)) {}
-  void export_session(const TraceSession& session) override;
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// `--trace <path>` support for the example binaries: when the flag is
 /// present, construction installs a TraceSession and enables the global

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -40,195 +41,83 @@ double histogram_bucket_floor(std::size_t index) {
   return std::ldexp(1.0, static_cast<int>(index) + kHistogramMinExp);
 }
 
-namespace {
-
-/// Process-unique registry ids for the thread-local shard cache.  Ids are
-/// never reused, so a stale cache entry for a destroyed registry can never
-/// be looked up again.
-std::atomic<std::uint64_t> next_registry_uid{1};
-
-}  // namespace
-
-/// One thread's private slice of every sharded metric.  All fields are
-/// written only by the owning thread (relaxed atomics) and read by
-/// scrape(); histogram bucket blocks are allocated lazily on first
-/// observation and published with release/acquire so the scraper sees
-/// initialized memory.
-struct MetricsRegistry::Shard {
-  struct Buckets {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> count{};
-    std::atomic<double> min{0.0};
-    std::atomic<double> max{0.0};
-    std::atomic<bool> has_extrema{false};
-  };
-
-  std::array<std::atomic<double>, kMaxMetrics> value{};
-  std::array<std::atomic<std::uint64_t>, kMaxMetrics> count{};
-  std::array<std::atomic<Buckets*>, kMaxMetrics> buckets{};
-
-  ~Shard() {
-    for (auto& slot : buckets) {
-      delete slot.load(std::memory_order_acquire);
-    }
-  }
-
-  void zero() {
-    for (std::size_t i = 0; i < kMaxMetrics; ++i) {
-      value[i].store(0.0, std::memory_order_relaxed);
-      count[i].store(0, std::memory_order_relaxed);
-      if (Buckets* b = buckets[i].load(std::memory_order_acquire)) {
-        for (auto& c : b->count) {
-          c.store(0, std::memory_order_relaxed);
-        }
-        b->has_extrema.store(false, std::memory_order_relaxed);
-      }
-    }
-  }
-};
-
-MetricsRegistry::MetricsRegistry()
-    : uid_(next_registry_uid.fetch_add(1, std::memory_order_relaxed)) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
 MetricsRegistry::Id MetricsRegistry::register_metric(std::string_view name,
                                                      MetricKind kind) {
   MARSIT_CHECK(!name.empty()) << "metric name must be non-empty";
   const MutexLock lock(mu_);
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) {
-      MARSIT_CHECK(kinds_[i] == kind)
-          << "metric '" << names_[i] << "' re-registered as "
-          << metric_kind_name(kind) << ", was " << metric_kind_name(kinds_[i]);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].name == name) {
+      MARSIT_CHECK(slots_[i].kind == kind)
+          << "metric '" << slots_[i].name << "' re-registered as "
+          << metric_kind_name(kind) << ", was "
+          << metric_kind_name(slots_[i].kind);
       return static_cast<Id>(i);
     }
   }
-  MARSIT_CHECK(names_.size() < kMaxMetrics)
-      << "metric registry full (" << kMaxMetrics << ")";
-  names_.emplace_back(name);
-  kinds_.push_back(kind);
-  return static_cast<Id>(names_.size() - 1);
+  MetricSnapshot& added = slots_.emplace_back();
+  added.name = name;
+  added.kind = kind;
+  if (kind == MetricKind::kHistogram) {
+    added.buckets.assign(kHistogramBuckets, 0);
+  }
+  return static_cast<Id>(slots_.size() - 1);
 }
 
-MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  // One-entry cache: the global registry is effectively the only publisher,
-  // so the fast path is two thread-local loads and a compare.
-  thread_local std::uint64_t cached_uid = 0;
-  thread_local Shard* cached_shard = nullptr;
-  if (cached_uid == uid_) {
-    return *cached_shard;
-  }
-  auto shard = std::make_unique<Shard>();
-  Shard* raw = shard.get();
-  {
-    const MutexLock lock(mu_);
-    shards_.push_back(std::move(shard));
-  }
-  cached_uid = uid_;
-  cached_shard = raw;
-  return *raw;
+MetricSnapshot& MetricsRegistry::slot(Id id) {
+  MARSIT_CHECK(id < slots_.size()) << "metric id " << id << " out of range";
+  return slots_[id];
 }
 
 void MetricsRegistry::add(Id id, double delta) {
-  MARSIT_CHECK(id < kMaxMetrics) << "metric id out of range";
   if (!enabled()) {
     return;
   }
-  Shard& shard = local_shard();
-  shard.value[id].fetch_add(delta, std::memory_order_relaxed);
-  shard.count[id].fetch_add(1, std::memory_order_relaxed);
+  const MutexLock lock(mu_);
+  MetricSnapshot& metric = slot(id);
+  metric.value += delta;
+  ++metric.count;
 }
 
 void MetricsRegistry::set(Id id, double value) {
-  MARSIT_CHECK(id < kMaxMetrics) << "metric id out of range";
   if (!enabled()) {
     return;
   }
-  gauges_[id].store(value, std::memory_order_relaxed);
-  gauge_counts_[id].fetch_add(1, std::memory_order_relaxed);
+  const MutexLock lock(mu_);
+  MetricSnapshot& metric = slot(id);
+  metric.value = value;
+  ++metric.count;
 }
 
 void MetricsRegistry::observe(Id id, double value) {
-  MARSIT_CHECK(id < kMaxMetrics) << "metric id out of range";
   if (!enabled()) {
     return;
   }
-  Shard& shard = local_shard();
-  shard.value[id].fetch_add(value, std::memory_order_relaxed);
-  shard.count[id].fetch_add(1, std::memory_order_relaxed);
-  Shard::Buckets* buckets =
-      shard.buckets[id].load(std::memory_order_acquire);
-  if (buckets == nullptr) {
-    buckets = new Shard::Buckets();
-    shard.buckets[id].store(buckets, std::memory_order_release);
-  }
-  buckets->count[histogram_bucket(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  // min/max: the shard is single-writer, so plain load-compare-store on the
-  // atomics is race-free within the shard.
-  if (!buckets->has_extrema.load(std::memory_order_relaxed)) {
-    buckets->min.store(value, std::memory_order_relaxed);
-    buckets->max.store(value, std::memory_order_relaxed);
-    buckets->has_extrema.store(true, std::memory_order_relaxed);
+  const MutexLock lock(mu_);
+  MetricSnapshot& metric = slot(id);
+  MARSIT_CHECK(metric.kind == MetricKind::kHistogram)
+      << "metric '" << metric.name << "' is not a histogram";
+  if (metric.count == 0) {
+    metric.min = value;
+    metric.max = value;
   } else {
-    if (value < buckets->min.load(std::memory_order_relaxed)) {
-      buckets->min.store(value, std::memory_order_relaxed);
-    }
-    if (value > buckets->max.load(std::memory_order_relaxed)) {
-      buckets->max.store(value, std::memory_order_relaxed);
-    }
+    metric.min = std::min(metric.min, value);
+    metric.max = std::max(metric.max, value);
   }
+  metric.value += value;
+  ++metric.count;
+  ++metric.buckets[histogram_bucket(value)];
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::scrape() const {
   const MutexLock lock(mu_);
-  std::vector<MetricSnapshot> result(names_.size());
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    MetricSnapshot& snap = result[i];
-    snap.name = names_[i];
-    snap.kind = kinds_[i];
-    if (snap.kind == MetricKind::kGauge) {
-      snap.value = gauges_[i].load(std::memory_order_relaxed);
-      snap.count = gauge_counts_[i].load(std::memory_order_relaxed);
-      continue;
-    }
-    if (snap.kind == MetricKind::kHistogram) {
-      snap.buckets.assign(kHistogramBuckets, 0);
-    }
-    bool has_extrema = false;
-    for (const auto& shard : shards_) {
-      snap.value += shard->value[i].load(std::memory_order_relaxed);
-      snap.count += shard->count[i].load(std::memory_order_relaxed);
-      const Shard::Buckets* buckets =
-          shard->buckets[i].load(std::memory_order_acquire);
-      if (buckets == nullptr) {
-        continue;
-      }
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        snap.buckets[b] += buckets->count[b].load(std::memory_order_relaxed);
-      }
-      if (buckets->has_extrema.load(std::memory_order_relaxed)) {
-        const double lo = buckets->min.load(std::memory_order_relaxed);
-        const double hi = buckets->max.load(std::memory_order_relaxed);
-        if (!has_extrema) {
-          snap.min = lo;
-          snap.max = hi;
-          has_extrema = true;
-        } else {
-          snap.min = std::min(snap.min, lo);
-          snap.max = std::max(snap.max, hi);
-        }
-      }
-    }
-  }
-  return result;
+  return slots_;
 }
 
 MetricSnapshot MetricsRegistry::find(std::string_view name) const {
-  std::vector<MetricSnapshot> snaps = scrape();
-  for (MetricSnapshot& snap : snaps) {
-    if (snap.name == name) {
-      return std::move(snap);
+  const MutexLock lock(mu_);
+  for (const MetricSnapshot& metric : slots_) {
+    if (metric.name == name) {
+      return metric;
     }
   }
   return {};
@@ -236,18 +125,18 @@ MetricSnapshot MetricsRegistry::find(std::string_view name) const {
 
 void MetricsRegistry::reset() {
   const MutexLock lock(mu_);
-  for (auto& shard : shards_) {
-    shard->zero();
-  }
-  for (std::size_t i = 0; i < kMaxMetrics; ++i) {
-    gauges_[i].store(0.0, std::memory_order_relaxed);
-    gauge_counts_[i].store(0, std::memory_order_relaxed);
+  for (MetricSnapshot& metric : slots_) {
+    metric.value = 0.0;
+    metric.count = 0;
+    metric.min = 0.0;
+    metric.max = 0.0;
+    std::fill(metric.buckets.begin(), metric.buckets.end(), 0);
   }
 }
 
 std::size_t MetricsRegistry::metric_count() const {
   const MutexLock lock(mu_);
-  return names_.size();
+  return slots_.size();
 }
 
 MetricsRegistry& MetricsRegistry::global() {

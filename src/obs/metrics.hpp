@@ -2,16 +2,16 @@
 // stack, designed around two constraints:
 //
 //   * **zero-cost when disabled** (the default): every publish helper first
-//     reads one relaxed atomic flag and returns; no allocation, no lock, no
-//     branch into the shards.  Instrumented hot paths (NetworkSim::transfer,
-//     SyncStrategy::synchronize, the trainer loop) therefore stay
-//     bit-identical — the instrumentation never touches values or RNG
-//     streams, only observes them;
+//     reads one relaxed atomic flag and returns; no allocation, no lock.
+//     Instrumented hot paths (NetworkSim::transfer, SyncStrategy::synchronize,
+//     the trainer loop) therefore stay bit-identical — the instrumentation
+//     never touches values or RNG streams, only observes them;
 //
-//   * **lock-free publishing when enabled**: each publishing thread owns a
-//     private shard (atomics written only by that thread, relaxed order) and
-//     scrape() merges the shards under the registration mutex.  The sharded
-//     sync pipeline can publish from pool threads without serializing.
+//   * **one mutex when enabled**: each metric is one slot under the
+//     registry mutex, and a publish locks it for a few adds.  No pool task
+//     publishes (every instrumentation site sits outside the parallel_for
+//     bodies), so only threads that each drive a whole round — one per rank
+//     in an in-process multi-rank run — ever share the lock.
 //
 // Metric kinds:
 //   counter   — monotonically accumulating double (wire bits, retries);
@@ -23,11 +23,9 @@
 // DESIGN.md §9 lists every name the stack publishes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +51,7 @@ std::size_t histogram_bucket(double value);
 /// Inclusive lower bound of bucket `index`.
 double histogram_bucket_floor(std::size_t index);
 
-/// Merged view of one metric across all shards, returned by scrape().
+/// One metric's state; scrape() returns copies.
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -70,12 +68,8 @@ struct MetricSnapshot {
 class MetricsRegistry {
  public:
   using Id = std::uint32_t;
-  /// Registrations are capped so shards can be fixed-size atomic arrays
-  /// (atomics cannot live in resizable vectors).
-  static constexpr std::size_t kMaxMetrics = 128;
 
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -85,8 +79,7 @@ class MetricsRegistry {
   Id register_metric(std::string_view name, MetricKind kind);
 
   /// Publishing.  All are no-ops while the registry is disabled; when
-  /// enabled they touch only the calling thread's shard (counters,
-  /// histograms) or a single central atomic (gauges).
+  /// enabled they update the metric's slot under the registry mutex.
   void add(Id id, double delta);
   void set(Id id, double value);
   void observe(Id id, double value);
@@ -96,7 +89,7 @@ class MetricsRegistry {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Merges every shard into per-metric snapshots, in registration order.
+  /// Every metric's snapshot, in registration order.
   std::vector<MetricSnapshot> scrape() const;
 
   /// Snapshot of one metric by name; a zeroed snapshot with an empty name
@@ -106,8 +99,7 @@ class MetricsRegistry {
   /// Counter/gauge value by name (0 when unregistered).
   double value(std::string_view name) const { return find(name).value; }
 
-  /// Zeroes every shard and gauge, keeping registrations.  Callers must
-  /// quiesce publishing threads first (test/scrape-cycle use only).
+  /// Zeroes every metric, keeping registrations.
   void reset();
 
   std::size_t metric_count() const;
@@ -116,21 +108,13 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
  private:
-  struct Shard;
-
-  Shard& local_shard();
-  const Shard* shard_for_scrape(std::size_t index) const;
+  /// The slot of a registered id (checked).
+  MetricSnapshot& slot(Id id) MARSIT_REQUIRES(mu_);
 
   std::atomic<bool> enabled_{false};
-  const std::uint64_t uid_;  // process-unique; keys the thread-local cache
 
-  mutable Mutex mu_;  // guards names_/kinds_/shards_ structure
-  std::vector<std::string> names_ MARSIT_GUARDED_BY(mu_);
-  std::vector<MetricKind> kinds_ MARSIT_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Shard>> shards_ MARSIT_GUARDED_BY(mu_);
-  /// Gauges are last-writer-wins; one central slot each (not sharded).
-  std::array<std::atomic<double>, kMaxMetrics> gauges_{};
-  std::array<std::atomic<std::uint64_t>, kMaxMetrics> gauge_counts_{};
+  mutable Mutex mu_;  // guards every slot and the registration list
+  std::vector<MetricSnapshot> slots_ MARSIT_GUARDED_BY(mu_);
 };
 
 inline bool metrics_enabled() { return MetricsRegistry::global().enabled(); }

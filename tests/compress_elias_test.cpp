@@ -4,40 +4,12 @@
 
 #include <vector>
 
+#include "compress/sign_sum.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace marsit {
 namespace {
-
-TEST(BitWriterTest, WritesAndCountsBits) {
-  BitWriter writer;
-  writer.write_bit(true);
-  writer.write_bit(false);
-  writer.write_bit(true);
-  EXPECT_EQ(writer.bit_count(), 3u);
-
-  BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_TRUE(reader.read_bit());
-  EXPECT_FALSE(reader.read_bit());
-  EXPECT_TRUE(reader.read_bit());
-  EXPECT_TRUE(reader.exhausted());
-}
-
-TEST(BitWriterTest, MsbFirstRoundTrip) {
-  BitWriter writer;
-  writer.write_bits_msb_first(0b10110, 5);
-  BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_EQ(reader.read_bits_msb_first(5), 0b10110u);
-}
-
-TEST(BitReaderTest, ExhaustionThrows) {
-  BitWriter writer;
-  writer.write_bit(true);
-  BitReader reader(writer.bytes(), writer.bit_count());
-  reader.read_bit();
-  EXPECT_THROW(reader.read_bit(), CheckError);
-}
 
 TEST(EliasGammaTest, KnownCodeLengths) {
   // γ(1)=1 bit, γ(2..3)=3, γ(4..7)=5, γ(8..15)=7.
@@ -47,59 +19,12 @@ TEST(EliasGammaTest, KnownCodeLengths) {
   EXPECT_EQ(elias_gamma_length(4), 5u);
   EXPECT_EQ(elias_gamma_length(7), 5u);
   EXPECT_EQ(elias_gamma_length(8), 7u);
+  EXPECT_EQ(elias_gamma_length(1u << 20), 41u);
+  EXPECT_EQ(elias_gamma_length((1ull << 32) + 5), 65u);
 }
 
 TEST(EliasGammaTest, RejectsZero) {
-  BitWriter writer;
-  EXPECT_THROW(elias_gamma_encode(0, writer), CheckError);
   EXPECT_THROW(elias_gamma_length(0), CheckError);
-}
-
-class EliasRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EliasRoundTrip, GammaRoundTrips) {
-  const std::uint64_t n = GetParam();
-  BitWriter writer;
-  elias_gamma_encode(n, writer);
-  EXPECT_EQ(writer.bit_count(), elias_gamma_length(n));
-  BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_EQ(elias_gamma_decode(reader), n);
-  EXPECT_TRUE(reader.exhausted());
-}
-
-TEST_P(EliasRoundTrip, DeltaRoundTrips) {
-  const std::uint64_t n = GetParam();
-  BitWriter writer;
-  elias_delta_encode(n, writer);
-  EXPECT_EQ(writer.bit_count(), elias_delta_length(n));
-  BitReader reader(writer.bytes(), writer.bit_count());
-  EXPECT_EQ(elias_delta_decode(reader), n);
-  EXPECT_TRUE(reader.exhausted());
-}
-
-INSTANTIATE_TEST_SUITE_P(Values, EliasRoundTrip,
-                         ::testing::Values(1ull, 2ull, 3ull, 4ull, 7ull,
-                                           8ull, 100ull, 255ull, 256ull,
-                                           65535ull, 1ull << 20,
-                                           (1ull << 32) + 5));
-
-TEST(EliasTest, SequenceRoundTrip) {
-  Rng rng(10);
-  std::vector<std::uint64_t> values;
-  BitWriter writer;
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint64_t n = 1 + rng.next_below(10000);
-    values.push_back(n);
-    elias_gamma_encode(n, writer);
-  }
-  BitReader reader(writer.bytes(), writer.bit_count());
-  for (std::uint64_t expected : values) {
-    ASSERT_EQ(elias_gamma_decode(reader), expected);
-  }
-}
-
-TEST(EliasTest, DeltaShorterThanGammaForLargeValues) {
-  EXPECT_LT(elias_delta_length(1u << 20), elias_gamma_length(1u << 20));
 }
 
 TEST(ZigZagTest, MapsSmallMagnitudesToSmallCodes) {
@@ -111,45 +36,56 @@ TEST(ZigZagTest, MapsSmallMagnitudesToSmallCodes) {
 }
 
 TEST(ZigZagTest, Bijection) {
+  // [−100, 100] maps one-to-one onto the codes 1..201.
+  std::vector<bool> seen(202, false);
   for (std::int64_t v = -100; v <= 100; ++v) {
-    EXPECT_EQ(zigzag_unmap(zigzag_map(v)), v) << "value " << v;
+    const std::uint64_t mapped = zigzag_map(v);
+    ASSERT_GE(mapped, 1u) << "value " << v;
+    ASSERT_LE(mapped, 201u) << "value " << v;
+    EXPECT_FALSE(seen[mapped]) << "value " << v << " collides";
+    seen[mapped] = true;
   }
 }
 
-TEST(ZigZagTest, UnmapRejectsZero) {
-  EXPECT_THROW(zigzag_unmap(0), CheckError);
+TEST(EliasSignSumTest, WireBitsEliasMatchesHandSum) {
+  // Four workers' signs over five elements; the sums are 4, 2, 0, −2, −4.
+  const std::vector<std::vector<bool>> workers{
+      {true, true, true, true, false},
+      {true, true, true, false, false},
+      {true, true, false, false, false},
+      {true, false, false, false, false}};
+  SignSum sum(5);
+  for (const std::vector<bool>& signs : workers) {
+    BitVector bits(5);
+    for (std::size_t i = 0; i < signs.size(); ++i) {
+      bits.set(i, signs[i]);
+    }
+    sum.accumulate(bits);
+  }
+  ASSERT_EQ(std::vector<std::int32_t>(sum.values().begin(),
+                                      sum.values().end()),
+            (std::vector<std::int32_t>{4, 2, 0, -2, -4}));
+  // zig-zag 9, 5, 1, 4, 8 → γ lengths 7 + 5 + 1 + 5 + 7.
+  EXPECT_EQ(sum.wire_bits_elias(), 25u);
 }
 
-TEST(EliasSignedTest, SignedSequenceRoundTrip) {
-  std::vector<std::int32_t> values{0, -1, 1, -5, 5, 100, -100, 0, 0, 7};
-  BitWriter writer;
-  const std::size_t bits = elias_gamma_encode_signed(
-      {values.data(), values.size()}, writer);
-  EXPECT_EQ(bits, writer.bit_count());
-  BitReader reader(writer.bytes(), writer.bit_count());
-  const auto decoded = elias_gamma_decode_signed(reader, values.size());
-  EXPECT_EQ(decoded, values);
-}
-
-TEST(EliasSignedTest, NearZeroDataCompressesBelowFixedWidth) {
+TEST(EliasSignSumTest, NearZeroSumsCompressBelowFixedWidth) {
   // Sign sums concentrated near zero (the common case for i.i.d. gradients)
   // must beat the ⌈log2(M+1)⌉+1 fixed width; that is why the paper bothers
   // with Elias coding.
   Rng rng(11);
-  std::vector<std::int32_t> values(4096);
-  for (auto& v : values) {
-    // Sum of 32 random ±1: mean 0, sd ≈ 5.7 — like a 32-worker sign-sum.
-    int sum = 0;
-    for (int i = 0; i < 32; ++i) {
-      sum += rng.bernoulli(0.5) ? 1 : -1;
+  constexpr std::size_t kElements = 4096;
+  SignSum sum(kElements);
+  for (int worker = 0; worker < 32; ++worker) {
+    // 32 random ±1 per element: mean 0, sd ≈ 5.7.
+    BitVector bits(kElements);
+    for (std::size_t i = 0; i < kElements; ++i) {
+      bits.set(i, rng.bernoulli(0.5));
     }
-    v = sum;
+    sum.accumulate(bits);
   }
-  BitWriter writer;
-  const std::size_t bits = elias_gamma_encode_signed(
-      {values.data(), values.size()}, writer);
-  const std::size_t fixed_bits = values.size() * 7;  // ⌈log2 33⌉ + 1
-  EXPECT_LT(bits, fixed_bits);
+  EXPECT_EQ(sum.wire_bits_fixed(), kElements * 7);  // ⌈log2 33⌉ + 1
+  EXPECT_LT(sum.wire_bits_elias(), sum.wire_bits_fixed());
 }
 
 }  // namespace

@@ -32,16 +32,6 @@ TEST(SignSumTest, FromSigns) {
   EXPECT_EQ(sum.value(1), 1);
 }
 
-TEST(SignSumTest, MergeAddsValuesAndContributions) {
-  SignSum a = SignSum::from_signs(signs_of({1.0f, 1.0f}));
-  SignSum b = SignSum::from_signs(signs_of({1.0f, -1.0f}));
-  b.accumulate(signs_of({1.0f, -1.0f}));
-  a.merge(b);
-  EXPECT_EQ(a.contributions(), 3u);
-  EXPECT_EQ(a.value(0), 3);
-  EXPECT_EQ(a.value(1), -1);
-}
-
 TEST(SignSumTest, MajorityTiesToPositive) {
   SignSum sum(2);
   sum.accumulate(signs_of({1.0f, -1.0f}));
@@ -70,8 +60,6 @@ TEST(SignSumTest, MeanOfZeroContributionsThrows) {
 TEST(SignSumTest, ExtentMismatchThrows) {
   SignSum sum(3);
   EXPECT_THROW(sum.accumulate(BitVector(4)), CheckError);
-  SignSum other(4);
-  EXPECT_THROW(sum.merge(other), CheckError);
 }
 
 TEST(SignSumBitsTest, WidthFormula) {
@@ -93,7 +81,7 @@ TEST(SignSumBitsTest, FixedWireBits) {
   EXPECT_EQ(sum.wire_bits_fixed(), 100u * 3u);
 }
 
-TEST(SignSumBitsTest, EliasBitsArePositiveAndDecodable) {
+TEST(SignSumBitsTest, EliasBitsOfZeroSumsAreOneBitEach) {
   SignSum sum(64);
   BitVector all_plus(64);
   all_plus.fill(true);

@@ -94,7 +94,7 @@ HopSchedule schedule_of(RoundKind kind, const Shape& shape,
 /// thread per rank.
 void on_fabric(std::size_t world,
                const std::function<void(std::size_t, Transport&)>& fn) {
-  SimFabric fabric(world, CostModel{});
+  SimFabric fabric(world);
   std::vector<std::unique_ptr<SimTransport>> endpoints;
   for (std::size_t r = 0; r < world; ++r) {
     endpoints.push_back(fabric.endpoint(r));

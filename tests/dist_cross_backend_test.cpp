@@ -173,17 +173,14 @@ std::vector<dist::WorkerResult> run_ranks(
 
 std::vector<dist::WorkerResult> run_over_sim_fabric(
     const dist::WorkerConfig& config, std::size_t world) {
-  SimFabric fabric(world, config.cost_model);
+  SimFabric fabric(world);
   std::vector<std::unique_ptr<Transport>> endpoints;
   for (std::size_t r = 0; r < world; ++r) {
     endpoints.push_back(fabric.endpoint(r));
   }
-  auto results = run_ranks(config, world, [&](std::size_t r) {
+  return run_ranks(config, world, [&](std::size_t r) {
     return std::move(endpoints[r]);
   });
-  EXPECT_GT(fabric.simulated_seconds(), 0.0);
-  EXPECT_GT(fabric.total_bytes(), 0.0);
-  return results;
 }
 
 std::vector<dist::WorkerResult> run_over_sockets(

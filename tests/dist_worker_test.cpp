@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic_digits.hpp"
@@ -17,6 +19,31 @@
 namespace marsit {
 namespace {
 
+/// Forwards to a SimFabric endpoint and counts the frames it sends.
+class SendCountingTransport final : public Transport {
+ public:
+  explicit SendCountingTransport(std::unique_ptr<SimTransport> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t rank() const override { return inner_->rank(); }
+  std::size_t world_size() const override { return inner_->world_size(); }
+  void send(std::size_t peer, std::uint32_t tag,
+            std::span<const std::uint8_t> payload) override {
+    ++sends_;
+    inner_->send(peer, tag, payload);
+  }
+  std::vector<std::uint8_t> recv(std::size_t peer,
+                                 std::uint32_t tag) override {
+    return inner_->recv(peer, tag);
+  }
+
+  std::size_t sends() const { return sends_; }
+
+ private:
+  std::unique_ptr<SimTransport> inner_;
+  std::size_t sends_ = 0;
+};
+
 TEST(DistWorkerTest, EveryRankRejectsNonPositiveEtaSBeforeTheFirstFrame) {
   for (const float eta_s : {0.0f, -1e-3f}) {
     dist::WorkerConfig config;
@@ -24,10 +51,11 @@ TEST(DistWorkerTest, EveryRankRejectsNonPositiveEtaSBeforeTheFirstFrame) {
     config.options.eta_s = eta_s;
     config.options.full_precision_period = 2;
     const std::size_t world = 2;
-    SimFabric fabric(world, config.cost_model);
-    std::vector<std::unique_ptr<SimTransport>> endpoints;
+    SimFabric fabric(world);
+    std::vector<std::unique_ptr<SendCountingTransport>> endpoints;
     for (std::size_t r = 0; r < world; ++r) {
-      endpoints.push_back(fabric.endpoint(r));
+      endpoints.push_back(
+          std::make_unique<SendCountingTransport>(fabric.endpoint(r)));
     }
     std::vector<int> rejected(world, 0);
     std::vector<std::thread> ranks;
@@ -51,8 +79,9 @@ TEST(DistWorkerTest, EveryRankRejectsNonPositiveEtaSBeforeTheFirstFrame) {
     for (std::size_t r = 0; r < world; ++r) {
       EXPECT_EQ(rejected[r], 1) << "rank " << r << " accepted eta_s "
                                 << eta_s;
+      EXPECT_EQ(endpoints[r]->sends(), 0u) << "rank " << r
+                                           << " sent before rejecting";
     }
-    EXPECT_EQ(fabric.total_bytes(), 0.0);
   }
 }
 

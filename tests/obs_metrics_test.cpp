@@ -1,5 +1,5 @@
-// MetricsRegistry: registration, per-kind publish semantics, cross-thread
-// shard merging, the disabled fast path, and histogram bucket geometry.
+// MetricsRegistry: registration, per-kind publish semantics, concurrent
+// publishers, the disabled fast path, and histogram bucket geometry.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -28,17 +28,42 @@ TEST(MetricsRegistryTest, KindMismatchThrows) {
                CheckError);
 }
 
-TEST(MetricsRegistryTest, RegistrationCapEnforced) {
+TEST(MetricsRegistryTest, RegistersAndPublishesTwoHundredMetrics) {
+  // No fixed capacity: every registered metric keeps its own slot.
+  constexpr std::size_t kMetrics = 200;
   MetricsRegistry registry;
-  for (std::size_t i = 0; i < MetricsRegistry::kMaxMetrics; ++i) {
+  registry.set_enabled(true);
+  const MetricKind kinds[] = {MetricKind::kCounter, MetricKind::kGauge,
+                              MetricKind::kHistogram};
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < kMetrics; ++i) {
     // Append, not operator+: gcc 12's -Wrestrict misfires when it inlines
     // libstdc++'s operator+(const char*, string&&) here.
-    std::string name = "m";
+    std::string& name = names.emplace_back("m");
     name += std::to_string(i);
-    registry.register_metric(name, MetricKind::kCounter);
+    const auto id = registry.register_metric(name, kinds[i % 3]);
+    ASSERT_EQ(id, i);
+    const auto value = static_cast<double>(i + 1);
+    switch (kinds[i % 3]) {
+      case MetricKind::kCounter:
+        registry.add(id, value);
+        break;
+      case MetricKind::kGauge:
+        registry.set(id, value);
+        break;
+      case MetricKind::kHistogram:
+        registry.observe(id, value);
+        break;
+    }
   }
-  EXPECT_THROW(registry.register_metric("overflow", MetricKind::kCounter),
-               CheckError);
+  const std::vector<MetricSnapshot> snaps = registry.scrape();
+  ASSERT_EQ(snaps.size(), kMetrics);
+  for (std::size_t i = 0; i < kMetrics; ++i) {
+    EXPECT_EQ(snaps[i].name, names[i]);
+    EXPECT_EQ(snaps[i].kind, kinds[i % 3]);
+    EXPECT_EQ(snaps[i].value, static_cast<double>(i + 1)) << snaps[i].name;
+    EXPECT_EQ(snaps[i].count, 1u) << snaps[i].name;
+  }
 }
 
 TEST(MetricsRegistryTest, CounterAccumulates) {
@@ -117,7 +142,7 @@ TEST(MetricsRegistryTest, DisabledPublishesAreDropped) {
   EXPECT_EQ(registry.find("h").count, 0u);
 }
 
-TEST(MetricsRegistryTest, ScrapeMergesThreadShards) {
+TEST(MetricsRegistryTest, ConcurrentPublishersSumExactly) {
   MetricsRegistry registry;
   registry.set_enabled(true);
   const auto c = registry.register_metric("c", MetricKind::kCounter);
@@ -136,9 +161,16 @@ TEST(MetricsRegistryTest, ScrapeMergesThreadShards) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_DOUBLE_EQ(registry.find("c").value, kThreads * kAddsPerThread);
-  EXPECT_EQ(registry.find("h").count,
-            static_cast<std::uint64_t>(kThreads * kAddsPerThread));
+  // Small integers add exactly in any order, so no publish may be lost.
+  constexpr auto kPublishes = static_cast<std::uint64_t>(kThreads) *
+                              static_cast<std::uint64_t>(kAddsPerThread);
+  const MetricSnapshot counter = registry.find("c");
+  EXPECT_EQ(counter.value, static_cast<double>(kPublishes));
+  EXPECT_EQ(counter.count, kPublishes);
+  const MetricSnapshot histogram = registry.find("h");
+  EXPECT_EQ(histogram.value, 2.0 * static_cast<double>(kPublishes));
+  EXPECT_EQ(histogram.count, kPublishes);
+  EXPECT_EQ(histogram.buckets[histogram_bucket(2.0)], kPublishes);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsRegistrations) {

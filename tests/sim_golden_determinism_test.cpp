@@ -55,18 +55,25 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-/// One golden run: a strategy and the local step its workers take.
+enum class GoldenModel { kMlp, kAlexNet };
+
+/// One golden run: a strategy, the local step its workers take and the
+/// model they train.
 struct GoldenCase {
   const char* key;
   SyncMethod method;
   OptimizerKind optimizer = OptimizerKind::kSgd;
   float clip_grad_norm = 0.0f;
   std::size_t local_steps = 1;
+  GoldenModel model = GoldenModel::kMlp;
 };
 
-// The first six cases run plain SGD with one local step.  The last two pin
-// the local optimizers, gradient clipping and the multi-step local walk,
-// which both backends share through LocalWorker.
+// The first six cases run plain SGD with one local step on the MLP.  The
+// next two pin the local optimizers, gradient clipping and the multi-step
+// local walk, which both backends share through LocalWorker.  The last two
+// run SGD through AlexNet-mini's convolutions and SGD with clipping, the
+// two paths where the local step's gradient scale meets a layer other than
+// Linear or an unscaled gradient.
 constexpr float kFiringClip = 0.8f;
 constexpr GoldenCase kCases[] = {
     {"psgd-rar", SyncMethod::kPsgd},
@@ -78,8 +85,11 @@ constexpr GoldenCase kCases[] = {
     {"marsit-rar-momentum-clip-h3", SyncMethod::kMarsit,
      OptimizerKind::kMomentum, kFiringClip, 3},
     {"psgd-rar-adam", SyncMethod::kPsgd, OptimizerKind::kAdam},
+    {"marsit-rar-alexnet", SyncMethod::kMarsit, OptimizerKind::kSgd, 0.0f, 1,
+     GoldenModel::kAlexNet},
+    {"psgd-rar-sgd-clip", SyncMethod::kPsgd, OptimizerKind::kSgd,
+     kFiringClip},
 };
-constexpr const GoldenCase& kClipCase = kCases[6];
 
 SyncConfig golden_sync_config(ThreadPool* pool) {
   SyncConfig sync_config;
@@ -105,7 +115,10 @@ TrainerConfig golden_trainer_config(const GoldenCase& c) {
   return config;
 }
 
-Sequential golden_model(const SyntheticDigits& digits) {
+Sequential golden_model(const SyntheticDigits& digits, const GoldenCase& c) {
+  if (c.model == GoldenModel::kAlexNet) {
+    return make_alexnet_mini(digits.image_dims(), digits.num_classes());
+  }
   return make_mlp(digits.sample_size(), {24}, digits.num_classes());
 }
 
@@ -131,8 +144,8 @@ GoldenRun run_case(const SyntheticDigits& digits, const GoldenCase& c,
   TrainerConfig config = golden_trainer_config(c);
   config.rounds = rounds;
   run.trainer = std::make_unique<DistributedTrainer>(
-      digits, [&digits] { return golden_model(digits); }, *run.strategy,
-      config);
+      digits, [&digits, &c] { return golden_model(digits, c); },
+      *run.strategy, config);
   run.result = run.trainer->train();
   return run;
 }
@@ -169,35 +182,44 @@ std::uint64_t run_digest(const GoldenCase& c, ThreadPool* pool) {
 }
 
 TEST(GoldenDeterminismTest, ClipCaseClipsMostRounds) {
-  // The clip case pins gradient clipping only if clipping moves the
-  // gradient: in most (round, worker) pairs, the first local step must see
-  // a raw gradient longer than the clip norm.  Round t starts from the
+  // A clip case pins gradient clipping only if clipping moves the gradient:
+  // in most (round, worker) pairs, the first local step must see a raw
+  // gradient longer than the clip norm.  Round t starts from the
   // parameters of the same run stopped after t rounds.
   set_log_level(LogLevel::kError);
   SyntheticDigits digits;
-  const TrainerConfig config = golden_trainer_config(kClipCase);
-  const std::size_t workers = golden_sync_config(nullptr).num_workers;
-  const ShardedSampler sampler = make_train_sampler(
-      digits, workers, config.batch_size_per_worker, config.seed);
-  Sequential model = golden_model(digits);
-  Batch batch;
-  std::size_t fired = 0;
-  for (std::size_t t = 0; t < config.rounds; ++t) {
-    const GoldenRun run = run_case(digits, kClipCase, nullptr, t);
-    run.trainer->copy_params_into(model.params());
-    for (std::size_t w = 0; w < workers; ++w) {
-      sampler.worker_batch(w, t * config.local_steps, batch);
-      const auto logits = model.forward(batch.inputs.span(), batch.size());
-      std::vector<float> dlogits(logits.size());
-      softmax_cross_entropy(logits,
-                            {batch.labels.data(), batch.labels.size()},
-                            model.out_size(), {dlogits.data(), dlogits.size()});
-      model.backward({dlogits.data(), dlogits.size()}, batch.size());
-      fired += l2_norm(model.grads()) > kFiringClip ? 1 : 0;
+  std::size_t clip_cases = 0;
+  for (const GoldenCase& c : kCases) {
+    if (c.clip_grad_norm <= 0.0f) {
+      continue;
     }
+    ++clip_cases;
+    const TrainerConfig config = golden_trainer_config(c);
+    const std::size_t workers = golden_sync_config(nullptr).num_workers;
+    const ShardedSampler sampler = make_train_sampler(
+        digits, workers, config.batch_size_per_worker, config.seed);
+    Sequential model = golden_model(digits, c);
+    Batch batch;
+    std::size_t fired = 0;
+    for (std::size_t t = 0; t < config.rounds; ++t) {
+      const GoldenRun run = run_case(digits, c, nullptr, t);
+      run.trainer->copy_params_into(model.params());
+      for (std::size_t w = 0; w < workers; ++w) {
+        sampler.worker_batch(w, t * config.local_steps, batch);
+        const auto logits = model.forward(batch.inputs.span(), batch.size());
+        std::vector<float> dlogits(logits.size());
+        softmax_cross_entropy(
+            logits, {batch.labels.data(), batch.labels.size()},
+            model.out_size(), {dlogits.data(), dlogits.size()});
+        model.backward({dlogits.data(), dlogits.size()}, batch.size());
+        fired += l2_norm(model.grads()) > c.clip_grad_norm ? 1 : 0;
+      }
+    }
+    EXPECT_GE(fired, config.rounds * workers * 3 / 4)
+        << c.key << ": " << fired << " of " << config.rounds * workers
+        << " steps clipped";
   }
-  EXPECT_GE(fired, config.rounds * workers * 3 / 4)
-      << fired << " of " << config.rounds * workers << " steps clipped";
+  EXPECT_EQ(clip_cases, 2u);
 }
 
 std::string golden_path() {

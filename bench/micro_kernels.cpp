@@ -30,9 +30,11 @@
 // rows time the three products of a Linear layer at batch 16 on the Linear
 // shapes of the benchmark MLPs (seconds and GFLOP/s): forward matmul_a_bt,
 // the input gradient matmul and the weight gradient matmul_at_b (β = 0).
-// Each row also computes its product in the other two layouts, and a byte
-// that differs exits non-zero.  CRC32 runs at the two frame sizes of a
-// ring-large round, each one hop of hop_schedule (GB/s).
+// Each row also computes its product in the other two layouts, and
+// matmul_at_b at the output scale SGD's backward uses (η_l = 0.05), which
+// must equal the unscaled product scaled afterwards; a byte that differs
+// exits non-zero.  CRC32 runs at the two frame sizes of a ring-large round,
+// each one hop of hop_schedule (GB/s).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -430,20 +432,26 @@ std::vector<float> transposed(const std::vector<float>& x, std::size_t rows,
 }
 
 /// a(m×k)·b(k×n) in all three layouts — matmul(a, b), matmul_a_bt(a, bᵀ),
-/// matmul_at_b(aᵀ, b) — which tensor/ops.hpp defines to agree byte for byte.
-/// Exits 1 if they do not.
+/// matmul_at_b(aᵀ, b) — which tensor/ops.hpp defines to agree byte for byte,
+/// and matmul_at_b at output scale 0.05, defined as the product scaled
+/// afterwards.  Exits 1 if a byte differs.
 void check_layouts(const char* row, const std::vector<float>& a,
                    const std::vector<float>& b, std::size_t m, std::size_t k,
                    std::size_t n) {
+  constexpr float kGradScale = 0.05f;
   const std::vector<float> at = transposed(a, m, k);
   const std::vector<float> bt = transposed(b, k, n);
-  std::vector<float> plain(m * n), a_bt(m * n), at_b(m * n);
+  std::vector<float> plain(m * n), a_bt(m * n), at_b(m * n),
+      at_b_scaled(m * n);
   matmul({a.data(), a.size()}, {b.data(), b.size()},
          {plain.data(), plain.size()}, m, k, n);
   matmul_a_bt({a.data(), a.size()}, {bt.data(), bt.size()},
               {a_bt.data(), a_bt.size()}, m, k, n);
   matmul_at_b({at.data(), at.size()}, {b.data(), b.size()},
               {at_b.data(), at_b.size()}, m, k, n);
+  matmul_at_b({at.data(), at.size()}, {b.data(), b.size()},
+              {at_b_scaled.data(), at_b_scaled.size()}, m, k, n, 0.0f,
+              kGradScale);
   const std::size_t bytes = plain.size() * sizeof(float);
   if (std::memcmp(plain.data(), a_bt.data(), bytes) != 0 ||
       std::memcmp(plain.data(), at_b.data(), bytes) != 0) {
@@ -451,6 +459,14 @@ void check_layouts(const char* row, const std::vector<float>& a,
                  "%s %zux%zux%zu: matmul, matmul_a_bt and matmul_at_b "
                  "differ\n",
                  row, m, k, n);
+    std::exit(1);
+  }
+  scale({plain.data(), plain.size()}, kGradScale);
+  if (std::memcmp(plain.data(), at_b_scaled.data(), bytes) != 0) {
+    std::fprintf(stderr,
+                 "%s %zux%zux%zu: matmul_at_b at output scale %g differs "
+                 "from the product scaled afterwards\n",
+                 row, m, k, n, static_cast<double>(kGradScale));
     std::exit(1);
   }
 }

@@ -1,7 +1,6 @@
 #include "dist/worker.hpp"
 
 #include <chrono>
-#include <utility>
 
 #include "ckpt/snapshot.hpp"
 #include "compress/bit_vector.hpp"
@@ -49,8 +48,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   init_replica(local.model(), dataset, config.trainer_seed);
   const std::size_t d = local.model().param_count();
 
-  Tensor compensation(d);
-  Tensor global(d);  // the flush's mean
+  Tensor compensation(d);  // c, and on a flush round the flush's mean
   const std::size_t k = config.options.full_precision_period;
   // One schedule per round kind, priced once on the wire alone: the
   // NetworkSim replay is a pure function of the schedule and the cost
@@ -86,8 +84,8 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     const WallClock::time_point comm_start = WallClock::now();
     double sent_bytes = 0.0;
     if (full_precision) {
-      // Lines 12–13: all-reduce u + c in place; its mean becomes g and
-      // c restarts at zero.
+      // Lines 12–13: all-reduce u + c in place; its mean becomes g, which
+      // is applied from the same buffer before c restarts at zero.
       if (owed) {
         marsit_settle(config.options, signs.words(), compensation.span());
       }
@@ -95,9 +93,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       sent_bytes =
           execute_hop_schedule(transport, flush, t, compensation.span());
       scale(compensation.span(), inv_m);
-      std::swap(compensation, global);
-      clip_flush_mean(config.options, global.span());
-      compensation.zero();
+      clip_flush_mean(config.options, compensation.span());
     } else {
       marsit_begin_round(config.options,
                          owed ? signs.words() : std::span<std::uint64_t>{},
@@ -115,7 +111,8 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     report.total_wire_bits = priced.total_wire_bits;
 
     if (full_precision) {
-      local.model().apply_update(global.span());
+      local.model().apply_update(compensation.span());
+      compensation.zero();
     } else {
       // x ← x − g straight from the aggregate's sign bits.
       kernels::accumulate_signs_words(signs.words(), -config.options.eta_s,

@@ -22,7 +22,8 @@
 // the float all-reduce of every rank's u + c, built in place in the
 // compensation buffer: each fold hop adds the arriving partial in the
 // schedule's association, which MarsitSync's float fold shares, then the
-// sum is scaled by 1/M.  Round t's frames are tagged t << 2 | stream.
+// sum is scaled by 1/M, clipped and applied from that buffer before c
+// restarts at zero.  Round t's frames are tagged t << 2 | stream.
 //
 // The α–β prediction reported per round comes from price_hop_schedule —
 // the pricer of every round, the trainer's included — run once per round

@@ -25,7 +25,7 @@ void Relu::forward(std::span<const float> x, std::size_t batch,
 }
 
 void Relu::backward(std::span<const float> dy, std::size_t batch,
-                    std::span<float> dx) {
+                    std::span<float> dx, float /*grad_scale*/) {
   MARSIT_CHECK(dy.size() == batch * size_ &&
                (dx.empty() || dx.size() == dy.size()))
       << "ReLU backward extent mismatch";
@@ -49,7 +49,7 @@ void Flatten::forward(std::span<const float> x, std::size_t batch,
 }
 
 void Flatten::backward(std::span<const float> dy, std::size_t batch,
-                       std::span<float> dx) {
+                       std::span<float> dx, float /*grad_scale*/) {
   MARSIT_CHECK(dy.size() == batch * size_ &&
                (dx.empty() || dx.size() == dy.size()))
       << "Flatten backward extent mismatch";

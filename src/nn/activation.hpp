@@ -21,7 +21,7 @@ class Relu final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
  private:
   std::size_t size_;
@@ -41,7 +41,7 @@ class Flatten final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
  private:
   std::size_t size_;

@@ -160,7 +160,7 @@ void Conv2d::forward(std::span<const float> x, std::size_t batch,
 }
 
 void Conv2d::backward(std::span<const float> dy, std::size_t batch,
-                      std::span<float> dx) {
+                      std::span<float> dx, float grad_scale) {
   MARSIT_CHECK(dy.size() == batch * out_size()) << "conv backward: dy extent";
   MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
       << "conv backward: dx extent";
@@ -205,6 +205,10 @@ void Conv2d::backward(std::span<const float> dy, std::size_t batch,
     matmul_at_b(w, {dy_n, out_size()}, dcols_.span(), patch, out_channels_,
                 out_plane);
     col2im(dcols_.data(), dx.data() + n * in_size());
+  }
+  // The cross-sample sums are finished: scale them once.
+  if (grad_scale != 1.0f) {
+    scale(grads(), grad_scale);
   }
 }
 
@@ -271,7 +275,7 @@ void MaxPool2d::forward(std::span<const float> x, std::size_t batch,
 }
 
 void MaxPool2d::backward(std::span<const float> dy, std::size_t batch,
-                         std::span<float> dx) {
+                         std::span<float> dx, float /*grad_scale*/) {
   MARSIT_CHECK(dy.size() == batch * out_size()) << "pool backward: dy extent";
   MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
       << "pool backward: dx extent";
@@ -317,7 +321,7 @@ void GlobalAvgPool::forward(std::span<const float> x, std::size_t batch,
 }
 
 void GlobalAvgPool::backward(std::span<const float> dy, std::size_t batch,
-                             std::span<float> dx) {
+                             std::span<float> dx, float /*grad_scale*/) {
   MARSIT_CHECK(dy.size() == batch * in_.channels) << "gap backward: dy extent";
   MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
       << "gap backward: dx extent";

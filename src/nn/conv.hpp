@@ -35,7 +35,7 @@ class Conv2d final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
   /// [W(oc,ic,k,k) | b(oc)].
   std::size_t param_count() const override {
@@ -83,7 +83,7 @@ class MaxPool2d final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
  private:
   ImageDims in_;
@@ -104,7 +104,7 @@ class GlobalAvgPool final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
  private:
   ImageDims in_;

@@ -37,7 +37,7 @@ void Embedding::forward(std::span<const float> x, std::size_t batch,
 }
 
 void Embedding::backward(std::span<const float> dy, std::size_t batch,
-                         std::span<float> dx) {
+                         std::span<float> dx, float grad_scale) {
   MARSIT_CHECK(dy.size() == batch * seq_len_ * dim_)
       << "embedding backward: dy extent";
   MARSIT_CHECK(dx.empty() || dx.size() == batch * seq_len_)
@@ -50,6 +50,9 @@ void Embedding::backward(std::span<const float> dy, std::size_t batch,
   for (std::size_t i = 0; i < cached_ids_.size(); ++i) {
     axpy(1.0f, dy.subspan(i * dim_, dim_),
          grad.subspan(cached_ids_[i] * dim_, dim_));
+  }
+  if (grad_scale != 1.0f) {
+    scale(grad, grad_scale);
   }
 }
 
@@ -79,7 +82,7 @@ void MeanPool::forward(std::span<const float> x, std::size_t batch,
 }
 
 void MeanPool::backward(std::span<const float> dy, std::size_t batch,
-                        std::span<float> dx) {
+                        std::span<float> dx, float /*grad_scale*/) {
   MARSIT_CHECK(dy.size() == batch * dim_) << "meanpool backward: dy extent";
   MARSIT_CHECK(dx.empty() || dx.size() == batch * in_size())
       << "meanpool backward: dx extent";

@@ -25,9 +25,10 @@ class Embedding final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   /// dx is zero (token ids are not differentiable); the table gradient is
-  /// zeroed, then each token's dy row is added to its id's row.
+  /// zeroed, each token's dy row is added to its id's row, and the finished
+  /// table is scaled by grad_scale.
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
   /// The vocab × dim table.
   std::size_t param_count() const override { return vocab_ * dim_; }
@@ -58,7 +59,7 @@ class MeanPool final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
  private:
   std::size_t seq_len_;

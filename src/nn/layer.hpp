@@ -9,6 +9,11 @@
 //    cached batch: whatever grads() held before is overwritten, so a step
 //    needs no zeroing pass.  An empty dx means nobody reads dL/dx (the
 //    model's first layer); the layer then skips that work.
+//  * backward() takes a gradient scale s and writes fl(s·∂L/∂θ): it
+//    multiplies each finished gradient sum by s, never a term of it, so the
+//    bytes equal backward at s = 1 followed by scale(grads(), s).  dx is not
+//    scaled.  The local step passes s = η_l for plain SGD, so the gradient
+//    buffer receives u = η_l·g with no pass of its own (sim/trainer.hpp).
 //
 // A layer owns no parameter storage.  It computes param_count() from its
 // geometry, and bind() points params() and grads() at param_count() floats
@@ -41,11 +46,12 @@ class Layer {
   virtual void forward(std::span<const float> x, std::size_t batch,
                        std::span<float> y) = 0;
 
-  /// dx = ∂L/∂x given dy = ∂L/∂y for the cached batch, and grads() = ∂L/∂θ
-  /// for that batch, written, not added.  dx is batch·in_size() floats, or
-  /// empty when the caller does not want it.
+  /// dx = ∂L/∂x given dy = ∂L/∂y for the cached batch, and grads() =
+  /// grad_scale·∂L/∂θ for that batch, written, not added.  dx is
+  /// batch·in_size() floats, or empty when the caller does not want it.
+  /// Every override declares the same default.
   virtual void backward(std::span<const float> dy, std::size_t batch,
-                        std::span<float> dx) = 0;
+                        std::span<float> dx, float grad_scale = 1.0f) = 0;
 
   /// Trainable parameter count, from the layer's geometry (0 for
   /// parameter-free layers).

@@ -38,22 +38,26 @@ void Linear::forward(std::span<const float> x, std::size_t batch,
 }
 
 void Linear::backward(std::span<const float> dy, std::size_t batch,
-                      std::span<float> dx) {
+                      std::span<float> dx, float grad_scale) {
   MARSIT_CHECK(dy.size() == batch * out_) << "linear backward: dy extent";
   MARSIT_CHECK(dx.empty() || dx.size() == batch * in_)
       << "linear backward: dx extent";
   MARSIT_CHECK(cached_input_.size() == batch * in_)
       << "linear backward without matching forward";
 
-  // dW(out×in) = dyᵀ(out×b) · x(b×in)
+  // dW(out×in) = s·(dyᵀ(out×b) · x(b×in)), each row scaled as it is stored.
   auto dw = grads().first(in_ * out_);
-  matmul_at_b(dy, cached_input_.span(), dw, out_, batch, in_);
+  matmul_at_b(dy, cached_input_.span(), dw, out_, batch, in_, 0.0f,
+              grad_scale);
 
   if (with_bias_) {
     auto db = grads().subspan(in_ * out_);
     zero(db);
     for (std::size_t row = 0; row < batch; ++row) {
       axpy(1.0f, dy.subspan(row * out_, out_), db);
+    }
+    if (grad_scale != 1.0f) {
+      scale(db, grad_scale);
     }
   }
 

@@ -22,7 +22,7 @@ class Linear final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
   /// [W | b]: W (out×in) row-major, then b.
   std::size_t param_count() const override {

@@ -25,17 +25,15 @@ void LocalOptimizer::save_state(ckpt::SnapshotWriter& /*writer*/) const {}
 
 void LocalOptimizer::load_state(ckpt::SnapshotReader& /*reader*/) {}
 
-void SgdOptimizer::transform(std::span<const float> grad, float eta_l,
-                             std::span<float> update) {
-  scale(grad, eta_l, update);
+void SgdOptimizer::transform(std::span<float> grad, float eta_l) {
+  scale(grad, eta_l);
 }
 
 MomentumOptimizer::MomentumOptimizer(float mu) : mu_(mu) {
   MARSIT_CHECK(mu_ >= 0.0f && mu_ < 1.0f) << "momentum out of [0,1)";
 }
 
-void MomentumOptimizer::transform(std::span<const float> grad, float eta_l,
-                                  std::span<float> update) {
+void MomentumOptimizer::transform(std::span<float> grad, float eta_l) {
   if (velocity_.size() != grad.size()) {
     velocity_ = Tensor(grad.size());
   }
@@ -43,7 +41,7 @@ void MomentumOptimizer::transform(std::span<const float> grad, float eta_l,
   auto v = velocity_.span();
   scale(v, mu_);
   axpy(1.0f, grad, v);
-  scale(v, eta_l, update);
+  scale(v, eta_l, grad);
 }
 
 void MomentumOptimizer::save_state(ckpt::SnapshotWriter& writer) const {
@@ -61,8 +59,7 @@ AdamOptimizer::AdamOptimizer(float beta1, float beta2, float epsilon)
   MARSIT_CHECK(epsilon_ > 0.0f) << "epsilon must be positive";
 }
 
-void AdamOptimizer::transform(std::span<const float> grad, float eta_l,
-                              std::span<float> update) {
+void AdamOptimizer::transform(std::span<float> grad, float eta_l) {
   if (m_.size() != grad.size()) {
     m_ = Tensor(grad.size());
     v_ = Tensor(grad.size());
@@ -82,7 +79,7 @@ void AdamOptimizer::transform(std::span<const float> grad, float eta_l,
     const double v_hat = static_cast<double>(v[i]) / bc2;
     const auto direction = static_cast<float>(
         m_hat / (std::sqrt(v_hat) + static_cast<double>(epsilon_)));
-    update[i] = eta_l * direction;
+    grad[i] = eta_l * direction;
   }
 }
 

@@ -4,9 +4,10 @@
 // with a local optimizer (Momentum for the image tasks, Adam for sentiment)
 // before the synchronization framework aggregates the result (Algorithm 2
 // feeds η_l·g into Marsit; the same pattern applies to the baselines).
-// LocalOptimizer captures that: transform(grad, η_l) → η_l · direction,
-// keeping per-worker state (velocity / moments) across rounds.  The
-// *global* stepsize is owned by the sync strategy / trainer, not here.
+// LocalOptimizer captures that: transform(grad, η_l) overwrites the
+// gradient with u = η_l · direction, keeping per-worker state (velocity /
+// moments) across rounds.  The *global* stepsize is owned by the sync
+// strategy / trainer, not here.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +24,14 @@ class LocalOptimizer {
  public:
   virtual ~LocalOptimizer() = default;
   virtual std::string name() const = 0;
-  /// Writes update = η_l · direction for this round's gradient, the
+  /// Overwrites this round's gradient with u = η_l · direction, the
   /// direction rounded to float before the one float multiply by `eta_l`.
-  /// `update` may not alias `grad`.
-  virtual void transform(std::span<const float> grad, float eta_l,
-                         std::span<float> update) = 0;
+  virtual void transform(std::span<float> grad, float eta_l) = 0;
+
+  /// True when direction = grad, so u = η_l·g: the local step then has the
+  /// backward write u at gradient scale η_l and skips transform, unless it
+  /// must clip the raw gradient first.
+  virtual bool direction_is_gradient() const { return false; }
 
   /// Checkpointing: serializes the cross-round state (velocity, moments,
   /// step counter) so a resumed run continues bit-identically.  Stateless
@@ -41,8 +45,8 @@ class LocalOptimizer {
 class SgdOptimizer final : public LocalOptimizer {
  public:
   std::string name() const override { return "SGD"; }
-  void transform(std::span<const float> grad, float eta_l,
-                 std::span<float> update) override;
+  void transform(std::span<float> grad, float eta_l) override;
+  bool direction_is_gradient() const override { return true; }
 };
 
 /// Heavy-ball momentum: v ← μ·v + grad; direction = v.
@@ -50,8 +54,7 @@ class MomentumOptimizer final : public LocalOptimizer {
  public:
   explicit MomentumOptimizer(float mu = 0.9f);
   std::string name() const override { return "Momentum"; }
-  void transform(std::span<const float> grad, float eta_l,
-                 std::span<float> update) override;
+  void transform(std::span<float> grad, float eta_l) override;
   void save_state(ckpt::SnapshotWriter& writer) const override;
   void load_state(ckpt::SnapshotReader& reader) override;
 
@@ -66,8 +69,7 @@ class AdamOptimizer final : public LocalOptimizer {
   AdamOptimizer(float beta1 = 0.9f, float beta2 = 0.999f,
                 float epsilon = 1e-8f);
   std::string name() const override { return "Adam"; }
-  void transform(std::span<const float> grad, float eta_l,
-                 std::span<float> update) override;
+  void transform(std::span<float> grad, float eta_l) override;
   void save_state(ckpt::SnapshotWriter& writer) const override;
   void load_state(ckpt::SnapshotReader& reader) override;
 

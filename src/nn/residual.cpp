@@ -50,7 +50,7 @@ void ResidualConvBlock::forward(std::span<const float> x, std::size_t batch,
 }
 
 void ResidualConvBlock::backward(std::span<const float> dy, std::size_t batch,
-                                 std::span<float> dx) {
+                                 std::span<float> dx, float grad_scale) {
   const std::size_t elems = batch * dims_.size();
   MARSIT_CHECK(dy.size() == elems && (dx.empty() || dx.size() == elems))
       << "residual backward extent mismatch";
@@ -65,14 +65,14 @@ void ResidualConvBlock::backward(std::span<const float> dy, std::size_t batch,
   hadamard(dy, out_mask_.span(), d_pre);
 
   // Body branch: conv2 backward → ReLU mask on mid → conv1 backward.
-  conv2_.backward(d_pre, batch, d_mid);
+  conv2_.backward(d_pre, batch, d_mid, grad_scale);
   auto mid = mid_.span();
   for (std::size_t i = 0; i < elems; ++i) {
     if (mid[i] <= 0.0f) {
       d_mid[i] = 0.0f;
     }
   }
-  conv1_.backward(d_mid, batch, dx);
+  conv1_.backward(d_mid, batch, dx, grad_scale);
 
   // Skip branch adds d_pre directly.
   if (!dx.empty()) {

@@ -25,7 +25,7 @@ class ResidualConvBlock final : public Layer {
   void forward(std::span<const float> x, std::size_t batch,
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
-                std::span<float> dx) override;
+                std::span<float> dx, float grad_scale = 1.0f) override;
 
   std::size_t param_count() const override {
     return conv1_.param_count() + conv2_.param_count();

@@ -76,7 +76,8 @@ std::span<const float> Sequential::forward(std::span<const float> x,
   return current;
 }
 
-void Sequential::backward(std::span<const float> dy, std::size_t batch) {
+void Sequential::backward(std::span<const float> dy, std::size_t batch,
+                          float grad_scale) {
   MARSIT_CHECK(batch == last_batch_ && batch > 0)
       << "backward batch " << batch << " without matching forward";
   MARSIT_CHECK(dy.size() == batch * out_size()) << "backward: dy extent";
@@ -101,7 +102,7 @@ void Sequential::backward(std::span<const float> dy, std::size_t batch) {
     Layer& layer = *layers_[i - 1];
     auto dx = i == 1 ? std::span<float>{}
                      : next->span().subspan(0, batch * layer.in_size());
-    layer.backward(current, batch, dx);
+    layer.backward(current, batch, dx, grad_scale);
     current = dx;
     std::swap(next, spare);
   }

@@ -43,9 +43,11 @@ class Sequential {
   std::span<const float> forward(std::span<const float> x, std::size_t batch);
 
   /// Backward from dL/d(output); every layer writes its parameter
-  /// gradients for this batch.  The model input's gradient is not computed.
-  /// Must follow a forward() with the same batch.
-  void backward(std::span<const float> dy, std::size_t batch);
+  /// gradients for this batch, times `grad_scale` (Layer::backward).  The
+  /// model input's gradient is not computed.  Must follow a forward() with
+  /// the same batch.
+  void backward(std::span<const float> dy, std::size_t batch,
+                float grad_scale = 1.0f);
 
   /// Sets every parameter gradient to +0.0.  backward() overwrites them, so
   /// a training step does not need it.
@@ -56,6 +58,7 @@ class Sequential {
   /// first, the first call that needs x allocates the model's own.
   std::span<float> params();
   std::span<float> grads() { return grads_.span(); }
+  std::span<const float> grads() const { return grads_.span(); }
 
   /// Points the model's parameters at `params` (param_count() floats the
   /// caller owns and keeps alive) without copying; the gradients stay the

@@ -38,9 +38,7 @@ void init_replica(Sequential& model, const Dataset& dataset,
 }
 
 LocalWorker::LocalWorker(Sequential model, OptimizerKind optimizer)
-    : model_(std::move(model)),
-      optimizer_(make_optimizer(optimizer)),
-      update_(model_.param_count()) {}
+    : model_(std::move(model)), optimizer_(make_optimizer(optimizer)) {}
 
 void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
                        std::size_t round, float eta_l, float clip_grad_norm,
@@ -57,6 +55,11 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
     model_.bind_params(walk_.span());
   }
 
+  // Plain SGD's u = η_l·g is written by the backward itself, at gradient
+  // scale η_l; clipping must see the raw gradient, so it keeps scale 1.
+  const bool clips = clip_grad_norm > 0.0f;
+  const bool fused = !clips && optimizer_->direction_is_gradient();
+  const std::span<float> update = model_.grads();
   for (std::size_t h = 0; h < local_steps; ++h) {
     sampler.worker_batch(worker, round * local_steps + h, batch_);
 
@@ -66,25 +69,26 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
     }
     softmax_cross_entropy(logits, {batch_.labels.data(), batch_.labels.size()},
                           model_.out_size(), dlogits_.span());
-    model_.backward(dlogits_.span(), batch_.size());
+    model_.backward(dlogits_.span(), batch_.size(), fused ? eta_l : 1.0f);
 
-    const std::span<float> grad = model_.grads();
-    if (clip_grad_norm > 0.0f) {
-      const float norm = l2_norm(grad);
-      if (norm > clip_grad_norm) {
-        scale(grad, clip_grad_norm / norm);
+    if (!fused) {
+      if (clips) {
+        const float norm = l2_norm(update);
+        if (norm > clip_grad_norm) {
+          scale(update, clip_grad_norm / norm);
+        }
       }
+      optimizer_->transform(update, eta_l);
     }
-    optimizer_->transform(grad, eta_l, update_.span());
     if (local_steps > 1) {
-      model_.apply_update(update_.span());
+      model_.apply_update(update);
     }
   }
 
   if (local_steps > 1) {
     // u_m = x − x_walk, so x ← x − u replays the local walk; the global
     // update stays the only change to x.
-    sub(params, walk_.span(), update_.span());
+    sub(params, walk_.span(), update);
     model_.bind_params(params);
   }
 }

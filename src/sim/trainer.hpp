@@ -11,7 +11,8 @@
 //   * per round, LocalWorker::step draws i.i.d. minibatches (the paper's
 //     shuffled-cloud data assumption), computes real gradients on the
 //     synthetic datasets, runs the local optimizer (Momentum/Adam/SGD) and
-//     scales by the local stepsize — the step src/dist runs on each rank;
+//     scales by the local stepsize, in the model's gradient buffer — the
+//     step src/dist runs on each rank;
 //   * the SyncStrategy aggregates and returns both the global update and the
 //     round's simulated timing (communication + compression), to which the
 //     trainer adds the simulated compute time from the cost model;
@@ -63,7 +64,8 @@ void init_replica(Sequential& model, const Dataset& dataset,
 /// One worker's side of a round (Algorithm 2's local step): a model, its
 /// local optimizer and the step's scratch.  DistributedTrainer holds one
 /// per simulated worker, the distributed worker one per rank, so both
-/// compute u_m with the same code.
+/// compute u_m with the same code.  u_m lives in the model's gradient
+/// buffer; the worker holds no update buffer of its own.
 class LocalWorker {
  public:
   LocalWorker(Sequential model, OptimizerKind optimizer);
@@ -71,16 +73,19 @@ class LocalWorker {
   /// Computes worker `worker`'s u_m for round `round` into update().  Each
   /// of H = max(1, local_steps) local steps samples a minibatch, runs
   /// forward, loss and backward, clips the model's gradient in place to
-  /// `clip_grad_norm` (0 disables), and has the local optimizer write
-  /// η_l · direction from it.  The step never writes the model's
+  /// `clip_grad_norm` (0 disables), and has the local optimizer overwrite
+  /// it with η_l · direction.  Plain SGD without clipping skips both: its
+  /// backward runs at gradient scale η_l and writes u = η_l·g itself, the
+  /// bytes `scale(g, η_l)` would give.  The step never writes the model's
   /// parameters: with H > 1 the model walks H steps on a private copy,
   /// u_m is the total movement, and the model is pointed back.
   void step(const ShardedSampler& sampler, std::size_t worker,
             std::size_t round, float eta_l, float clip_grad_norm,
             std::size_t local_steps);
 
-  /// u_m from the last step().
-  std::span<const float> update() const { return update_.span(); }
+  /// u_m from the last step(): a view of the model's gradient buffer, valid
+  /// until the model's next backward.
+  std::span<const float> update() const { return model_.grads(); }
   Sequential& model() { return model_; }
   const Sequential& model() const { return model_; }
   LocalOptimizer& optimizer() { return *optimizer_; }
@@ -89,7 +94,6 @@ class LocalWorker {
  private:
   Sequential model_;
   std::unique_ptr<LocalOptimizer> optimizer_;
-  Tensor update_;   // u_m = η_l · direction
   Tensor dlogits_;  // ∂L/∂logits, sized on the first step
   Tensor walk_;     // the walked parameters (local_steps > 1)
   Batch batch_;

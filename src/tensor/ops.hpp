@@ -74,7 +74,11 @@ bool all_finite(std::span<const float> x);
 // for p ascending, each as `acc + x * w`, skipping the terms with
 // a(i, p) == 0 (+0.0 or −0.0).  That is the sequence of the axpy loop
 // `c[i][·] += a(i, p)·b[p][·]`, so matmul(a, b) ≡ matmul_a_bt(a, bᵀ) ≡
-// matmul_at_b(aᵀ, b) byte for byte, at every -march.
+// matmul_at_b(aᵀ, b) byte for byte, at every -march.  matmul_at_b also
+// takes an output scale α (β = 0 only): each finished sum is stored as
+// fl(α·sum), one multiply after its last add, so the result equals
+// scale(matmul_at_b(…), α) byte for byte — the gradient a layer writes at
+// gradient scale α (nn/layer.hpp).
 
 /// c = a(m×k) · b(k×n) + beta·c, all row-major — the backward-input product
 /// (Linear's dX, Conv2d's forward).  Each block of 8 rows of b is swept for
@@ -83,12 +87,13 @@ void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
             float beta = 0.0f);
 
-/// c = aᵀ(m×k, stored k×m) · b(k×n) + beta·c — the backward-weights product
-/// (Linear's dW, Conv2d's input gradient).  Finishes one row of c at a time
-/// from registers, so at beta = 0 it writes c without reading it.
+/// c = alpha·(aᵀ(m×k, stored k×m) · b(k×n)) + beta·c — the backward-weights
+/// product (Linear's dW, Conv2d's input gradient).  Finishes one row of c at
+/// a time from registers, in one pass for k ≤ 16, so at beta = 0 it writes
+/// c without reading it.  alpha ≠ 1 requires beta = 0 (checked).
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
-                 std::size_t n, float beta = 0.0f);
+                 std::size_t n, float beta = 0.0f, float alpha = 1.0f);
 
 /// c = a(m×k) · bᵀ(k×n, stored n×k) + beta·c — Linear's forward product and
 /// Conv2d's weight gradient.  Register-blocked: each row of b is read once

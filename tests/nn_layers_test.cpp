@@ -344,6 +344,87 @@ TEST(BackwardWritesTest, ResidualConvBlock) {
   expect_backward_writes(block, 2, a, b);
 }
 
+// ---- backward() at a gradient scale -----------------------------------------
+
+/// backward at gradient scale 0.05 writes the bytes of backward at 1
+/// followed by scale(grads, 0.05), and the same dx.
+void expect_scaled_backward(Layer& layer, std::size_t batch,
+                            const LayerBatch& in) {
+  constexpr float kScale = 0.05f;
+  std::vector<float> y(batch * layer.out_size());
+  std::vector<float> dx(batch * layer.in_size());
+  layer.forward(in.x, batch, y);
+  layer.backward(in.dy, batch, dx);
+  std::vector<float> expected = gradients_of(layer);
+  scale(expected, kScale);
+  const std::vector<float> expected_dx = dx;
+  layer.backward(in.dy, batch, dx, kScale);
+  const std::vector<float> scaled = gradients_of(layer);
+  ASSERT_FALSE(scaled.empty());
+  EXPECT_EQ(std::memcmp(scaled.data(), expected.data(),
+                        expected.size() * sizeof(float)),
+            0)
+      << layer.name() << " at batch " << batch;
+  EXPECT_EQ(std::memcmp(dx.data(), expected_dx.data(),
+                        dx.size() * sizeof(float)),
+            0)
+      << layer.name() << " at batch " << batch;
+}
+
+// Batch 16 finishes each Linear dW row in one 16-deep block of
+// matmul_at_b; batch 17 needs a second block of one term, which sparse
+// upstream gradients often leave without a live term.
+constexpr std::size_t kScaledBatches[] = {16, 17};
+
+TEST(ScaledBackwardTest, Linear) {
+  for (const bool with_bias : {true, false}) {
+    Linear layer(37, 70, with_bias);
+    LayerStorage storage(layer);
+    Rng rng(94);
+    layer.init(rng);
+    for (const std::size_t batch : kScaledBatches) {
+      expect_scaled_backward(layer, batch, sparse_batch(rng, layer, batch));
+    }
+  }
+}
+
+TEST(ScaledBackwardTest, Conv2d) {
+  Conv2d layer({3, 6, 5}, 4, 3, 1, 1);
+  LayerStorage storage(layer);
+  Rng rng(95);
+  layer.init(rng);
+  for (const std::size_t batch : kScaledBatches) {
+    expect_scaled_backward(layer, batch, sparse_batch(rng, layer, batch));
+  }
+}
+
+TEST(ScaledBackwardTest, Embedding) {
+  Embedding layer(11, 4, 3);
+  LayerStorage storage(layer);
+  Rng rng(96);
+  layer.init(rng);
+  for (const std::size_t batch : kScaledBatches) {
+    std::vector<float> ids(batch * 3);
+    for (float& id : ids) {
+      id = static_cast<float>(rng.next_below(11));
+    }
+    expect_scaled_backward(layer, batch,
+                           {ids, sparse_values(rng, batch * 3 * 4)});
+  }
+}
+
+TEST(ScaledBackwardTest, ResidualConvBlock) {
+  ResidualConvBlock block({2, 5, 4});
+  LayerStorage storage(block);
+  Rng rng(97);
+  block.init(rng);
+  const std::size_t conv1 = block.param_count() / 2;
+  fill_normal(block.params().subspan(conv1), rng, 0.0f, 0.3f);
+  for (const std::size_t batch : kScaledBatches) {
+    expect_scaled_backward(block, batch, sparse_batch(rng, block, batch));
+  }
+}
+
 TEST(LossTest, UniformLogitsGiveLogC) {
   const std::size_t classes = 4;
   std::vector<float> logits(classes, 0.0f);

@@ -13,21 +13,22 @@ namespace {
 
 TEST(SgdOptimizerTest, IdentityTransform) {
   SgdOptimizer opt;
-  std::vector<float> grad{1.0f, -2.0f, 3.0f};
-  std::vector<float> direction(3);
-  opt.transform({grad.data(), 3}, 1.0f, {direction.data(), 3});
+  const std::vector<float> grad{1.0f, -2.0f, 3.0f};
+  std::vector<float> direction = grad;
+  opt.transform(direction, 1.0f);
   EXPECT_EQ(direction, grad);
 }
 
 TEST(MomentumOptimizerTest, VelocityRecursion) {
   MomentumOptimizer opt(0.5f);
-  std::vector<float> grad{1.0f};
-  std::vector<float> direction(1);
-  opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
+  std::vector<float> direction{1.0f};
+  opt.transform(direction, 1.0f);
   EXPECT_FLOAT_EQ(direction[0], 1.0f);  // v1 = 0.5·0 + 1
-  opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
+  direction = {1.0f};
+  opt.transform(direction, 1.0f);
   EXPECT_FLOAT_EQ(direction[0], 1.5f);  // v2 = 0.5·1 + 1
-  opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
+  direction = {1.0f};
+  opt.transform(direction, 1.0f);
   EXPECT_FLOAT_EQ(direction[0], 1.75f);
 }
 
@@ -40,9 +41,8 @@ TEST(AdamOptimizerTest, FirstStepIsSignLikeUnitStep) {
   // With bias correction, step 1 gives m̂ = g, v̂ = g², so direction =
   // g/(|g|+ε) ≈ sign(g).
   AdamOptimizer opt;
-  std::vector<float> grad{0.3f, -0.7f};
-  std::vector<float> direction(2);
-  opt.transform({grad.data(), 2}, 1.0f, {direction.data(), 2});
+  std::vector<float> direction{0.3f, -0.7f};
+  opt.transform(direction, 1.0f);
   EXPECT_NEAR(direction[0], 1.0f, 1e-4f);
   EXPECT_NEAR(direction[1], -1.0f, 1e-4f);
 }
@@ -50,7 +50,6 @@ TEST(AdamOptimizerTest, FirstStepIsSignLikeUnitStep) {
 TEST(AdamOptimizerTest, MatchesReferenceImplementation) {
   const float b1 = 0.9f, b2 = 0.999f, eps = 1e-8f;
   AdamOptimizer opt(b1, b2, eps);
-  std::vector<float> direction(1);
 
   double m = 0.0, v = 0.0;
   const std::vector<float> grads{0.5f, -0.25f, 1.0f, 0.0f, 2.0f};
@@ -62,8 +61,8 @@ TEST(AdamOptimizerTest, MatchesReferenceImplementation) {
     const double v_hat = v / (1.0 - std::pow(b2, step));
     const double expected = m_hat / (std::sqrt(v_hat) + eps);
 
-    std::vector<float> grad{grads[step - 1]};
-    opt.transform({grad.data(), 1}, 1.0f, {direction.data(), 1});
+    std::vector<float> direction{grads[step - 1]};
+    opt.transform(direction, 1.0f);
     EXPECT_NEAR(direction[0], expected, 1e-4) << "step " << step;
   }
 }
@@ -75,18 +74,20 @@ TEST(AdamOptimizerTest, RejectsBadHyperparameters) {
 }
 
 TEST(OptimizerTest, EtaScalesTheFloatDirection) {
-  // update = η_l · direction, with the direction rounded to float first:
-  // the bits of the direction at η_l = 1 times η_l in float.
+  // update = η_l · direction, written over the gradient, with the direction
+  // rounded to float first: the bits of the direction at η_l = 1 times η_l
+  // in float.
   const float eta_l = 0.05f;
   const std::vector<float> grad{0.3f, -0.7f, 1e-3f, 0.0f, -0.0f, 2.5f};
   for (const auto kind : {OptimizerKind::kSgd, OptimizerKind::kMomentum,
                           OptimizerKind::kAdam}) {
     const auto unit = make_optimizer(kind);
     const auto scaled = make_optimizer(kind);
-    std::vector<float> direction(grad.size()), update(grad.size());
     for (int step = 0; step < 3; ++step) {
-      unit->transform(grad, 1.0f, direction);
-      scaled->transform(grad, eta_l, update);
+      std::vector<float> direction = grad;
+      std::vector<float> update = grad;
+      unit->transform(direction, 1.0f);
+      scaled->transform(update, eta_l);
       for (std::size_t i = 0; i < grad.size(); ++i) {
         const float expected = direction[i] * eta_l;
         EXPECT_EQ(std::memcmp(&update[i], &expected, sizeof(float)), 0)
@@ -102,13 +103,21 @@ TEST(FactoryTest, BuildsEachKind) {
   EXPECT_EQ(make_optimizer(OptimizerKind::kAdam)->name(), "Adam");
 }
 
+TEST(OptimizerTest, OnlySgdsDirectionIsTheGradient) {
+  // The local step folds η_l into the backward only for this optimizer.
+  EXPECT_TRUE(make_optimizer(OptimizerKind::kSgd)->direction_is_gradient());
+  EXPECT_FALSE(
+      make_optimizer(OptimizerKind::kMomentum)->direction_is_gradient());
+  EXPECT_FALSE(make_optimizer(OptimizerKind::kAdam)->direction_is_gradient());
+}
+
 TEST(OptimizerTest, StateResizesWithDimension) {
   // Dimension change mid-stream (new model) must not crash; state resets.
   MomentumOptimizer opt(0.9f);
-  std::vector<float> g1{1.0f}, d1(1);
-  opt.transform({g1.data(), 1}, 1.0f, {d1.data(), 1});
-  std::vector<float> g2{1.0f, 2.0f}, d2(2);
-  opt.transform({g2.data(), 2}, 1.0f, {d2.data(), 2});
+  std::vector<float> d1{1.0f};
+  opt.transform(d1, 1.0f);
+  std::vector<float> d2{1.0f, 2.0f};
+  opt.transform(d2, 1.0f);
   EXPECT_FLOAT_EQ(d2[0], 1.0f);
   EXPECT_FLOAT_EQ(d2[1], 2.0f);
 }

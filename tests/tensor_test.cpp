@@ -553,6 +553,72 @@ TEST(OpsTest, GemmLayoutsAgreeByteForByte) {
                        std::size(kGemmWidths) * std::size(kGemmBetas));
 }
 
+// The output scale multiplies each finished sum once, so matmul_at_b at
+// scale s is scale(matmul_at_b(…), s) byte for byte: signed zeros, NaN and
+// infinities included, and on rows whose last 16-deep block (the kernel's)
+// has no live term, where the stored row is scaled instead.
+TEST(OpsTest, MatmulAtBOutputScaleEqualsScaleAfter) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const auto special = [&](Rng& rng, double zeros) {
+    const double u = rng.uniform(0.0, 1.0);
+    return u < zeros          ? 0.0f
+           : u < zeros + 0.1  ? -0.0f
+           : u < zeros + 0.12 ? kNaN
+           : u < zeros + 0.14 ? kInf
+           : u < zeros + 0.16 ? -kInf
+                              : static_cast<float>(rng.normal());
+  };
+  constexpr std::size_t kDepths[] = {1, 8, 16, 17, 33};
+  constexpr std::size_t kWidths[] = {1, 4, 16, 31, 64, 65, 97, 196};
+  constexpr float kScales[] = {0.05f, -3.0f};
+  Rng rng(15);
+  std::size_t cases = 0;
+  for (const std::size_t m : kGemmRows) {
+    for (const std::size_t k : kDepths) {
+      for (const std::size_t n : kWidths) {
+        std::vector<float> at(k * m);  // a stored transposed: (k×m)
+        std::vector<float> b(k * n);
+        for (float& v : at) {
+          v = special(rng, 0.4);
+        }
+        for (float& v : b) {
+          v = special(rng, 0.0);
+        }
+        // Odd rows get no live term in their last block, row 2 none at all.
+        const std::size_t last_block = (k - 1) / 16 * 16;
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::size_t dead_from =
+              i == 2 ? 0 : i % 2 == 1 ? last_block : k;
+          for (std::size_t p = dead_from; p < k; ++p) {
+            at[p * m + i] = p % 2 == 0 ? 0.0f : -0.0f;
+          }
+        }
+        for (const float s : kScales) {
+          // At β = 0 the kernel must not read c: NaN there would show.
+          std::vector<float> expected(m * n, kNaN);
+          matmul_at_b(at, b, expected, m, k, n);
+          scale(expected, s);
+          std::vector<float> c(m * n, kNaN);
+          matmul_at_b(at, b, c, m, k, n, 0.0f, s);
+          ASSERT_TRUE(same_bytes(c, expected))
+              << "m=" << m << " k=" << k << " n=" << n << " s=" << s;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, std::size(kGemmRows) * std::size(kDepths) *
+                       std::size(kWidths) * std::size(kScales));
+}
+
+TEST(OpsTest, MatmulAtBRejectsScaleWithBeta) {
+  std::vector<float> a(6), b(6), c(4);
+  EXPECT_THROW(matmul_at_b(a, b, c, 2, 3, 2, 1.0f, 0.5f), CheckError);
+  EXPECT_THROW(matmul_at_b(a, b, c, 2, 3, 2, 0.5f, 0.5f), CheckError);
+  EXPECT_NO_THROW(matmul_at_b(a, b, c, 2, 3, 2, 1.0f, 1.0f));
+}
+
 TEST(OpsTest, MatmulBetaAccumulates) {
   std::vector<float> a{1, 0, 0, 1};  // identity 2x2
   std::vector<float> b{1, 2, 3, 4};

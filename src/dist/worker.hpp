@@ -75,7 +75,8 @@ struct WorkerConfig {
 struct RoundReport {
   std::size_t round = 0;
   bool full_precision = false;
-  /// Host wall-clock spent in this rank's communication phase.
+  /// Host wall-clock spent in this rank's communication phase.  On a flush
+  /// round, c ← 0 runs after this window, together with the update.
   double measured_comm_seconds = 0.0;
   /// α–β prediction for the whole round's collective (all ranks), from a
   /// NetworkSim replay of the hop schedule this backend ran.

@@ -81,28 +81,22 @@ void a_bt_block(const Lanes* panel, const float* b, float* c, std::size_t k,
 
 // The backward GEMMs build every output row of c as a sum of terms
 // x·b_row(p) over p ascending, x = a(i, p), skipping the terms with x == 0.
-// They take p in blocks: a block's live terms are gathered once per output
-// row and then swept across the row kSweep vectors (kSweep·kLanes columns)
-// at a time, the sums held in registers.  matmul's blocks are kDepth deep;
-// matmul_at_b's are kAtBDepth deep, so at a batch of up to 16 (Linear's dW)
-// each row of c is finished in one block and written once.
+// They take p in blocks of kDepth: a block's live terms are gathered once per
+// output row and then swept across the row kSweep vectors (kSweep·kLanes
+// columns) at a time, the sums held in registers.
 constexpr std::size_t kDepth = 8;
-constexpr std::size_t kAtBDepth = 16;
 constexpr std::size_t kSweep = 4;
 
-template <std::size_t Depth>
 struct Terms {
-  const float* rows[Depth] = {};  // b_row(p) of each live term, p ascending
-  float xs[Depth] = {};           // its a(i, p)
+  const float* rows[kDepth] = {};  // b_row(p) of each live term, p ascending
+  float xs[kDepth] = {};           // its a(i, p)
   std::size_t count = 0;
 };
 
-/// The live terms of p in [p0, p1), p1 − p0 ≤ Depth: x_p = a[p·stride],
-/// row b + p·n.
-template <std::size_t Depth>
-Terms<Depth> gather_terms(const float* a, std::size_t stride, const float* b,
-                          std::size_t n, std::size_t p0, std::size_t p1) {
-  Terms<Depth> terms;
+/// The live terms of p in [p0, p1): x_p = a[p·stride], row b + p·n.
+Terms gather_terms(const float* a, std::size_t stride, const float* b,
+                   std::size_t n, std::size_t p0, std::size_t p1) {
+  Terms terms;
   for (std::size_t p = p0; p < p1; ++p) {
     const float x = a[p * stride];
     if (x != 0.0f) {
@@ -121,9 +115,8 @@ Terms<Depth> gather_terms(const float* a, std::size_t stride, const float* b,
 /// splitting p into blocks changes no bit.  alpha multiplies the finished
 /// sum, one rounding after the last add, as `scale` would after the store.
 /// The column tail runs the axpy statement itself.
-template <std::size_t Depth>
-void sweep_row(const Terms<Depth>& terms, float* c_row, std::size_t n,
-               bool fresh, float alpha) {
+void sweep_row(const Terms& terms, float* c_row, std::size_t n, bool fresh,
+               float alpha) {
   const bool scaled = alpha != 1.0f;
   constexpr std::size_t kCols = kSweep * kLanes;
   const auto load = [](const float* from) {
@@ -345,8 +338,8 @@ void matmul(std::span<const float> a, std::span<const float> b,
   do {
     const std::size_t p1 = std::min(k, p0 + kDepth);
     for (std::size_t i = 0; i < m; ++i) {
-      const auto terms =
-          gather_terms<kDepth>(a.data() + i * k, 1, b.data(), n, p0, p1);
+      const Terms terms =
+          gather_terms(a.data() + i * k, 1, b.data(), n, p0, p1);
       if (fresh || terms.count > 0) {
         sweep_row(terms, c.data() + i * n, n, fresh, 1.0f);
       }
@@ -369,7 +362,7 @@ void matmul_at_b(std::span<const float> a, std::span<const float> b,
   }
   // c(m×n) = aᵀ·b with a stored (k×m): row i of c sums a[p][i]·b[p][·].
   // Rows of c are finished one at a time, so each is written from registers
-  // once per block of kAtBDepth p while all k rows of b stay in cache; at
+  // once per block of kDepth p while all k rows of b stay in cache; at
   // β = 0 the first block never reads c.  The last block applies alpha as
   // it stores; a last block without a live term scales the stored row.
   for (std::size_t i = 0; i < m; ++i) {
@@ -377,10 +370,9 @@ void matmul_at_b(std::span<const float> a, std::span<const float> b,
     bool fresh = beta == 0.0f;
     std::size_t p0 = 0;
     do {
-      const std::size_t p1 = std::min(k, p0 + kAtBDepth);
+      const std::size_t p1 = std::min(k, p0 + kDepth);
       const float block_alpha = p1 == k ? alpha : 1.0f;
-      const auto terms =
-          gather_terms<kAtBDepth>(a.data() + i, m, b.data(), n, p0, p1);
+      const Terms terms = gather_terms(a.data() + i, m, b.data(), n, p0, p1);
       if (fresh || terms.count > 0) {
         sweep_row(terms, c_row, n, fresh, block_alpha);
       } else if (block_alpha != 1.0f) {

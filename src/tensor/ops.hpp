@@ -89,8 +89,8 @@ void matmul(std::span<const float> a, std::span<const float> b,
 
 /// c = alpha·(aᵀ(m×k, stored k×m) · b(k×n)) + beta·c — the backward-weights
 /// product (Linear's dW, Conv2d's input gradient).  Finishes one row of c at
-/// a time from registers, in one pass for k ≤ 16, so at beta = 0 it writes
-/// c without reading it.  alpha ≠ 1 requires beta = 0 (checked).
+/// a time from registers, so at beta = 0 it writes c without reading it.
+/// alpha ≠ 1 requires beta = 0 (checked).
 void matmul_at_b(std::span<const float> a, std::span<const float> b,
                  std::span<float> c, std::size_t m, std::size_t k,
                  std::size_t n, float beta = 0.0f, float alpha = 1.0f);

@@ -371,8 +371,8 @@ void expect_scaled_backward(Layer& layer, std::size_t batch,
       << layer.name() << " at batch " << batch;
 }
 
-// Batch 16 finishes each Linear dW row in one 16-deep block of
-// matmul_at_b; batch 17 needs a second block of one term, which sparse
+// Batch 16 finishes each Linear dW row in the second 8-deep block of
+// matmul_at_b; batch 17 needs a third block of one term, which sparse
 // upstream gradients often leave without a live term.
 constexpr std::size_t kScaledBatches[] = {16, 17};
 

@@ -555,7 +555,7 @@ TEST(OpsTest, GemmLayoutsAgreeByteForByte) {
 
 // The output scale multiplies each finished sum once, so matmul_at_b at
 // scale s is scale(matmul_at_b(…), s) byte for byte: signed zeros, NaN and
-// infinities included, and on rows whose last 16-deep block (the kernel's)
+// infinities included, and on rows whose last 8-deep block (the kernel's)
 // has no live term, where the stored row is scaled instead.
 TEST(OpsTest, MatmulAtBOutputScaleEqualsScaleAfter) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -586,7 +586,7 @@ TEST(OpsTest, MatmulAtBOutputScaleEqualsScaleAfter) {
           v = special(rng, 0.0);
         }
         // Odd rows get no live term in their last block, row 2 none at all.
-        const std::size_t last_block = (k - 1) / 16 * 16;
+        const std::size_t last_block = (k - 1) / 8 * 8;
         for (std::size_t i = 0; i < m; ++i) {
           const std::size_t dead_from =
               i == 2 ? 0 : i % 2 == 1 ? last_block : k;

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
 #include "core/sync_strategy.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -269,6 +271,49 @@ TEST(FaultInjectionTest, AbsentMarsitWorkerKeepsSettledCompensation) {
       expect_bit_identical(mean, expect, "mean compensation");
     }
   }
+}
+
+TEST(FaultInjectionTest, MarsitResumesWhileAWorkerIsAbsentAndOwes) {
+  // A checkpoint taken while a worker is absent and still owes line 10 of
+  // its last one-bit round.  With K = 5, worker 3 takes part in one-bit
+  // round 1 and sits out rounds 2–3.  The state saved after round 2 and
+  // loaded into a fresh MarsitSync must continue the run bit for bit:
+  // outputs and mean compensation of rounds 3–7, across the rejoin at
+  // round 4 and the flush at round 5.
+  constexpr std::size_t kWorkers = 6;
+  SyncConfig config = base_config(kWorkers);
+  config.fault_plan.dropouts.push_back({3, 2, 4});
+  MarsitOptions options;
+  options.full_precision_period = 5;
+  MarsitSync straight(config, options);
+  std::unique_ptr<MarsitSync> resumed;
+  std::vector<float> out(kDim), resumed_out(kDim);
+  std::vector<float> mean(kDim), resumed_mean(kDim);
+  for (std::size_t t = 0; t < 8; ++t) {
+    const auto inputs = make_inputs(kWorkers, t);
+    const SyncStepResult step =
+        straight.synchronize(as_spans(inputs), {out.data(), out.size()});
+    EXPECT_EQ(step.active_workers, t == 2 || t == 3 ? 5u : 6u)
+        << "round " << t;
+    if (resumed != nullptr) {
+      resumed->synchronize(as_spans(inputs),
+                           {resumed_out.data(), resumed_out.size()});
+      expect_bit_identical(resumed_out, out, "resumed output");
+      straight.mean_compensation_into(mean);
+      resumed->mean_compensation_into(resumed_mean);
+      expect_bit_identical(resumed_mean, mean, "resumed mean compensation");
+    }
+    if (t == 2) {
+      ckpt::SnapshotWriter writer;
+      straight.save_state(writer);
+      resumed = std::make_unique<MarsitSync>(config, options);
+      ckpt::SnapshotReader reader({writer.bytes().data(), writer.size()});
+      resumed->load_state(reader);
+      EXPECT_TRUE(reader.done());
+    }
+  }
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->round(), 8u);
 }
 
 TEST(FaultInjectionTest, BernoulliDropoutRoundsAreDeterministic) {

@@ -302,24 +302,23 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
 
 void fold_hop(const Hop& hop, std::uint64_t round_seed,
               std::span<const std::uint64_t> arriving,
-              std::span<const std::uint64_t> resident,
-              std::span<std::uint64_t> out) {
+              std::span<std::uint64_t> resident) {
   Rng rng = segment_op_rng(segment_fold_seed(round_seed, hop.seed_id), hop.op);
   if (hop.arriving_first) {
-    one_bit_combine_words(out, arriving, hop.arriving_weight, resident,
+    one_bit_combine_words(resident, arriving, hop.arriving_weight, resident,
                           hop.resident_weight, rng);
   } else {
-    one_bit_combine_words(out, resident, hop.resident_weight, arriving,
+    one_bit_combine_words(resident, resident, hop.resident_weight, arriving,
                           hop.arriving_weight, rng);
   }
 }
 
 void fold_hop(const Hop& hop, std::span<const float> arriving,
-              std::span<const float> resident, std::span<float> out) {
+              std::span<float> resident) {
   if (hop.arriving_first) {
-    add(arriving, resident, out);
+    add(arriving, resident, resident);
   } else {
-    add(resident, arriving, out);
+    add(resident, arriving, resident);
   }
 }
 
@@ -328,7 +327,7 @@ double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
                             std::span<std::uint64_t> words) {
   return run_member(transport, schedule, round, words,
                     [round_seed](const Hop& hop, auto arriving, auto resident) {
-                      fold_hop(hop, round_seed, arriving, resident, resident);
+                      fold_hop(hop, round_seed, arriving, resident);
                     });
 }
 
@@ -336,7 +335,7 @@ double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
                             std::size_t round, std::span<float> values) {
   return run_member(transport, schedule, round, values,
                     [](const Hop& hop, auto arriving, auto resident) {
-                      fold_hop(hop, arriving, resident, resident);
+                      fold_hop(hop, arriving, resident);
                     });
 }
 

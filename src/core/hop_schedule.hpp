@@ -54,8 +54,9 @@
 // The interpreters:
 //
 //   marsit_fold_signs_segmented, fold_float_schedule
-//       (core/segmented_fold.hpp) fold in memory: ⊙ chains as pool tasks,
-//       floats window by window.
+//       (core/segmented_fold.hpp) fold in memory, each hop into its
+//       receiver's buffer as on the wire: ⊙ chains as pool tasks, floats
+//       window by window.
 //   execute_hop_schedule  runs one member's side over a Transport.  In each
 //       step it sends before it receives; round t's frames carry the tag
 //       t << 2 | stream (stream < 4), so a reader can recover the round
@@ -160,13 +161,12 @@ HopSchedule hop_schedule(RoundKind kind, MarParadigm paradigm,
                          std::size_t units,
                          PsServer server = PsServer::kMember0);
 
-/// Applies fold hop `hop` of the round seeded `round_seed`: `out` becomes
-/// the ⊙ of `arriving` and `resident` in the hop's operand order.  `out`
-/// may alias either operand.
+/// Applies fold hop `hop` of the round seeded `round_seed` at its
+/// receiver: `resident` becomes the ⊙ of `arriving` and `resident` in the
+/// hop's operand order.
 void fold_hop(const Hop& hop, std::uint64_t round_seed,
               std::span<const std::uint64_t> arriving,
-              std::span<const std::uint64_t> resident,
-              std::span<std::uint64_t> out);
+              std::span<std::uint64_t> resident);
 
 /// Runs member transport.rank()'s side of one-bit `schedule` for round
 /// `round`.  `words` holds this member's sign plane on entry and the
@@ -175,10 +175,10 @@ double execute_hop_schedule(Transport& transport, const HopSchedule& schedule,
                             std::size_t round, std::uint64_t round_seed,
                             std::span<std::uint64_t> words);
 
-/// The float fold of hop `hop`: `out` becomes the sum of `arriving` and
-/// `resident` in the hop's operand order.  `out` may alias either operand.
+/// The float fold of hop `hop` at its receiver: `resident` becomes the sum
+/// of `arriving` and `resident` in the hop's operand order.
 void fold_hop(const Hop& hop, std::span<const float> arriving,
-              std::span<const float> resident, std::span<float> out);
+              std::span<float> resident);
 
 /// Runs member transport.rank()'s side of all-reduce `schedule` for round
 /// `round`, folding floats.  `values` holds this member's contribution on

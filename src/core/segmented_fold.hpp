@@ -11,20 +11,17 @@
 // single-process trainer emulating them — reproduce the identical aggregate
 // bit-for-bit.
 //
-// In memory, buffer i starts as member i's units.  A chain that folds the
-// arriving partial first (ring, torus) accumulates it in the buffer the
-// chain started from, so each chain writes only its own units, and later
-// hops read a member's copy from wherever its chain left it: the torus
-// column phase folds each row's aggregate from the buffer its row chain
-// accumulated in.  A chain that folds into the receiver's aggregate (PS,
-// tree) folds in place in the receiver's buffer.  Chains write disjoint
-// (buffer, unit-range) pairs and never read a range another chain of the
-// same phase writes, so the ⊙ fold runs each fold phase's chains as pool
-// tasks with output identical to any serial order; the PS and tree are one
-// chain per phase and fold serially, as one server or root does on the
-// wire.  Float adds are elementwise, so the float fold may walk the chains
-// over any window of units and still give the schedule's sum.  The copy
-// phases are not run: each range the last fold phase finishes at full
+// In memory, buffer i starts as member i's units, and each fold hop folds
+// the sender's units into the receiver's, where the wire's receiver folds
+// them, so each range a chain finishes sits where execute_hop_schedule
+// leaves it: in the buffer of the chain's last receiver.  Chains write
+// disjoint (buffer, unit-range) pairs and never read a range another chain
+// of the same phase writes, so the ⊙ fold runs each fold phase's chains as
+// pool tasks with output identical to any serial order; the PS and tree
+// are one chain per phase and fold serially, as one server or root does on
+// the wire.  Float adds are elementwise, so the float fold may walk the
+// chains over any window of units and still give the schedule's sum.  The
+// copy phases are not run: each range the last fold phase finishes at full
 // weight is copied out.
 //
 // The statistical contract — both Eq. 2 branches unbiased for every segment
@@ -44,14 +41,20 @@ namespace marsit {
 
 class ThreadPool;
 
-/// Marsit's ⊙ reduction of a one-bit round: folds the first `count` sign
-/// vectors' leading `num_words` words by hop_schedule(kOneBit, paradigm,
-/// torus_cols, count, num_words) and leaves the aggregate in signs.front();
-/// the other vectors are clobbered.  A torus re-forms over `count` members
-/// by torus_rows_for — the rule the timing model prices — so a degraded
-/// torus folds as a smaller torus or a ring; `count` may not exceed the
-/// configured torus_rows × torus_cols.  `pool` carries the chains; nullptr
-/// uses global_thread_pool(), as SyncConfig::pool does.
+/// Marsit's ⊙ reduction of a one-bit round: folds the members' sign
+/// planes, all of one length W, by hop_schedule(kOneBit, paradigm,
+/// torus_cols, planes.size(), W) and leaves the aggregate in
+/// planes.front(); the other planes are clobbered.  A torus re-forms over
+/// its members by torus_rows_for — the rule the timing model prices — so a
+/// degraded torus folds as a smaller torus or a ring; the members may not
+/// exceed the configured torus_rows × torus_cols.  `pool` carries the
+/// chains; nullptr uses global_thread_pool(), as SyncConfig::pool does.
+void marsit_fold_signs_segmented(
+    MarParadigm paradigm, std::size_t torus_rows, std::size_t torus_cols,
+    std::span<const std::span<std::uint64_t>> planes,
+    std::uint64_t round_seed, ThreadPool* pool = nullptr);
+
+/// The same fold over the leading `num_words` words of signs[0..count).
 void marsit_fold_signs_segmented(MarParadigm paradigm, std::size_t torus_rows,
                                  std::size_t torus_cols,
                                  std::vector<BitVector>& signs,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "compress/kernels.hpp"
 #include "compress/sign_codec.hpp"
@@ -622,28 +623,63 @@ void clip_flush_mean(const MarsitOptions& options, std::span<float> mean) {
   }
 }
 
-void marsit_begin_round(const MarsitOptions& options,
-                        std::span<const std::uint64_t> owed,
-                        std::span<const float> update,
-                        std::span<float> compensation,
-                        std::span<std::uint64_t> signs) {
-  if (!options.use_compensation) {
-    // sign(u) is sign(u + 0.0f), NaN and −0.0 included.
-    kernels::pack_signs_words(update, signs);
-    return;
-  }
-  kernels::settle_add_pack_signs_words(owed, -options.eta_s, update,
-                                       compensation, signs);
+MarsitRank::MarsitRank(const MarsitOptions& options, Tensor compensation)
+    : options_(options),
+      compensation_(std::move(compensation)),
+      signs_(compensation_.size()) {}
+
+std::span<std::uint64_t> MarsitRank::plane(std::size_t begin,
+                                           std::size_t count) {
+  MARSIT_CHECK(begin % kernels::kWordBits == 0 && begin + count <= size())
+      << "slice [" << begin << ", " << begin + count << ") of " << size();
+  return signs_.words().subspan(begin / kernels::kWordBits,
+                                kernels::words_for(count));
 }
 
-void marsit_settle(const MarsitOptions& options,
-                   std::span<const std::uint64_t> owed,
-                   std::span<float> compensation) {
-  kernels::accumulate_signs_words(owed, -options.eta_s, compensation);
+void MarsitRank::pack(std::span<const float> update, std::size_t begin) {
+  const std::span<std::uint64_t> words = plane(begin, update.size());
+  if (!options_.use_compensation) {
+    // sign(u) is sign(u + 0.0f), NaN and −0.0 included.
+    kernels::pack_signs_words(update, words);
+    return;
+  }
+  kernels::settle_add_pack_signs_words(
+      owed_ ? words : std::span<std::uint64_t>{}, -options_.eta_s, update,
+      compensation_.span().subspan(begin, update.size()), words);
+}
+
+std::span<float> MarsitRank::contribute(std::span<const float> update,
+                                        std::size_t begin) {
+  const std::span<float> row =
+      compensation_.span().subspan(begin, update.size());
+  if (owed_) {
+    kernels::accumulate_signs_words(plane(begin, update.size()),
+                                    -options_.eta_s, row);
+  }
+  add(update, row, row);
+  return row;
+}
+
+void MarsitRank::finish(bool full_precision) {
+  owed_ = !full_precision && options_.use_compensation;
+}
+
+void MarsitRank::reset() {
+  compensation_.zero();
+  owed_ = false;
+}
+
+Tensor MarsitRank::settled() const {
+  Tensor c = compensation_;
+  if (owed_) {
+    kernels::accumulate_signs_words(signs_.words(), -options_.eta_s,
+                                    c.span());
+  }
+  return c;
 }
 
 MarsitSync::MarsitSync(SyncConfig config, MarsitOptions options)
-    : SyncStrategy(config), options_(options), owes_(config.num_workers) {
+    : SyncStrategy(config), options_(options) {
   // All four paradigms are supported: ring and torus are the paper's
   // multi-hop schedules; the parameter server (server colocated at rank 0)
   // and binomial tree exist as comparison baselines with the same ⊙ fold
@@ -666,25 +702,19 @@ std::string MarsitSync::name() const {
 
 void MarsitSync::save_state(ckpt::SnapshotWriter& writer) const {
   SyncStrategy::save_state(writer);
-  writer.u64(static_cast<std::uint64_t>(compensation_.size()));
-  for (std::size_t w = 0; w < compensation_.size(); ++w) {
-    writer.f32_span(settled_compensation(w).span());
+  writer.u64(static_cast<std::uint64_t>(ranks_.size()));
+  for (const MarsitRank& rank : ranks_) {
+    writer.f32_span(rank.settled().span());
   }
 }
 
 void MarsitSync::load_state(ckpt::SnapshotReader& reader) {
   SyncStrategy::load_state(reader);
-  compensation_ =
-      load_worker_vectors(reader, config_.num_workers, "compensation");
-  owes_.assign(owes_.size(), false);
-}
-
-Tensor MarsitSync::settled_compensation(std::size_t w) const {
-  Tensor c = compensation_[w];
-  if (owes_[w]) {
-    marsit_settle(options_, owed_.words(), c.span());
+  ranks_.clear();
+  for (Tensor& c :
+       load_worker_vectors(reader, config_.num_workers, "compensation")) {
+    ranks_.emplace_back(options_, std::move(c));
   }
-  return c;
 }
 
 void MarsitSync::on_flush_rejoin(std::size_t worker) {
@@ -692,76 +722,69 @@ void MarsitSync::on_flush_rejoin(std::size_t worker) {
   // stale history of a trajectory it did not follow — discard it before the
   // flush mean folds compensations in.  The global flush state is identical
   // on every worker, so the fresh start is exact.
-  if (worker < compensation_.size()) {
-    compensation_[worker].zero();
+  if (worker < ranks_.size()) {
+    ranks_[worker].reset();
   }
-  owes_[worker] = false;
 }
 
 double MarsitSync::mean_compensation_norm() const {
-  if (compensation_.empty()) {
+  if (ranks_.empty()) {
     return 0.0;
   }
   double total = 0.0;
-  for (std::size_t w = 0; w < compensation_.size(); ++w) {
-    total += l2_norm(settled_compensation(w).span());
+  for (const MarsitRank& rank : ranks_) {
+    total += l2_norm(rank.settled().span());
   }
-  return total / static_cast<double>(compensation_.size());
+  return total / static_cast<double>(ranks_.size());
 }
 
 void MarsitSync::mean_compensation_into(std::span<float> out) const {
   zero(out);
-  if (compensation_.empty()) {
+  if (ranks_.empty()) {
     return;
   }
-  for (std::size_t w = 0; w < compensation_.size(); ++w) {
-    const Tensor c = settled_compensation(w);
+  for (const MarsitRank& rank : ranks_) {
+    const Tensor c = rank.settled();
     MARSIT_CHECK(c.size() == out.size())
         << "compensation extent " << c.size() << " vs out " << out.size();
     axpy(1.0f, c.span(), out);
   }
-  scale(out, 1.0f / static_cast<float>(compensation_.size()));
+  scale(out, 1.0f / static_cast<float>(ranks_.size()));
 }
 
 SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
                                           std::span<float> out) {
   const std::size_t d = out.size();
-  const std::size_t m = config_.num_workers;
-  if (compensation_.empty()) {
-    compensation_ = zero_vectors<Tensor>(m, d);
+  if (ranks_.empty()) {
+    ranks_.reserve(config_.num_workers);
+    for (std::size_t w = 0; w < config_.num_workers; ++w) {
+      ranks_.emplace_back(options_, Tensor(d));
+    }
   }
-  for (const Tensor& c : compensation_) {
-    MARSIT_CHECK(c.size() == d)
-        << "compensation has " << c.size() << " elements, the update " << d;
-  }
+  MARSIT_CHECK(ranks_.front().size() == d)
+      << "compensation has " << ranks_.front().size()
+      << " elements, the update " << d;
 
   SyncStepResult result;
   const bool full_precision =
       options_.full_precision_period > 0 &&
       round_ % options_.full_precision_period == 0;
 
-  // On a degraded round only the survivors contribute; absent workers keep
-  // their compensation untouched, so their residual re-enters the aggregate
-  // when they return (Algorithm 1's line 1 still folds it in).  An absent
-  // worker settles what it owes now, while owed_ still holds its round.
+  // On a degraded round only the survivors contribute.  An absent worker's
+  // rank is not touched: its compensation re-enters the aggregate when it
+  // returns (Algorithm 1's line 1 still folds it in), and the line 10 it
+  // owes waits in its own plane until then.
   const auto& active = active_workers();
   const std::size_t s = active.size();
-  for (std::size_t w = 0; w < m; ++w) {
-    if (owes_[w] && !std::binary_search(active.begin(), active.end(), w)) {
-      marsit_settle(options_, owed_.words(), compensation_[w].span());
-      owes_[w] = false;
-    }
-  }
-
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   ThreadPool& pool = strategy_pool(config_);
   if (full_precision) {
-    // Lines 12–13: each survivor's u_m + c_m, built in place in c_m once
-    // it has settled what it owes, summed in the association of the
-    // all-reduce the socket worker runs, scaled by 1/s; c_m is reset.  Each
-    // shard chunk folds its own units, so the mean is the same for any pool
-    // and chunk size.  The trust region then scales the whole mean.
+    // Lines 12–13: each survivor's u_m + c_m, built in place in c_m,
+    // summed in the association of the all-reduce the socket worker runs,
+    // scaled by 1/s; c_m is reset.  Each shard chunk folds its own units,
+    // so the mean is the same for any pool and chunk size.  The trust
+    // region then scales the whole mean.
     const HopSchedule schedule =
         round_schedule(RoundKind::kAllReduce, d, PsServer::kMember0);
     const float inv_s = 1.0f / static_cast<float>(s);
@@ -771,16 +794,8 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
       std::vector<std::span<float>> rows;
       rows.reserve(s);
       for (const std::size_t w : active) {
-        const std::span<float> row = compensation_[w].span();
-        const std::span<float> chunk = row.subspan(shard.begin, n);
-        if (owes_[w]) {
-          marsit_settle(
-              options_,
-              owed_.words().subspan(shard.word_begin(), shard.num_words()),
-              chunk);
-        }
-        add(inputs[w].subspan(shard.begin, n), chunk, chunk);
-        rows.push_back(row);
+        ranks_[w].contribute(inputs[w].subspan(shard.begin, n), shard.begin);
+        rows.push_back(ranks_[w].compensation());
       }
       fold_float_schedule(schedule, rows, {shard.begin, n}, out);
       scale(out.subspan(shard.begin, n), inv_s);
@@ -788,7 +803,9 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
         zero(row.subspan(shard.begin, n));
       }
     });
-    owes_.assign(m, false);
+    for (const std::size_t w : active) {
+      ranks_[w].finish(true);
+    }
     clip_flush_mean(options_, out);
     result.timing = price_hop_schedule(schedule, full_precision_wire(), net_);
     result.full_precision = true;
@@ -801,59 +818,51 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   // reduction in between folds the segment-seeded chains of the paradigm's
   // hop schedule (core/hop_schedule.hpp) on the pool, whose draws depend
   // only on (seed, round, segment, op).  The result is therefore
-  // bit-identical for any pool size and any shard_chunk_elements.
-  // Survivors pack into signs_[0..s) and the fold re-forms over them
-  // exactly as a native s-worker run would, so a degraded M-worker ring
-  // matches an s-worker ring bit-for-bit.
-  if (signs_.empty() || signs_.front().size() != d) {
-    signs_ = zero_vectors<BitVector>(m, d);
-    owed_ = BitVector(d);
+  // bit-identical for any pool size and any shard_chunk_elements.  The
+  // fold re-forms over the survivors exactly as a native s-worker run
+  // would, so a degraded M-worker ring matches an s-worker ring
+  // bit-for-bit.
+  std::vector<std::span<std::uint64_t>> planes;
+  planes.reserve(s);
+  for (const std::size_t w : active) {
+    planes.push_back(ranks_[w].signs());
   }
-  const std::size_t words = signs_.front().words().size();
   // Line 1 of Algorithm 1, per survivor: settle the previous round's owed
   // line 10, fold the update into the compensation and pack the signs.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
-    const std::size_t n = shard.size();
-    const std::size_t w0 = shard.word_begin();
-    const std::size_t nw = shard.num_words();
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::size_t w = active[i];
-      marsit_begin_round(
-          options_,
-          owes_[w] ? owed_.words().subspan(w0, nw)
-                   : std::span<const std::uint64_t>{},
-          inputs[w].subspan(shard.begin, n),
-          compensation_[w].span().subspan(shard.begin, n),
-          signs_[i].words().subspan(w0, nw));
+    for (const std::size_t w : active) {
+      ranks_[w].pack(inputs[w].subspan(shard.begin, shard.size()),
+                     shard.begin);
     }
   });
-  // Lines 4–8: the ⊙ reduction, leaving the aggregate in signs_[0].
+  // Lines 4–8: the ⊙ reduction, leaving the aggregate in planes[0].
   marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
-                              config_.torus_cols, signs_, s, words,
+                              config_.torus_cols, planes,
                               derive_seed(config_.seed, round_), &pool);
   // Line 9: g_t = eta_s · sign-vector, which the caller applies once for
-  // every worker.  Line 10, c_{t+1}^{(m)} = (u_m + c_m) − g_t, is owed by
-  // each survivor until its next round settles it against the aggregate,
-  // kept in owed_.
+  // every worker; every other survivor's plane gets the aggregate, against
+  // which it owes line 10, c_{t+1}^{(m)} = (u_m + c_m) − g_t, until its
+  // next round settles it.
   parallel_for(pool, plan.num_chunks(), [&](std::size_t c) {
     const Shard shard = plan.chunk(c);
-    kernels::unpack_signs_words(
-        signs_.front().words().subspan(shard.word_begin(),
-                                       shard.num_words()),
-        options_.eta_s, out.subspan(shard.begin, shard.size()));
-  });
-  std::swap(owed_, signs_.front());
-  owes_.assign(m, false);
-  if (options_.use_compensation) {
-    for (const std::size_t w : active) {
-      owes_[w] = true;
+    const auto aggregate =
+        planes.front().subspan(shard.word_begin(), shard.num_words());
+    kernels::unpack_signs_words(aggregate, options_.eta_s,
+                                out.subspan(shard.begin, shard.size()));
+    for (std::size_t i = 1; i < s; ++i) {
+      std::ranges::copy(aggregate,
+                        planes[i].subspan(shard.word_begin()).begin());
     }
+  });
+  for (const std::size_t w : active) {
+    ranks_[w].finish(false);
   }
 
   // Priced as folded: the same generator call, the PS at member 0.
   result.timing = price_hop_schedule(
-      round_schedule(RoundKind::kOneBit, words, PsServer::kMember0),
+      round_schedule(RoundKind::kOneBit, kernels::words_for(d),
+                     PsServer::kMember0),
       marsit_wire(config_.cost_model), net_);
   result.bits_per_element = 1.0;
   // The residual-magnitude gauge costs an O(M·D) norm pass, so it is

@@ -25,6 +25,7 @@
 #include "ckpt/snapshot.hpp"
 #include "collectives/aggregators.hpp"
 #include "collectives/timing.hpp"
+#include "compress/bit_vector.hpp"
 #include "core/hop_schedule.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_plan.hpp"
@@ -304,25 +305,62 @@ struct MarsitOptions {
 /// and the distributed worker both call it.
 void clip_flush_mean(const MarsitOptions& options, std::span<float> mean);
 
-/// Algorithm 1, line 1, over one rank's slice of u, c and its packed signs
-/// (MarsitSync calls it per shard chunk, the distributed worker once per
-/// round).  Line 10 of the rank's previous one-bit round, c ← c − η_s·s for
-/// that round's aggregate sign words s, is owed until here: with `owed`
-/// those words (empty when nothing is owed; it may alias `signs`), c ←
-/// (c − η_s·s) + u in place, then packs sign(c) into `signs`.  c holds
-/// u + c until the next round settles it.  With use_compensation off it
-/// packs sign(u) and never writes c, so nothing is ever owed.
-void marsit_begin_round(const MarsitOptions& options,
-                        std::span<const std::uint64_t> owed,
-                        std::span<const float> update,
-                        std::span<float> compensation,
-                        std::span<std::uint64_t> signs);
+/// One rank's Algorithm 1 state: its compensation c, its sign plane and the
+/// line 10 it owes.  MarsitSync keeps one per worker and the distributed
+/// worker keeps one, so both backends run these stages:
+///
+///   one-bit round  pack() every slice (line 1); fold the survivors'
+///                  planes (lines 4–8) until each holds the aggregate s, as
+///                  every socket rank's does; apply g = η_s·s (line 9);
+///                  finish(false).  Line 10, c ← c − η_s·s, is owed until the
+///                  rank's next pack() or contribute() settles it in the
+///                  same pass, so an absent rank's debt waits in its plane.
+///   flush          contribute() every slice (lines 12–13: u + c in place),
+///                  all-reduce those rows, scale by 1/s and apply the mean,
+///                  zero the rows (c restarts at zero), finish(true).
+///
+/// Slices start at a multiple of 64 elements, so a slice of c is whole
+/// words of the plane.
+class MarsitRank {
+ public:
+  /// A rank resuming with compensation `compensation`, owing nothing.
+  MarsitRank(const MarsitOptions& options, Tensor compensation);
 
-/// The owed line 10 on its own, for a rank whose next step is not a one-bit
-/// line 1 (a flush, an absence, a checkpoint): c ← c − η_s·s.
-void marsit_settle(const MarsitOptions& options,
-                   std::span<const std::uint64_t> owed,
-                   std::span<float> compensation);
+  std::size_t size() const { return compensation_.size(); }
+
+  /// Line 1 on the slice of u that starts at element `begin`: settles the
+  /// owed line 10 there, c ← u + c in place and packs sign(c) into the
+  /// plane.  With use_compensation off it packs sign(u) and never writes c.
+  void pack(std::span<const float> update, std::size_t begin);
+
+  /// A flush's contribution on the slice: settles the owed line 10 there,
+  /// then c ← u + c in place, which it returns.
+  std::span<float> contribute(std::span<const float> update,
+                              std::size_t begin);
+
+  /// Ends a round in which every slice was packed or contributed.  After a
+  /// one-bit round the plane must hold the aggregate, and with
+  /// use_compensation line 10 is owed against it; after a flush nothing is.
+  void finish(bool full_precision);
+
+  /// c ← 0, owing nothing: a rank rejoining at the flush barrier.
+  void reset();
+
+  /// c with the owed line 10 applied (a copy): what a checkpoint saves.
+  Tensor settled() const;
+
+  std::span<float> compensation() { return compensation_.span(); }
+  std::span<std::uint64_t> signs() { return signs_.words(); }
+
+ private:
+  /// The words of the plane under the slice [begin, begin + count).
+  std::span<std::uint64_t> plane(std::size_t begin, std::size_t count);
+
+  MarsitOptions options_;
+  Tensor compensation_;
+  BitVector signs_;
+  bool owed_ = false;
+};
 
 class MarsitSync final : public SyncStrategy {
  public:
@@ -343,7 +381,7 @@ class MarsitSync final : public SyncStrategy {
 
   /// Writes c̄_t = (1/M)Σ_m c_t^{(m)} into `out` (zeros before the first
   /// round).  Diagnostic: the paper's proof tracks the auxiliary sequence
-  /// ỹ_t = x̃_t − c̄_t, which must follow exact SGD —
+  /// ỹ_t = x̃_t − c̄_t, which must follow exact SGD —
   /// tests/core_marsit_dynamics_test.cpp checks that identity numerically.
   void mean_compensation_into(std::span<float> out) const;
 
@@ -352,17 +390,8 @@ class MarsitSync final : public SyncStrategy {
                                 std::span<float> out) override;
   void on_flush_rejoin(std::size_t worker) override;
 
-  /// Worker w's c_t with its owed line 10 applied (a copy).
-  Tensor settled_compensation(std::size_t w) const;
-
   MarsitOptions options_;
-  // Per-worker c_t, lazily sized.  A survivor's holds u_m + c_m from its
-  // line 1 on: the packed vector of a one-bit round, whose line 10 it owes
-  // against owed_ until its next round, or a flush's summed row.
-  std::vector<Tensor> compensation_;
-  std::vector<BitVector> signs_;      // per-worker packed signs scratch
-  BitVector owed_;                    // the last one-bit round's aggregate
-  std::vector<bool> owes_;            // per worker: line 10 not yet settled
+  std::vector<MarsitRank> ranks_;  // one per worker, lazily sized
 };
 
 // --- factory ------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "ckpt/snapshot.hpp"
-#include "compress/bit_vector.hpp"
 #include "compress/kernels.hpp"
 #include "core/hop_schedule.hpp"
 #include "net/network_sim.hpp"
@@ -29,7 +28,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
                                const std::function<Sequential()>& model_factory,
                                const WorkerConfig& config) {
   const std::size_t m = transport.world_size();
-  const std::size_t rank = transport.rank();
+  const std::size_t rank_id = transport.rank();
   MARSIT_CHECK(m >= 2) << "distributed run needs at least 2 workers";
   if (config.paradigm == MarParadigm::kTorus2d) {
     MARSIT_CHECK(config.torus_rows >= 2 && config.torus_cols >= 2 &&
@@ -48,7 +47,7 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   init_replica(local.model(), dataset, config.trainer_seed);
   const std::size_t d = local.model().param_count();
 
-  Tensor compensation(d);  // c, and on a flush round the flush's mean
+  MarsitRank rank(config.options, Tensor(d));
   const std::size_t k = config.options.full_precision_period;
   // One schedule per round kind, priced once on the wire alone: the
   // NetworkSim replay is a pure function of the schedule and the cost
@@ -64,16 +63,12 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
   net.reset();
   const CollectiveTiming flush_price =
       price_hop_schedule(flush, full_precision_wire(), net);
-  // After a one-bit round with compensation on, `signs` holds the round's
-  // aggregate, whose line 10 (c ← c − η_s·s) is owed until the next round.
-  BitVector signs(d);
-  bool owed = false;
   const float inv_m = 1.0f / static_cast<float>(m);
 
   WorkerResult result;
   result.rounds.reserve(config.rounds);
   for (std::size_t t = 0; t < config.rounds; ++t) {
-    local.step(sampler, rank, t, config.eta_l, config.clip_grad_norm,
+    local.step(sampler, rank_id, t, config.eta_l, config.clip_grad_norm,
                /*local_steps=*/1);
 
     // --- synchronize (MarsitSync::do_synchronize, full membership) --------
@@ -86,23 +81,16 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     if (full_precision) {
       // Lines 12–13: all-reduce u + c in place; its mean becomes g, which
       // is applied from the same buffer before c restarts at zero.
-      if (owed) {
-        marsit_settle(config.options, signs.words(), compensation.span());
-      }
-      add(local.update(), compensation.span(), compensation.span());
-      sent_bytes =
-          execute_hop_schedule(transport, flush, t, compensation.span());
-      scale(compensation.span(), inv_m);
-      clip_flush_mean(config.options, compensation.span());
+      const std::span<float> sum = rank.contribute(local.update(), 0);
+      sent_bytes = execute_hop_schedule(transport, flush, t, sum);
+      scale(sum, inv_m);
+      clip_flush_mean(config.options, sum);
     } else {
-      marsit_begin_round(config.options,
-                         owed ? signs.words() : std::span<std::uint64_t>{},
-                         local.update(), compensation.span(), signs.words());
+      rank.pack(local.update(), 0);
       sent_bytes = execute_hop_schedule(transport, one_bit, t,
                                         derive_seed(config.sync_seed, t),
-                                        signs.words());
+                                        rank.signs());
     }
-    owed = !full_precision && config.options.use_compensation;
     report.measured_comm_seconds = seconds_since(comm_start);
     report.wire_bits = sent_bytes * 8.0;
     const CollectiveTiming& priced =
@@ -111,13 +99,14 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     report.total_wire_bits = priced.total_wire_bits;
 
     if (full_precision) {
-      local.model().apply_update(compensation.span());
-      compensation.zero();
+      local.model().apply_update(rank.compensation());
+      zero(rank.compensation());
     } else {
       // x ← x − g straight from the aggregate's sign bits.
-      kernels::accumulate_signs_words(signs.words(), -config.options.eta_s,
+      kernels::accumulate_signs_words(rank.signs(), -config.options.eta_s,
                                       local.model().params());
     }
+    rank.finish(full_precision);
     result.rounds.push_back(report);
   }
 

@@ -3,14 +3,15 @@
 //
 // Each rank calls the simulator's per-rank code, not a copy of it: one
 // LocalWorker (sim/trainer.hpp) built by make_train_sampler and
-// init_replica runs the trainer's local step, and Algorithm 1's lines 1 and
-// 10 are the marsit_begin_round / marsit_settle stages MarsitSync runs per
-// shard chunk (core/sync_strategy.hpp): a one-bit round's line 10 is owed
-// until the next round's line 1 settles it, and the rank applies the
-// round's update straight from the aggregate's sign bits.  A run over
-// SimTransport or SocketTransport therefore finishes with parameters
-// bit-identical to the simulator's — the cross-backend determinism contract
-// tests/dist_cross_backend_test pins via FNV-1a param digests.
+// init_replica runs the trainer's local step, and one MarsitRank
+// (core/sync_strategy.hpp) holds Algorithm 1's state, as each of
+// MarsitSync's workers does: a one-bit round's line 10 is owed against the
+// aggregate left in the rank's plane until the next round's line 1 settles
+// it, and the rank applies the round's update straight from those sign
+// bits.  A run over SimTransport or SocketTransport therefore finishes
+// with parameters bit-identical to the simulator's — the cross-backend
+// determinism contract tests/dist_cross_backend_test pins via FNV-1a param
+// digests.
 //
 // Every round runs a hop schedule (core/hop_schedule.hpp) through
 // execute_hop_schedule, the schedule's Transport interpreter; the trainer's
@@ -19,11 +20,12 @@
 // reduce-scatter and all-gather volume on ring, torus, parameter server
 // (colocated at rank 0) and binomial tree alike: 2(M−1)·D sign bits on a
 // one-bit round, 2(M−1)·D floats on a full-precision flush.  The flush is
-// the float all-reduce of every rank's u + c, built in place in the
-// compensation buffer: each fold hop adds the arriving partial in the
-// schedule's association, which MarsitSync's float fold shares, then the
-// sum is scaled by 1/M, clipped and applied from that buffer before c
-// restarts at zero.  Round t's frames are tagged t << 2 | stream.
+// the float all-reduce of every rank's u + c, built in place in its
+// compensation (MarsitRank::contribute): each fold hop adds the arriving
+// partial in the schedule's association, which MarsitSync's float fold
+// shares, then the sum is scaled by 1/M, clipped and applied from that
+// buffer before c restarts at zero.  Round t's frames are tagged
+// t << 2 | stream.
 //
 // The α–β prediction reported per round comes from price_hop_schedule —
 // the pricer of every round, the trainer's included — run once per round

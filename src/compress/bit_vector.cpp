@@ -32,16 +32,6 @@ std::size_t BitVector::popcount() const {
   return total;
 }
 
-std::size_t BitVector::hamming_distance(const BitVector& other) const {
-  check_compatible(other);
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    total += static_cast<std::size_t>(
-        std::popcount(words_[w] ^ other.words_[w]));
-  }
-  return total;
-}
-
 void BitVector::fill(bool value) {
   const std::uint64_t word = value ? ~std::uint64_t{0} : 0;
   for (auto& w : words_) {
@@ -50,40 +40,11 @@ void BitVector::fill(bool value) {
   clear_tail();
 }
 
-BitVector& BitVector::operator&=(const BitVector& other) {
-  check_compatible(other);
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    words_[w] &= other.words_[w];
-  }
-  return *this;
-}
-
-BitVector& BitVector::operator|=(const BitVector& other) {
-  check_compatible(other);
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    words_[w] |= other.words_[w];
-  }
-  return *this;
-}
-
-BitVector& BitVector::operator^=(const BitVector& other) {
-  check_compatible(other);
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    words_[w] ^= other.words_[w];
-  }
-  return *this;
-}
-
 void BitVector::clear_tail() {
   const std::size_t tail = size_ % 64;
   if (tail != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << tail) - 1;
   }
-}
-
-void BitVector::check_compatible(const BitVector& other) const {
-  MARSIT_CHECK(size_ == other.size_)
-      << "bit-vector extents " << size_ << " vs " << other.size_;
 }
 
 }  // namespace marsit

@@ -4,7 +4,7 @@
 //
 // Storage is 64-bit words; bit i lives in word i/64 at position i%64 (LSB
 // first).  Tail bits of the last word beyond size() are kept zero — the
-// word-wise operators rely on that canonical form.
+// word-span kernels (compress/kernels.hpp) rely on that canonical form.
 #pragma once
 
 #include <cstddef>
@@ -36,26 +36,12 @@ class BitVector {
   /// Number of set bits.
   std::size_t popcount() const;
 
-  /// Number of positions where *this and other differ.  Extents must match.
-  std::size_t hamming_distance(const BitVector& other) const;
-
   void fill(bool value);
-
-  // Word-wise logical ops (extents must match).  These are the substrate of
-  // the ⊙ operator:  v ⊙ v* = (v AND v*) OR ((v XOR v*) AND b).
-  BitVector& operator&=(const BitVector& other);
-  BitVector& operator|=(const BitVector& other);
-  BitVector& operator^=(const BitVector& other);
 
   bool operator==(const BitVector& other) const = default;
 
-  /// Bits occupied on the wire (= size(); provided for symmetry with the
-  /// other message types' bit accounting).
-  std::size_t wire_bits() const { return size_; }
-
  private:
   void clear_tail();
-  void check_compatible(const BitVector& other) const;
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;

@@ -10,12 +10,6 @@ namespace marsit {
 
 SignSum::SignSum(std::size_t size) : values_(size, 0) {}
 
-SignSum SignSum::from_signs(const BitVector& bits) {
-  SignSum sum(bits.size());
-  sum.accumulate(bits);
-  return sum;
-}
-
 void SignSum::accumulate(const BitVector& bits) {
   MARSIT_CHECK(bits.size() == values_.size())
       << "sign-sum extent " << values_.size() << " vs bits " << bits.size();
@@ -59,10 +53,6 @@ void SignSum::mean_into(std::span<float> out) const {
   for (std::size_t i = 0; i < values_.size(); ++i) {
     out[i] = static_cast<float>(values_[i]) * inv;
   }
-}
-
-std::size_t SignSum::wire_bits_fixed() const {
-  return values_.size() * sign_sum_bits_per_element(contributions_);
 }
 
 std::size_t SignSum::wire_bits_elias() const {

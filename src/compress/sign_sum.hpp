@@ -32,9 +32,6 @@ class SignSum {
   /// Zero-initialized sums over `size` elements with no contributions yet.
   explicit SignSum(std::size_t size);
 
-  /// Starts a sign-sum from one worker's sign bits (each counts ±1).
-  static SignSum from_signs(const BitVector& bits);
-
   std::size_t size() const { return values_.size(); }
   /// Number of worker contributions accumulated.
   std::size_t contributions() const { return contributions_; }
@@ -59,9 +56,6 @@ class SignSum {
 
   /// Mean contribution per element: value_i / contributions.
   void mean_into(std::span<float> out) const;
-
-  /// Fixed-width wire size in bits: size() * (⌈log2(contributions+1)⌉ + 1).
-  std::size_t wire_bits_fixed() const;
 
   /// Wire size after Elias-γ coding of the zig-zag mapped values: the sum
   /// of their γ code lengths (compress/elias.hpp).

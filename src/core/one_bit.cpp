@@ -66,14 +66,6 @@ BitVector one_bit_fold(const std::vector<BitVector>& signs, Rng& rng) {
   return aggregate;
 }
 
-void one_bit_fold_into(std::vector<BitVector>& signs, Rng& rng) {
-  MARSIT_CHECK(!signs.empty()) << "one_bit_fold over zero workers";
-  BitVector& aggregate = signs.front();
-  for (std::size_t m = 1; m < signs.size(); ++m) {
-    one_bit_combine_into(aggregate, m, signs[m], 1, rng);
-  }
-}
-
 std::uint64_t segment_fold_seed(std::uint64_t round_seed,
                                 std::uint64_t segment_index) {
   return derive_seed(round_seed, segment_index);

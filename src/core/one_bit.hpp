@@ -72,11 +72,6 @@ BitVector one_bit_combine(const BitVector& a, std::size_t weight_a,
 /// one_bit_combine with weight_b = 1.
 BitVector one_bit_fold(const std::vector<BitVector>& signs, Rng& rng);
 
-/// In-place fold: accumulates signs[1..] into signs.front() in chain order
-/// with zero per-hop allocations; the result lives in signs.front().
-/// Bit-identical to one_bit_fold at equal seeds.
-void one_bit_fold_into(std::vector<BitVector>& signs, Rng& rng);
-
 // --- Segment seeding ---------------------------------------------------
 //
 // `bernoulli_word` consumes a *variable* number of raw generator words per

@@ -1,74 +1,18 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <sstream>
-
-#include "util/check.hpp"
+#include <utility>
 
 namespace marsit {
 
-std::size_t shape_size(const std::vector<std::size_t>& shape) {
-  std::size_t total = shape.empty() ? 0 : 1;
-  for (std::size_t dim : shape) {
-    total *= dim;
-  }
-  return total;
-}
-
-Tensor::Tensor(std::vector<std::size_t> shape)
-    : shape_(std::move(shape)), data_(shape_size(shape_), 0.0f) {
-  MARSIT_CHECK(!shape_.empty()) << "explicit shape must have rank >= 1";
-}
-
-Tensor::Tensor(std::initializer_list<float> values)
-    : shape_{values.size()}, data_(values) {}
-
 Tensor Tensor::from_vector(std::vector<float> values) {
   Tensor t;
-  t.shape_ = {values.size()};
   t.data_ = std::move(values);
   return t;
 }
 
-std::size_t Tensor::dim(std::size_t axis) const {
-  MARSIT_CHECK(axis < shape_.size())
-      << "axis " << axis << " out of rank " << shape_.size();
-  return shape_[axis];
-}
-
-float& Tensor::at(std::size_t i) {
-  MARSIT_CHECK(i < data_.size())
-      << "index " << i << " out of size " << data_.size();
-  return data_[i];
-}
-
-float Tensor::at(std::size_t i) const {
-  MARSIT_CHECK(i < data_.size())
-      << "index " << i << " out of size " << data_.size();
-  return data_[i];
-}
-
-void Tensor::reshape(std::vector<std::size_t> shape) {
-  MARSIT_CHECK(shape_size(shape) == data_.size())
-      << "reshape to incompatible element count";
-  shape_ = std::move(shape);
-}
-
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
-}
-
-std::string Tensor::debug_string() const {
-  std::ostringstream out;
-  out << "shape=[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i > 0) {
-      out << ',';
-    }
-    out << shape_[i];
-  }
-  out << "] size=" << size();
-  return out.str();
 }
 
 }  // namespace marsit

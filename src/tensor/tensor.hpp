@@ -1,16 +1,13 @@
 // Dense float32 tensor.
 //
 // Everything marsit trains or transmits is float32 (matching the paper's
-// "single float precision, 32 bits" framing), stored flat and row-major.
-// The shape is carried for shape-checking at layer boundaries; all numeric
-// kernels operate on flat spans (tensor/ops.hpp).
+// "single float precision, 32 bits" framing), stored flat.  All numeric
+// kernels operate on flat spans (tensor/ops.hpp); no layer reads a shape.
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace marsit {
@@ -20,31 +17,16 @@ class Tensor {
   /// Empty tensor (size 0).
   Tensor() = default;
 
-  /// 1-D tensor of `size` zeros.
-  explicit Tensor(std::size_t size) : shape_{size}, data_(size, 0.0f) {}
+  /// `size` zeros.
+  explicit Tensor(std::size_t size) : data_(size, 0.0f) {}
 
-  /// Zero tensor with the given shape.  NOTE: a braced list of integers
-  /// (`Tensor{2, 3}`) selects the initializer_list<float> *value*
-  /// constructor below, not this one — pass an explicit
-  /// std::vector<std::size_t> (or use zeros()) to construct by shape.
-  explicit Tensor(std::vector<std::size_t> shape);
-
-  /// Unambiguous shape-based factory.
-  static Tensor zeros(std::vector<std::size_t> shape) {
-    return Tensor(std::move(shape));
-  }
-
-  /// 1-D tensor from explicit values.
-  Tensor(std::initializer_list<float> values);
+  /// Explicit values; a braced list of integers is values too.
+  Tensor(std::initializer_list<float> values) : data_(values) {}
 
   static Tensor from_vector(std::vector<float> values);
 
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
-
-  const std::vector<std::size_t>& shape() const { return shape_; }
-  std::size_t rank() const { return shape_.size(); }
-  std::size_t dim(std::size_t axis) const;
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
@@ -55,27 +37,11 @@ class Tensor {
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
 
-  /// Bounds-checked element access (API-boundary use; kernels index raw
-  /// data()).
-  float& at(std::size_t i);
-  float at(std::size_t i) const;
-
-  /// Reinterprets the buffer with a new shape of identical element count.
-  void reshape(std::vector<std::size_t> shape);
-
   void fill(float value);
   void zero() { fill(0.0f); }
 
-  /// "shape=[a,b,c] size=N" — for log and error messages.
-  std::string debug_string() const;
-
  private:
-  std::vector<std::size_t> shape_;
   std::vector<float> data_;
 };
-
-/// Number of elements implied by a shape (empty shape -> 0 elements for a
-/// default tensor, but an explicit rank-0 shape is disallowed).
-std::size_t shape_size(const std::vector<std::size_t>& shape);
 
 }  // namespace marsit

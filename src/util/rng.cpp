@@ -67,10 +67,6 @@ double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-float Rng::next_float() {
-  return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
-}
-
 double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * next_double();
 }

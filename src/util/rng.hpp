@@ -67,9 +67,6 @@ class Rng {
   /// Uniform double in [0, 1) with 53 random mantissa bits.
   double next_double();
 
-  /// Uniform float in [0, 1).
-  float next_float();
-
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
 

@@ -18,8 +18,6 @@ class TextTable {
   /// Appends one row; must have the same arity as the header.
   void add_row(std::vector<std::string> row);
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Renders with aligned columns, a header underline, and 2-space gutters.
   void print(std::ostream& out) const;
 

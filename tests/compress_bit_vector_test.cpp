@@ -48,47 +48,6 @@ TEST(BitVectorTest, FillKeepsTailZero) {
   EXPECT_EQ(bits.words()[1] >> 6, 0u);
 }
 
-TEST(BitVectorTest, LogicalOps) {
-  BitVector a(130), b(130);
-  a.set(0, true);
-  a.set(100, true);
-  b.set(100, true);
-  b.set(129, true);
-
-  BitVector and_result = a;
-  and_result &= b;
-  EXPECT_EQ(and_result.popcount(), 1u);
-  EXPECT_TRUE(and_result.get(100));
-
-  BitVector or_result = a;
-  or_result |= b;
-  EXPECT_EQ(or_result.popcount(), 3u);
-
-  BitVector xor_result = a;
-  xor_result ^= b;
-  EXPECT_EQ(xor_result.popcount(), 2u);
-  EXPECT_TRUE(xor_result.get(0));
-  EXPECT_TRUE(xor_result.get(129));
-}
-
-TEST(BitVectorTest, OpsRejectSizeMismatch) {
-  BitVector a(10), b(11);
-  EXPECT_THROW(a &= b, CheckError);
-  EXPECT_THROW(a |= b, CheckError);
-  EXPECT_THROW(a ^= b, CheckError);
-  EXPECT_THROW((void)a.hamming_distance(b), CheckError);
-}
-
-TEST(BitVectorTest, HammingDistance) {
-  BitVector a(65), b(65);
-  EXPECT_EQ(a.hamming_distance(b), 0u);
-  a.set(3, true);
-  b.set(64, true);
-  EXPECT_EQ(a.hamming_distance(b), 2u);
-  b.set(3, true);
-  EXPECT_EQ(a.hamming_distance(b), 1u);
-}
-
 TEST(BitVectorTest, EqualityAndCopies) {
   BitVector a(40);
   a.set(5, true);
@@ -96,11 +55,6 @@ TEST(BitVectorTest, EqualityAndCopies) {
   EXPECT_EQ(a, b);
   b.set(6, true);
   EXPECT_NE(a, b);
-}
-
-TEST(BitVectorTest, WireBitsEqualsSize) {
-  BitVector a(123);
-  EXPECT_EQ(a.wire_bits(), 123u);
 }
 
 TEST(BitVectorTest, EmptyVector) {

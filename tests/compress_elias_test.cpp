@@ -84,8 +84,10 @@ TEST(EliasSignSumTest, NearZeroSumsCompressBelowFixedWidth) {
     }
     sum.accumulate(bits);
   }
-  EXPECT_EQ(sum.wire_bits_fixed(), kElements * 7);  // ⌈log2 33⌉ + 1
-  EXPECT_LT(sum.wire_bits_elias(), sum.wire_bits_fixed());
+  const std::size_t fixed =
+      kElements * sign_sum_bits_per_element(sum.contributions());
+  EXPECT_EQ(fixed, kElements * 7);  // ⌈log2 33⌉ + 1
+  EXPECT_LT(sum.wire_bits_elias(), fixed);
 }
 
 }  // namespace

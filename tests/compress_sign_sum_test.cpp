@@ -25,13 +25,6 @@ TEST(SignSumTest, AccumulateCountsContributions) {
   EXPECT_EQ(sum.value(2), 0);
 }
 
-TEST(SignSumTest, FromSigns) {
-  SignSum sum = SignSum::from_signs(signs_of({-1.0f, 1.0f}));
-  EXPECT_EQ(sum.contributions(), 1u);
-  EXPECT_EQ(sum.value(0), -1);
-  EXPECT_EQ(sum.value(1), 1);
-}
-
 TEST(SignSumTest, MajorityTiesToPositive) {
   SignSum sum(2);
   sum.accumulate(signs_of({1.0f, -1.0f}));
@@ -78,7 +71,8 @@ TEST(SignSumBitsTest, FixedWireBits) {
   sum.accumulate(BitVector(100));
   sum.accumulate(BitVector(100));
   sum.accumulate(BitVector(100));
-  EXPECT_EQ(sum.wire_bits_fixed(), 100u * 3u);
+  EXPECT_EQ(sum.size() * sign_sum_bits_per_element(sum.contributions()),
+            100u * 3u);
 }
 
 TEST(SignSumBitsTest, EliasBitsOfZeroSumsAreOneBitEach) {

@@ -28,7 +28,9 @@
 // rejoin/demotion totals.  Severity 0 of the probabilistic faults is the
 // fault-free baseline, so each method's row set is a degradation curve.
 // Output: a human-readable table on stdout plus a machine-readable JSON
-// file (--out PATH, default fault_sweep.json).
+// file (--out PATH, default fault_sweep.json).  The bench then prints its
+// shape checks and exits 1 if one fails.
+#include <algorithm>
 #include <fstream>
 
 #include "bench_util.hpp"
@@ -68,6 +70,22 @@ FaultPlan make_plan(const FaultSpec& spec, double severity,
     MARSIT_CHECK(false) << "unknown fault type " << spec.type;
   }
   return plan;
+}
+
+/// One (fault, severity, method) cell's training run.
+struct Cell {
+  std::string fault;
+  std::string method;
+  TrainResult result;
+};
+
+/// The rows a sweep reports for one run, compared exactly.
+bool same_rows(const TrainResult& a, const TrainResult& b) {
+  return a.final_test_accuracy == b.final_test_accuracy &&
+         a.sim_seconds == b.sim_seconds &&
+         a.total_wire_bits == b.total_wire_bits &&
+         a.degraded_rounds == b.degraded_rounds &&
+         a.total_rejoins == b.total_rejoins;
 }
 
 /// Two staggered one-worker outages, deliberately unaligned with the K-round
@@ -132,6 +150,7 @@ int main(int argc, char** argv) {
   json.kv("workers", workers);
   json.key("curves");
   json.begin_array();
+  std::vector<Cell> cells;
 
   const auto run_cell = [&](const std::string& fault, double severity,
                             const MethodSpec& method, const FaultPlan& plan) {
@@ -178,6 +197,7 @@ int main(int argc, char** argv) {
     json.kv("corruption_demotions", result.total_corruption_demotions);
     json.kv("diverged", result.diverged);
     json.end_object();
+    cells.push_back({fault, method.label, result});
   };
 
   for (const FaultSpec& fault : faults) {
@@ -211,12 +231,99 @@ int main(int argc, char** argv) {
   out << "\n";
 
   table.print(std::cout);
-  std::cout << "\nJSON degradation curves written to " << out_path << "\n";
-  std::cout << "shape check: severity 0 matches the healthy run; accuracy "
-               "decays and sim\ntime inflates as severity grows, with Marsit "
-               "degrading gracefully rather than\ndiverging.  Corruption "
-               "burns retransmitted bits (and demotes senders past the\n"
-               "retry budget); flush-gated rejoins lengthen absences but "
-               "re-enter only where\ncompensation is zero.\n";
-  return 0;
+  std::cout << "\nJSON degradation curves written to " << out_path << "\n\n";
+
+  // One method's rows of `fault`, in severity order.
+  const auto rows = [&cells](const std::string& fault,
+                             const std::string& method) {
+    std::vector<const TrainResult*> found;
+    for (const Cell& cell : cells) {
+      if (cell.fault == fault && cell.method == method) {
+        found.push_back(&cell.result);
+      }
+    }
+    return found;
+  };
+  bool healthy_rows_agree = true;
+  bool dropout_degrades_more = true;
+  bool retries_resend = true;
+  bool retries_slow_down = true;
+  bool stragglers_never_speed_up = true;
+  bool corruption_demotes = true;
+  bool marsit_waits_for_flush = false;
+  bool others_ignore_flush_gate = true;
+  for (const MethodSpec& method : methods) {
+    const std::string& label = method.label;
+    const TrainResult& healthy = *rows("dropout", label).front();
+    for (const char* fault : {"packet-loss", "straggler", "corruption"}) {
+      healthy_rows_agree =
+          healthy_rows_agree && same_rows(*rows(fault, label).front(), healthy);
+    }
+    const auto dropout = rows("dropout", label);
+    for (std::size_t i = 1; i < dropout.size(); ++i) {
+      dropout_degrades_more = dropout_degrades_more &&
+                              dropout[i]->degraded_rounds >
+                                  dropout[i - 1]->degraded_rounds;
+    }
+    for (const char* fault : {"packet-loss", "corruption"}) {
+      const auto retried = rows(fault, label);
+      for (std::size_t i = 1; i < retried.size(); ++i) {
+        retries_resend =
+            retries_resend && retried[i]->total_retransmitted_wire_bits > 0.0;
+        retries_slow_down = retries_slow_down && retried[i]->sim_seconds >
+                                                     retried[i - 1]->sim_seconds;
+      }
+    }
+    const auto straggler = rows("straggler", label);
+    for (std::size_t i = 1; i < straggler.size(); ++i) {
+      stragglers_never_speed_up =
+          stragglers_never_speed_up &&
+          straggler[i]->sim_seconds >= straggler[i - 1]->sim_seconds;
+    }
+    corruption_demotes = corruption_demotes &&
+                         rows("corruption", label).back()
+                                 ->total_corruption_demotions > 0;
+    const auto rejoin = rows("rejoin", label);
+    if (method.method == SyncMethod::kMarsit) {
+      marsit_waits_for_flush =
+          rejoin[1]->total_flush_rejoins > 0 &&
+          rejoin[1]->degraded_rounds > rejoin[0]->degraded_rounds;
+    } else {
+      others_ignore_flush_gate =
+          others_ignore_flush_gate && same_rows(*rejoin[0], *rejoin[1]);
+    }
+  }
+  const bool none_diverged =
+      std::none_of(cells.begin(), cells.end(),
+                   [](const Cell& cell) { return cell.result.diverged; });
+
+  bool ok = shape_check(
+      "per method, the four fault-free rows (severity 0, straggler 1.00) "
+      "agree on accuracy, sim time, wire bits, degraded rounds and rejoins",
+      healthy_rows_agree);
+  ok = shape_check("no run diverges", none_diverged) && ok;
+  ok = shape_check("dropout's degraded rounds rise with severity",
+                   dropout_degrades_more) &&
+       ok;
+  ok = shape_check("packet-loss and corruption rows above severity 0 "
+                   "retransmit bits",
+                   retries_resend) &&
+       ok;
+  ok = shape_check("packet-loss and corruption sim time rises with severity",
+                   retries_slow_down) &&
+       ok;
+  ok = shape_check("straggler sim time never falls as severity rises",
+                   stragglers_never_speed_up) &&
+       ok;
+  ok = shape_check("corruption at 0.50 demotes at least one sender",
+                   corruption_demotes) &&
+       ok;
+  ok = shape_check("rejoin: Marsit's flush-gated row has flush rejoins and "
+                   "more degraded rounds than its ungated row",
+                   marsit_waits_for_flush) &&
+       ok;
+  ok = shape_check("rejoin: every other method's two rows are equal",
+                   others_ignore_flush_gate) &&
+       ok;
+  return ok ? 0 : 1;
 }

@@ -38,16 +38,15 @@ ThreadPool& strategy_pool(const SyncConfig& config) {
   return config.pool != nullptr ? *config.pool : global_thread_pool();
 }
 
-/// `count` zero vectors of `size` elements, each built in place (assign()
+/// `count` zero tensors of `size` elements, each built in place (assign()
 /// would zero one temporary and copy it `count` times).
-template <typename Vector>
-std::vector<Vector> zero_vectors(std::size_t count, std::size_t size) {
-  std::vector<Vector> vectors;
-  vectors.reserve(count);
+std::vector<Tensor> zero_tensors(std::size_t count, std::size_t size) {
+  std::vector<Tensor> tensors;
+  tensors.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    vectors.emplace_back(size);
+    tensors.emplace_back(size);
   }
-  return vectors;
+  return tensors;
 }
 
 /// Reads the per-worker vectors a strategy's save_state wrote: none, or one
@@ -444,7 +443,7 @@ SyncStepResult EfSignSgdSync::do_synchronize(const WorkerSpans& inputs,
                                              std::span<float> out) {
   const std::size_t d = out.size();
   if (error_.empty()) {
-    error_ = zero_vectors<Tensor>(config_.num_workers, d);
+    error_ = zero_tensors(config_.num_workers, d);
   }
   // Only the survivors compress and contribute; an absent worker's EF
   // memory e_m is carried forward untouched and re-enters the feedback loop

@@ -12,6 +12,9 @@
 // accounting: the round's hop schedule (core/hop_schedule.hpp) on this
 // strategy's paradigm (ring / 2-D torus / parameter server / tree), priced
 // on the strategy's NetworkSim.
+//
+// Algorithm 1's per-rank state lives in one type, MarsitRank: MarsitSync
+// keeps one per worker and the distributed worker (dist/worker.hpp) one.
 #pragma once
 
 #include <cstddef>

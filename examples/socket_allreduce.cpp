@@ -8,12 +8,14 @@
 //      the trainer's pool must not leak into forked children),
 //   2. forks 4 worker processes; each mesh-connects over TCP, runs
 //      dist::run_marsit_worker over a SocketTransport, and pipes back its
-//      FNV-1a param digest plus per-round measured/predicted timings,
+//      FNV-1a param digest plus per-round step and measured/predicted
+//      timings,
 //   3. runs the identical seeds through the simulator
 //      (DistributedTrainer + MarsitSync) in the parent,
 //   4. asserts every socket rank's digest equals the simulator's, that
-//      one-bit rounds move exactly 2(M−1)·D sign bits, and prints measured
-//      wall-clock next to the α–β prediction per round.
+//      one-bit rounds move exactly 2(M−1)·D sign bits, and prints each
+//      round's local step (line 1 included) and measured communication
+//      wall-clock next to the α–β prediction.
 //
 // A watchdog bounds every scenario: result pipes are read with a poll()
 // deadline and children that outlive it are SIGKILLed and reaped, so a
@@ -85,6 +87,7 @@ dist::WorkerConfig worker_config(MarParadigm paradigm) {
 struct RoundWire {
   std::uint64_t round;
   std::uint64_t full_precision;
+  double step_seconds;
   double measured_comm_seconds;
   double predicted_comm_seconds;
   double wire_bits;
@@ -162,7 +165,7 @@ bool write_exact(int fd, const void* data, std::size_t size) {
               write_exact(out_fd, &count, sizeof(count));
     for (const dist::RoundReport& report : result.rounds) {
       const RoundWire wire{report.round, report.full_precision ? 1u : 0u,
-                           report.measured_comm_seconds,
+                           report.step_seconds, report.measured_comm_seconds,
                            report.predicted_comm_seconds, report.wire_bits,
                            report.total_wire_bits};
       ok = ok && write_exact(out_fd, &wire, sizeof(wire));
@@ -325,15 +328,18 @@ bool run_scenario(const char* name, MarParadigm paradigm) {
   }
 
   // Measured wall-clock vs the α–β prediction, per round (rank 0's view;
-  // measured varies run to run, predicted is deterministic).
-  std::printf("%6s  %5s  %14s  %14s  %12s  %14s\n", "round", "kind",
-              "measured s", "predicted s", "wire bits", "total bits");
+  // measured varies run to run, predicted is deterministic).  "step s" is
+  // the local step with line 1 in it, "measured s" the hops after it.
+  std::printf("%6s  %5s  %10s  %14s  %14s  %12s  %14s\n", "round", "kind",
+              "step s", "measured s", "predicted s", "wire bits",
+              "total bits");
   for (const RoundWire& wire : reports[0]) {
-    std::printf("%6llu  %5s  %14.6f  %14.6f  %12.0f  %14.0f\n",
+    std::printf("%6llu  %5s  %10.6f  %14.6f  %14.6f  %12.0f  %14.0f\n",
                 static_cast<unsigned long long>(wire.round),
                 wire.full_precision != 0 ? "flush" : "1-bit",
-                wire.measured_comm_seconds, wire.predicted_comm_seconds,
-                wire.wire_bits, wire.total_wire_bits);
+                wire.step_seconds, wire.measured_comm_seconds,
+                wire.predicted_comm_seconds, wire.wire_bits,
+                wire.total_wire_bits);
   }
 
   // The paper's wire volume, pinned on every rank's every one-bit round:

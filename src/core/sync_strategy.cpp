@@ -627,36 +627,75 @@ MarsitRank::MarsitRank(const MarsitOptions& options, Tensor compensation)
       compensation_(std::move(compensation)),
       signs_(compensation_.size()) {}
 
-std::span<std::uint64_t> MarsitRank::plane(std::size_t begin,
-                                           std::size_t count) {
-  MARSIT_CHECK(begin % kernels::kWordBits == 0 && begin + count <= size())
+std::span<float> MarsitRank::row(std::size_t begin, std::size_t count) {
+  MARSIT_CHECK(begin <= size() && count <= size() - begin)
       << "slice [" << begin << ", " << begin + count << ") of " << size();
-  return signs_.words().subspan(begin / kernels::kWordBits,
-                                kernels::words_for(count));
+  return compensation_.span().subspan(begin, count);
+}
+
+template <typename Kernel>
+void MarsitRank::for_each_piece(std::size_t begin, std::size_t count,
+                                Kernel&& kernel) {
+  using kernels::kWordBits;
+  const std::span<std::uint64_t> plane = signs_.words();
+  const std::size_t end = begin + count;
+  // Whole words run in place, through the plane's last, partial word when
+  // the slice reaches the end.
+  const std::size_t whole_end = end == size() ? end : end - end % kWordBits;
+  std::size_t at = begin;
+  while (at < end) {
+    const std::size_t word = at / kWordBits;
+    const std::size_t offset = at % kWordBits;
+    if (offset == 0 && whole_end > at) {
+      kernel(at - begin, whole_end - at,
+             plane.subspan(word, kernels::words_for(whole_end - at)));
+      at = whole_end;
+      continue;
+    }
+    // Part of one word (n < 64): run on a copy shifted down to the piece's
+    // first element, then merge the piece's bits back.  A piece that ends
+    // the plane owns the word's bits past size() too, which the kernels
+    // write as zero.
+    const std::size_t n = std::min(end, at - offset + kWordBits) - at;
+    const std::uint64_t mask =
+        (at + n == size() ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1)
+        << offset;
+    std::uint64_t bits = plane[word] >> offset;
+    kernel(at - begin, n, std::span<std::uint64_t>(&bits, 1));
+    plane[word] = (plane[word] & ~mask) | ((bits << offset) & mask);
+    at += n;
+  }
 }
 
 void MarsitRank::pack(std::span<const float> update, std::size_t begin) {
-  const std::span<std::uint64_t> words = plane(begin, update.size());
-  if (!options_.use_compensation) {
-    // sign(u) is sign(u + 0.0f), NaN and −0.0 included.
-    kernels::pack_signs_words(update, words);
-    return;
-  }
-  kernels::settle_add_pack_signs_words(
-      owed_ ? words : std::span<std::uint64_t>{}, -options_.eta_s, update,
-      compensation_.span().subspan(begin, update.size()), words);
+  const std::span<float> c = row(begin, update.size());
+  for_each_piece(begin, update.size(),
+                 [&](std::size_t first, std::size_t n,
+                     std::span<std::uint64_t> words) {
+                   const std::span<const float> u = update.subspan(first, n);
+                   if (!options_.use_compensation) {
+                     // sign(u) is sign(u + 0.0f), NaN and −0.0 included.
+                     kernels::pack_signs_words(u, words);
+                     return;
+                   }
+                   kernels::settle_add_pack_signs_words(
+                       owed_ ? words : std::span<std::uint64_t>{},
+                       -options_.eta_s, u, c.subspan(first, n), words);
+                 });
 }
 
-std::span<float> MarsitRank::contribute(std::span<const float> update,
-                                        std::size_t begin) {
-  const std::span<float> row =
-      compensation_.span().subspan(begin, update.size());
+void MarsitRank::contribute(std::span<const float> update,
+                            std::size_t begin) {
+  const std::span<float> c = row(begin, update.size());
   if (owed_) {
-    kernels::accumulate_signs_words(plane(begin, update.size()),
-                                    -options_.eta_s, row);
+    for_each_piece(begin, update.size(),
+                   [&](std::size_t first, std::size_t n,
+                       std::span<std::uint64_t> words) {
+                     kernels::accumulate_signs_words(words, -options_.eta_s,
+                                                     c.subspan(first, n));
+                   });
   }
-  add(update, row, row);
-  return row;
+  add(update, c, c);
 }
 
 void MarsitRank::finish(bool full_precision) {

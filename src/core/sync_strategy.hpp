@@ -322,8 +322,11 @@ void clip_flush_mean(const MarsitOptions& options, std::span<float> mean);
 ///                  all-reduce those rows, scale by 1/s and apply the mean,
 ///                  zero the rows (c restarts at zero), finish(true).
 ///
-/// Slices start at a multiple of 64 elements, so a slice of c is whole
-/// words of the plane.
+/// A slice may start and end at any element, and the slices of a round may
+/// arrive in any order: a slice that covers part of a plane word merges its
+/// bits into that word and leaves the word's other bits, owed or packed, as
+/// they are.  Slices that share a plane word must not run at the same time;
+/// slices that start at multiples of 64 elements share none.
 class MarsitRank {
  public:
   /// A rank resuming with compensation `compensation`, owing nothing.
@@ -337,9 +340,8 @@ class MarsitRank {
   void pack(std::span<const float> update, std::size_t begin);
 
   /// A flush's contribution on the slice: settles the owed line 10 there,
-  /// then c ← u + c in place, which it returns.
-  std::span<float> contribute(std::span<const float> update,
-                              std::size_t begin);
+  /// then c ← u + c in place.
+  void contribute(std::span<const float> update, std::size_t begin);
 
   /// Ends a round in which every slice was packed or contributed.  After a
   /// one-bit round the plane must hold the aggregate, and with
@@ -356,8 +358,16 @@ class MarsitRank {
   std::span<std::uint64_t> signs() { return signs_.words(); }
 
  private:
-  /// The words of the plane under the slice [begin, begin + count).
-  std::span<std::uint64_t> plane(std::size_t begin, std::size_t count);
+  /// c on the slice [begin, begin + count), which must lie inside it.
+  std::span<float> row(std::size_t begin, std::size_t count);
+
+  /// Runs kernel(first, n, words) over the slice [begin, begin + count) in
+  /// pieces: slice elements [first, first + n) against `words`, whose bit 0
+  /// is the piece's first element.  Whole words are the plane's own; a
+  /// piece inside one word gets a shifted one-word copy, merged back under
+  /// the piece's mask once the kernel returns.
+  template <typename Kernel>
+  void for_each_piece(std::size_t begin, std::size_t count, Kernel&& kernel);
 
   MarsitOptions options_;
   Tensor compensation_;

@@ -65,28 +65,50 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       price_hop_schedule(flush, full_precision_wire(), net);
   const float inv_m = 1.0f / static_cast<float>(m);
 
+  // The local step hands u to line 1 slice by slice: plain SGD streams each
+  // slice from the backward as it finishes (LocalWorker::step), so u is
+  // never stored.  A one-bit round packs c ← u + c (line 1); a flush builds
+  // u + c in place (lines 12–13).
+  bool full_precision = false;
+  std::size_t arrived = 0;
+  const GradientSink line1 = [&](std::size_t begin,
+                                 std::span<const float> u) {
+    if (full_precision) {
+      rank.contribute(u, begin);
+    } else {
+      rank.pack(u, begin);
+    }
+    arrived += u.size();
+  };
+
   WorkerResult result;
   result.rounds.reserve(config.rounds);
   for (std::size_t t = 0; t < config.rounds; ++t) {
-    local.step(sampler, rank_id, t, config.eta_l, config.clip_grad_norm,
-               /*local_steps=*/1);
-
-    // --- synchronize (MarsitSync::do_synchronize, full membership) --------
-    const bool full_precision = k > 0 && t % k == 0;
+    full_precision = k > 0 && t % k == 0;
+    arrived = 0;
     RoundReport report;
     report.round = t;
     report.full_precision = full_precision;
+    const WallClock::time_point step_start = WallClock::now();
+    local.step(sampler, rank_id, t, config.eta_l, config.clip_grad_norm,
+               /*local_steps=*/1, line1);
+    MARSIT_CHECK(arrived == d) << "rank " << rank_id << " round " << t
+                               << ": line 1 saw " << arrived << " of " << d
+                               << " elements";
+
+    // --- synchronize (MarsitSync::do_synchronize, full membership) --------
     const WallClock::time_point comm_start = WallClock::now();
+    report.step_seconds =
+        std::chrono::duration<double>(comm_start - step_start).count();
     double sent_bytes = 0.0;
     if (full_precision) {
-      // Lines 12–13: all-reduce u + c in place; its mean becomes g, which
-      // is applied from the same buffer before c restarts at zero.
-      const std::span<float> sum = rank.contribute(local.update(), 0);
+      // All-reduce u + c in place; its mean becomes g, which is applied
+      // from the same buffer before c restarts at zero.
+      const std::span<float> sum = rank.compensation();
       sent_bytes = execute_hop_schedule(transport, flush, t, sum);
       scale(sum, inv_m);
       clip_flush_mean(config.options, sum);
     } else {
-      rank.pack(local.update(), 0);
       sent_bytes = execute_hop_schedule(transport, one_bit, t,
                                         derive_seed(config.sync_seed, t),
                                         rank.signs());

@@ -13,6 +13,12 @@
 // determinism contract tests/dist_cross_backend_test pins via FNV-1a param
 // digests.
 //
+// Line 1 runs inside the local step: the step hands u_m to the rank
+// through a GradientSink (nn/layer.hpp), and plain SGD streams it from the
+// backward one finished dW row at a time, so u_m is never stored; other
+// optimizers and clipping hand it over whole once the step ends.  The
+// arithmetic is the simulator's, element for element.
+//
 // Every round runs a hop schedule (core/hop_schedule.hpp) through
 // execute_hop_schedule, the schedule's Transport interpreter; the trainer's
 // in-memory folds interpret the same schedules, so both fold each (segment,
@@ -77,8 +83,13 @@ struct WorkerConfig {
 struct RoundReport {
   std::size_t round = 0;
   bool full_precision = false;
-  /// Host wall-clock spent in this rank's communication phase.  On a flush
-  /// round, c ← 0 runs after this window, together with the update.
+  /// Host wall-clock of this rank's local step: forward, backward, and line
+  /// 1 (a flush's u + c) on each gradient slice as it arrives.
+  double step_seconds = 0.0;
+  /// Host wall-clock of this rank's communication phase, from its first
+  /// hop to its last; line 1 ran before it, in step_seconds.  A flush's
+  /// 1/M scale and trust region run inside it; its c ← 0 runs after it,
+  /// together with the update.
   double measured_comm_seconds = 0.0;
   /// α–β prediction for the whole round's collective (all ranks), from a
   /// NetworkSim replay of the hop schedule this backend ran.

@@ -13,6 +13,15 @@ void Layer::bind(std::span<float> params, std::span<float> grads) {
   grads_ = grads;
 }
 
+void Layer::backward_to_sink(std::span<const float> dy, std::size_t batch,
+                             std::span<float> dx, float grad_scale,
+                             const GradientSink& sink) {
+  backward(dy, batch, dx, grad_scale);
+  if (!grads_.empty()) {
+    sink(0, grads_);
+  }
+}
+
 void Layer::check_bound() const {
   MARSIT_CHECK(params_.size() == param_count())
       << name() << " is not bound to parameter storage";

@@ -14,6 +14,15 @@
 //    bytes equal backward at s = 1 followed by scale(grads(), s).  dx is not
 //    scaled.  The local step passes s = η_l for plain SGD, so the gradient
 //    buffer receives u = η_l·g with no pass of its own (sim/trainer.hpp).
+//  * backward_to_sink() is backward() that hands the parameter gradients to
+//    a GradientSink as they finish, instead of leaving them in grads():
+//    every parameter element reaches the sink exactly once, as the bytes
+//    backward() would write, fl(s·∂L/∂θ), and grads() may be left
+//    unwritten.  Linear hands over each dW row while it is still in L1,
+//    then its bias; every other layer runs backward() and hands over its
+//    grads() whole.  A consumer can so fold the gradient into its own state
+//    (Algorithm 1's line 1, dist/worker.hpp) without a model-sized buffer
+//    ever holding it.
 //
 // A layer owns no parameter storage.  It computes param_count() from its
 // geometry, and bind() points params() and grads() at param_count() floats
@@ -25,12 +34,18 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
 
 #include "util/rng.hpp"
 
 namespace marsit {
+
+/// Receives finished parameter gradients: `grads` holds the gradients of
+/// the parameters [begin, begin + grads.size()), valid during the call only.
+using GradientSink =
+    std::function<void(std::size_t begin, std::span<const float> grads)>;
 
 class Layer {
  public:
@@ -52,6 +67,14 @@ class Layer {
   /// Every override declares the same default.
   virtual void backward(std::span<const float> dy, std::size_t batch,
                         std::span<float> dx, float grad_scale = 1.0f) = 0;
+
+  /// backward(), handing every parameter gradient to `sink` at its index in
+  /// params() instead of leaving it in grads() (see the header comment).
+  /// dx is written as backward() writes it.  This default runs backward()
+  /// and hands grads() over whole.
+  virtual void backward_to_sink(std::span<const float> dy, std::size_t batch,
+                                std::span<float> dx, float grad_scale,
+                                const GradientSink& sink);
 
   /// Trainable parameter count, from the layer's geometry (0 for
   /// parameter-free layers).

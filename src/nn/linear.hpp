@@ -23,6 +23,11 @@ class Linear final : public Layer {
                std::span<float> y) override;
   void backward(std::span<const float> dy, std::size_t batch,
                 std::span<float> dx, float grad_scale = 1.0f) override;
+  /// Finishes dW one row at a time in a scratch row and hands each row to
+  /// the sink, then the bias gradient; grads() is not written.
+  void backward_to_sink(std::span<const float> dy, std::size_t batch,
+                        std::span<float> dx, float grad_scale,
+                        const GradientSink& sink) override;
 
   /// [W | b]: W (out×in) row-major, then b.
   std::size_t param_count() const override {
@@ -45,11 +50,17 @@ class Linear final : public Layer {
   std::span<float> bias() { return params().subspan(in_ * out_); }
 
  private:
+  /// Throws unless dy, dx and the cached input fit a backward at `batch`.
+  void check_backward(std::span<const float> dy, std::size_t batch,
+                      std::span<float> dx) const;
+
   std::size_t in_;
   std::size_t out_;
   bool with_bias_;
   float init_scale_ = 1.0f;
   Tensor cached_input_;
+  Tensor dy_column_;  // backward_to_sink: column i of dy, batch floats
+  Tensor grad_row_;   // backward_to_sink: one dW row, then the bias
 };
 
 }  // namespace marsit

@@ -77,7 +77,7 @@ std::span<const float> Sequential::forward(std::span<const float> x,
 }
 
 void Sequential::backward(std::span<const float> dy, std::size_t batch,
-                          float grad_scale) {
+                          float grad_scale, const GradientSink& sink) {
   MARSIT_CHECK(batch == last_batch_ && batch > 0)
       << "backward batch " << batch << " without matching forward";
   MARSIT_CHECK(dy.size() == batch * out_size()) << "backward: dy extent";
@@ -98,11 +98,21 @@ void Sequential::backward(std::span<const float> dy, std::size_t batch,
   std::span<const float> current = dy;
   Tensor* next = &dx_scratch_[0];
   Tensor* spare = &dx_scratch_[1];
+  std::size_t offset = param_count_;  // the layer's first parameter
   for (std::size_t i = layers_.size(); i > 0; --i) {
     Layer& layer = *layers_[i - 1];
+    offset -= layer.param_count();
     auto dx = i == 1 ? std::span<float>{}
                      : next->span().subspan(0, batch * layer.in_size());
-    layer.backward(current, batch, dx, grad_scale);
+    if (sink) {
+      layer.backward_to_sink(
+          current, batch, dx, grad_scale,
+          [&sink, offset](std::size_t begin, std::span<const float> grads) {
+            sink(offset + begin, grads);
+          });
+    } else {
+      layer.backward(current, batch, dx, grad_scale);
+    }
     current = dx;
     std::swap(next, spare);
   }

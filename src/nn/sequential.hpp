@@ -45,9 +45,12 @@ class Sequential {
   /// Backward from dL/d(output); every layer writes its parameter
   /// gradients for this batch, times `grad_scale` (Layer::backward).  The
   /// model input's gradient is not computed.  Must follow a forward() with
-  /// the same batch.
+  /// the same batch.  With a `sink`, each layer streams its gradients to it
+  /// instead (Layer::backward_to_sink), at their indices in params(): every
+  /// element of [0, param_count()) arrives exactly once, last layer first,
+  /// and grads() may be left unwritten.
   void backward(std::span<const float> dy, std::size_t batch,
-                float grad_scale = 1.0f);
+                float grad_scale = 1.0f, const GradientSink& sink = {});
 
   /// Sets every parameter gradient to +0.0.  backward() overwrites them, so
   /// a training step does not need it.

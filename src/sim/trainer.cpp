@@ -42,7 +42,7 @@ LocalWorker::LocalWorker(Sequential model, OptimizerKind optimizer)
 
 void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
                        std::size_t round, float eta_l, float clip_grad_norm,
-                       std::size_t local_steps) {
+                       std::size_t local_steps, const GradientSink& sink) {
   local_steps = std::max<std::size_t>(1, local_steps);
   const std::span<float> params = model_.params();
   if (local_steps > 1) {
@@ -59,6 +59,9 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
   // scale η_l; clipping must see the raw gradient, so it keeps scale 1.
   const bool clips = clip_grad_norm > 0.0f;
   const bool fused = !clips && optimizer_->direction_is_gradient();
+  // u = η_l·g is final as the backward writes it only for fused SGD at one
+  // local step; only then may the backward hand it straight to the sink.
+  const bool streams = sink && fused && local_steps == 1;
   const std::span<float> update = model_.grads();
   for (std::size_t h = 0; h < local_steps; ++h) {
     sampler.worker_batch(worker, round * local_steps + h, batch_);
@@ -69,7 +72,11 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
     }
     softmax_cross_entropy(logits, {batch_.labels.data(), batch_.labels.size()},
                           model_.out_size(), dlogits_.span());
-    model_.backward(dlogits_.span(), batch_.size(), fused ? eta_l : 1.0f);
+    if (streams) {
+      model_.backward(dlogits_.span(), batch_.size(), eta_l, sink);
+    } else {
+      model_.backward(dlogits_.span(), batch_.size(), fused ? eta_l : 1.0f);
+    }
 
     if (!fused) {
       if (clips) {
@@ -90,6 +97,9 @@ void LocalWorker::step(const ShardedSampler& sampler, std::size_t worker,
     // update stays the only change to x.
     sub(params, walk_.span(), update);
     model_.bind_params(params);
+  }
+  if (sink && !streams) {
+    sink(0, update);
   }
 }
 

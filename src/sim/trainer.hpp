@@ -79,12 +79,20 @@ class LocalWorker {
   /// bytes `scale(g, η_l)` would give.  The step never writes the model's
   /// parameters: with H > 1 the model walks H steps on a private copy,
   /// u_m is the total movement, and the model is pointed back.
+  ///
+  /// With a `sink`, u_m goes to the sink, every element once at its index
+  /// in the parameter vector, with the bytes update() would hold.  Plain
+  /// SGD without clipping at H = 1 streams it from the backward, slice by
+  /// slice as each finishes (Sequential::backward), and then leaves
+  /// update() unwritten; every other step hands the finished u_m over in
+  /// one call.
   void step(const ShardedSampler& sampler, std::size_t worker,
             std::size_t round, float eta_l, float clip_grad_norm,
-            std::size_t local_steps);
+            std::size_t local_steps, const GradientSink& sink = {});
 
   /// u_m from the last step(): a view of the model's gradient buffer, valid
-  /// until the model's next backward.
+  /// until the model's next backward.  Not written by a step that streamed
+  /// u_m to a sink.
   std::span<const float> update() const { return model_.grads(); }
   Sequential& model() { return model_; }
   const Sequential& model() const { return model_; }

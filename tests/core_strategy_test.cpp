@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
@@ -406,6 +408,99 @@ TEST(MarsitSyncTest, TorusFoldIsUnbiasedInTraining) {
   // E[g_0] = (3−1)/4 = 0.5, E[g_1] = (1−3)/4 = −0.5; sd per trial = √(1−p²).
   EXPECT_NEAR(mean0 / trials, 0.5, 5.0 / std::sqrt(trials));
   EXPECT_NEAR(mean1 / trials, -0.5, 5.0 / std::sqrt(trials));
+}
+
+// ---- MarsitRank on slices at any offset -------------------------------------
+
+/// A rank over d elements with a nonzero c and a plane of arbitrary words,
+/// tail bits past d included; `owed` leaves line 10 owed against the plane.
+MarsitRank rank_with_state(const MarsitOptions& options, std::size_t d,
+                           bool owed, Rng& rng) {
+  Tensor c(d);
+  fill_normal(c.span(), rng, 0.0f, 0.01f);
+  MarsitRank rank(options, std::move(c));
+  for (std::uint64_t& word : rank.signs()) {
+    word = rng.next_u64();
+  }
+  rank.finish(/*full_precision=*/!owed);
+  return rank;
+}
+
+/// Feeds one u to a copy of `start` whole and to another copy in the slices
+/// [cuts[i], cuts[i+1]) in a shuffled order, through pack() or, for a
+/// flush, contribute(); c and every plane word must come out equal.
+void expect_slices_match_whole(const MarsitRank& start,
+                               std::vector<std::size_t> cuts, bool flush,
+                               Rng& rng) {
+  const std::size_t d = cuts.back();
+  std::vector<float> u(d);
+  fill_normal(u, rng, 0.0f, 0.01f);
+  const std::span<const float> all(u);
+  MarsitRank whole = start;
+  MarsitRank sliced = start;
+  if (flush) {
+    whole.contribute(all, 0);
+  } else {
+    whole.pack(all, 0);
+  }
+  std::vector<std::size_t> order(cuts.size() - 1);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (const std::size_t i : order) {
+    const std::span<const float> slice =
+        all.subspan(cuts[i], cuts[i + 1] - cuts[i]);
+    if (flush) {
+      sliced.contribute(slice, cuts[i]);
+    } else {
+      sliced.pack(slice, cuts[i]);
+    }
+  }
+  EXPECT_EQ(std::memcmp(whole.compensation().data(),
+                        sliced.compensation().data(), d * sizeof(float)),
+            0)
+      << "c differs";
+  ASSERT_EQ(whole.signs().size(), sliced.signs().size());
+  for (std::size_t w = 0; w < whole.signs().size(); ++w) {
+    EXPECT_EQ(whole.signs()[w], sliced.signs()[w]) << "plane word " << w;
+  }
+}
+
+TEST(MarsitRankTest, SlicesAtAnyOffsetMatchOneWholeCall) {
+  // D = 7·64 + 37.  Width-1 slices, slices inside one word, unaligned heads
+  // and tails, whole words, and an unaligned slice that ends the plane.
+  const std::vector<std::size_t> fixed = {0,   1,   2,   30,  64,  100, 128,
+                                          129, 250, 300, 384, 448, 460, 485};
+  Rng rng(2204);
+  for (const bool use_compensation : {true, false}) {
+    MarsitOptions options;
+    options.eta_s = 0.01f;
+    options.use_compensation = use_compensation;
+    for (const bool owed : {true, false}) {
+      for (const bool flush : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "compensation " << use_compensation << ", owed "
+                     << owed << ", flush " << flush);
+        expect_slices_match_whole(rank_with_state(options, 485, owed, rng),
+                                  fixed, flush, rng);
+        // Random partitions, D a multiple of 64 or not.
+        for (int trial = 0; trial < 20; ++trial) {
+          const std::size_t d = 1 + rng.next_below(700);
+          std::vector<std::size_t> cuts = {0, d};
+          for (std::uint64_t n = rng.next_below(12); n > 0; --n) {
+            cuts.push_back(rng.next_below(d));
+          }
+          std::sort(cuts.begin(), cuts.end());
+          cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+          expect_slices_match_whole(rank_with_state(options, d, owed, rng),
+                                    cuts, flush, rng);
+        }
+      }
+    }
+  }
 }
 
 TEST(FactoryTest, BuildsEveryMethod) {

@@ -164,6 +164,9 @@ TEST_P(DistWireVolumeTest, ReduceScatterMovesExactlyTwiceMMinusOneD) {
       EXPECT_EQ(report.full_precision, flush);
       EXPECT_EQ(report.total_wire_bits,
                 static_cast<double>(2 * (kWorkers - 1) * row_bytes * 8));
+      // The local step, line 1 included, is timed on every round.
+      EXPECT_GT(report.step_seconds, 0.0)
+          << "rank " << r << " round " << report.round;
     }
   }
   check_reports_match_counters(run);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -12,7 +13,9 @@
 #include "nn/embedding.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "nn/models.hpp"
 #include "nn/residual.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
 #include "layer_storage.hpp"
@@ -422,6 +425,104 @@ TEST(ScaledBackwardTest, ResidualConvBlock) {
   fill_normal(block.params().subspan(conv1), rng, 0.0f, 0.3f);
   for (const std::size_t batch : kScaledBatches) {
     expect_scaled_backward(block, batch, sparse_batch(rng, block, batch));
+  }
+}
+
+// ---- Sequential::backward with a gradient sink ------------------------------
+
+/// Sequential::backward with a sink hands every parameter gradient over
+/// exactly once, at its index, with the bytes the sink-less backward writes
+/// into grads() at the same gradient scale.
+void expect_sink_tiles_grads(Sequential& model, std::size_t batch,
+                             const std::vector<float>& x, Rng& rng) {
+  constexpr float kScale = 0.05f;
+  const std::size_t d = model.param_count();
+  const auto logits = model.forward(x, batch);
+  std::vector<float> dy = sparse_values(rng, logits.size());
+  model.backward(dy, batch, kScale);
+  const std::vector<float> expected(model.grads().begin(),
+                                    model.grads().end());
+
+  std::vector<float> streamed(d);
+  std::vector<int> hits(d, 0);
+  model.forward(x, batch);
+  model.backward(dy, batch, kScale,
+                 [&](std::size_t begin, std::span<const float> grads) {
+                   ASSERT_LE(begin + grads.size(), d);
+                   for (std::size_t j = 0; j < grads.size(); ++j) {
+                     streamed[begin + j] = grads[j];
+                     ++hits[begin + j];
+                   }
+                 });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+            static_cast<std::ptrdiff_t>(d))
+      << "the slices do not tile [0, " << d << ") once";
+  EXPECT_EQ(std::memcmp(streamed.data(), expected.data(), d * sizeof(float)),
+            0)
+      << "at batch " << batch;
+}
+
+std::vector<float> normal_inputs(Rng& rng, std::size_t count) {
+  std::vector<float> x(count);
+  fill_normal(x, rng, 0.0f, 1.0f);
+  return x;
+}
+
+Sequential mlp(std::size_t hidden, bool with_bias) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Linear>(196, hidden, with_bias));
+  layers.push_back(std::make_unique<Relu>(hidden));
+  layers.push_back(std::make_unique<Linear>(hidden, 10, with_bias));
+  return Sequential(std::move(layers));
+}
+
+TEST(GradientSinkTest, Mlps) {
+  // 196-wide rows start off 64-element boundaries; 2048-wide ones on them.
+  for (const std::size_t hidden : {std::size_t{16}, std::size_t{2048}}) {
+    for (const bool with_bias : {true, false}) {
+      Sequential model = mlp(hidden, with_bias);
+      Rng rng(98);
+      model.init(rng);
+      for (const std::size_t batch : kScaledBatches) {
+        SCOPED_TRACE(testing::Message() << "196->" << hidden << "->10, bias "
+                                        << with_bias);
+        expect_sink_tiles_grads(model, batch,
+                                normal_inputs(rng, batch * 196), rng);
+      }
+    }
+  }
+}
+
+TEST(GradientSinkTest, AlexNetMini) {
+  Sequential model = make_alexnet_mini({1, 14, 14}, 10);
+  Rng rng(99);
+  model.init(rng);
+  for (const std::size_t batch : kScaledBatches) {
+    expect_sink_tiles_grads(model, batch,
+                            normal_inputs(rng, batch * model.in_size()), rng);
+  }
+}
+
+TEST(GradientSinkTest, ResNetMini) {
+  Sequential model = make_resnet_mini({3, 8, 8}, 10, 1, 4);
+  Rng rng(100);
+  model.init(rng);
+  for (const std::size_t batch : kScaledBatches) {
+    expect_sink_tiles_grads(model, batch,
+                            normal_inputs(rng, batch * model.in_size()), rng);
+  }
+}
+
+TEST(GradientSinkTest, TextClassifier) {
+  Sequential model = make_text_classifier(50, 6, 8, 2);
+  Rng rng(101);
+  model.init(rng);
+  for (const std::size_t batch : kScaledBatches) {
+    std::vector<float> ids(batch * 6);
+    for (float& id : ids) {
+      id = static_cast<float>(rng.next_below(50));
+    }
+    expect_sink_tiles_grads(model, batch, ids, rng);
   }
 }
 

@@ -3,6 +3,10 @@
 // synchronizations").
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic_digits.hpp"
 #include "nn/models.hpp"
 #include "sim/trainer.hpp"
@@ -31,6 +35,67 @@ class LocalStepsTest : public ::testing::Test {
 
   SyntheticDigits digits_;
 };
+
+/// LocalWorker::step with a sink hands every element of u_m over once, at
+/// its index, with the bytes the sink-less step leaves in update(), round
+/// after round (Momentum and Adam carry state between them).
+void expect_sink_receives_update(const Dataset& dataset,
+                                 OptimizerKind optimizer, float clip,
+                                 std::size_t local_steps) {
+  const auto factory = [&] {
+    return make_mlp(dataset.sample_size(), {24}, dataset.num_classes());
+  };
+  const ShardedSampler sampler = make_train_sampler(dataset, 2, 16, 5);
+  LocalWorker plain(factory(), optimizer);
+  LocalWorker sinked(factory(), optimizer);
+  init_replica(plain.model(), dataset, 5);
+  init_replica(sinked.model(), dataset, 5);
+  const std::size_t d = plain.model().param_count();
+  for (std::size_t round = 0; round < 3; ++round) {
+    plain.step(sampler, 1, round, 0.05f, clip, local_steps);
+    std::vector<float> streamed(d);
+    std::vector<int> hits(d, 0);
+    sinked.step(sampler, 1, round, 0.05f, clip, local_steps,
+                [&](std::size_t begin, std::span<const float> u) {
+                  ASSERT_LE(begin + u.size(), d);
+                  for (std::size_t j = 0; j < u.size(); ++j) {
+                    streamed[begin + j] = u[j];
+                    ++hits[begin + j];
+                  }
+                });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+              static_cast<std::ptrdiff_t>(d))
+        << "round " << round << ": the slices do not tile [0, " << d << ")";
+    EXPECT_EQ(std::memcmp(streamed.data(), plain.update().data(),
+                          d * sizeof(float)),
+              0)
+        << "round " << round;
+  }
+}
+
+TEST_F(LocalStepsTest, SinkReceivesTheUpdateOfEveryStepKind) {
+  {
+    SCOPED_TRACE("SGD, streamed from the backward");
+    expect_sink_receives_update(digits_, OptimizerKind::kSgd, 0.0f, 1);
+  }
+  {
+    // A clip far below the gradient norm, so every step rescales.
+    SCOPED_TRACE("SGD with clipping");
+    expect_sink_receives_update(digits_, OptimizerKind::kSgd, 0.01f, 1);
+  }
+  {
+    SCOPED_TRACE("Momentum");
+    expect_sink_receives_update(digits_, OptimizerKind::kMomentum, 0.0f, 1);
+  }
+  {
+    SCOPED_TRACE("Adam");
+    expect_sink_receives_update(digits_, OptimizerKind::kAdam, 0.0f, 1);
+  }
+  {
+    SCOPED_TRACE("SGD, two local steps");
+    expect_sink_receives_update(digits_, OptimizerKind::kSgd, 0.0f, 2);
+  }
+}
 
 TEST_F(LocalStepsTest, OneLocalStepMatchesDefaultPath) {
   auto run_with = [&](std::size_t local_steps) {

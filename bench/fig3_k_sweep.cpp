@@ -10,6 +10,15 @@
 //
 // Reproduction: SyntheticImages + AlexNetMini, 400 rounds (the paper's run
 // length), K scaled to the run: {1, 25, 50, 100, ∞}.
+//
+// The bench checks the two shapes that hold on every build and exits 1 if
+// one fails: simulated time never rises from K = 1 toward K = ∞, and each
+// K's bits/elem is its flush share at 32 bits plus the rest at 1, which is
+// (K−1+32)/K when K divides the rounds.  Final accuracy is printed, not
+// checked: it is not monotone in K on the recorded runs (EXPERIMENTS.md,
+// Figure 3).
+#include <cmath>
+
 #include "bench_util.hpp"
 #include "data/synthetic_images.hpp"
 #include "nn/models.hpp"
@@ -41,6 +50,9 @@ int main(int argc, char** argv) {
 
   TextTable curve({"K", "round", "sim time", "test acc (%)"});
   TextTable summary({"K", "sim time", "final acc (%)", "bits/elem"});
+  bool time_never_rises = true;
+  bool bits_follow_k = true;
+  double previous_seconds = 0.0;
 
   for (const Sweep& sweep : sweeps) {
     MarsitOptions options;
@@ -70,13 +82,36 @@ int main(int argc, char** argv) {
     summary.add_row({sweep.label, format_duration(result.sim_seconds),
                      format_fixed(100.0 * result.final_test_accuracy, 1),
                      format_fixed(result.mean_bits_per_element, 2)});
+
+    if (&sweep != &sweeps.front()) {
+      time_never_rises =
+          time_never_rises && result.sim_seconds <= previous_seconds;
+    }
+    previous_seconds = result.sim_seconds;
+    // Rounds 0, K, 2K, ... flush at 32 bits per element; the rest send one.
+    const double flushes =
+        sweep.k == 0 ? 0.0
+                     : static_cast<double>((rounds + sweep.k - 1) / sweep.k);
+    const double expected_bits =
+        (32.0 * flushes + static_cast<double>(rounds) - flushes) /
+        static_cast<double>(rounds);
+    bits_follow_k = bits_follow_k &&
+                    std::fabs(result.mean_bits_per_element - expected_bits) <
+                        1e-9 * expected_bits;
   }
 
   std::cout << "(a) accuracy over training\n";
   curve.print(std::cout);
   std::cout << "\n(b) convergence summary\n";
   summary.print(std::cout);
-  std::cout << "\nshape check: time decreases from K=1 toward K=inf while "
-               "final accuracy\ndrifts down; bits/elem follows (K-1+32)/K.\n";
-  return 0;
+  std::cout << "\n";
+  bool ok = shape_check("sim time never rises from K=1 toward K=inf",
+                        time_never_rises);
+  ok = shape_check("bits/elem = (32 per flush + 1 per one-bit round) / "
+                   "rounds at every K, (K-1+32)/K when K divides the rounds",
+                   bits_follow_k) &&
+       ok;
+  std::cout << "note: final accuracy is printed, not checked "
+               "(EXPERIMENTS.md, Figure 3).\n";
+  return ok ? 0 : 1;
 }

@@ -35,6 +35,17 @@
 // must equal the unscaled product scaled afterwards; a byte that differs
 // exits non-zero.  CRC32 runs at the two frame sizes of a ring-large round,
 // each one hop of hop_schedule (GB/s).
+//
+// The line1 rows time one Linear layer's weight gradient at batch 16 and
+// η_l = 0.05 followed by Algorithm 1's line 1 (MarsitRank::pack, settling
+// an owed line 10), at ring-large's three Linear shapes, in two orders:
+// "stored" runs Linear::backward, which writes u into the gradient buffer,
+// then packs that buffer (the order before the socket worker streamed);
+// "streamed" runs Linear::backward_to_sink, which packs each dW row from
+// its scratch row as it finishes, so u is never stored (the socket
+// worker's order).  Before timing, one call of each from the same rank
+// state must leave c and the sign plane equal byte for byte, or the
+// harness exits non-zero.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -52,7 +63,9 @@
 #include "core/hop_schedule.hpp"
 #include "core/one_bit.hpp"
 #include "core/segmented_fold.hpp"
+#include "core/sync_strategy.hpp"
 #include "net/crc32.hpp"
+#include "nn/linear.hpp"
 #include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -521,6 +534,83 @@ std::vector<GemmResult> run_gemm(std::size_t reps) {
   return forward;
 }
 
+struct Line1Result {
+  std::size_t in = 0;
+  std::size_t out = 0;
+  double stored_seconds = 0.0;
+  double streamed_seconds = 0.0;
+};
+
+/// dW at batch 16 and line 1 for ring-large's Linear layers 196→2048,
+/// 2048→2048 and 2048→10, stored then packed against streamed row by row
+/// (see the header).  dy is ReLU-masked as in run_gemm; the rank owes
+/// line 10 against a plane packed from a random u.
+std::vector<Line1Result> run_line1(std::size_t reps) {
+  constexpr std::size_t kBatch = 16;
+  constexpr float kEtaL = 0.05f;
+  const std::size_t layers[][2] = {{196, 2048}, {2048, 2048}, {2048, 10}};
+  std::vector<Line1Result> results;
+  Rng rng(45);
+  for (const auto& [in, out] : layers) {
+    Linear layer(in, out);
+    const std::size_t d = layer.param_count();
+    std::vector<float> params(d), grads(d);
+    layer.bind({params.data(), d}, {grads.data(), d});
+    layer.init(rng);
+    std::vector<float> x(kBatch * in), y(kBatch * out), dy(kBatch * out);
+    fill_normal({x.data(), x.size()}, rng, 0.0f, 1.0f);
+    fill_normal({dy.data(), dy.size()}, rng, 0.0f, 1.0f);
+    for (float& v : dy) {
+      v = std::max(v, 0.0f);
+    }
+    layer.forward({x.data(), x.size()}, kBatch, {y.data(), y.size()});
+
+    MarsitOptions options;
+    options.eta_s = 2e-3f;
+    Tensor c(d);
+    fill_normal(c.span(), rng, 0.0f, 0.01f);
+    MarsitRank start(options, std::move(c));
+    Tensor u(d);
+    fill_normal(u.span(), rng, 0.0f, 0.01f);
+    start.pack(u.span(), 0);
+    start.finish(/*full_precision=*/false);
+
+    const auto stored = [&](MarsitRank& rank) {
+      layer.backward({dy.data(), dy.size()}, kBatch, {}, kEtaL);
+      rank.pack(layer.grads(), 0);
+    };
+    const auto streamed = [&](MarsitRank& rank) {
+      layer.backward_to_sink(
+          {dy.data(), dy.size()}, kBatch, {}, kEtaL,
+          [&rank](std::size_t begin, std::span<const float> row) {
+            rank.pack(row, begin);
+          });
+    };
+    MarsitRank stored_rank = start;
+    MarsitRank streamed_rank = start;
+    stored(stored_rank);
+    streamed(streamed_rank);
+    const std::span<std::uint64_t> a = stored_rank.signs();
+    const std::span<std::uint64_t> b = streamed_rank.signs();
+    if (std::memcmp(stored_rank.compensation().data(),
+                    streamed_rank.compensation().data(),
+                    d * sizeof(float)) != 0 ||
+        !std::equal(a.begin(), a.end(), b.begin(), b.end())) {
+      std::fprintf(stderr,
+                   "line1 %zu->%zu: streamed line 1 differs from line 1 "
+                   "over the stored u\n",
+                   in, out);
+      std::exit(1);
+    }
+
+    Line1Result r{in, out, 0.0, 0.0};
+    r.stored_seconds = time_best(reps, [&] { stored(stored_rank); });
+    r.streamed_seconds = time_best(reps, [&] { streamed(streamed_rank); });
+    results.push_back(r);
+  }
+  return results;
+}
+
 struct CrcResult {
   std::size_t bytes = 0;
   double seconds = 0.0;
@@ -580,6 +670,7 @@ void write_json(const Options& opt, const std::string& command,
                 const std::vector<KernelResult>& results,
                 const std::vector<FoldResult>& folds,
                 const std::vector<GemmResult>& gemm,
+                const std::vector<Line1Result>& line1,
                 const std::vector<CrcResult>& crc, std::size_t threads) {
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
@@ -626,6 +717,17 @@ void write_json(const Options& opt, const std::string& command,
                  "\"n\": %zu, \"seconds\": %.9f, \"gflops\": %.2f}%s\n",
                  r.kernel, r.m, r.k, r.n, r.seconds, r.gflops(),
                  i + 1 < gemm.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"line1\": [\n");
+  for (std::size_t i = 0; i < line1.size(); ++i) {
+    const Line1Result& r = line1[i];
+    std::fprintf(f,
+                 "    {\"kernel\": \"dw_line1\", \"in\": %zu, \"out\": %zu, "
+                 "\"batch\": 16, \"stored_seconds\": %.9f, "
+                 "\"streamed_seconds\": %.9f, \"streamed_speedup\": %.3f}%s\n",
+                 r.in, r.out, r.stored_seconds, r.streamed_seconds,
+                 r.stored_seconds / r.streamed_seconds,
+                 i + 1 < line1.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"crc32\": [\n");
   for (std::size_t i = 0; i < crc.size(); ++i) {
@@ -676,18 +778,27 @@ int main(int argc, char** argv) {
                    r.word_seconds / r.sharded_seconds);
     }
   }
-  std::fprintf(stderr, "timing GEMMs and CRC32...\n");
+  std::fprintf(stderr, "timing GEMMs, line 1 and CRC32...\n");
   const std::vector<GemmResult> gemm = run_gemm(opt.reps);
   for (const GemmResult& r : gemm) {
     std::fprintf(stderr, "  %-11s %zux%zux%zu  %.6fs  %.1f GFLOP/s\n",
                  r.kernel, r.m, r.k, r.n, r.seconds, r.gflops());
+  }
+  const std::vector<Line1Result> line1 = run_line1(opt.reps);
+  for (const Line1Result& r : line1) {
+    std::fprintf(stderr,
+                 "  dw_line1 %zu->%zu  stored %.6fs  streamed %.6fs "
+                 "(%.2fx)\n",
+                 r.in, r.out, r.stored_seconds, r.streamed_seconds,
+                 r.stored_seconds / r.streamed_seconds);
   }
   const std::vector<CrcResult> crc = run_crc(opt.reps);
   for (const CrcResult& r : crc) {
     std::fprintf(stderr, "  crc32 %zu bytes  %.6fs  %.2f GB/s\n", r.bytes,
                  r.seconds, r.gb_per_s());
   }
-  write_json(opt, command, all, folds, gemm, crc, pool.num_threads());
+  write_json(opt, command, all, folds, gemm, line1, crc,
+             pool.num_threads());
   std::fprintf(stderr, "wrote %s\n", opt.out.c_str());
   return 0;
 }

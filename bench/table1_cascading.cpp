@@ -6,7 +6,12 @@
 // workers.
 //
 // Reproduction: SyntheticDigits + AlexNetMini (DESIGN.md §2), simulated
-// time, convergence target 97 % test accuracy.
+// time, convergence target 97 % test accuracy.  Cascading never converges
+// here at either M and stays near chance, so "degrades as M grows" cannot
+// show; the bench checks the shape that holds on every build, cascading's
+// best accuracy below PSGD's at every M, and exits 1 if it fails.
+#include <map>
+
 #include "bench_util.hpp"
 #include "data/synthetic_digits.hpp"
 #include "nn/models.hpp"
@@ -65,14 +70,17 @@ int main(int argc, char** argv) {
        "no compression M=3: 129 rounds, 99.1 % — M=8: 76 rounds, 99.2 %"});
 
   const std::vector<float> stepsizes = {0.03f, 0.01f, 0.005f};
+  const std::vector<std::size_t> worker_counts = {3, 8};
 
   TextTable table({"scheme", "M", "rounds", "best acc (%)", "sim time",
                    "status"});
+  // Best accuracy per (scheme, M).
+  std::map<std::pair<SyncMethod, std::size_t>, double> best_accuracy;
   for (const auto& [label, method] :
        std::vector<std::pair<std::string, SyncMethod>>{
            {"cascading compression", SyncMethod::kCascading},
            {"no compression", SyncMethod::kPsgd}}) {
-    for (std::size_t workers : {3u, 8u}) {
+    for (const std::size_t workers : worker_counts) {
       // Best result over the stepsize grid, like the paper's protocol:
       // prefer converged runs with fewer rounds, else highest accuracy.
       RunOutcome best;
@@ -92,6 +100,7 @@ int main(int argc, char** argv) {
       std::string status = best.converged ? "converged"
                            : best.diverged ? "DIVERGED"
                                            : "not converged";
+      best_accuracy[{method, workers}] = best.best_accuracy;
       table.add_row({label, std::to_string(workers),
                      best.converged ? std::to_string(best.rounds)
                                     : std::to_string(max_rounds) + "+",
@@ -100,8 +109,15 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  std::cout << "\nshape check: cascading needs more rounds / lower accuracy "
-               "than PSGD,\nand degrades (or diverges) as M grows while PSGD "
-               "improves.\n";
-  return 0;
+  std::cout << "\n";
+  bool below = true;
+  for (const std::size_t workers : worker_counts) {
+    below = below && best_accuracy[{SyncMethod::kCascading, workers}] <
+                         best_accuracy[{SyncMethod::kPsgd, workers}];
+  }
+  const bool ok = shape_check(
+      "cascading's best accuracy is below PSGD's at every M", below);
+  std::cout << "note: the paper's \"degrades as M grows\" is not checked "
+               "(EXPERIMENTS.md, Table 1).\n";
+  return ok ? 0 : 1;
 }
